@@ -31,7 +31,7 @@ import itertools
 
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset
-from .poset import Poset, Verdict, _bits
+from .poset import Poset, Subset, Verdict, _bits
 
 
 def default_chooser(x, y, candidates):
@@ -567,7 +567,6 @@ def check_printed_u_pair_law(directoid, poset):
                 got |= 1 << meet[jz[x]][jz[y]]
             expect = poset._up[x] & poset._up[y]
             if got != expect:
-                from .poset import Subset
                 return Verdict(
                     False, ("U(x,y) printed", x, y),
                     f"{{(z join {lab[x]}) meet (z join {lab[y]})}} = "

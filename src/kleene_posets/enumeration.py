@@ -1,11 +1,13 @@
 """Exhaustive generation of small instances and the claim-audit engine.
 
 Every quantified statement the library implements is registered here as a
-claim with an identifier, a bounded instance space, and a checker that
-evaluates both sides of the statement through the public modules.  An
-audit walks the space in canonical order and reports either Confirmed
-(with the instance count) or Refuted (with serialized witnesses that
-:func:`replay_witness` can re-run independently).
+claim: a bounded instance space plus an evaluator that checks both sides
+of the statement on one instance and returns ``None`` or the violation's
+binding.  An audit walks the space in canonical order and reports either
+Confirmed (with the instance count) or Refuted (with witnesses: the
+serialized instance plus its binding).  :func:`replay_witness` rebuilds
+the instance, re-evaluates it and compares bindings, so a witness with
+an altered binding no longer replays.
 
 Instance spaces are combinations of
   - all posets on up to ``n_bound`` elements, one representative per
@@ -18,7 +20,8 @@ Instance spaces are combinations of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .completion import dedekind_macneille
@@ -29,7 +32,7 @@ from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, involution_from_pairs
 from .poset import DISTRIBUTIVITY_FORMS, Poset, _bits
 from .residuation import ResiduatedStructure, check_condition7
-from .twist import audit_theorem61, twist
+from .twist import audit_theorem61, check_product_cones, twist
 
 ENUMERATION_BOUND = 6
 
@@ -84,8 +87,6 @@ def _signatures(p):
             sigs.append((colors[i], tuple(below), tuple(above)))
         ranks = {s: r for r, s in enumerate(sorted(set(sigs)))}
         new = [ranks[s] for s in sigs]
-        if new == [c if isinstance(c, int) else -1 for c in colors] and _ > 0:
-            break
         if new == colors:
             break
         colors = new
@@ -179,8 +180,6 @@ def enumerate_involutions(p):
             out.append(tuple(mapping))
             return
         for y in range(n):
-            if mapping[y] >= 0 and mapping[y] != x:
-                continue
             if y != x and mapping[y] >= 0:
                 continue
             # pair x <-> y
@@ -210,20 +209,12 @@ def iter_posets(n_bound):
         yield from enumerate_posets(n)
 
 
-def iter_involutive(n_bound):
-    for p in iter_posets(n_bound):
-        for inv in enumerate_involutions(p):
-            yield InvolutivePoset(p, inv)
-
-
 def iter_directed(n_bound):
-    for p in iter_posets(n_bound):
-        if p.is_downward_directed():
-            yield p
+    return filter(Poset.is_downward_directed, iter_posets(n_bound))
 
 
-def iter_directed_involutive(n_bound):
-    for p in iter_directed(n_bound):
+def _with_involutions(posets):
+    for p in posets:
         for inv in enumerate_involutions(p):
             yield InvolutivePoset(p, inv)
 
@@ -253,10 +244,124 @@ def involutive_from_witness(doc):
     return InvolutivePoset(p, inv)
 
 
-def _capped_assignments(source, cap):
-    count = assignment_count(source)
-    sampled = count > cap
-    return itertools.islice(iter_assignments(source), cap), sampled
+@dataclass(frozen=True)
+class InstanceSpace:
+    """``sweep(n_bound, cap)`` yields ``(instance, sampled)`` in canonical
+    order, ``capped`` if it cuts assignments at ``cap``; ``serialize`` and
+    ``rebuild`` turn an instance into witness fields and back."""
+    description: str
+    sweep: Callable
+    serialize: Callable
+    rebuild: Callable
+    capped: bool = False
+
+
+def _uncapped(iterate):
+    return lambda n_bound, cap: ((inst, False) for inst in iterate(n_bound))
+
+
+def _involutive(description, keep):
+    """Posets with an antitone involution, those failing ``keep`` dropped."""
+    def iterate(n_bound):
+        return filter(keep, _with_involutions(iter_posets(n_bound)))
+    return InstanceSpace(description, _uncapped(iterate),
+                         serialize_involutive, involutive_from_witness)
+
+
+def _bounded(ip):
+    return None not in ip.bounds()
+
+
+def _bounded_lu(ip):
+    return _bounded(ip) and ip.base.is_distributive("LU").ok
+
+
+def _condition7(ip):
+    return (_bounded(ip)
+            and ip.is_strict().ok and ip.base.is_distributive("LU").ok
+            and check_condition7(ip).ok)
+
+
+POSETS = InstanceSpace("all posets up to isomorphism", _uncapped(iter_posets),
+                       serialize_poset, poset_from_witness)
+INVOLUTIVE = _involutive("all posets with an antitone involution",
+                         lambda ip: True)
+BOUNDED = _involutive("bounded posets with an antitone involution", _bounded)
+BOUNDED_LU = _involutive(
+    "bounded distributive posets with an antitone involution", _bounded_lu)
+CONDITION7 = _involutive(
+    "bounded strict Kleene posets satisfying condition (7)", _condition7)
+
+
+def _assigned(description, sources, serialize, source_from_witness):
+    """Each source with a lazy iterator over its first ``cap`` assignments."""
+    def sweep(n_bound, cap):
+        for source in sources(n_bound):
+            yield ((source, itertools.islice(iter_assignments(source), cap)),
+                   assignment_count(source) > cap)
+
+    def rebuild(witness):
+        source = source_from_witness(witness)
+        choices = witness["binding"]["choices"]
+        return source, [directoid_from_choices(source, choices)]
+
+    return InstanceSpace(description, sweep, lambda inst: serialize(inst[0]),
+                         rebuild, capped=True)
+
+
+DIRECTED_ASSIGNED = _assigned(
+    "downward directed posets x assignments (capped)",
+    iter_directed, serialize_poset, poset_from_witness)
+DIRECTED_INVOLUTIVE_ASSIGNED = _assigned(
+    "downward directed posets with antitone involution x assignments (capped)",
+    lambda n: _with_involutions(iter_directed(n)),
+    serialize_involutive, involutive_from_witness)
+
+
+def _map_sweep(n_bound, cap):
+    """Every unary map on each directed poset, sharing its capped tables."""
+    for p in iter_directed(n_bound):
+        sampled = assignment_count(p) > cap
+        tables = [d.meet for d in itertools.islice(iter_assignments(p), cap)]
+        for unary in itertools.product(range(p.n), repeat=p.n):
+            yield (p, unary, tables), sampled
+
+
+def _map_serialize(instance):
+    p, unary, _ = instance
+    doc = serialize_poset(p)
+    doc["unary_map"] = {p.labels[i]: p.labels[unary[i]] for i in range(p.n)}
+    return doc
+
+
+def _map_rebuild(witness):
+    p = poset_from_witness(witness)
+    unary = tuple(p.index(witness["unary_map"][lab]) for lab in p.labels)
+    base = directoid_from_choices(p, witness["binding"]["choices"])
+    return p, unary, [base.meet]
+
+
+UNARY_MAPS = InstanceSpace(
+    "downward directed posets x all unary maps x assignments (capped)",
+    _map_sweep, _map_serialize, _map_rebuild, capped=True)
+
+
+def _pivot_serialize(instance):
+    p, a = instance
+    doc = serialize_poset(p)
+    doc["pivot"] = p.labels[a]
+    return doc
+
+
+def _pivot_rebuild(witness):
+    p = poset_from_witness(witness)
+    return p, p.index(witness["pivot"])
+
+
+PIVOTS = InstanceSpace(
+    "all posets x all pivots",
+    _uncapped(lambda n: ((p, a) for p in iter_posets(n) for a in range(p.n))),
+    _pivot_serialize, _pivot_rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -295,810 +400,355 @@ class AuditReport:
 
 @dataclass(frozen=True)
 class Claim:
+    """A statement checked over ``instance_space``: ``evaluate(instance)``
+    returns ``None`` where the statement holds and otherwise the
+    violation's binding."""
     claim_id: str
     statement: str
-    space: str
-    default_n: int
-    uses_assignments: bool
-    runner: Callable        # (n_bound, cap, collect_all) -> (instances, witnesses, sampled)
-    replayer: Callable      # witness dict -> bool (does the violation reproduce?)
+    instance_space: InstanceSpace
+    evaluate: Callable
+    default_n: int = 5
+
+    @property
+    def space(self):
+        return self.instance_space.description
 
     def run(self, n_bound=None, assignment_cap=1000, collect_all=False):
         n_bound = self.default_n if n_bound is None else n_bound
         if n_bound > ENUMERATION_BOUND:
             raise DomainError(
                 f"n={n_bound} exceeds the enumeration bound {ENUMERATION_BOUND}")
-        instances, witnesses, sampled = self.runner(n_bound, assignment_cap,
-                                                    collect_all)
+        space = self.instance_space
+        instances = 0
+        witnesses = []
+        sampled = False
+        for instance, capped in space.sweep(n_bound, assignment_cap):
+            instances += 1
+            sampled = sampled or capped
+            binding = self.evaluate(instance)
+            if binding is not None:
+                witness = space.serialize(instance)
+                witness["binding"] = binding
+                witnesses.append(witness)
+                if not collect_all:
+                    break
         return AuditReport(
             claim=self.claim_id,
             statement=self.statement,
             n_bound=n_bound,
-            assignment_cap=assignment_cap if self.uses_assignments else None,
+            assignment_cap=assignment_cap if space.capped else None,
             space=self.space,
             instances=instances,
             confirmed=not witnesses,
             witnesses=tuple(witnesses),
             sampled=sampled)
 
-
-def _sweep(instances, check, collect_all):
-    """Generic audit loop: ``check(instance) -> (ok, witness, sampled)``."""
-    count = 0
-    witnesses = []
-    sampled = False
-    for inst in instances:
-        count += 1
-        ok, witness, samp = check(inst)
-        sampled = sampled or samp
-        if not ok:
-            witnesses.append(witness)
-            if not collect_all:
-                break
-    return count, witnesses, sampled
+    def replay(self, witness):
+        """Re-evaluate the rebuilt instance; True when its binding comes back."""
+        try:
+            instance = self.instance_space.rebuild(witness)
+            binding = witness["binding"]
+        except KeyError as missing:
+            raise UsageError(f"{self.claim_id} witness has no field "
+                             f"{missing.args[0]!r}") from None
+        return (json.dumps(self.evaluate(instance), sort_keys=True)
+                == json.dumps(binding, sort_keys=True))
 
 
-# -- per-claim checkers -------------------------------------------------------
+# -- per-claim evaluators -----------------------------------------------------
 
-def _run_forms_equivalent(n_bound, cap, collect_all):
-    def check(p):
-        verdicts = p.distributivity_all_forms()
-        oks = {form: verdicts[form].ok for form in DISTRIBUTIVITY_FORMS}
-        if len(set(oks.values())) == 1:
-            return True, None, False
-        witness = serialize_poset(p)
-        witness["binding"] = {
-            "forms": oks,
-            "details": {form: verdicts[form].detail
-                        for form in DISTRIBUTIVITY_FORMS if not verdicts[form].ok},
-        }
-        return False, witness, False
-    return _sweep(iter_posets(n_bound), check, collect_all)
+def _forms_equivalent(p):
+    verdicts = p.distributivity_all_forms()
+    oks = {form: verdicts[form].ok for form in DISTRIBUTIVITY_FORMS}
+    if len(set(oks.values())) == 1:
+        return None
+    return {
+        "forms": oks,
+        "details": {form: verdicts[form].detail
+                    for form in DISTRIBUTIVITY_FORMS if not verdicts[form].ok},
+    }
 
 
-def _replay_forms_equivalent(witness):
-    p = poset_from_witness(witness)
-    oks = {form: p.is_distributive(form).ok for form in DISTRIBUTIVITY_FORMS}
-    return oks == witness["binding"]["forms"] and len(set(oks.values())) > 1
-
-
-def _run_lem11(n_bound, cap, collect_all):
-    def check(ip):
-        p = ip.base
-        bottom, top = ip.bounds()
-        zero = 1 << bottom
-        one = 1 << top
-        for a in range(p.n):
-            for b in range(p.n):
-                if not p.leq(a, b):
-                    continue
-                if p._down[b] & p._down[ip.inv[a]] != zero:
-                    continue
-                la = p._down[a] & p._down[ip.inv[a]]
-                lb = p._down[b] & p._down[ip.inv[b]]
-                ua = p._up[a] & p._up[ip.inv[a]]
-                ub = p._up[b] & p._up[ip.inv[b]]
-                if not (la == zero and lb == zero and ua == one and ub == one):
-                    witness = serialize_involutive(ip)
-                    witness["binding"] = {"a": p.labels[a], "b": p.labels[b]}
-                    return False, witness, False
-        return True, None, False
-
-    def space(n_bound):
-        for ip in iter_involutive(n_bound):
-            bottom, top = ip.bounds()
-            if bottom is None or top is None:
-                continue
-            if not ip.base.is_distributive("LU").ok:
-                continue
-            yield ip
-
-    return _sweep(space(n_bound), check, collect_all)
-
-
-def _replay_lem11(witness):
-    ip = involutive_from_witness(witness)
+def _lem11(ip):
     p = ip.base
-    a = p.index(witness["binding"]["a"])
-    b = p.index(witness["binding"]["b"])
     bottom, top = ip.bounds()
-    zero, one = 1 << bottom, 1 << top
-    if not (p.leq(a, b) and p._down[b] & p._down[ip.inv[a]] == zero):
-        return False
-    la = p._down[a] & p._down[ip.inv[a]]
-    lb = p._down[b] & p._down[ip.inv[b]]
-    ua = p._up[a] & p._up[ip.inv[a]]
-    ub = p._up[b] & p._up[ip.inv[b]]
-    return not (la == zero and lb == zero and ua == one and ub == one)
-
-
-def _run_lem22(n_bound, cap, collect_all):
-    def check(ip):
-        if not ip.is_pseudo_kleene().ok:
-            return True, None, False
-        fixed = ip.fixed_points()
-        if len(fixed) <= 1:
-            return True, None, False
-        witness = serialize_involutive(ip)
-        witness["binding"] = {"fixed_points": list(fixed.labels)}
-        return False, witness, False
-    return _sweep(iter_involutive(n_bound), check, collect_all)
-
-
-def _replay_lem22(witness):
-    ip = involutive_from_witness(witness)
-    return ip.is_pseudo_kleene().ok and len(ip.fixed_points()) > 1
-
-
-def _completion_agreement(ip, predicate):
-    dm = dedekind_macneille(ip)
-    dm_ip = dm.as_involutive_poset()
-    side_p = predicate(ip).ok
-    side_dm = predicate(dm_ip).ok and dm_ip.is_lattice().ok
-    return side_p, side_dm, dm
-
-
-def _run_completion_claim(predicate_name):
-    def run(n_bound, cap, collect_all):
-        def check(ip):
-            side_p, side_dm, dm = _completion_agreement(
-                ip, lambda x: getattr(x, predicate_name)())
-            if side_p == side_dm:
-                return True, None, False
-            witness = serialize_involutive(ip)
-            witness["binding"] = {
-                "base": side_p,
-                "completion": side_dm,
-                "completion_elements": [dm.ideal(i).render() for i in range(dm.n)],
-            }
-            return False, witness, False
-        return _sweep(iter_involutive(n_bound), check, collect_all)
-    return run
-
-
-def _replay_completion_claim(predicate_name):
-    def replay(witness):
-        ip = involutive_from_witness(witness)
-        side_p, side_dm, _ = _completion_agreement(
-            ip, lambda x: getattr(x, predicate_name)())
-        return (side_p != side_dm and side_p == witness["binding"]["base"]
-                and side_dm == witness["binding"]["completion"])
-    return replay
-
-
-def _iter_maps(n):
-    return itertools.product(range(n), repeat=n)
-
-
-def _map_witness(p, unary):
-    doc = serialize_poset(p)
-    doc["unary_map"] = {p.labels[i]: p.labels[unary[i]] for i in range(p.n)}
-    return doc
-
-
-def _run_lem41(n_bound, cap, collect_all):
-    def instances(n_bound):
-        for p in iter_directed(n_bound):
-            tables = []
-            sampled = assignment_count(p) > cap
-            for d in itertools.islice(iter_assignments(p), cap):
-                tables.append(d.meet)
-            for unary in _iter_maps(p.n):
-                yield p, tables, unary, sampled
-
-    def check(inst):
-        p, tables, unary, sampled = inst
-        expected = InvolutivePoset(p, unary).check_antitone_involution().ok
-        for table in tables:
-            d = MeetDirectoid(table, inv=unary, labels=p.labels)
-            got = d.check_identities_1_2()
-            if got.ok != expected:
-                witness = _map_witness(p, unary)
-                witness["binding"] = {
-                    "antitone_involution": expected,
-                    "identities_1_2": got.ok,
-                    "choices": assignment_choices(d, p),
-                    "detail": got.detail,
-                }
-                return False, witness, sampled
-        return True, None, sampled
-
-    return _sweep(instances(n_bound), check, collect_all)
-
-
-def _replay_lem41(witness):
-    p = poset_from_witness(witness)
-    unary = tuple(p.index(witness["unary_map"][lab]) for lab in p.labels)
-    expected = InvolutivePoset(p, unary).check_antitone_involution().ok
-    base = directoid_from_choices(p, witness["binding"]["choices"])
-    d = MeetDirectoid(base.meet, inv=unary, labels=p.labels)
-    return d.check_identities_1_2().ok != expected
-
-
-def _directoid_side(d, which, bounds):
-    """Evaluate the identity set named by ``which`` on one directoid."""
-    if not d.check_identities_1_2().ok:
-        return False
-    if which == "pk":
-        return d.check_identity_3().ok
-    if which == "kleene":
-        return d.check_identity_3().ok and d.check_implication_4().ok
-    if which == "strong":
-        return d.check_implication_5().ok
-    if which == "strict":
-        return d.check_implication_6(*bounds).ok
-    if which == "strict-kleene":
-        return (d.check_implication_4().ok
-                and d.check_implication_6(*bounds).ok)
-    raise AssertionError(which)
-
-
-def _poset_side(ip, which):
-    if not ip.check_antitone_involution().ok:
-        return False
-    if which == "pk":
-        return ip.is_pseudo_kleene().ok
-    if which == "kleene":
-        return ip.is_kleene().ok
-    if which == "strong":
-        return ip.is_strong().ok
-    if which == "strict":
-        return ip.is_strict().ok
-    if which == "strict-kleene":
-        return ip.is_strict().ok and ip.base.is_distributive("LU").ok
-    raise AssertionError(which)
-
-
-def _needs_bounds(which):
-    return which in ("strict", "strict-kleene")
-
-
-def _run_directoid_equivalence(which):
-    def run(n_bound, cap, collect_all):
-        def instances(n_bound):
-            for p in iter_directed(n_bound):
-                tables = []
-                sampled = assignment_count(p) > cap
-                for d in itertools.islice(iter_assignments(p), cap):
-                    tables.append(d.meet)
-                for unary in _iter_maps(p.n):
-                    yield p, tables, unary, sampled
-
-        def check(inst):
-            p, tables, unary, sampled = inst
-            ip = InvolutivePoset(p, unary)
-            valid = ip.check_antitone_involution().ok
-            bounds = None
-            if _needs_bounds(which):
-                if valid:
-                    bottom, top = p.bounds()
-                    if bottom is None or top is None:
-                        # cannot happen: a finite directed order with an
-                        # antitone involution is bounded; treated as a
-                        # refutation of the boundedness fact if it does
-                        witness = _map_witness(p, unary)
-                        witness["binding"] = {"error": "unbounded with involution"}
-                        return False, witness, sampled
-                    bounds = (bottom, top)
-                else:
-                    bounds = (0, 0)   # never consulted: identities (1)/(2) fail
-            side_p = _poset_side(ip, which) if valid else False
-            for table in tables:
-                d = MeetDirectoid(table, inv=unary, labels=p.labels)
-                side_d = _directoid_side(d, which, bounds)
-                if side_d != side_p:
-                    witness = _map_witness(p, unary)
-                    witness["binding"] = {
-                        "order_side": side_p,
-                        "directoid_side": side_d,
-                        "choices": assignment_choices(d, p),
-                    }
-                    return False, witness, sampled
-            return True, None, sampled
-
-        return _sweep(instances(n_bound), check, collect_all)
-    return run
-
-
-def _replay_directoid_equivalence(which):
-    def replay(witness):
-        p = poset_from_witness(witness)
-        unary = tuple(p.index(witness["unary_map"][lab]) for lab in p.labels)
-        ip = InvolutivePoset(p, unary)
-        valid = ip.check_antitone_involution().ok
-        side_p = _poset_side(ip, which) if valid else False
-        base = directoid_from_choices(p, witness["binding"]["choices"])
-        d = MeetDirectoid(base.meet, inv=unary, labels=p.labels)
-        bounds = None
-        if _needs_bounds(which):
-            bounds = p.bounds() if valid else (0, 0)
-        side_d = _directoid_side(d, which, bounds)
-        return (side_d != side_p
-                and side_p == witness["binding"]["order_side"]
-                and side_d == witness["binding"]["directoid_side"])
-    return replay
-
-
-def _run_thm411(n_bound, cap, collect_all):
-    """Both parts: strictness against (1),(2),(6); strict Kleene against
-    (1),(2),(4),(6)."""
-    def instances(n_bound):
-        for p in iter_directed(n_bound):
-            tables = []
-            sampled = assignment_count(p) > cap
-            for d in itertools.islice(iter_assignments(p), cap):
-                tables.append(d.meet)
-            for unary in _iter_maps(p.n):
-                yield p, tables, unary, sampled
-
-    def check(inst):
-        p, tables, unary, sampled = inst
-        ip = InvolutivePoset(p, unary)
-        valid = ip.check_antitone_involution().ok
-        bounds = p.bounds() if valid else (0, 0)
-        if valid and (bounds[0] is None or bounds[1] is None):
-            witness = _map_witness(p, unary)
-            witness["binding"] = {"error": "unbounded with involution"}
-            return False, witness, sampled
-        strict_p = _poset_side(ip, "strict") if valid else False
-        sk_p = _poset_side(ip, "strict-kleene") if valid else False
-        for table in tables:
-            d = MeetDirectoid(table, inv=unary, labels=p.labels)
-            strict_d = _directoid_side(d, "strict", bounds)
-            sk_d = _directoid_side(d, "strict-kleene", bounds)
-            if strict_d != strict_p or sk_d != sk_p:
-                part = "i" if strict_d != strict_p else "ii"
-                witness = _map_witness(p, unary)
-                witness["binding"] = {
-                    "part": part,
-                    "order_side": strict_p if part == "i" else sk_p,
-                    "directoid_side": strict_d if part == "i" else sk_d,
-                    "choices": assignment_choices(d, p),
-                }
-                return False, witness, sampled
-        return True, None, sampled
-
-    return _sweep(instances(n_bound), check, collect_all)
-
-
-def _replay_thm411(witness):
-    p = poset_from_witness(witness)
-    unary = tuple(p.index(witness["unary_map"][lab]) for lab in p.labels)
-    ip = InvolutivePoset(p, unary)
-    valid = ip.check_antitone_involution().ok
-    bounds = p.bounds() if valid else (0, 0)
-    which = "strict" if witness["binding"]["part"] == "i" else "strict-kleene"
-    side_p = _poset_side(ip, which) if valid else False
-    base = directoid_from_choices(p, witness["binding"]["choices"])
-    d = MeetDirectoid(base.meet, inv=unary, labels=p.labels)
-    side_d = _directoid_side(d, which, bounds)
-    return (side_d != side_p
-            and side_p == witness["binding"]["order_side"]
-            and side_d == witness["binding"]["directoid_side"])
-
-
-def _run_lem46(n_bound, cap, collect_all):
-    def check(ip):
-        strong = ip.is_strong()
-        if not strong.ok:
-            return True, None, False
-        pk = ip.is_pseudo_kleene()
-        if pk.ok:
-            return True, None, False
-        witness = serialize_involutive(ip)
-        witness["binding"] = {"strong": True, "pseudo_kleene": False,
-                              "detail": pk.detail}
-        return False, witness, False
-    return _sweep(iter_involutive(n_bound), check, collect_all)
-
-
-def _replay_lem46(witness):
-    ip = involutive_from_witness(witness)
-    return ip.is_strong().ok and not ip.is_pseudo_kleene().ok
-
-
-def _run_strict_implies_strong(n_bound, cap, collect_all):
-    def space(n_bound):
-        for ip in iter_involutive(n_bound):
-            bottom, top = ip.bounds()
-            if bottom is not None and top is not None:
-                yield ip
-
-    def check(ip):
-        if not ip.is_strict().ok or ip.is_strong().ok:
-            return True, None, False
-        witness = serialize_involutive(ip)
-        witness["binding"] = {"strict": True, "strong": False}
-        return False, witness, False
-    return _sweep(space(n_bound), check, collect_all)
-
-
-def _replay_strict_implies_strong(witness):
-    ip = involutive_from_witness(witness)
-    return ip.is_strict().ok and not ip.is_strong().ok
-
-
-def _run_boolean_implies_strict_kleene(n_bound, cap, collect_all):
-    def space(n_bound):
-        for ip in iter_involutive(n_bound):
-            bottom, top = ip.bounds()
-            if bottom is None or top is None:
+    zero = 1 << bottom
+    one = 1 << top
+    for a in range(p.n):
+        for b in range(p.n):
+            if not p.leq(a, b):
                 continue
-            if not ip.base.is_distributive("LU").ok:
+            if p._down[b] & p._down[ip.inv[a]] != zero:
                 continue
-            yield ip
-
-    def check(ip):
-        if not ip.is_boolean_poset().ok:
-            return True, None, False
-        if ip.is_strict().ok and ip.is_kleene().ok:
-            return True, None, False
-        witness = serialize_involutive(ip)
-        witness["binding"] = {"boolean": True, "strict": ip.is_strict().ok,
-                              "kleene": ip.is_kleene().ok}
-        return False, witness, False
-    return _sweep(space(n_bound), check, collect_all)
+            la = p._down[a] & p._down[ip.inv[a]]
+            lb = p._down[b] & p._down[ip.inv[b]]
+            ua = p._up[a] & p._up[ip.inv[a]]
+            ub = p._up[b] & p._up[ip.inv[b]]
+            if not (la == zero and lb == zero and ua == one and ub == one):
+                return {"a": p.labels[a], "b": p.labels[b]}
+    return None
 
 
-def _replay_boolean_implies_strict_kleene(witness):
-    ip = involutive_from_witness(witness)
-    return ip.is_boolean_poset().ok and not (ip.is_strict().ok and ip.is_kleene().ok)
+def _lem22(ip):
+    if not ip.is_pseudo_kleene().ok:
+        return None
+    fixed = ip.fixed_points()
+    if len(fixed) <= 1:
+        return None
+    return {"fixed_points": list(fixed.labels)}
 
 
-def _run_thm52(n_bound, cap, collect_all):
-    def space(n_bound):
-        for ip in iter_involutive(n_bound):
-            bottom, top = ip.bounds()
-            if bottom is None or top is None:
-                continue
-            if not (ip.is_strict().ok and ip.base.is_distributive("LU").ok):
-                continue
-            if not check_condition7(ip).ok:
-                continue
-            yield ip
-
-    def check(ip):
-        report = ResiduatedStructure(ip).verify_kleene_residuated()
-        if report.all_ok:
-            return True, None, False
-        failing = [name for name in ("zero_absorbing", "commutativity", "unit",
-                                     "associativity", "adjointness")
-                   if not getattr(report, name).ok]
-        witness = serialize_involutive(ip)
-        witness["binding"] = {
-            "failing": failing,
-            "detail": getattr(report, failing[0]).detail,
+def _completion_agreement(predicate_name):
+    def evaluate(ip):
+        dm = dedekind_macneille(ip)
+        dm_ip = dm.as_involutive_poset()
+        side_p = getattr(ip, predicate_name)().ok
+        side_dm = getattr(dm_ip, predicate_name)().ok and dm_ip.is_lattice().ok
+        if side_p == side_dm:
+            return None
+        return {
+            "base": side_p,
+            "completion": side_dm,
+            "completion_elements": [dm.ideal(i).render() for i in range(dm.n)],
         }
-        return False, witness, False
-    return _sweep(space(n_bound), check, collect_all)
+    return evaluate
 
 
-def _replay_thm52(witness):
-    ip = involutive_from_witness(witness)
+# Directoid characterisations: rung -> (order property, read on a valid
+# antitone involution; directoid condition, read once (1)/(2) hold).
+_RUNGS = {
+    "involution": (lambda ip: True, lambda d, bounds: True),
+    "pk": (lambda ip: ip.is_pseudo_kleene().ok,
+           lambda d, bounds: d.check_identity_3().ok),
+    "kleene": (lambda ip: ip.is_kleene().ok,
+               lambda d, bounds: (d.check_identity_3().ok
+                                  and d.check_implication_4().ok)),
+    "strong": (lambda ip: ip.is_strong().ok,
+               lambda d, bounds: d.check_implication_5().ok),
+    "strict": (lambda ip: ip.is_strict().ok,
+               lambda d, bounds: d.check_implication_6(*bounds).ok),
+    "strict-kleene": (lambda ip: (ip.is_strict().ok
+                                  and ip.base.is_distributive("LU").ok),
+                      lambda d, bounds: (d.check_implication_4().ok
+                                         and d.check_implication_6(*bounds).ok)),
+}
+
+
+def _directoid_characterization(*rungs):
+    """Each rung's two sides must agree on every table; with two rungs the
+    binding names the failing one as ``part`` i or ii."""
+    def evaluate(instance):
+        p, unary, tables = instance
+        ip = InvolutivePoset(p, unary)
+        valid = ip.check_antitone_involution().ok
+        # A finite directed order has a bottom; a valid map sends it to a top.
+        bounds = p.bounds() if valid else (0, 0)   # unread: (1)/(2) fail
+        order_sides = [valid and _RUNGS[r][0](ip) for r in rungs]
+        for table in tables:
+            d = MeetDirectoid(table, inv=unary, labels=p.labels)
+            holds = d.check_identities_1_2().ok
+            directoid_sides = [holds and _RUNGS[r][1](d, bounds) for r in rungs]
+            for part, order_side, directoid_side in zip(
+                    ("i", "ii"), order_sides, directoid_sides):
+                if order_side != directoid_side:
+                    binding = {"part": part} if len(rungs) > 1 else {}
+                    binding.update(order_side=order_side,
+                                   directoid_side=directoid_side,
+                                   choices=assignment_choices(d, p))
+                    return binding
+        return None
+    return evaluate
+
+
+def _lem46(ip):
+    if not ip.is_strong().ok:
+        return None
+    pk = ip.is_pseudo_kleene()
+    if pk.ok:
+        return None
+    return {"strong": True, "pseudo_kleene": False, "detail": pk.detail}
+
+
+def _strict_implies_strong(ip):
+    if not ip.is_strict().ok or ip.is_strong().ok:
+        return None
+    return {"strict": True, "strong": False}
+
+
+def _boolean_implies_strict_kleene(ip):
+    if not ip.is_boolean_poset().ok:
+        return None
+    if ip.is_strict().ok and ip.is_kleene().ok:
+        return None
+    return {"boolean": True, "strict": ip.is_strict().ok,
+            "kleene": ip.is_kleene().ok}
+
+
+def _thm52(ip):
     report = ResiduatedStructure(ip).verify_kleene_residuated()
-    return not report.all_ok
+    if report.all_ok:
+        return None
+    failing = [name for name in ("zero_absorbing", "commutativity", "unit",
+                                 "associativity", "adjointness")
+               if not getattr(report, name).ok]
+    return {
+        "failing": failing,
+        "detail": getattr(report, failing[0]).detail,
+    }
 
 
-def _run_thm54(n_bound, cap, collect_all):
-    def space(n_bound):
-        for ip in iter_involutive(n_bound):
-            bottom, top = ip.bounds()
-            if bottom is not None and top is not None:
-                yield ip
-
-    def check(ip):
-        report = ResiduatedStructure(ip).theorem54_checks()
-        failing = report.violations
-        if not failing:
-            return True, None, False
-        witness = serialize_involutive(ip)
-        witness["binding"] = {
-            "failing": {k: v.verdict.detail for k, v in failing.items()},
-        }
-        return False, witness, False
-    return _sweep(space(n_bound), check, collect_all)
+def _thm54(ip):
+    failing = ResiduatedStructure(ip).theorem54_checks().violations
+    if not failing:
+        return None
+    return {"failing": {k: v.verdict.detail for k, v in failing.items()}}
 
 
-def _replay_thm54(witness):
-    ip = involutive_from_witness(witness)
-    report = ResiduatedStructure(ip).theorem54_checks()
-    return set(report.violations) == set(witness["binding"]["failing"])
-
-
-def _run_derived_laws(checker):
-    def run(n_bound, cap, collect_all):
-        def check(ip):
-            sampled = assignment_count(ip) > cap
-            for d in itertools.islice(iter_assignments(ip), cap):
-                verdict = checker(d, ip.base)
-                if not verdict.ok:
-                    witness = serialize_involutive(ip)
-                    witness["binding"] = {
-                        "choices": assignment_choices(d, ip),
-                        "detail": verdict.detail,
-                    }
-                    return False, witness, sampled
-            return True, None, sampled
-        return _sweep(iter_directed_involutive(n_bound), check, collect_all)
-    return run
-
-
-def _replay_derived_laws(checker):
-    def replay(witness):
-        ip = involutive_from_witness(witness)
-        d = directoid_from_choices(ip, witness["binding"]["choices"])
-        return not checker(d, ip.base).ok
-    return replay
-
-
-def _run_roundtrip(n_bound, cap, collect_all):
-    def check(p):
-        sampled = assignment_count(p) > cap
-        for d in itertools.islice(iter_assignments(p), cap):
-            if d.induced_poset() != p:
-                witness = serialize_poset(p)
-                witness["binding"] = {"choices": assignment_choices(d, p)}
-                return False, witness, sampled
-            if not d.check_directoid_axioms().ok:
-                witness = serialize_poset(p)
-                witness["binding"] = {
-                    "choices": assignment_choices(d, p),
-                    "detail": d.check_directoid_axioms().detail,
+def _assignment_law(checker):
+    def evaluate(instance):
+        ip, assignments = instance
+        for d in assignments:
+            verdict = checker(d, ip.base)
+            if not verdict.ok:
+                return {
+                    "choices": assignment_choices(d, ip),
+                    "detail": verdict.detail,
                 }
-                return False, witness, sampled
-        return True, None, sampled
-    return _sweep(iter_directed(n_bound), check, collect_all)
+        return None
+    return evaluate
 
 
-def _replay_roundtrip(witness):
-    p = poset_from_witness(witness)
-    d = directoid_from_choices(p, witness["binding"]["choices"])
-    return d.induced_poset() != p or not d.check_directoid_axioms().ok
+def _roundtrip(instance):
+    p, assignments = instance
+    for d in assignments:
+        if d.induced_poset() != p:
+            return {"choices": assignment_choices(d, p)}
+        verdict = d.check_directoid_axioms()
+        if not verdict.ok:
+            return {"choices": assignment_choices(d, p), "detail": verdict.detail}
+    return None
 
 
-def _iter_twist_instances(n_bound):
-    for p in iter_posets(n_bound):
-        for a in range(p.n):
-            yield p, a
+def _twist_part(part):
+    def evaluate(instance):
+        _, report = audit_theorem61(*instance)
+        verdict = report.part_i if part == "i" else report.part_ii
+        return None if verdict.ok else {"detail": verdict.detail}
+    return evaluate
 
 
-def _twist_witness(p, a):
-    doc = serialize_poset(p)
-    doc["pivot"] = p.labels[a]
-    return doc
+def _twist_kleene_agreement(instance):
+    _, report = audit_theorem61(*instance)
+    if report.part_iii_agree:
+        return None
+    detail = (f"source distributive: {report.q_distributive.ok}; "
+              f"twist Kleene: {report.twist_kleene.ok}"
+              + (f"; {report.twist_kleene.detail}"
+                 if report.twist_kleene.detail else ""))
+    return {
+        "detail": detail,
+        "source_distributive": report.q_distributive.ok,
+        "twist_kleene": report.twist_kleene.ok,
+    }
 
 
-def _run_twist_part(part):
-    def run(n_bound, cap, collect_all):
-        def check(inst):
-            p, a = inst
-            t, report = audit_theorem61(p, a)
-            if part == "i":
-                ok = report.part_i.ok
-                detail = report.part_i.detail
-            elif part == "ii":
-                ok = report.part_ii.ok
-                detail = report.part_ii.detail
-            else:
-                ok = report.part_iii_agree
-                detail = (f"source distributive: {report.q_distributive.ok}; "
-                          f"twist Kleene: {report.twist_kleene.ok}"
-                          + (f"; {report.twist_kleene.detail}"
-                             if report.twist_kleene.detail else ""))
-            if ok:
-                return True, None, False
-            witness = _twist_witness(p, a)
-            witness["binding"] = {"detail": detail}
-            if part == "iii":
-                witness["binding"]["source_distributive"] = report.q_distributive.ok
-                witness["binding"]["twist_kleene"] = report.twist_kleene.ok
-            return False, witness, False
-        return _sweep(_iter_twist_instances(n_bound), check, collect_all)
-    return run
-
-
-def _replay_twist_part(part):
-    def replay(witness):
-        p = poset_from_witness(witness)
-        _, report = audit_theorem61(p, witness["pivot"])
-        if part == "i":
-            return not report.part_i.ok
-        if part == "ii":
-            return not report.part_ii.ok
-        return (not report.part_iii_agree
-                and report.q_distributive.ok == witness["binding"]["source_distributive"]
-                and report.twist_kleene.ok == witness["binding"]["twist_kleene"])
-    return replay
-
-
-def _run_twist_cones(restricted):
-    def run(n_bound, cap, collect_all):
-        def check(inst):
-            p, a = inst
-            t = twist(p, a)
-            from .twist import check_product_cones
-            verdict = check_product_cones(t, restricted=restricted)
-            if verdict.ok:
-                return True, None, False
-            witness = _twist_witness(p, a)
-            witness["binding"] = {"detail": verdict.detail}
-            return False, witness, False
-        return _sweep(_iter_twist_instances(n_bound), check, collect_all)
-    return run
-
-
-def _replay_twist_cones(restricted):
-    def replay(witness):
-        p = poset_from_witness(witness)
-        t = twist(p, witness["pivot"])
-        from .twist import check_product_cones
-        return not check_product_cones(t, restricted=restricted).ok
-    return replay
+def _twist_cones(restricted):
+    def evaluate(instance):
+        verdict = check_product_cones(twist(*instance), restricted=restricted)
+        return None if verdict.ok else {"detail": verdict.detail}
+    return evaluate
 
 
 # -- registry ------------------------------------------------------------------
 
-def _claim(claim_id, statement, space, runner, replayer, default_n=5,
-           uses_assignments=False):
-    return Claim(claim_id=claim_id, statement=statement, space=space,
-                 default_n=default_n, uses_assignments=uses_assignments,
-                 runner=runner, replayer=replayer)
-
-
-CLAIMS = {c.claim_id: c for c in [
-    _claim(
-        "Distributivity-forms-equivalent",
+CLAIMS = {claim_id: Claim(claim_id, *spec) for claim_id, spec in {
+    "Distributivity-forms-equivalent": (
         "the four cone-identity forms of distributivity hold or fail together",
-        "all posets up to isomorphism",
-        _run_forms_equivalent, _replay_forms_equivalent),
-    _claim(
-        "Lem-1.1",
+        POSETS, _forms_equivalent),
+    "Lem-1.1": (
         "in a bounded distributive order with antitone involution, a <= b with "
         "L(b,a') = {0} forces L(a,a') = L(b,b') = {0} and U(a,a') = U(b,b') = {1}",
-        "bounded distributive posets with an antitone involution, all valid pairs",
-        _run_lem11, _replay_lem11),
-    _claim(
-        "Lem-2.2",
+        replace(BOUNDED_LU, description=BOUNDED_LU.description
+                + ", all valid pairs"), _lem11),
+    "Lem-2.2": (
         "a pseudo-Kleene order has at most one fixed point",
-        "all posets with an antitone involution",
-        _run_lem22, _replay_lem22),
-    _claim(
-        "Thm-3.1",
+        INVOLUTIVE, _lem22),
+    "Thm-3.1": (
         "the cut completion is a pseudo-Kleene lattice exactly when the base "
         "order is pseudo-Kleene",
-        "all posets with an antitone involution",
-        _run_completion_claim("is_pseudo_kleene"),
-        _replay_completion_claim("is_pseudo_kleene")),
-    _claim(
-        "Thm-3.2",
+        INVOLUTIVE, _completion_agreement("is_pseudo_kleene")),
+    "Thm-3.2": (
         "the cut completion is a Kleene lattice exactly when the base order "
         "is Kleene",
-        "all posets with an antitone involution",
-        _run_completion_claim("is_kleene"),
-        _replay_completion_claim("is_kleene")),
-    _claim(
-        "Lem-4.1",
+        INVOLUTIVE, _completion_agreement("is_kleene")),
+    "Lem-4.1": (
         "identities (1) and (2) hold in every assigned meet operation exactly "
         "when the unary map is an antitone involution",
-        "downward directed posets x all unary maps x assignments (capped)",
-        _run_lem41, _replay_lem41, uses_assignments=True),
-    _claim(
-        "Thm-4.2",
+        UNARY_MAPS, _directoid_characterization("involution")),
+    "Thm-4.2": (
         "identities (1)-(3) characterize the pseudo-Kleene property",
-        "downward directed posets x all unary maps x assignments (capped)",
-        _run_directoid_equivalence("pk"),
-        _replay_directoid_equivalence("pk"), uses_assignments=True),
-    _claim(
-        "Thm-4.3",
+        UNARY_MAPS, _directoid_characterization("pk")),
+    "Thm-4.3": (
         "identities (1)-(3) plus implication (4) characterize the Kleene "
         "property",
-        "downward directed posets x all unary maps x assignments (capped)",
-        _run_directoid_equivalence("kleene"),
-        _replay_directoid_equivalence("kleene"), uses_assignments=True),
-    _claim(
-        "Lem-4.6",
+        UNARY_MAPS, _directoid_characterization("kleene")),
+    "Lem-4.6": (
         "every strong pseudo-Kleene order is pseudo-Kleene",
-        "all posets with an antitone involution",
-        _run_lem46, _replay_lem46),
-    _claim(
-        "Thm-4.8",
+        INVOLUTIVE, _lem46),
+    "Thm-4.8": (
         "identities (1), (2) plus implication (5) characterize the strong "
         "pseudo-Kleene property",
-        "downward directed posets x all unary maps x assignments (capped)",
-        _run_directoid_equivalence("strong"),
-        _replay_directoid_equivalence("strong"), uses_assignments=True),
-    _claim(
-        "Thm-4.11",
+        UNARY_MAPS, _directoid_characterization("strong")),
+    "Thm-4.11": (
         "identities (1), (2) plus implication (6) characterize strictness, "
         "and adding implication (4) characterizes strict Kleene",
-        "downward directed posets x all unary maps x assignments (capped)",
-        _run_thm411, _replay_thm411, uses_assignments=True),
-    _claim(
-        "Thm-5.2",
+        UNARY_MAPS, _directoid_characterization("strict", "strict-kleene")),
+    "Thm-5.2": (
         "on a bounded strict Kleene order where nonzero pairs have nonzero "
         "lower bounds, the two operators form a residuated structure",
-        "bounded strict Kleene posets satisfying condition (7)",
-        _run_thm52, _replay_thm52),
-    _claim(
-        "Thm-5.4",
+        CONDITION7, _thm52),
+    "Thm-5.4": (
         "the tiered operator dualities: (i)/(ii) always, (iii)/(iv) under "
         "condition (7), (v) under strict Kleene",
-        "bounded posets with an antitone involution",
-        _run_thm54, _replay_thm54),
-    _claim(
-        "Derived-set-laws",
+        BOUNDED, _thm54),
+    "Derived-set-laws": (
         "cones are recoverable from any assigned meet operation (inner-join "
         "reading of the pair law)",
-        "downward directed posets with antitone involution x assignments (capped)",
-        _run_derived_laws(check_derived_set_laws),
-        _replay_derived_laws(check_derived_set_laws), uses_assignments=True),
-    _claim(
-        "U-pair-law-printed",
+        DIRECTED_INVOLUTIVE_ASSIGNED, _assignment_law(check_derived_set_laws)),
+    "U-pair-law-printed": (
         "the inner-meet reading of the pair law U(x,y) = {(z v x) ^ (z v y)}",
-        "downward directed posets with antitone involution x assignments (capped)",
-        _run_derived_laws(check_printed_u_pair_law),
-        _replay_derived_laws(check_printed_u_pair_law), uses_assignments=True),
-    _claim(
-        "Directoid-roundtrip",
+        DIRECTED_INVOLUTIVE_ASSIGNED, _assignment_law(check_printed_u_pair_law)),
+    "Directoid-roundtrip": (
         "every assignment is a commutative meet-directoid and induces the "
         "original order",
-        "downward directed posets x assignments (capped)",
-        _run_roundtrip, _replay_roundtrip, uses_assignments=True),
-    _claim(
-        "Thm-6.1-i",
+        DIRECTED_ASSIGNED, _roundtrip),
+    "Thm-6.1-i": (
         "every twist is pseudo-Kleene with exactly the pivot pair fixed",
-        "all posets x all pivots",
-        _run_twist_part("i"), _replay_twist_part("i"), default_n=4),
-    _claim(
-        "Thm-6.1-ii",
+        PIVOTS, _twist_part("i"), 4),
+    "Thm-6.1-ii": (
         "x -> (x, a) embeds the source into its twist",
-        "all posets x all pivots",
-        _run_twist_part("ii"), _replay_twist_part("ii"), default_n=4),
-    _claim(
-        "Thm-6.1-iii",
+        PIVOTS, _twist_part("ii"), 4),
+    "Thm-6.1-iii": (
         "the source is distributive exactly when its twist is Kleene",
-        "all posets x all pivots",
-        _run_twist_part("iii"), _replay_twist_part("iii"), default_n=4),
-    _claim(
-        "Twist-cone-product-restricted",
+        PIVOTS, _twist_kleene_agreement, 4),
+    "Twist-cone-product-restricted": (
         "twist cones equal the product cones intersected with the carrier",
-        "all posets x all pivots",
-        _run_twist_cones(True), _replay_twist_cones(True), default_n=3),
-    _claim(
-        "Twist-cone-product-unrestricted",
+        PIVOTS, _twist_cones(True), 3),
+    "Twist-cone-product-unrestricted": (
         "twist cones equal the unrestricted product cones",
-        "all posets x all pivots",
-        _run_twist_cones(False), _replay_twist_cones(False), default_n=3),
-    _claim(
-        "Strict-implies-strong",
+        PIVOTS, _twist_cones(False), 3),
+    "Strict-implies-strong": (
         "every strict pseudo-Kleene order is strong",
-        "bounded posets with an antitone involution",
-        _run_strict_implies_strong, _replay_strict_implies_strong),
-    _claim(
-        "Boolean-implies-strict-kleene",
+        BOUNDED, _strict_implies_strong),
+    "Boolean-implies-strict-kleene": (
         "every Boolean order is a strict Kleene order",
-        "bounded distributive posets with an antitone involution",
-        _run_boolean_implies_strict_kleene, _replay_boolean_implies_strict_kleene),
-]}
+        BOUNDED_LU, _boolean_implies_strict_kleene),
+}.items()}
 
-ALIASES = {
-    "Thm-2.2-unique-fixed-point": "Lem-2.2",
-    "Lemma-1.1": "Lem-1.1",
-    "Lemma-2.2": "Lem-2.2",
-    "Lemma-4.1": "Lem-4.1",
-    "Lemma-4.6": "Lem-4.6",
-    "Theorem-3.1": "Thm-3.1",
-    "Theorem-3.2": "Thm-3.2",
-    "Theorem-4.2": "Thm-4.2",
-    "Theorem-4.3": "Thm-4.3",
-    "Theorem-4.8": "Thm-4.8",
-    "Theorem-4.11": "Thm-4.11",
-    "Theorem-5.2": "Thm-5.2",
-    "Theorem-5.4": "Thm-5.4",
-    "Theorem-6.1-i": "Thm-6.1-i",
-    "Theorem-6.1-ii": "Thm-6.1-ii",
-    "Theorem-6.1-iii": "Thm-6.1-iii",
-}
+# Every lemma and theorem also answers to its spelled-out name.
+ALIASES = {"Thm-2.2-unique-fixed-point": "Lem-2.2"}
+ALIASES.update((cid.replace("Lem-", "Lemma-").replace("Thm-", "Theorem-"), cid)
+               for cid in CLAIMS if cid.startswith(("Lem-", "Thm-")))
 
 
 def isomorphic_with_pin(p, pin_p, q, pin_q):
@@ -1139,8 +789,9 @@ def audit(claim_id, n_bound=None, assignment_cap=1000, collect_all=False):
 
 
 def replay_witness(claim_id, witness):
-    """Re-run one serialized witness; True when the violation reproduces."""
-    return resolve_claim(claim_id).replayer(witness)
+    """Rebuild and re-evaluate one serialized witness; True when it yields
+    the same binding."""
+    return resolve_claim(claim_id).replay(witness)
 
 
 def replay_report(report):

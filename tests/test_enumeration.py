@@ -6,6 +6,8 @@ and cross-checked against the brute-force relation filters in
 ``oracles.py``.
 """
 
+import json
+
 import pytest
 
 from kleene_posets import (DomainError, UsageError, enumerate_involutions,
@@ -132,22 +134,24 @@ def test_unknown_claim():
 
 # -- audits at reduced bounds (fast) -------------------------------------------
 
-CONFIRM_AT_3 = [
-    "Distributivity-forms-equivalent", "Lem-1.1", "Lem-2.2", "Thm-3.1",
-    "Thm-3.2", "Lem-4.1", "Thm-4.2", "Thm-4.3", "Lem-4.6", "Thm-4.8",
-    "Thm-4.11", "Thm-5.2", "Thm-5.4", "Derived-set-laws",
-    "Directoid-roundtrip", "Strict-implies-strong",
-    "Boolean-implies-strict-kleene",
-]
+# claim -> instances in its space at n_bound=3
+CONFIRM_AT_3 = {
+    "Distributivity-forms-equivalent": 8, "Lem-1.1": 3, "Lem-2.2": 10,
+    "Thm-3.1": 10, "Thm-3.2": 10, "Lem-4.1": 59, "Thm-4.2": 59,
+    "Thm-4.3": 59, "Lem-4.6": 10, "Thm-4.8": 59, "Thm-4.11": 59,
+    "Thm-5.2": 3, "Thm-5.4": 3, "Derived-set-laws": 3,
+    "Directoid-roundtrip": 4, "Strict-implies-strong": 3,
+    "Boolean-implies-strict-kleene": 3,
+}
 
 
-@pytest.mark.parametrize("cid", CONFIRM_AT_3)
-def test_confirmed_claims_at_n3(cid):
+@pytest.mark.parametrize("cid,instances", CONFIRM_AT_3.items(), ids=list(CONFIRM_AT_3))
+def test_confirmed_claims_at_n3(cid, instances):
     report = audit(cid, n_bound=3)
     assert report.verdict == "Confirmed"
     assert report.confirmed
     assert not report.witnesses
-    assert report.instances > 0
+    assert report.instances == instances
 
 
 def test_twist_parts_confirmed():
@@ -158,12 +162,31 @@ def test_twist_parts_confirmed():
 
 def test_refuted_claims_have_replayable_witnesses():
     for cid in EXPECTED_REFUTED:
-        report = audit(cid, n_bound=3)
+        report = audit(cid, n_bound=3, collect_all=True)
         assert report.verdict == "Refuted"
         assert report.witnesses
         assert replay_report(report)
         for w in report.witnesses:
             assert replay_witness(cid, w)
+            assert replay_witness(cid, json.loads(json.dumps(w)))
+
+
+@pytest.mark.parametrize("cid", sorted(EXPECTED_REFUTED))
+def test_altered_binding_does_not_replay(cid):
+    witness = audit(cid, n_bound=3).witnesses[0]
+    assert replay_witness(cid, witness)
+    tampered = dict(witness, binding=dict(witness["binding"], detail="altered"))
+    assert not replay_witness(cid, tampered)
+
+
+def test_malformed_witness_is_a_usage_error():
+    with pytest.raises(UsageError, match="Lem-2.2.*'elements'"):
+        replay_witness("Lem-2.2", {})
+    for cid in ("Thm-6.1-iii", "U-pair-law-printed"):
+        witness = dict(audit(cid, n_bound=3).witnesses[0])
+        del witness["binding"]
+        with pytest.raises(UsageError, match=f"{cid}.*'binding'"):
+            replay_witness(cid, witness)
 
 
 def test_first_witness_is_deterministic():
@@ -188,7 +211,6 @@ def test_smallest_twist_counterexample_is_two_antichain():
 
 
 def test_report_to_dict_is_json_ready():
-    import json
     report = audit("Lem-2.2", n_bound=3)
     encoded = json.dumps(report.to_dict(), sort_keys=True)
     assert '"Confirmed"' in encoded
