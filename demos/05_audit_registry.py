@@ -13,7 +13,8 @@ Three claims are expected to be Refuted:
   U-pair-law-printed               the inner-meet form of the derived
                                    upper-cone law for directoids
 
-Run as ``python3 demos/05_audit_registry.py`` (about a minute).
+Run as ``python3 demos/05_audit_registry.py`` (about a second: 0.8-1.1 s on
+a 2-vCPU host with CPython 3.11).
 """
 
 import time

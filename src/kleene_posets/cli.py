@@ -333,6 +333,8 @@ def _cmd_directoid(args, out):
     if cap is None:
         chosen = [assign_directoid(source)]
         sampled = total > 1
+    elif cap < 1:
+        raise UsageError("assignment cap must be at least 1")
     else:
         chosen = list(itertools.islice(iter_assignments(source), cap))
         sampled = total > cap

@@ -19,6 +19,7 @@ Instance spaces are combinations of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, replace
@@ -124,14 +125,10 @@ def canonical_key(p):
     return (p.n, best)
 
 
-def enumerate_posets(n, up_to_iso=True):
-    """All posets on n elements in a deterministic order.  With
-    ``up_to_iso`` (default) exactly one representative per isomorphism
-    class is returned; otherwise every labelled poset."""
-    if n < 1:
-        raise UsageError("element count must be at least 1")
-    if n > ENUMERATION_BOUND:
-        raise DomainError(f"n={n} exceeds the enumeration bound {ENUMERATION_BOUND}")
+@functools.cache
+def _representatives(n):
+    """One poset per isomorphism class on n elements, computed once per
+    size; posets are immutable, so every caller shares the same tuple."""
     reps = []
     seen = set()
     for downs in _natural_strict_downs(n):
@@ -140,8 +137,20 @@ def enumerate_posets(n, up_to_iso=True):
         if key not in seen:
             seen.add(key)
             reps.append(p)
+    return tuple(reps)
+
+
+def enumerate_posets(n, up_to_iso=True):
+    """All posets on n elements in a deterministic order.  With
+    ``up_to_iso`` (default) exactly one representative per isomorphism
+    class is returned; otherwise every labelled poset."""
+    if n < 1:
+        raise UsageError("element count must be at least 1")
+    if n > ENUMERATION_BOUND:
+        raise DomainError(f"n={n} exceeds the enumeration bound {ENUMERATION_BOUND}")
+    reps = _representatives(n)
     if up_to_iso:
-        return tuple(reps)
+        return reps
     labelled = set()
     for p in reps:
         for perm in itertools.permutations(range(n)):
@@ -415,6 +424,10 @@ class Claim:
 
     def run(self, n_bound=None, assignment_cap=1000, collect_all=False):
         n_bound = self.default_n if n_bound is None else n_bound
+        if n_bound < 1:
+            raise UsageError("size bound must be at least 1")
+        if assignment_cap < 1:
+            raise UsageError("assignment cap must be at least 1")
         if n_bound > ENUMERATION_BOUND:
             raise DomainError(
                 f"n={n_bound} exceeds the enumeration bound {ENUMERATION_BOUND}")
@@ -539,10 +552,14 @@ def _directoid_characterization(*rungs):
     binding names the failing one as ``part`` i or ii."""
     def evaluate(instance):
         p, unary, tables = instance
+        # Without x'' = x both sides are False on every table: identity (1)
+        # fails whatever the meet, and so does the antitone-involution check.
+        if any(unary[unary[x]] != x for x in range(p.n)):
+            return None
         ip = InvolutivePoset(p, unary)
         valid = ip.check_antitone_involution().ok
         # A finite directed order has a bottom; a valid map sends it to a top.
-        bounds = p.bounds() if valid else (0, 0)   # unread: (1)/(2) fail
+        bounds = p.bounds() if valid else (0, 0)   # read only if (2) holds
         order_sides = [valid and _RUNGS[r][0](ip) for r in rungs]
         for table in tables:
             d = MeetDirectoid(table, inv=unary, labels=p.labels)

@@ -18,7 +18,8 @@ fixture is a documented disagreement case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import DomainError, UsageError
@@ -126,6 +127,17 @@ def twist_embedding(t):
     return {x: t._pair_index[(x, a)] for x in range(t.source.n)}
 
 
+# Failure text per kind; the subset label is rendered only on failure.
+_CONE_FAILURES = {
+    "L": "L({A}) != L(p1) x U(p2) restricted to the carrier",
+    "U": "U({A}) != U(p1) x L(p2) restricted to the carrier",
+    "L-unrestricted": ("L(p1(A)) x U(p2(A)) for A = {A} contains {pair}, "
+                       "which is not a member"),
+    "U-unrestricted": ("U(p1(A)) x L(p2(A)) for A = {A} contains {pair}, "
+                       "which is not a member"),
+}
+
+
 def check_product_cones(t, restricted=True):
     """The cone-of-a-subset formulas
 
@@ -173,24 +185,20 @@ def check_product_cones(t, restricted=True):
                     uprod_mask |= 1 << k
                 elif u_outside is None:
                     u_outside = (x, y)
-        a_label = Subset(r.base, am).render()
         if lcone != lprod_mask:
-            return Verdict(False, ("L", am),
-                           f"L({a_label}) != L(p1) x U(p2) restricted to the carrier")
-        if ucone != uprod_mask:
-            return Verdict(False, ("U", am),
-                           f"U({a_label}) != U(p1) x L(p2) restricted to the carrier")
-        if not restricted:
-            if l_outside is not None:
-                x, y = l_outside
-                return Verdict(False, ("L-unrestricted", am),
-                               f"L(p1(A)) x U(p2(A)) for A = {a_label} contains "
-                               f"({q.labels[x]},{q.labels[y]}), which is not a member")
-            if u_outside is not None:
-                x, y = u_outside
-                return Verdict(False, ("U-unrestricted", am),
-                               f"U(p1(A)) x L(p2(A)) for A = {a_label} contains "
-                               f"({q.labels[x]},{q.labels[y]}), which is not a member")
+            kind, outside = "L", None
+        elif ucone != uprod_mask:
+            kind, outside = "U", None
+        elif not restricted and l_outside is not None:
+            kind, outside = "L-unrestricted", l_outside
+        elif not restricted and u_outside is not None:
+            kind, outside = "U-unrestricted", u_outside
+        else:
+            continue
+        pair = (f"({q.labels[outside[0]]},{q.labels[outside[1]]})"
+                if outside else "")
+        return Verdict(False, (kind, am), _CONE_FAILURES[kind].format(
+            A=Subset(r.base, am).render(), pair=pair))
     return Verdict(True)
 
 
@@ -198,15 +206,23 @@ def check_product_cones(t, restricted=True):
 class TwistAuditReport:
     """Three-part audit of one (Q, pivot) instance.  Parts (i) and (ii)
     carry pass/fail verdicts; part (iii) is recorded as agreement data
-    because the bundled corpus contains a genuine disagreement."""
+    because the bundled corpus contains a genuine disagreement.  The two
+    product-cone verdicts are computed on first access."""
     part_i: Verdict
     part_ii: Verdict
     q_distributive: Verdict
     twist_kleene: Verdict
     twist_pseudo_kleene: Verdict
     part_iii_agree: bool
-    product_cones_restricted: Verdict
-    product_cones_unrestricted: Verdict
+    _twist: TwistPoset = field(repr=False, compare=False)
+
+    @cached_property
+    def product_cones_restricted(self):
+        return check_product_cones(self._twist, restricted=True)
+
+    @cached_property
+    def product_cones_unrestricted(self):
+        return check_product_cones(self._twist, restricted=False)
 
     @property
     def asserted_ok(self):
@@ -249,5 +265,4 @@ def audit_theorem61(q, a):
         twist_kleene=kleene,
         twist_pseudo_kleene=pk,
         part_iii_agree=agree,
-        product_cones_restricted=check_product_cones(t, restricted=True),
-        product_cones_unrestricted=check_product_cones(t, restricted=False))
+        _twist=t)

@@ -225,6 +225,26 @@ def test_audit_json():
     assert data["witnesses"]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("audit", "Lem-2.2", "--max-n", "0"), "size bound must be at least 1"),
+    (("audit", "Lem-2.2", "--max-n", "-3"), "size bound must be at least 1"),
+    (("audit", "Thm-4.2", "--max-n", "3", "--cap", "0"),
+     "assignment cap must be at least 1"),
+    (("audit", "Thm-4.2", "--max-n", "3", "--cap", "-1"),
+     "assignment cap must be at least 1"),
+    (("directoid", fx("fig1"), "--all-assignments", "0"),
+     "assignment cap must be at least 1"),
+    (("directoid", fx("fig1"), "--all-assignments", "-1"),
+     "assignment cap must be at least 1"),
+], ids=["max-n-0", "max-n-neg", "cap-0", "cap-neg", "all-assignments-0",
+        "all-assignments-neg"])
+def test_bounds_below_1_are_usage_errors(argv, message):
+    code, out, err = run(*argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # -- usage ---------------------------------------------------------------------------
 
 def test_missing_file():

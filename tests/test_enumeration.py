@@ -6,12 +6,15 @@ and cross-checked against the brute-force relation filters in
 ``oracles.py``.
 """
 
+import importlib
+import itertools
 import json
 
 import pytest
 
-from kleene_posets import (DomainError, UsageError, enumerate_involutions,
-                           enumerate_posets, figure)
+from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid,
+                           UsageError, enumerate_involutions, enumerate_posets,
+                           figure, iter_assignments)
 from kleene_posets import audit, claim_ids, replay_report, replay_witness
 from kleene_posets.enumeration import (ALIASES, CLAIMS, involutive_from_witness,
                                        isomorphic_with_pin, poset_from_witness,
@@ -219,6 +222,58 @@ def test_report_to_dict_is_json_ready():
 def test_audit_n_bound_guard():
     with pytest.raises(DomainError):
         audit("Lem-2.2", n_bound=9)
+
+
+@pytest.mark.parametrize("n_bound", [0, -3])
+def test_audit_rejects_size_bound_below_1(n_bound):
+    with pytest.raises(UsageError, match="size bound must be at least 1"):
+        audit("Lem-2.2", n_bound=n_bound)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_audit_rejects_cap_below_1(cap):
+    with pytest.raises(UsageError, match="assignment cap must be at least 1"):
+        audit("Thm-4.2", n_bound=3, assignment_cap=cap)
+
+
+def test_non_involutive_maps_fail_both_sides_on_every_table():
+    """The argument that lets the directoid claims skip a non-involutive
+    map: identity (1) fails in every assigned table and the map is not an
+    antitone involution, so both sides of every rung are False."""
+    checked = 0
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            if not p.is_downward_directed():
+                continue
+            tables = [d.meet for d in itertools.islice(iter_assignments(p), 1000)]
+            for unary in itertools.product(range(n), repeat=n):
+                if all(unary[unary[x]] == x for x in range(n)):
+                    continue
+                assert not InvolutivePoset(p, unary).check_antitone_involution().ok
+                for table in tables:
+                    verdict = MeetDirectoid(table, inv=unary).check_identities_1_2()
+                    assert not verdict.ok
+                    assert verdict.witness[0] == "(1)"
+                    checked += 1
+    assert checked > 1000
+
+
+def test_twist_audits_never_check_product_cones(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("product cones checked")
+    for module in ("kleene_posets.twist", "kleene_posets.enumeration"):
+        monkeypatch.setattr(importlib.import_module(module),
+                            "check_product_cones", forbidden)
+    for cid in ("Thm-6.1-i", "Thm-6.1-ii"):
+        assert audit(cid, n_bound=3).confirmed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_representatives_are_computed_once_per_size(n):
+    first = enumerate_posets(n)
+    assert enumerate_posets(n) is first
+    assert len(enumerate_posets(n, up_to_iso=False)) == LABELED_COUNTS[n]
+    assert enumerate_posets(n) is first
 
 
 def test_isomorphic_with_pin():

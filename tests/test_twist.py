@@ -126,6 +126,24 @@ def test_product_cones_restricted_vs_unrestricted():
     assert "(0,0)" in report.product_cones_unrestricted.detail
 
 
+@pytest.mark.parametrize("up_masks,kind,detail", [
+    ((1, 2, 5), "L", "L({(x0,x0)}) != L(p1) x U(p2) restricted to the carrier"),
+    ((1, 6, 4), "U", "U({(x0,x1)}) != U(p1) x L(p2) restricted to the carrier"),
+])
+def test_product_cone_failure_text(up_masks, kind, detail):
+    """The twist of the 2-antichain at x0, its carrier reordered so that
+    the product law fails in the restricted reading."""
+    from kleene_posets import Poset
+    from kleene_posets.twist import TwistPoset, check_product_cones
+    q = Poset.from_covers(["x0", "x1"], [])
+    t = twist(q, "x0")
+    reordered = InvolutivePoset(Poset(t.result.labels, up_masks), t.result.inv)
+    verdict = check_product_cones(TwistPoset(q, t.pivot, t.pairs, reordered))
+    assert not verdict.ok
+    assert verdict.witness[0] == kind
+    assert verdict.detail == detail
+
+
 def test_twist_takes_plain_poset():
     with pytest.raises(UsageError):
         twist(figure("fig1"), "a")
