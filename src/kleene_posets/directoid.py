@@ -104,6 +104,17 @@ class MeetDirectoid:
     def meet_of(self, x, y):
         return self.meet[x][y]
 
+    def _element(self, item):
+        """Index of an element given by label or index."""
+        if isinstance(item, str):
+            try:
+                return self.labels.index(item)
+            except ValueError:
+                raise UsageError(f"unknown element name {item!r}") from None
+        if not isinstance(item, int) or not (0 <= item < self.n):
+            raise UsageError(f"element index {item!r} out of range")
+        return item
+
     # -- directoid axioms -------------------------------------------------
     def check_directoid_axioms(self):
         """Idempotency, commutativity and the weak associativity
@@ -372,10 +383,7 @@ class MeetDirectoid:
         induced order."""
         self._require_inv()
         meet = self.meet
-        if isinstance(bottom, str):
-            bottom = self.labels.index(bottom)
-        if isinstance(top, str):
-            top = self.labels.index(top)
+        bottom, top = self._element(bottom), self._element(top)
         for x in range(self.n):
             if meet[bottom][x] != bottom or meet[top][x] != x:
                 raise UsageError("designated bounds do not bound the induced order")

@@ -19,8 +19,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import and_
 
 from .errors import UsageError
 
@@ -159,18 +159,9 @@ class Poset:
         """Build a poset from cover pairs; the reflexive-transitive closure
         is computed and antisymmetry validated afterwards."""
         labels = tuple(labels)
-        index = {name: i for i, name in enumerate(labels)}
         n = len(labels)
         up = [1 << x for x in range(n)]
-        for lo, hi in covers:
-            try:
-                a = index[lo] if isinstance(lo, str) else lo
-                b = index[hi] if isinstance(hi, str) else hi
-            except KeyError as missing:
-                raise UsageError(f"unknown element name {missing.args[0]!r} "
-                                 f"in cover ({lo}, {hi})") from None
-            if not (0 <= a < n and 0 <= b < n):
-                raise UsageError(f"cover ({lo}, {hi}) out of range")
+        for a, b in _resolve_pairs(labels, covers, "cover"):
             up[a] |= 1 << b
         for k in range(n):
             bit = 1 << k
@@ -184,12 +175,8 @@ class Poset:
         """Build a poset from an explicit <= relation given as index or
         name pairs; reflexivity is added, the other axioms are validated."""
         labels = tuple(labels)
-        index = {name: i for i, name in enumerate(labels)}
-        n = len(labels)
-        up = [1 << x for x in range(n)]
-        for lo, hi in leq_pairs:
-            a = index[lo] if isinstance(lo, str) else lo
-            b = index[hi] if isinstance(hi, str) else hi
+        up = [1 << x for x in range(len(labels))]
+        for a, b in _resolve_pairs(labels, leq_pairs, "pair"):
             up[a] |= 1 << b
         return cls(labels, up)
 
@@ -382,43 +369,102 @@ class Poset:
                     return Verdict(False, (x, y), detail)
         return Verdict(True)
 
-    def _distributive_sides(self, form, bx, by, bz):
-        L, U = self._lower, self._upper
-        if form == "LU":
-            return (L(U(bx | by) | bz), L(U(L(bx | bz) | L(by | bz))))
-        if form == "ULU":
-            return (U(L(U(bx | by) | bz)), U(L(bx | bz) | L(by | bz)))
-        if form == "UL":
-            return (U(L(bx | by) | bz), U(L(U(bx | bz) | U(by | bz))))
-        if form == "LUL":
-            return (L(U(L(bx | by) | bz)), L(U(bx | bz) | U(by | bz)))
-        raise UsageError(f"unknown distributivity form {form!r}; "
-                         f"expected one of {DISTRIBUTIVITY_FORMS}")
-
     def is_distributive(self, form="LU"):
         """Check the selected distributivity identity on all element
-        triples; the witness is the first failing triple in index order."""
+        triples; the witness is the first failing triple in index order.
+
+        With ``L(A, z)`` for ``L(A | {z})`` the four forms are
+
+        - LU:  L(U(x,y), z)    = L(U(L(x,z), L(y,z)))
+        - ULU: U(L(U(x,y), z)) = U(L(x,z), L(y,z))
+        - UL:  U(L(x,y), z)    = U(L(U(x,z), U(y,z)))
+        - LUL: L(U(L(x,y), z)) = L(U(x,z), U(y,z))
+
+        Take (inner, outer) = (U, L) for LU and ULU, (L, U) for UL and
+        LUL.  Since L(A | B) = L(A) & L(B) and U(A | B) = U(A) & U(B),
+        every side is built from two tables, ``pair[x][y] =
+        outer(inner(x,y))`` and ``back[x][z] = inner(outer(x,z))``, and
+        ``cone[z] = outer(z)``:
+
+        - LU, UL:   lhs = pair[x][y] & cone[z],
+                    rhs = outer(back[x][z] & back[y][z])
+        - ULU, LUL: lhs = inner(pair[x][y] & cone[z]),
+                    rhs = back[x][z] & back[y][z]
+
+        Both sides are symmetric in x and y, so (x, y, z) fails exactly
+        when (y, x, z) does.  A failing triple with x > y thus has a
+        failing twin (y, x, z) earlier in index order, and the first
+        failing triple has x <= y: scanning y >= x finds it.  For each
+        such pair the sides are compared as rows over z, and the
+        closures are memoised by mask for the whole call.
+        """
         if form not in DISTRIBUTIVITY_FORMS:
             raise UsageError(f"unknown distributivity form {form!r}; "
                              f"expected one of {DISTRIBUTIVITY_FORMS}")
-        rng = range(self.n)
-        for x in rng:
-            bx = 1 << x
-            for y in rng:
-                by = 1 << y
-                for z in rng:
-                    lhs, rhs = self._distributive_sides(form, bx, by, 1 << z)
-                    if lhs != rhs:
-                        lab = self.labels
-                        detail = (f"form {form} fails at ({lab[x]}, {lab[y]}, {lab[z]}): "
-                                  f"lhs = {Subset(self, lhs).render()}, "
-                                  f"rhs = {Subset(self, rhs).render()}")
-                        return Verdict(False, (x, y, z), detail)
+        if form in ("LU", "ULU"):
+            inner, outer, inner_cone, cone = self._upper, self._lower, self._up, self._down
+        else:
+            inner, outer, inner_cone, cone = self._lower, self._upper, self._down, self._up
+        close_inner, close_outer = _row_closure(inner), _row_closure(outer)
+        n = self.n
+        pair = close_outer([a & b for a in inner_cone for b in inner_cone])
+        flat = close_inner([a & b for a in cone for b in cone])
+        back = [flat[k:k + n] for k in range(0, n * n, n)]
+        closes_lhs = form in ("ULU", "LUL")
+        for x in range(n):
+            back_x = back[x]
+            for y in range(x, n):
+                pxy = pair[x * n + y]
+                lhs = [pxy & c for c in cone]
+                rhs = list(map(and_, back_x, back[y]))
+                if closes_lhs:
+                    lhs = close_inner(lhs)
+                else:
+                    rhs = close_outer(rhs)
+                if lhs != rhs:
+                    z = next(z for z in range(n) if lhs[z] != rhs[z])
+                    lab = self.labels
+                    detail = (f"form {form} fails at ({lab[x]}, {lab[y]}, {lab[z]}): "
+                              f"lhs = {Subset(self, lhs[z]).render()}, "
+                              f"rhs = {Subset(self, rhs[z]).render()}")
+                    return Verdict(False, (x, y, z), detail)
         return Verdict(True)
 
     def distributivity_all_forms(self):
         """Evaluate all four distributivity identities."""
         return {form: self.is_distributive(form) for form in DISTRIBUTIVITY_FORMS}
+
+
+def _resolve_pairs(labels, pairs, kind):
+    """Yield the index pairs of element pairs given by name or index.  An
+    unknown name or an index outside ``0..n-1`` is a usage error naming
+    the offending ``kind`` of pair."""
+    index = {name: i for i, name in enumerate(labels)}
+    n = len(labels)
+    for lo, hi in pairs:
+        try:
+            a = index[lo] if isinstance(lo, str) else lo
+            b = index[hi] if isinstance(hi, str) else hi
+        except KeyError as missing:
+            raise UsageError(f"unknown element name {missing.args[0]!r} "
+                             f"in {kind} ({lo}, {hi})") from None
+        if not (isinstance(a, int) and isinstance(b, int)
+                and 0 <= a < n and 0 <= b < n):
+            raise UsageError(f"{kind} ({lo}, {hi}) out of range")
+        yield a, b
+
+
+def _row_closure(closure):
+    """Return a function that maps a list of masks through ``closure``;
+    each distinct mask is closed once per returned function."""
+    memo = {}
+
+    def close(masks):
+        for mask in set(masks).difference(memo):
+            memo[mask] = closure(mask)
+        return list(map(memo.__getitem__, masks))
+
+    return close
 
 
 def _validate_order(up, n):

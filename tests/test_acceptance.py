@@ -190,13 +190,12 @@ def test_AC6_twist_of_fig8():
     assert c.pseudo_kleene.ok and not c.kleene.ok
     assert list(c.fixed_points) == ["(a,a)"]
     base = t.result.base
-    bx, by, bz = (1 << base.index(lbl)
-                  for lbl in ("(0,a)", "(a,c)", "(a,b)"))
-    lhs, rhs = base._distributive_sides("LU", bx, by, bz)
-    as_labels = lambda m: {base.labels[i] for i in range(base.n)
-                           if m >> i & 1}
-    assert as_labels(lhs) == {"(0,b)", "(a,b)"}
-    assert as_labels(rhs) == {"(0,b)"}
+    x, y, z = "(0,a)", "(a,c)", "(a,b)"
+    lhs = base.lower_cone(base.upper_cone([x, y]) | base.subset([z]))
+    rhs = base.lower_cone(base.upper_cone(base.lower_cone([x, z])
+                                          | base.lower_cone([y, z])))
+    assert set(lhs.labels) == {"(0,b)", "(a,b)"}
+    assert set(rhs.labels) == {"(0,b)"}
     code, out, _ = run("twist", fx("fig8"), "--at", "a")
     assert code == 0 and "13 elements" in out
 

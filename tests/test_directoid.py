@@ -187,6 +187,15 @@ def test_implication6_validates_bounds():
         d.check_implication_6("0", "b'")
 
 
+@pytest.mark.parametrize("bounds", [("zz", "1"), ("0", "zz"), (-1, 5),
+                                    (0, 6), (99, 5)])
+def test_implication6_rejects_unknown_bounds(bounds):
+    d = assign_directoid(figure("fig1"))
+    assert d.labels[0] == "0" and d.labels[5] == "1"
+    with pytest.raises(UsageError, match="unknown element name|out of range"):
+        d.check_implication_6(*bounds)
+
+
 # -- derived-set laws ----------------------------------------------------------
 
 @pytest.mark.parametrize("name", SMALL_FIGS)

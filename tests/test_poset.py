@@ -9,8 +9,8 @@ import itertools
 
 import pytest
 
-from kleene_posets import (DISTRIBUTIVITY_FORMS, Poset, UsageError, figure,
-                           find_isomorphism)
+from kleene_posets import (DISTRIBUTIVITY_FORMS, Poset, UsageError,
+                           enumerate_posets, figure, find_isomorphism)
 from kleene_posets.involution import InvolutivePoset
 
 from oracles import RefPoset
@@ -66,6 +66,19 @@ def test_from_relation_matches_from_covers():
     q = Poset.from_relation(
         ["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "z")])
     assert p == q
+
+
+@pytest.mark.parametrize("build", [Poset.from_covers, Poset.from_relation])
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -2), (2, 0), (0, 5)])
+def test_pair_index_out_of_range(build, pair):
+    with pytest.raises(UsageError, match="out of range"):
+        build(["a", "b"], [pair])
+
+
+@pytest.mark.parametrize("build", [Poset.from_covers, Poset.from_relation])
+def test_pair_unknown_name(build):
+    with pytest.raises(UsageError, match="unknown element name 'zz'"):
+        build(["a", "b"], [("a", "zz")])
 
 
 # -- subsets --------------------------------------------------------------
@@ -209,6 +222,55 @@ def test_all_forms_agree(name):
 def test_unknown_form_rejected():
     with pytest.raises(UsageError):
         figure("fig8").is_distributive("XY")
+
+
+def ref_of_labelled(p):
+    return RefPoset(p.labels, {(p.labels[x], p.labels[y])
+                               for x in range(p.n) for y in range(p.n)
+                               if p.leq(x, y)})
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_distributivity_matches_brute_force(n):
+    """Same verdict and same first witness as the brute-force oracle on
+    every poset with n elements, in all four forms."""
+    for p in enumerate_posets(n):
+        ref = ref_of_labelled(p)
+        for form in DISTRIBUTIVITY_FORMS:
+            verdict = p.is_distributive(form)
+            ok, witness = ref.distributive(form)
+            assert verdict.ok == ok
+            want = None if ok else tuple(p.index(lbl) for lbl in witness)
+            assert verdict.witness == want
+
+
+FAILING_DETAILS = {
+    ("fig2", "LU"): "form LU fails at (a, c, b): lhs = {0, b}, rhs = {0}",
+    ("fig2", "ULU"): ("form ULU fails at (a, c, b): lhs = {b, b', a', 1}, "
+                      "rhs = {0, a, b, c, c', b', a', 1}"),
+    ("fig2", "UL"): "form UL fails at (a, b, c): lhs = {c, 1}, rhs = {1}",
+    ("fig2", "LUL"): ("form LUL fails at (a, b, c): lhs = {0, c}, "
+                      "rhs = {0, a, b, c, c', b', a', 1}"),
+    ("fig9", "LU"): ("form LU fails at ((0,c), (a,b), (a,c)): "
+                     "lhs = {(0,c), (a,c)}, rhs = {(0,c)}"),
+    ("fig9", "ULU"): ("form ULU fails at ((0,c), (a,b), (a,c)): "
+                      "lhs = {(a,c), (b,c), (a,a), (b,a), (c,a), (a,0), (b,0), (c,0)}, "
+                      "rhs = {(0,c), (0,a), (a,c), (b,c), (a,a), (b,a), (c,a), "
+                      "(a,0), (b,0), (c,0)}"),
+    ("fig9", "UL"): ("form UL fails at ((a,c), (a,b), (0,c)): "
+                     "lhs = {(0,c), (0,a), (a,c), (b,c), (a,a), (b,a), (c,a), "
+                     "(a,0), (b,0), (c,0)}, "
+                     "rhs = {(a,c), (b,c), (a,a), (b,a), (c,a), (a,0), (b,0), (c,0)}"),
+    ("fig9", "LUL"): ("form LUL fails at ((a,c), (a,b), (0,c)): "
+                      "lhs = {(0,c)}, rhs = {(0,c), (a,c)}"),
+}
+
+
+@pytest.mark.parametrize("name, form", sorted(FAILING_DETAILS))
+def test_distributivity_failure_detail_pinned(name, form):
+    verdict = figure(name).base.is_distributive(form)
+    assert not verdict.ok
+    assert verdict.detail == FAILING_DETAILS[name, form]
 
 
 # -- isomorphism ------------------------------------------------------------

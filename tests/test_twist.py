@@ -98,12 +98,12 @@ def test_agreement_fails_part_iii():
 def test_twist_kleene_failure_pinned_triple():
     t = twist(figure("fig8"), "a")
     base = t.result.base
-    bx, by, bz = (1 << base.index(lbl)
-                  for lbl in ("(0,a)", "(a,c)", "(a,b)"))
-    lhs, rhs = base._distributive_sides("LU", bx, by, bz)
-    fmt = lambda m: {base.labels[i] for i in range(base.n) if m >> i & 1}
-    assert fmt(lhs) == {"(0,b)", "(a,b)"}
-    assert fmt(rhs) == {"(0,b)"}
+    x, y, z = "(0,a)", "(a,c)", "(a,b)"
+    lhs = base.lower_cone(base.upper_cone([x, y]) | base.subset([z]))
+    rhs = base.lower_cone(base.upper_cone(base.lower_cone([x, z])
+                                          | base.lower_cone([y, z])))
+    assert set(lhs.labels) == {"(0,b)", "(a,b)"}
+    assert set(rhs.labels) == {"(0,b)"}
 
 
 def test_two_antichain_counterexample():
