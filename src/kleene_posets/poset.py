@@ -394,8 +394,12 @@ class Poset:
         Both sides are symmetric in x and y, so (x, y, z) fails exactly
         when (y, x, z) does.  A failing triple with x > y thus has a
         failing twin (y, x, z) earlier in index order, and the first
-        failing triple has x <= y: scanning y >= x finds it.  For each
-        such pair the sides are compared as rows over z, and the
+        failing triple has x <= y.  Nor does it have x = y: pair[x][x]
+        is cone[x] (x is the least element of U(x), dually) and
+        outer(inner(outer(A))) = outer(A), so both sides of (x, x, z)
+        are outer(x,z) for LU and UL, and back[x][z] for ULU and LUL.
+        Scanning y > x therefore finds the first failing triple.  For
+        each such pair the sides are compared as rows over z, and the
         closures are memoised by mask for the whole call.
         """
         if form not in DISTRIBUTIVITY_FORMS:
@@ -413,7 +417,7 @@ class Poset:
         closes_lhs = form in ("ULU", "LUL")
         for x in range(n):
             back_x = back[x]
-            for y in range(x, n):
+            for y in range(x + 1, n):
                 pxy = pair[x * n + y]
                 lhs = [pxy & c for c in cone]
                 rhs = list(map(and_, back_x, back[y]))

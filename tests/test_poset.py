@@ -224,24 +224,31 @@ def test_unknown_form_rejected():
         figure("fig8").is_distributive("XY")
 
 
-def ref_of_labelled(p):
-    return RefPoset(p.labels, {(p.labels[x], p.labels[y])
-                               for x in range(p.n) for y in range(p.n)
-                               if p.leq(x, y)})
-
-
 @pytest.mark.parametrize("n", range(1, 6))
 def test_distributivity_matches_brute_force(n):
     """Same verdict and same first witness as the brute-force oracle on
     every poset with n elements, in all four forms."""
     for p in enumerate_posets(n):
-        ref = ref_of_labelled(p)
+        ref = ref_of(p)
         for form in DISTRIBUTIVITY_FORMS:
             verdict = p.is_distributive(form)
             ok, witness = ref.distributive(form)
             assert verdict.ok == ok
             want = None if ok else tuple(p.index(lbl) for lbl in witness)
             assert verdict.witness == want
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_diagonal_triples_never_fail(n):
+    """(x, x, z) satisfies every form, which lets the kernel skip y = x."""
+    for p in enumerate_posets(n):
+        ref = ref_of(p)
+        L, U = ref.lower, ref.upper
+        for x, z in itertools.product(ref.elements, repeat=2):
+            assert L(U([x]) | {z}) == L(U(L([x, z])))
+            assert U(L(U([x]) | {z})) == U(L([x, z]))
+            assert U(L([x]) | {z}) == U(L(U([x, z])))
+            assert L(U(L([x]) | {z})) == L(U([x, z]))
 
 
 FAILING_DETAILS = {
