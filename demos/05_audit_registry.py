@@ -13,8 +13,10 @@ Three claims are expected to be Refuted:
   U-pair-law-printed               the inner-meet form of the derived
                                    upper-cone law for directoids
 
-Run as ``python3 demos/05_audit_registry.py`` (about a second: 0.8-1.1 s on
-a 2-vCPU host with CPython 3.11).
+The five directoid claims (Lem-4.1, Thm-4.2/4.3/4.8/4.11) run at n = 6,
+the others at n = 5 or less.  Run as ``python3 demos/05_audit_registry.py``
+(about four seconds: 4.2-4.3 s on a 2-vCPU host with CPython 3.11, of
+which the five directoid claims take 0.6-1.5 s each).
 """
 
 import time

@@ -15,6 +15,12 @@ Instance spaces are combinations of
   - all unary maps or all antitone involutions on each poset,
   - all meet-operation assignments, capped per poset (deterministic
     first-k sampling in canonical order; reports carry a sampled flag).
+
+The unary-map space builds only the involutive maps (x'' = x) and counts
+every other map in runs without evaluating it (``_map_sweep`` gives the
+argument); verdicts, witnesses and instance counts are those of the full
+n^n sweep, and the five directoid claims default to n =
+``ENUMERATION_BOUND``.
 """
 
 from __future__ import annotations
@@ -255,8 +261,10 @@ def involutive_from_witness(doc):
 
 @dataclass(frozen=True)
 class InstanceSpace:
-    """``sweep(n_bound, cap)`` yields ``(instance, sampled)`` in canonical
-    order, ``capped`` if it cuts assignments at ``cap``; ``serialize`` and
+    """``sweep(n_bound, cap)`` yields ``(instance, count, sampled)`` in
+    canonical order: one instance with count 1, or ``None`` for a run of
+    ``count`` instances settled without evaluation (see ``_map_sweep``).
+    ``capped`` if it cuts assignments at ``cap``; ``serialize`` and
     ``rebuild`` turn an instance into witness fields and back."""
     description: str
     sweep: Callable
@@ -266,7 +274,7 @@ class InstanceSpace:
 
 
 def _uncapped(iterate):
-    return lambda n_bound, cap: ((inst, False) for inst in iterate(n_bound))
+    return lambda n_bound, cap: ((inst, 1, False) for inst in iterate(n_bound))
 
 
 def _involutive(description, keep):
@@ -307,7 +315,7 @@ def _assigned(description, sources, serialize, source_from_witness):
     def sweep(n_bound, cap):
         for source in sources(n_bound):
             yield ((source, itertools.islice(iter_assignments(source), cap)),
-                   assignment_count(source) > cap)
+                   1, assignment_count(source) > cap)
 
     def rebuild(witness):
         source = source_from_witness(witness)
@@ -327,13 +335,56 @@ DIRECTED_INVOLUTIVE_ASSIGNED = _assigned(
     serialize_involutive, involutive_from_witness)
 
 
+@functools.cache
+def _unary_map_runs(n):
+    """All n^n maps of ``range(n)`` in lexicographic order as ``(map,
+    count)`` items: each involution u (u(u(x)) = x) is its own item with
+    count 1, and each maximal run of non-involutive maps between them
+    (and after the last) is one ``(None, length)`` item.  The involutions
+    are built as matchings with fixed points; a map's position in the
+    order is its rank sum(u[i] * n^(n-1-i))."""
+    def matchings(u, free):
+        # Every entry before the lowest free point is settled, and that
+        # point's partner is tried in increasing order, so the maps come
+        # out in lexicographic order.
+        if not free:
+            yield tuple(u)
+            return
+        i = free[0]
+        for j in free:
+            u[i], u[j] = j, i
+            yield from matchings(u, [k for k in free if k != i and k != j])
+
+    items = []
+    next_rank = 0
+    for u in matchings([0] * n, list(range(n))):
+        rank = 0
+        for v in u:
+            rank = rank * n + v
+        if rank > next_rank:
+            items.append((None, rank - next_rank))
+        items.append((u, 1))
+        next_rank = rank + 1
+    if n ** n > next_rank:
+        items.append((None, n ** n - next_rank))
+    return tuple(items)
+
+
 def _map_sweep(n_bound, cap):
-    """Every unary map on each directed poset, sharing its capped tables."""
+    """Every unary map on each directed poset, sharing its capped tables.
+
+    Only the involutive maps are built; each run of non-involutive maps
+    is one item that counts its length and carries no instance.  This
+    cannot change a verdict: without x'' = x, identity (1) fails in every
+    assigned table and the map is not an antitone involution, so both
+    sides of every rung are False and the map is never a witness.  The
+    runs keep the lexicographic order, so ``instances`` counts exactly
+    the maps a full product loop would have visited."""
     for p in iter_directed(n_bound):
         sampled = assignment_count(p) > cap
         tables = [d.meet for d in itertools.islice(iter_assignments(p), cap)]
-        for unary in itertools.product(range(p.n), repeat=p.n):
-            yield (p, unary, tables), sampled
+        for unary, count in _unary_map_runs(p.n):
+            yield (None if unary is None else (p, unary, tables)), count, sampled
 
 
 def _map_serialize(instance):
@@ -435,9 +486,11 @@ class Claim:
         instances = 0
         witnesses = []
         sampled = False
-        for instance, capped in space.sweep(n_bound, assignment_cap):
-            instances += 1
+        for instance, count, capped in space.sweep(n_bound, assignment_cap):
+            instances += count
             sampled = sampled or capped
+            if instance is None:
+                continue
             binding = self.evaluate(instance)
             if binding is not None:
                 witness = space.serialize(instance)
@@ -552,8 +605,8 @@ def _directoid_characterization(*rungs):
     binding names the failing one as ``part`` i or ii."""
     def evaluate(instance):
         p, unary, tables = instance
-        # Without x'' = x both sides are False on every table: identity (1)
-        # fails whatever the meet, and so does the antitone-involution check.
+        # The sweep yields only involutive maps; a replayed witness can
+        # carry any map, and without x'' = x both sides are False.
         if any(unary[unary[x]] != x for x in range(p.n)):
             return None
         ip = InvolutivePoset(p, unary)
@@ -701,25 +754,30 @@ CLAIMS = {claim_id: Claim(claim_id, *spec) for claim_id, spec in {
     "Lem-4.1": (
         "identities (1) and (2) hold in every assigned meet operation exactly "
         "when the unary map is an antitone involution",
-        UNARY_MAPS, _directoid_characterization("involution")),
+        UNARY_MAPS, _directoid_characterization("involution"),
+        ENUMERATION_BOUND),
     "Thm-4.2": (
         "identities (1)-(3) characterize the pseudo-Kleene property",
-        UNARY_MAPS, _directoid_characterization("pk")),
+        UNARY_MAPS, _directoid_characterization("pk"),
+        ENUMERATION_BOUND),
     "Thm-4.3": (
         "identities (1)-(3) plus implication (4) characterize the Kleene "
         "property",
-        UNARY_MAPS, _directoid_characterization("kleene")),
+        UNARY_MAPS, _directoid_characterization("kleene"),
+        ENUMERATION_BOUND),
     "Lem-4.6": (
         "every strong pseudo-Kleene order is pseudo-Kleene",
         INVOLUTIVE, _lem46),
     "Thm-4.8": (
         "identities (1), (2) plus implication (5) characterize the strong "
         "pseudo-Kleene property",
-        UNARY_MAPS, _directoid_characterization("strong")),
+        UNARY_MAPS, _directoid_characterization("strong"),
+        ENUMERATION_BOUND),
     "Thm-4.11": (
         "identities (1), (2) plus implication (6) characterize strictness, "
         "and adding implication (4) characterizes strict Kleene",
-        UNARY_MAPS, _directoid_characterization("strict", "strict-kleene")),
+        UNARY_MAPS, _directoid_characterization("strict", "strict-kleene"),
+        ENUMERATION_BOUND),
     "Thm-5.2": (
         "on a bounded strict Kleene order where nonzero pairs have nonzero "
         "lower bounds, the two operators form a residuated structure",

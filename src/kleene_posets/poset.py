@@ -72,8 +72,7 @@ class Subset:
         return self.mask.bit_count()
 
     def __contains__(self, item):
-        idx = self.owner.index(item) if isinstance(item, str) else item
-        return bool((self.mask >> idx) & 1)
+        return bool((self.mask >> self.owner.index(item)) & 1)
 
     def __eq__(self, other):
         if not isinstance(other, Subset):

@@ -16,10 +16,12 @@ from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid,
                            UsageError, enumerate_involutions, enumerate_posets,
                            figure, iter_assignments)
 from kleene_posets import audit, claim_ids, replay_report, replay_witness
-from kleene_posets.enumeration import (ALIASES, CLAIMS, involutive_from_witness,
-                                       isomorphic_with_pin, poset_from_witness,
-                                       resolve_claim, serialize_involutive,
-                                       serialize_poset)
+from kleene_posets.directoid import assignment_choices
+from kleene_posets.enumeration import (ALIASES, CLAIMS, UNARY_MAPS, Claim,
+                                       _unary_map_runs, involutive_from_witness,
+                                       isomorphic_with_pin, iter_directed,
+                                       poset_from_witness, resolve_claim,
+                                       serialize_involutive, serialize_poset)
 
 from oracles import RefPoset, count_posets_bruteforce, count_posets_vectorized, ref_involutions
 
@@ -256,6 +258,49 @@ def test_non_involutive_maps_fail_both_sides_on_every_table():
                     assert verdict.witness[0] == "(1)"
                     checked += 1
     assert checked > 1000
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_unary_map_runs_are_the_involutions_in_product_order(n):
+    runs = _unary_map_runs(n)
+    assert [u for u, _ in runs if u is not None] == [
+        u for u in itertools.product(range(n), repeat=n)
+        if all(u[u[x]] == x for x in range(n))]
+    assert all(count == 1 for u, count in runs if u is not None)
+    assert all(count >= 1 for _, count in runs)
+    assert all(a[0] is not None or b[0] is not None
+               for a, b in zip(runs, runs[1:]))   # runs are maximal
+    assert sum(count for _, count in runs) == n ** n
+
+
+def test_refuted_map_claim_counts_every_map_up_to_the_witness():
+    """A claim refuted at one involutive map counts the maps a plain
+    product loop visits, up to and including the witness."""
+    target = (0, 2, 1)
+
+    def evaluate(instance):
+        p, unary, tables = instance
+        if unary != target:
+            return None
+        d = MeetDirectoid(tables[0], inv=unary, labels=p.labels)
+        return {"choices": assignment_choices(d, p)}
+
+    claim = Claim("Synthetic", "refuted at one map", UNARY_MAPS, evaluate, 3)
+    loop = [(p, u) for p in iter_directed(3)
+            for u in itertools.product(range(p.n), repeat=p.n)]
+    first = claim.run()
+    assert not first.confirmed and len(first.witnesses) == 1
+    assert first.instances == 1 + [u for _, u in loop].index(target)
+    everything = claim.run(collect_all=True)
+    assert everything.instances == len(loop) == sum(
+        p.n ** p.n for p in iter_directed(3))
+    assert len(everything.witnesses) == sum(u == target for _, u in loop)
+
+    witness = first.witnesses[0]
+    assert witness["unary_map"] == {"x0": "x0", "x1": "x2", "x2": "x1"}
+    assert claim.replay(witness)
+    edited = dict(witness, unary_map=dict(witness["unary_map"], x1="x0"))
+    assert not claim.replay(edited)
 
 
 def test_twist_audits_never_check_product_cones(monkeypatch):

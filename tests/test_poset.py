@@ -102,6 +102,16 @@ def test_subsets_are_owner_checked():
         s & t
 
 
+def test_subset_membership_resolves_items():
+    p = figure("fig8")
+    s = p.subset(["0", "a"])
+    assert "a" in s and p.index("a") in s
+    assert "b" not in s and p.index("b") not in s
+    for item in (-1, p.n, p.n + 5, "nope", 1.0):
+        with pytest.raises(UsageError):
+            item in s
+
+
 # -- cones: exhaustive agreement with the oracle --------------------------
 
 @pytest.mark.parametrize("name", ALL_FIGS)
