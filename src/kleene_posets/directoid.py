@@ -101,9 +101,6 @@ class MeetDirectoid:
     def __setattr__(self, name, value):
         raise AttributeError("MeetDirectoid is immutable")
 
-    def meet_of(self, x, y):
-        return self.meet[x][y]
-
     def _element(self, item):
         """Index of an element given by label or index."""
         if isinstance(item, str):
@@ -183,9 +180,6 @@ class MeetDirectoid:
                      for x in range(self.n))
         object.__setattr__(self, "_join", join)
         return join
-
-    def join_of(self, x, y):
-        return self.join_table()[x][y]
 
     # -- identities ---------------------------------------------------------
     def check_identities_1_2(self):
@@ -398,12 +392,6 @@ class MeetDirectoid:
 
 
 # -- assignments ------------------------------------------------------------
-
-def assignment_pairs(source):
-    """The incomparable pairs and their candidate meets, canonical order."""
-    p, _ = _split_source(source)
-    return _base_table(p)[1]
-
 
 def assignment_count(source):
     p, _ = _split_source(source)

@@ -11,7 +11,8 @@ an altered binding no longer replays.
 
 Instance spaces are combinations of
   - all posets on up to ``n_bound`` elements, one representative per
-    isomorphism class (canonical-form deduplication),
+    isomorphism class: its least natural labelling, generated from the
+    representatives one size smaller (``_representatives``),
   - all unary maps or all antitone involutions on each poset,
   - all meet-operation assignments, capped per poset (deterministic
     first-k sampling in canonical order; reports carry a sampled flag).
@@ -37,7 +38,7 @@ from .directoid import (MeetDirectoid, assignment_choices, assignment_count,
                         directoid_from_choices, iter_assignments)
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, involution_from_pairs
-from .poset import DISTRIBUTIVITY_FORMS, Poset, _bits
+from .poset import DISTRIBUTIVITY_FORMS, Poset, _bits, _isomorphism
 from .residuation import ResiduatedStructure, check_condition7
 from .twist import audit_theorem61, check_product_cones, twist
 
@@ -47,28 +48,6 @@ ENUMERATION_BOUND = 6
 # ---------------------------------------------------------------------------
 # poset generation
 # ---------------------------------------------------------------------------
-
-def _natural_strict_downs(n):
-    """All transitively closed strict orders in which the element index
-    order is a linear extension; yields lists of down-masks."""
-    downs = [0] * n
-
-    def extend(k):
-        if k == n:
-            yield list(downs)
-            return
-        for d in range(1 << k):
-            ok = True
-            for j in _bits(d):
-                if downs[j] & ~d:
-                    ok = False
-                    break
-            if ok:
-                downs[k] = d
-                yield from extend(k + 1)
-
-    yield from extend(0)
-
 
 def _labels(n):
     return tuple(f"x{i}" for i in range(n))
@@ -82,67 +61,89 @@ def _poset_from_strict_downs(n, downs):
     return Poset(_labels(n), up, _validated=True)
 
 
-def _signatures(p):
-    """Iterated iso-invariant colouring (degree refinement)."""
-    n = p.n
-    colors = [(p._down[i].bit_count(), p._up[i].bit_count()) for i in range(n)]
-    for _ in range(n):
-        sigs = []
-        for i in range(n):
-            below = sorted(colors[j] for j in _bits(p._down[i]))
-            above = sorted(colors[j] for j in _bits(p._up[i]))
-            sigs.append((colors[i], tuple(below), tuple(above)))
-        ranks = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
-    return colors
+def _is_least(downs):
+    """Is ``downs`` the least strict-down-mask sequence over all natural
+    labellings (linear extensions) of the order it describes?
 
+    The least sequence is built greedily: each position takes the least
+    mask any placeable element gives, and ties branch.  A branch whose
+    prefix falls below ``downs`` proves it is not least; one whose prefix
+    rises above it is dropped.  Of tied elements with equal strict up-
+    and down-sets (twins) only the first is tried: swapping two twins is
+    an automorphism that fixes every placed element, so both branches
+    give the same sequences."""
+    n = len(downs)
+    ups = [0] * n
+    for k, d in enumerate(downs):
+        for j in _bits(d):
+            ups[j] |= 1 << k
+    position = [0] * n      # bit of the position each placed element holds
 
-def _encode_under(p, perm):
-    """Relation matrix of p relabelled by perm, packed into one int."""
-    n = p.n
-    key = 0
-    bit = 1
-    for i in range(n):
-        oi = perm[i]
-        for j in range(n):
-            if p.leq(oi, perm[j]):
-                key |= bit
-            bit <<= 1
-    return key
+    def no_smaller(k, placed):
+        if k == n:
+            return True
+        least, ties = None, []
+        for v in range(n):
+            if (placed >> v) & 1 or downs[v] & ~placed:
+                continue
+            mask = 0
+            for j in _bits(downs[v]):
+                mask |= position[j]
+            if least is None or mask < least:
+                least, ties = mask, [v]
+            elif mask == least:
+                ties.append(v)
+        if least != downs[k]:
+            return least > downs[k]
+        tried = set()
+        for v in ties:
+            if (downs[v], ups[v]) in tried:
+                continue
+            tried.add((downs[v], ups[v]))
+            position[v] = 1 << k
+            if not no_smaller(k + 1, placed | 1 << v):
+                return False
+        return True
 
-
-def canonical_key(p):
-    """Minimum relation encoding over all colour-respecting relabellings;
-    two posets are isomorphic iff their keys are equal."""
-    colors = _signatures(p)
-    blocks = {}
-    for i, c in enumerate(colors):
-        blocks.setdefault(c, []).append(i)
-    ordered_blocks = [blocks[c] for c in sorted(blocks)]
-    best = None
-    for parts in itertools.product(*(itertools.permutations(b) for b in ordered_blocks)):
-        perm = [i for part in parts for i in part]
-        key = _encode_under(p, perm)
-        if best is None or key < best:
-            best = key
-    return (p.n, best)
+    return no_smaller(0, 0)
 
 
 @functools.cache
 def _representatives(n):
     """One poset per isomorphism class on n elements, computed once per
-    size; posets are immutable, so every caller shares the same tuple."""
+    size; posets are immutable, so every caller shares the same tuple.
+
+    A poset's canonical form is its least natural labelling: the
+    lexicographically least sequence of strict down-masks over all its
+    linear extensions.  Representatives are those least sequences, in
+    increasing order, generated by canonical augmentation (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998): each
+    (n - 1)-element representative is extended by every down-set of it
+    as a new last element, in increasing mask order, and a child is kept
+    iff its sequence is least (``_is_least``).
+
+    - The first n - 1 entries of the least sequence of P are the least
+      sequence of P minus its last element, which is maximal: a smaller
+      labelling of that suborder, followed by the same last element,
+      would be a smaller labelling of P.  So every class is reached from
+      exactly one parent with exactly one mask, and no class twice.
+    - Parents come in increasing order and masks in increasing order, so
+      the children come in increasing order too.  That is the order, and
+      the set, of keeping the first poset of each class while walking
+      every natural labelling in lexicographic order.
+    - Skipping twins in ``_is_least`` cannot change its answer, since
+      swapping two twins is an automorphism."""
+    if n == 0:
+        return (Poset((), (), _validated=True),)
     reps = []
-    seen = set()
-    for downs in _natural_strict_downs(n):
-        p = _poset_from_strict_downs(n, downs)
-        key = canonical_key(p)
-        if key not in seen:
-            seen.add(key)
-            reps.append(p)
+    for parent in _representatives(n - 1):
+        downs = [parent._down[i] & ~(1 << i) for i in range(n - 1)]
+        for d in range(1 << (n - 1)):
+            if any(downs[j] & ~d for j in _bits(d)):
+                continue
+            child = downs + [d]
+            if _is_least(child):
+                reps.append(_poset_from_strict_downs(n, child))
     return tuple(reps)
 
 
@@ -827,20 +828,8 @@ ALIASES.update((cid.replace("Lem-", "Lemma-").replace("Thm-", "Theorem-"), cid)
 
 
 def isomorphic_with_pin(p, pin_p, q, pin_q):
-    """Is there an order isomorphism p -> q sending pin_p to pin_q?
-    Brute force over permutations; meant for small audit witnesses."""
-    if p.n != q.n:
-        return False
-    pin_p = p.index(pin_p)
-    pin_q = q.index(pin_q)
-    idx = list(range(p.n))
-    for perm in itertools.permutations(idx):
-        if perm[pin_p] != pin_q:
-            continue
-        if all(p.leq(i, j) == q.leq(perm[i], perm[j])
-               for i in idx for j in idx):
-            return True
-    return False
+    """Is there an order isomorphism p -> q sending pin_p to pin_q?"""
+    return _isomorphism(p, q, pins=(p.index(pin_p), q.index(pin_q))) is not None
 
 
 def claim_ids():

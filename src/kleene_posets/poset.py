@@ -196,10 +196,6 @@ class Poset:
     def leq(self, x, y):
         return bool((self._up[self.index(x)] >> self.index(y)) & 1)
 
-    def lt(self, x, y):
-        x, y = self.index(x), self.index(y)
-        return x != y and bool((self._up[x] >> y) & 1)
-
     def incomparable(self, x, y):
         x, y = self.index(x), self.index(y)
         return not ((self._up[x] >> y) & 1 or (self._up[y] >> x) & 1)
@@ -486,24 +482,30 @@ def _validate_order(up, n):
                 raise UsageError(f"relation is not transitive at ({x}, {y})")
 
 
-def _refine_colors(poset, inv=None):
-    """Iteratively refined isomorphism-invariant colouring."""
-    n = poset.n
+def _refine_colors(sides):
+    """Iteratively refined isomorphism-invariant colourings of several
+    ``(poset, inv, pin)`` sides at once.  A colour is a rank among the
+    signatures of all sides, so equal colours on two sides mean equal
+    signatures, and an element's colour determines its initial one:
+    its degrees, whether the involution fixes it, whether it is the pin."""
     colors = [
-        (poset._down[x].bit_count(), poset._up[x].bit_count(),
-         -1 if inv is None else (0 if inv[x] == x else 1))
-        for x in range(n)
+        [(p._down[x].bit_count(), p._up[x].bit_count(),
+          -1 if inv is None else (0 if inv[x] == x else 1), x == pin)
+         for x in range(p.n)]
+        for p, inv, pin in sides
     ]
     while True:
         sigs = []
-        for x in range(n):
-            below = tuple(sorted(colors[y] for y in _bits(poset._down[x] & ~(1 << x))))
-            above = tuple(sorted(colors[y] for y in _bits(poset._up[x] & ~(1 << x))))
-            mate = colors[inv[x]] if inv is not None else 0
-            sigs.append((colors[x], below, above, mate))
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if len(set(new)) == len(set(colors)):
+        for (p, inv, _), side in zip(sides, colors):
+            sigs.append([])
+            for x in range(p.n):
+                below = tuple(sorted(side[y] for y in _bits(p._down[x] & ~(1 << x))))
+                above = tuple(sorted(side[y] for y in _bits(p._up[x] & ~(1 << x))))
+                mate = side[inv[x]] if inv is not None else 0
+                sigs[-1].append((side[x], below, above, mate))
+        ranks = {s: i for i, s in enumerate(sorted(set().union(*sigs)))}
+        new = [[ranks[s] for s in side] for side in sigs]
+        if len(ranks) == len(set().union(*colors)):
             return new
         colors = new
 
@@ -514,10 +516,16 @@ def find_isomorphism(p, q, p_inv=None, q_inv=None):
     ``None`` when no isomorphism exists."""
     if (p_inv is None) != (q_inv is None):
         raise UsageError("either both involutions or neither must be given")
+    return _isomorphism(p, q, p_inv, q_inv)
+
+
+def _isomorphism(p, q, p_inv=None, q_inv=None, pins=(None, None)):
+    """The backtracking search behind :func:`find_isomorphism`.  With
+    ``pins = (x, y)`` only isomorphisms sending x to y are searched: the
+    pins get their own initial colour, so x's only candidate is y."""
     if p.n != q.n:
         return None
-    pc = _refine_colors(p, p_inv)
-    qc = _refine_colors(q, q_inv)
+    pc, qc = _refine_colors([(p, p_inv, pins[0]), (q, q_inv, pins[1])])
     if sorted(pc) != sorted(qc):
         return None
     cands = [[y for y in range(q.n) if qc[y] == pc[x]] for x in range(p.n)]
@@ -543,8 +551,6 @@ def find_isomorphism(p, q, p_inv=None, q_inv=None):
             if ok and p_inv is not None:
                 mx = mapping[p_inv[x]]
                 if mx is not None and mx != q_inv[y]:
-                    ok = False
-                if p_inv[x] == x and q_inv[y] != y:
                     ok = False
             if ok:
                 mapping[x] = y

@@ -126,9 +126,6 @@ class ResiduatedStructure:
         p = self.p
         return Subset(p, self._arrow[p.index(x)][p.index(y)])
 
-    def odot_sets(self, a_items, b_items):
-        return self.odot_sets_flagged(a_items, b_items)[0]
-
     def odot_sets_flagged(self, a_items, b_items):
         """(A ⊙ B, flag); the flag is true when the empty-family
         convention produced the full carrier."""

@@ -309,3 +309,37 @@ def ref_involutions(p):
                if p.leq(x, y)):
             out.append(tuple(perm))
     return sorted(out)
+
+
+# -- canonical form and pinned isomorphism, by trying all n! orders --------
+
+def ref_least_natural_labelling(p):
+    """The lexicographically least sequence of strict down-masks over all
+    natural labellings of a RefPoset.  Every order of the elements is
+    tried and kept only when it is a linear extension; entry k has bit i
+    set when the element at position i is strictly below the one at k."""
+    best = None
+    for order in itertools.permutations(p.elements):
+        pos = {x: i for i, x in enumerate(order)}
+        if any(pos[x] > pos[y] for x, y in p.leq_pairs):
+            continue
+        seq = tuple(sum(1 << pos[x] for x in order if x != y and p.leq(x, y))
+                    for y in order)
+        if best is None or seq < best:
+            best = seq
+    return best
+
+
+def ref_isomorphic_with_pin(p, pin_p, q, pin_q):
+    """Is there an order isomorphism p -> q sending pin_p to pin_q?  Every
+    bijection between the two RefPosets' elements is tried."""
+    if len(p.elements) != len(q.elements):
+        return False
+    for image in itertools.permutations(q.elements):
+        f = dict(zip(p.elements, image))
+        if f[pin_p] != pin_q:
+            continue
+        if all(p.leq(x, y) == q.leq(f[x], f[y])
+               for x in p.elements for y in p.elements):
+            return True
+    return False

@@ -1,29 +1,35 @@
 """Exhaustive enumeration and the claim audit registry.
 
 Counts are pinned against the published sequences for partial orders
-(1, 2, 5, 16, 63, 318 up to isomorphism; 1, 3, 19, 219, 4231 labeled)
-and cross-checked against the brute-force relation filters in
-``oracles.py``.
+(1, 2, 5, 16, 63, 318 and, past the public bound, 2045 up to
+isomorphism; 1, 3, 19, 219, 4231 labeled) and cross-checked against the
+brute-force relation filters in ``oracles.py``.  The canonical form and
+the pinned isomorphism test are checked against brute force over all
+n! orders.
 """
 
 import importlib
 import itertools
 import json
+import random
 
 import pytest
 
-from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid,
+from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            UsageError, enumerate_involutions, enumerate_posets,
                            figure, iter_assignments)
 from kleene_posets import audit, claim_ids, replay_report, replay_witness
 from kleene_posets.directoid import assignment_choices
 from kleene_posets.enumeration import (ALIASES, CLAIMS, UNARY_MAPS, Claim,
+                                       _is_least, _representatives,
                                        _unary_map_runs, involutive_from_witness,
                                        isomorphic_with_pin, iter_directed,
                                        poset_from_witness, resolve_claim,
                                        serialize_involutive, serialize_poset)
 
-from oracles import RefPoset, count_posets_bruteforce, count_posets_vectorized, ref_involutions
+from oracles import (RefPoset, count_posets_bruteforce, count_posets_vectorized,
+                     ref_involutions, ref_isomorphic_with_pin,
+                     ref_least_natural_labelling)
 
 ISO_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
 LABELED_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
@@ -325,3 +331,77 @@ def test_isomorphic_with_pin():
     q = figure("fig8")
     assert isomorphic_with_pin(q, q.index("a"), q, q.index("a"))
     assert not isomorphic_with_pin(q, q.index("a"), q, q.index("b"))
+
+
+def _ref(p):
+    return RefPoset(p.labels, {(a, b) for a in p.labels for b in p.labels
+                               if p.leq(a, b)})
+
+
+def _strict_downs(p):
+    return tuple(p._down[i] & ~(1 << i) for i in range(p.n))
+
+
+def _shuffled(p, rng):
+    """p with its elements moved to random indices, keeping the labels."""
+    perm = list(range(p.n))
+    rng.shuffle(perm)
+    up = [0] * p.n
+    for i in range(p.n):
+        for j in range(p.n):
+            if p.leq(i, j):
+                up[perm[i]] |= 1 << perm[j]
+    return Poset(p.labels, up)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_least_labelling_matches_oracle_on_every_labelled_poset(n):
+    """The oracle's least natural labelling of every labelled poset is a
+    representative's sequence, every representative's is reached, and
+    ``_is_least`` agrees with the oracle on each naturally labelled one."""
+    reps = {_strict_downs(p) for p in enumerate_posets(n)}
+    least = set()
+    for p in enumerate_posets(n, up_to_iso=False):
+        ref = ref_least_natural_labelling(_ref(p))
+        assert ref in reps
+        least.add(ref)
+        downs = _strict_downs(p)
+        if all(d >> k == 0 for k, d in enumerate(downs)):
+            assert _is_least(downs) == (ref == downs)
+    assert least == reps
+
+
+def test_relabelled_representatives_keep_their_least_labelling():
+    rng = random.Random(6)
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            q = _shuffled(p, rng)
+            assert ref_least_natural_labelling(_ref(q)) == _strict_downs(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_representatives_strictly_increase(n):
+    seqs = [_strict_downs(p) for p in enumerate_posets(n)]
+    assert len(set(seqs)) == len(seqs)
+    assert all(a < b for a, b in zip(seqs, seqs[1:]))
+
+
+def test_generator_runs_past_the_public_bound():
+    assert len(_representatives(7)) == 2045    # OEIS A000112
+    with pytest.raises(DomainError):
+        enumerate_posets(7)
+
+
+def test_isomorphic_with_pin_matches_oracle():
+    rng = random.Random(4)
+    for n in range(1, 5):
+        reps = enumerate_posets(n)
+        posets = reps + tuple(_shuffled(p, rng) for p in reps)
+        refs = [_ref(p) for p in posets]
+        for p, rp in zip(reps, refs):
+            for q, rq in zip(posets, refs):
+                for a, b in itertools.product(range(n), repeat=2):
+                    assert (isomorphic_with_pin(p, a, q, b)
+                            == ref_isomorphic_with_pin(rp, p.labels[a],
+                                                       rq, q.labels[b]))
+    assert not isomorphic_with_pin(reps[0], 0, enumerate_posets(3)[0], 0)
