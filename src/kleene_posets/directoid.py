@@ -21,8 +21,11 @@ as one side of the equivalence audits:
   (6)  the same implication restricted to x, y outside the bounds
 
 where ``<=`` always means the induced order (read off the table).
-Witnesses are deterministic: the checkers scan in a fixed order and
-report the first violation they encounter.
+Every checker reads it from one cached order view of the meet table
+(:func:`_order_masks`): the bitmasks of which entries equal their row or
+column index, built in one pass.  Witnesses are deterministic: the
+checkers scan in a fixed order and report the first violation they
+encounter.
 """
 
 from __future__ import annotations
@@ -45,6 +48,36 @@ def _split_source(source):
     if isinstance(source, Poset):
         return source, None
     raise UsageError("source must be a Poset or InvolutivePoset")
+
+
+def _order_masks(table):
+    """The order view of a table in one pass, as ``(above, below, lower)``:
+    ``above[x] = {y | x∘y = x}``, ``below[y] = {x | x∘y = x}`` and
+    ``lower[x] = {y | x∘y = y}``, each a bitmask."""
+    n = len(table)
+    above, below, lower = [0] * n, [0] * n, [0] * n
+    for x in range(n):
+        row = table[x]
+        for y in range(n):
+            v = row[y]
+            if v == x:
+                above[x] |= 1 << y
+                below[y] |= 1 << x
+            if v == y:
+                lower[x] |= 1 << y
+    return above, below, lower
+
+
+def _common(masks, sel, memo):
+    """The intersection of ``masks[i]`` over the bits i of ``sel``,
+    memoised by ``sel``."""
+    acc = memo.get(sel)
+    if acc is None:
+        acc = -1
+        for i in _bits(sel):
+            acc &= masks[i]
+        memo[sel] = acc
+    return acc
 
 
 def _base_table(p):
@@ -73,7 +106,7 @@ def _base_table(p):
 class MeetDirectoid:
     """A groupoid table, optionally with a unary map, on named elements."""
 
-    __slots__ = ("n", "labels", "meet", "inv", "_join", "_i12")
+    __slots__ = ("n", "labels", "meet", "inv", "_join", "_i12", "_masks")
 
     def __init__(self, meet, inv=None, labels=None):
         meet = tuple(tuple(row) for row in meet)
@@ -97,6 +130,7 @@ class MeetDirectoid:
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "_join", None)
         object.__setattr__(self, "_i12", None)
+        object.__setattr__(self, "_masks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MeetDirectoid is immutable")
@@ -142,21 +176,19 @@ class MeetDirectoid:
                             f"= {lab[meet[m][z]]} != {lab[m]}")
         return Verdict(True)
 
+    def _order(self):
+        """The cached :func:`_order_masks` of the meet table."""
+        masks = self._masks
+        if masks is None:
+            masks = _order_masks(self.meet)
+            object.__setattr__(self, "_masks", masks)
+        return masks
+
     def induced_poset(self):
         """The order x <= y iff x ⊓ y = x; domain error when the table
         does not induce a partial order."""
-        meet = self.meet
-        n = self.n
-        up = []
-        for x in range(n):
-            m = 0
-            row = meet[x]
-            for y in range(n):
-                if row[y] == x:
-                    m |= 1 << y
-            up.append(m)
         try:
-            return Poset(self.labels, up)
+            return Poset(self.labels, self._order()[0])
         except UsageError as exc:
             raise DomainError(f"induced relation is not a partial order: {exc}") from None
 
@@ -218,54 +250,38 @@ class MeetDirectoid:
         if not verdict.ok:
             raise UsageError(f"operation requires identities (1) and (2); {verdict.detail}")
 
-    def _above_masks(self):
-        """above[w] = bitmask of {s | w <= s} in the induced order."""
-        meet = self.meet
-        out = []
-        for w in range(self.n):
-            row = meet[w]
-            m = 0
-            for s in range(self.n):
-                if row[s] == w:
-                    m |= 1 << s
-            out.append(m)
-        return out
-
     def check_identity_3(self):
         """(z ⊓ x) ⊓ (z ⊓ x') <= (w ⊔ y) ⊔ (w ⊔ y') for all
         x, y, z, w; witness is the first failing (x, y, z, w)."""
         self._require_identities_1_2()
         meet, inv = self.meet, self.inv
         join = self.join_table()
-        n = self.n
-        above = self._above_masks()
-        lmask = rmask = 0
-        for z in range(n):
-            mz = meet[z]
-            for x in range(n):
-                lmask |= 1 << meet[mz[x]][mz[inv[x]]]
-        for w in range(n):
-            jw = join[w]
-            for y in range(n):
-                rmask |= 1 << join[jw[y]][jw[inv[y]]]
-        for low in _bits(lmask):
-            if rmask & ~above[low]:
-                break
-        else:
-            return Verdict(True)
-        lab = self.labels
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
+        rng = range(self.n)
+        above = self._order()[0]
+        lmask = [0] * self.n    # lmask[x] = {(z ⊓ x) ⊓ (z ⊓ x') | z}
+        rmask = [0] * self.n    # rmask[y] = {(w ⊔ y) ⊔ (w ⊔ y') | w}
+        for x in rng:
+            ix = inv[x]
+            for mz, jz in zip(meet, join):
+                lmask[x] |= 1 << meet[mz[x]][mz[ix]]
+                rmask[x] |= 1 << join[jz[x]][jz[ix]]
+        memo = {}
+        for x in rng:
+            common = _common(above, lmask[x], memo)    # above every lhs value
+            for y in rng:
+                if not rmask[y] & ~common:
+                    continue
+                # (x, y) is the first failing pair: scan its (z, w)
+                for z, w in itertools.product(rng, rng):
                     lhs = meet[meet[z][x]][meet[z][inv[x]]]
-                    for w in range(n):
-                        rhs = join[join[w][y]][join[w][inv[y]]]
-                        if meet[lhs][rhs] != lhs:
-                            return Verdict(
-                                False, (x, y, z, w),
-                                f"(3) fails at (x,y,z,w) = ({lab[x]}, {lab[y]}, "
-                                f"{lab[z]}, {lab[w]}): {lab[lhs]} !<= {lab[rhs]}")
-        raise AssertionError("identity (3) fast path and rescan disagree")
+                    rhs = join[join[w][y]][join[w][inv[y]]]
+                    if meet[lhs][rhs] != lhs:
+                        lab = self.labels
+                        return Verdict(
+                            False, (x, y, z, w),
+                            f"(3) fails at (x,y,z,w) = ({lab[x]}, {lab[y]}, "
+                            f"{lab[z]}, {lab[w]}): {lab[lhs]} !<= {lab[rhs]}")
+        return Verdict(True)
 
     def check_implication_4(self):
         """The distributivity implication; witness is the first violating
@@ -274,46 +290,20 @@ class MeetDirectoid:
         meet = self.meet
         join = self.join_table()
         n = self.n
-        above = self._above_masks()
-        # below[u] = {w | w meet u = w};  sfix[l] = {s | s join l = s}
-        below = [0] * n
-        for w in range(n):
-            row = meet[w]
-            for u in range(n):
-                if row[u] == w:
-                    below[u] |= 1 << w
-        sfix = [0] * n
-        for s in range(n):
-            row = join[s]
-            for l in range(n):
-                if row[l] == s:
-                    sfix[l] |= 1 << s
-        full = (1 << n) - 1
+        above, below, _ = self._order()
+        sfix = _order_masks(join)[1]    # sfix[l] = {s | s join l = s}
         wset = [[0] * n for _ in range(n)]   # {w | forall t: w meet ((t v x) v (t v y)) = w}
         sset = [[0] * n for _ in range(n)]   # {s | forall t: s join ((t ^ x) ^ (t ^ z)) = s}
+        wmemo, smemo, amemo = {}, {}, {}
         rng = range(n)
         for x in rng:
             for y in rng:
-                um = 0
-                lm = 0
-                for t in rng:
-                    jt = join[t]
+                um = lm = 0
+                for mt, jt in zip(meet, join):
                     um |= 1 << join[jt[x]][jt[y]]
-                    mt = meet[t]
                     lm |= 1 << meet[mt[x]][mt[y]]
-                acc = full
-                for u in _bits(um):
-                    acc &= below[u]
-                    if not acc:
-                        break
-                wset[x][y] = acc
-                acc = full
-                for l in _bits(lm):
-                    acc &= sfix[l]
-                    if not acc:
-                        break
-                sset[x][y] = acc
-        lab = self.labels
+                wset[x][y] = _common(below, um, wmemo)
+                sset[x][y] = _common(sfix, lm, smemo)
         for x in rng:
             wrow = wset[x]
             srow = sset[x]
@@ -327,48 +317,43 @@ class MeetDirectoid:
                     if not wc:
                         continue
                     sc = srow[z] & sy[z]
-                    if not sc:
-                        continue
-                    for w in _bits(wc):
+                    # (x, y, z) fails iff some s in sc is not above every w in wc
+                    if sc and sc & ~_common(above, wc, amemo):
+                        w = next(w for w in _bits(wc) if sc & ~above[w])
                         bad = sc & ~above[w]
-                        if bad:
-                            s = (bad & -bad).bit_length() - 1
-                            return Verdict(
-                                False, (w, s, x, y, z),
-                                f"(4) fails at (w,s,x,y,z) = ({lab[w]}, {lab[s]}, "
-                                f"{lab[x]}, {lab[y]}, {lab[z]}): premises hold "
-                                f"but {lab[w]} !<= {lab[s]}")
+                        s = (bad & -bad).bit_length() - 1
+                        lab = self.labels
+                        return Verdict(
+                            False, (w, s, x, y, z),
+                            f"(4) fails at (w,s,x,y,z) = ({lab[w]}, {lab[s]}, "
+                            f"{lab[x]}, {lab[y]}, {lab[z]}): premises hold "
+                            f"but {lab[w]} !<= {lab[s]}")
         return Verdict(True)
 
-    def _shared_lower_body(self, xs, ys, require_incomparable):
+    def _shared_lower_body(self, name, xs, require_incomparable):
+        """The first (x, y, z) over x, y in ``xs`` with z <= x, x' but not
+        z <= y, y'; z is the least such element."""
         meet, inv, lab = self.meet, self.inv, self.labels
-        rng = range(self.n)
+        lower = self._order()[2]
         for x in xs:
-            ix = inv[x]
-            for y in ys:
-                if require_incomparable:
-                    m = meet[x][y]
-                    if m == x or m == y:
-                        continue
-                iy = inv[y]
-                for z in rng:
-                    if meet[x][z] == z and meet[ix][z] == z:
-                        if meet[y][z] != z or meet[iy][z] != z:
-                            return Verdict(
-                                False, (x, y, z),
-                                f"fails at (x,y,z) = ({lab[x]}, {lab[y]}, {lab[z]}): "
-                                f"z <= x and z <= x' but not (z <= y and z <= y')")
+            shared = lower[x] & lower[inv[x]]
+            for y in xs:
+                if require_incomparable and meet[x][y] in (x, y):
+                    continue
+                bad = shared & ~(lower[y] & lower[inv[y]])
+                if bad:
+                    z = (bad & -bad).bit_length() - 1
+                    return Verdict(
+                        False, (x, y, z),
+                        f"{name} fails at (x,y,z) = ({lab[x]}, {lab[y]}, {lab[z]}): "
+                        f"z <= x and z <= x' but not (z <= y and z <= y')")
         return Verdict(True)
 
     def check_implication_5(self):
         """x != x ⊓ y != y and x ⊓ z = x' ⊓ z = z imply
         y ⊓ z = y' ⊓ z = z."""
         self._require_inv()
-        rng = range(self.n)
-        verdict = self._shared_lower_body(rng, rng, require_incomparable=True)
-        if not verdict.ok:
-            return Verdict(False, verdict.witness, f"(5) {verdict.detail}")
-        return verdict
+        return self._shared_lower_body("(5)", range(self.n), require_incomparable=True)
 
     def check_implication_6(self, bottom, top):
         """x, y outside the designated bounds and x ⊓ z = x' ⊓ z = z
@@ -376,16 +361,13 @@ class MeetDirectoid:
         incomparability premise.  The bounds must really bound the
         induced order."""
         self._require_inv()
-        meet = self.meet
         bottom, top = self._element(bottom), self._element(top)
-        for x in range(self.n):
-            if meet[bottom][x] != bottom or meet[top][x] != x:
-                raise UsageError("designated bounds do not bound the induced order")
+        above, _, lower = self._order()
+        full = (1 << self.n) - 1
+        if above[bottom] != full or lower[top] != full:
+            raise UsageError("designated bounds do not bound the induced order")
         inner = [x for x in range(self.n) if x not in (bottom, top)]
-        verdict = self._shared_lower_body(inner, inner, require_incomparable=False)
-        if not verdict.ok:
-            return Verdict(False, verdict.witness, f"(6) {verdict.detail}")
-        return verdict
+        return self._shared_lower_body("(6)", inner, require_incomparable=False)
 
     def __repr__(self):
         return f"MeetDirectoid({self.n} elements)"

@@ -147,29 +147,15 @@ def _representatives(n):
     return tuple(reps)
 
 
-def enumerate_posets(n, up_to_iso=True):
-    """All posets on n elements in a deterministic order.  With
-    ``up_to_iso`` (default) exactly one representative per isomorphism
-    class is returned; otherwise every labelled poset."""
+def enumerate_posets(n):
+    """One representative of each isomorphism class of posets on n
+    elements, in increasing order of the canonical form (see
+    :func:`_representatives`)."""
     if n < 1:
         raise UsageError("element count must be at least 1")
     if n > ENUMERATION_BOUND:
         raise DomainError(f"n={n} exceeds the enumeration bound {ENUMERATION_BOUND}")
-    reps = _representatives(n)
-    if up_to_iso:
-        return reps
-    labelled = set()
-    for p in reps:
-        for perm in itertools.permutations(range(n)):
-            up = [0] * n
-            for i in range(n):
-                m = 0
-                for j in _bits(p._up[i]):
-                    m |= 1 << perm[j]
-                up[perm[i]] = m
-            labelled.add(tuple(up))
-    return tuple(Poset(_labels(n), list(up), _validated=True)
-                 for up in sorted(labelled))
+    return _representatives(n)
 
 
 def enumerate_involutions(p):
@@ -397,7 +383,11 @@ def _map_serialize(instance):
 
 def _map_rebuild(witness):
     p = poset_from_witness(witness)
-    unary = tuple(p.index(witness["unary_map"][lab]) for lab in p.labels)
+    unary_map = witness["unary_map"]
+    missing = [lab for lab in p.labels if lab not in unary_map]
+    if missing:
+        raise UsageError(f"unary map does not cover: {', '.join(missing)}")
+    unary = tuple(p.index(unary_map[lab]) for lab in p.labels)
     base = directoid_from_choices(p, witness["binding"]["choices"])
     return p, unary, [base.meet]
 
@@ -511,13 +501,20 @@ class Claim:
             sampled=sampled)
 
     def replay(self, witness):
-        """Re-evaluate the rebuilt instance; True when its binding comes back."""
+        """Re-evaluate the rebuilt instance; True when its binding comes back.
+        A malformed witness is a usage error that names the claim."""
+        if not isinstance(witness, dict):
+            raise UsageError(f"{self.claim_id} witness is not an object")
         try:
             instance = self.instance_space.rebuild(witness)
             binding = witness["binding"]
         except KeyError as missing:
             raise UsageError(f"{self.claim_id} witness has no field "
                              f"{missing.args[0]!r}") from None
+        except (UsageError, TypeError, ValueError, AttributeError) as exc:
+            raise UsageError(f"{self.claim_id} witness is malformed: {exc}") from None
+        if not isinstance(binding, dict):
+            raise UsageError(f"{self.claim_id} witness binding is not an object")
         return (json.dumps(self.evaluate(instance), sort_keys=True)
                 == json.dumps(binding, sort_keys=True))
 

@@ -15,16 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
-from .poset import Poset, Subset, Verdict, find_isomorphism
+from .poset import Poset, Subset, Verdict, _resolve_pairs, find_isomorphism
 
 
 def involution_from_pairs(labels, pairs):
-    """Total involutive map from (name, name) pairs, symmetrically closed."""
-    index = {name: i for i, name in enumerate(labels)}
+    """Total involutive map from pairs given by name or index,
+    symmetrically closed; an unknown name or index is a usage error."""
     inv = [None] * len(labels)
-    for a, b in pairs:
-        x = index[a] if isinstance(a, str) else a
-        y = index[b] if isinstance(b, str) else b
+    for x, y in _resolve_pairs(labels, pairs, "involution pair"):
         for s, t in ((x, y), (y, x)):
             if inv[s] is not None and inv[s] != t:
                 raise UsageError(f"conflicting involution pairing for {labels[s]!r}")

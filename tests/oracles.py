@@ -343,3 +343,76 @@ def ref_isomorphic_with_pin(p, pin_p, q, pin_q):
                for x in p.elements for y in p.elements):
             return True
     return False
+
+
+# -- directoid identities (3)-(6), read literally off the operation tables --
+#
+# ``meet`` is a list of rows and ``inv`` a list; ``a <= b`` means
+# ``meet[a][b] == a`` and ``x ⊓ z`` means ``meet[x][z]`` even when the
+# table is not commutative.  Each returns the first violation in the
+# package checker's scan order, or None.
+
+def ref_join(meet, inv):
+    """x ⊔ y = (x' ⊓ y')'."""
+    n = len(meet)
+    return [[inv[meet[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
+
+
+def ref_identity_3(meet, inv):
+    """(z ⊓ x) ⊓ (z ⊓ x') <= (w ⊔ y) ⊔ (w ⊔ y'); first failing (x, y, z, w)."""
+    join = ref_join(meet, inv)
+    for x, y, z, w in itertools.product(range(len(meet)), repeat=4):
+        lhs = meet[meet[z][x]][meet[z][inv[x]]]
+        rhs = join[join[w][y]][join[w][inv[y]]]
+        if meet[lhs][rhs] != lhs:
+            return (x, y, z, w)
+    return None
+
+
+def ref_implication_4(meet, inv):
+    """[forall t: w ⊓ ((t⊔x)⊔(t⊔y)) = w], w ⊓ z = w,
+    [forall t: s ⊔ ((t⊓x)⊓(t⊓z)) = s] and [forall t: s ⊔ ((t⊓y)⊓(t⊓z)) = s]
+    imply w <= s; first failing (w, s, x, y, z) over x, y, z, then w,
+    then the least s."""
+    join = ref_join(meet, inv)
+    elems = range(len(meet))
+    for x, y, z in itertools.product(elems, repeat=3):
+        ws = [w for w in elems
+              if all(meet[w][join[join[t][x]][join[t][y]]] == w for t in elems)
+              and meet[w][z] == w]
+        ss = [s for s in elems
+              if all(join[s][meet[meet[t][x]][meet[t][z]]] == s
+                     and join[s][meet[meet[t][y]][meet[t][z]]] == s
+                     for t in elems)]
+        for w in ws:
+            for s in ss:
+                if meet[w][s] != w:
+                    return (w, s, x, y, z)
+    return None
+
+
+def _ref_shared_lower(meet, inv, xs, premise):
+    for x, y in itertools.product(xs, repeat=2):
+        for z in range(len(meet)):
+            if (premise(x, y) and meet[x][z] == z and meet[inv[x]][z] == z
+                    and not (meet[y][z] == z and meet[inv[y]][z] == z)):
+                return (x, y, z)
+    return None
+
+
+def ref_implication_5(meet, inv):
+    """x != x ⊓ y != y and x ⊓ z = x' ⊓ z = z imply y ⊓ z = y' ⊓ z = z;
+    first failing (x, y, z)."""
+    return _ref_shared_lower(meet, inv, range(len(meet)),
+                             lambda x, y: x != meet[x][y] != y)
+
+
+def ref_implication_6(meet, inv, bottom, top):
+    """For x, y other than the bounds, x ⊓ z = x' ⊓ z = z imply
+    y ⊓ z = y' ⊓ z = z; first failing (x, y, z).  ValueError unless
+    bottom ⊓ x = bottom and top ⊓ x = x for every x."""
+    elems = range(len(meet))
+    if any(meet[bottom][x] != bottom or meet[top][x] != x for x in elems):
+        raise ValueError("the designated bounds do not bound the order")
+    inner = [x for x in elems if x not in (bottom, top)]
+    return _ref_shared_lower(meet, inv, inner, lambda x, y: True)

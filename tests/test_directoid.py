@@ -3,10 +3,12 @@
 Identity expectations per figure are frozen from the classification
 matrix (see test_involution.py): (3) tracks pseudo-Kleene, (4) Kleene,
 (5) strong, (6) strict.  For the small figures every assignment is
-checked exhaustively.
+checked exhaustively.  The first witness of each of (3)-(6) is compared
+with the brute-force transcriptions in ``oracles.py``.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -14,7 +16,11 @@ from kleene_posets import (DomainError, MeetDirectoid, Poset, UsageError,
                            all_assignments, assign_directoid,
                            assignment_choices, assignment_count,
                            check_derived_set_laws, check_printed_u_pair_law,
-                           directoid_from_choices, figure, iter_assignments)
+                           directoid_from_choices, enumerate_posets, figure,
+                           iter_assignments)
+
+from oracles import (ref_identity_3, ref_implication_4, ref_implication_5,
+                     ref_implication_6)
 
 SMALL_FIGS = ["fig1", "fig2", "fig3", "fig4", "fig5"]
 
@@ -221,3 +227,140 @@ def test_printed_u_pair_law_fails_on_two_chain():
     d = assign_directoid(two)
     v = check_printed_u_pair_law(d, two)
     assert not v.ok
+
+
+# -- identities (3)-(6) against the brute-force oracles ------------------------
+
+def _involutions(n):
+    """Every map u of range(n) with u(u(x)) = x, antitone or not."""
+    return [u for u in itertools.permutations(range(n))
+            if all(u[u[x]] == x for x in range(n))]
+
+
+def _first(verdict):
+    return None if verdict.ok else verdict.witness
+
+
+def _assert_matches_oracles(d, bound_pairs):
+    meet, inv = [list(row) for row in d.meet], list(d.inv)
+    if d.check_identities_1_2().ok:
+        assert _first(d.check_identity_3()) == ref_identity_3(meet, inv)
+        assert _first(d.check_implication_4()) == ref_implication_4(meet, inv)
+    assert _first(d.check_implication_5()) == ref_implication_5(meet, inv)
+    for bottom, top in bound_pairs:
+        try:
+            want = ref_implication_6(meet, inv, bottom, top)
+        except ValueError:
+            with pytest.raises(UsageError, match="do not bound"):
+                d.check_implication_6(bottom, top)
+        else:
+            assert _first(d.check_implication_6(bottom, top)) == want
+
+
+def _relabelled(table, inv, perm):
+    """The same directoid with element x moved to index perm[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for x, y in itertools.product(range(n), repeat=2):
+        out[perm[x]][perm[y]] = perm[table[x][y]]
+    moved = [0] * n
+    for x in range(n):
+        moved[perm[x]] = perm[inv[x]]
+    return MeetDirectoid(out, inv=moved)
+
+
+@pytest.mark.parametrize("n, cap", [(1, None), (2, None), (3, None), (4, None),
+                                    (5, 5)])
+def test_identities_match_oracles_on_directed_posets(n, cap):
+    """Every directed poset of size n, every involutive map (antitone or
+    not) and every assignment, or the first ``cap`` of them; each table
+    also under a seeded relabelling, so that index order is not the
+    induced order and the scan order of a witness is exercised."""
+    rng = random.Random(n)
+    bound_pairs = list(itertools.product(range(n), repeat=2))
+    for p in filter(Poset.is_downward_directed, enumerate_posets(n)):
+        tables = [d.meet for d in itertools.islice(iter_assignments(p), cap)]
+        for u in _involutions(n):
+            for table in tables:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for d in (MeetDirectoid(table, inv=u), _relabelled(table, u, perm)):
+                    _assert_matches_oracles(d, bound_pairs)
+
+
+@pytest.mark.parametrize("name", SMALL_FIGS + ["fig6", "fig7"])
+def test_identities_match_oracles_on_figures(name):
+    ip = figure(name)
+    cap = None if name in SMALL_FIGS else 3
+    for d in itertools.islice(iter_assignments(ip), cap):
+        _assert_matches_oracles(d, [(ip.index("0"), ip.index("1"))])
+
+
+def _random_involution(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    inv = list(range(n))
+    for a in range(0, n - 1, 2):
+        if rng.random() < 0.7:
+            inv[perm[a]], inv[perm[a + 1]] = perm[a + 1], perm[a]
+    return inv
+
+
+def _repair_identity_2(rng, table, inv):
+    """Edit random cells until (x ⊓ y)' ⊓ y' = y' holds everywhere, or
+    give up after 200 edits."""
+    n = len(table)
+    for _ in range(200):
+        bad = [(x, y) for x, y in itertools.product(range(n), repeat=2)
+               if table[inv[table[x][y]]][inv[y]] != inv[y]]
+        if not bad:
+            return
+        x, y = rng.choice(bad)
+        if rng.random() < 0.5:
+            table[inv[table[x][y]]][inv[y]] = inv[y]
+        else:
+            table[x][y] = rng.randrange(n)
+
+
+def test_identities_match_oracles_on_random_tables():
+    """Seeded tables that need not be commutative or idempotent.  Some get
+    a bottom row and an identity top row, so that (6) also runs past its
+    bounds check; some get an involution and edits until (1) and (2)
+    hold, so that (3) and (4) run on tables no poset assigns, where a
+    failing (x, y, z) of (4) can have several failing w."""
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            inv = [rng.randrange(n) for _ in range(n)]
+            bottom, top = rng.randrange(n), rng.randrange(n)
+            table[bottom] = [bottom] * n
+            table[top] = list(range(n))
+        else:
+            inv = _random_involution(rng, n)
+            _repair_identity_2(rng, table, inv)
+        d = MeetDirectoid(table, inv=inv)
+        _assert_matches_oracles(d, list(itertools.product(range(n), repeat=2)))
+
+
+def test_first_implication_4_witness_pinned():
+    for name, witness, detail in (
+            ("fig2", (2, 0, 1, 3, 2),
+             "(4) fails at (w,s,x,y,z) = (b, 0, a, c, b): premises hold "
+             "but b !<= 0"),
+            ("fig6", (4, 2, 3, 5, 4),
+             "(4) fails at (w,s,x,y,z) = (d, b, c, e, d): premises hold "
+             "but d !<= b")):
+        v = assign_directoid(figure(name)).check_implication_4()
+        assert (v.ok, v.witness, v.detail) == (False, witness, detail)
+
+
+def test_implication_4_reports_the_first_failing_w():
+    """A table where (1) and (2) hold without commutativity and both w = x1
+    and w = x2 fail at the first failing (x, y, z); the witness takes the
+    first in scan order."""
+    table = [[0, 2, 2, 3], [0, 1, 1, 3], [0, 2, 2, 3], [2, 2, 2, 3]]
+    inv = [0, 3, 2, 1]
+    v = MeetDirectoid(table, inv=inv).check_implication_4()
+    assert v.witness == ref_implication_4(table, inv) == (1, 3, 0, 3, 1)

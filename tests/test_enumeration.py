@@ -35,6 +35,21 @@ ISO_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
 LABELED_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
 
 
+def _labelled(n):
+    """Every labelled poset on n elements: each representative under all
+    n! relabellings, deduplicated and sorted by up-mask tuple."""
+    labelled = set()
+    for p in enumerate_posets(n):
+        for perm in itertools.permutations(range(n)):
+            up = [0] * n
+            for i in range(n):
+                for j in range(n):
+                    if p.leq(i, j):
+                        up[perm[i]] |= 1 << perm[j]
+            labelled.add(tuple(up))
+    return tuple(Poset(p.labels, up) for up in sorted(labelled))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_iso_counts_pinned(n):
     assert len(enumerate_posets(n)) == ISO_COUNTS[n]
@@ -42,7 +57,7 @@ def test_iso_counts_pinned(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_labeled_counts_pinned(n):
-    assert len(enumerate_posets(n, up_to_iso=False)) == LABELED_COUNTS[n]
+    assert len(_labelled(n)) == LABELED_COUNTS[n]
 
 
 def test_n6_iso_count():
@@ -52,7 +67,7 @@ def test_n6_iso_count():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_counts_match_bruteforce_oracle(n):
     labeled, iso = count_posets_bruteforce(n)
-    assert len(enumerate_posets(n, up_to_iso=False)) == labeled
+    assert len(_labelled(n)) == labeled
     assert len(enumerate_posets(n)) == iso
 
 
@@ -200,6 +215,35 @@ def test_malformed_witness_is_a_usage_error():
             replay_witness(cid, witness)
 
 
+@pytest.mark.parametrize("cid, fields, message", [
+    ("U-pair-law-printed", [], "is not an object"),
+    ("U-pair-law-printed", "x", "is not an object"),
+    ("U-pair-law-printed", {"covers": [["x0"]]}, "is malformed"),
+    ("U-pair-law-printed", {"involution": [["x0", "x1"]]}, "is malformed"),
+    ("U-pair-law-printed", {"involution": {"zz": "x0"}},
+     "is malformed: unknown element name 'zz'"),
+    ("U-pair-law-printed", {"binding": None}, "is malformed"),
+    ("Thm-6.1-iii", {"binding": None}, "binding is not an object"),
+])
+def test_malformed_witness_json_names_the_claim(cid, fields, message):
+    """The claim's first witness with ``fields`` replaced, or ``fields``
+    itself when it is not a dict."""
+    witness = fields
+    if isinstance(fields, dict):
+        witness = dict(audit(cid, n_bound=3).witnesses[0], **fields)
+    with pytest.raises(UsageError, match=f"^{cid} witness {message}") as exc:
+        replay_witness(cid, witness)
+    assert "no field" not in str(exc.value)
+
+
+def test_unary_map_witness_must_cover_the_carrier():
+    witness = {"elements": ["x0"], "covers": [], "unary_map": {},
+               "binding": {"choices": {}}}
+    with pytest.raises(UsageError, match="^Thm-4.2 witness is malformed: "
+                                         "unary map does not cover: x0"):
+        replay_witness("Thm-4.2", witness)
+
+
 def test_first_witness_is_deterministic():
     a = audit("Thm-6.1-iii", n_bound=3)
     b = audit("Thm-6.1-iii", n_bound=3)
@@ -323,7 +367,7 @@ def test_twist_audits_never_check_product_cones(monkeypatch):
 def test_representatives_are_computed_once_per_size(n):
     first = enumerate_posets(n)
     assert enumerate_posets(n) is first
-    assert len(enumerate_posets(n, up_to_iso=False)) == LABELED_COUNTS[n]
+    assert len(_labelled(n)) == LABELED_COUNTS[n]
     assert enumerate_posets(n) is first
 
 
@@ -361,7 +405,7 @@ def test_least_labelling_matches_oracle_on_every_labelled_poset(n):
     ``_is_least`` agrees with the oracle on each naturally labelled one."""
     reps = {_strict_downs(p) for p in enumerate_posets(n)}
     least = set()
-    for p in enumerate_posets(n, up_to_iso=False):
+    for p in _labelled(n):
         ref = ref_least_natural_labelling(_ref(p))
         assert ref in reps
         least.add(ref)

@@ -153,6 +153,17 @@ def test_not_an_involution():
         involution_from_pairs(p.labels, [("a", "b"), ("b", "c"), ("c", "a")])
 
 
+@pytest.mark.parametrize("pair, message", [
+    ((0, -1), "out of range"),
+    ((0, 5), "out of range"),
+    (("a", "zz"), "unknown element name 'zz'"),
+    (("a", 1.0), "out of range"),
+])
+def test_involution_pairs_must_name_elements(pair, message):
+    with pytest.raises(UsageError, match=message):
+        involution_from_pairs(("a", "b"), [pair])
+
+
 def test_prime_and_prime_subset():
     ip = figure("fig1")
     assert ip.labels[ip.prime(ip.index("a"))] == "a'"
