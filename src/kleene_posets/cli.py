@@ -15,8 +15,7 @@ import json
 import sys
 
 from . import enumeration
-from .directoid import (assign_directoid, assignment_choices, assignment_count,
-                        iter_assignments)
+from .directoid import _assignments, _base_table, _choices, _count
 from .dot import to_dot
 from .completion import dedekind_macneille
 from .errors import DomainError, FixtureParseError, UsageError
@@ -322,24 +321,19 @@ def _identity_block(d, bounds):
 
 def _cmd_directoid(args, out):
     obj = _load(args.file)
-    if isinstance(obj, InvolutivePoset):
-        p = obj.base
-        source = obj
-    else:
-        p = obj
-        source = obj
-    total = assignment_count(p)
-    cap = args.all_assignments
-    if cap is None:
-        chosen = [assign_directoid(source)]
-        sampled = total > 1
-    elif cap < 1:
+    has_map = isinstance(obj, InvolutivePoset)
+    p, inv = (obj.base, obj.inv) if has_map else (obj, None)
+    # One base table serves the count, the assignments and every
+    # assignment's choices; without --all-assignments the first
+    # assignment is the canonical one.
+    table, pairs = _base_table(p)
+    total = _count(pairs)
+    cap = 1 if args.all_assignments is None else args.all_assignments
+    if cap < 1:
         raise UsageError("assignment cap must be at least 1")
-    else:
-        chosen = list(itertools.islice(iter_assignments(source), cap))
-        sampled = total > cap
+    chosen = list(itertools.islice(_assignments(p, inv, table, pairs), cap))
+    sampled = total > cap
     bounds = p.bounds()
-    has_map = isinstance(source, InvolutivePoset)
     failed = False
     entries = []
     for d in chosen:
@@ -348,7 +342,7 @@ def _cmd_directoid(args, out):
         if not axioms.ok or not roundtrip:
             failed = True
         entry = {
-            "choices": assignment_choices(d, p),
+            "choices": _choices(d, p, pairs),
             "directoid_axioms": _verdict_json(axioms),
             "induces_original_order": roundtrip,
             "identities": _identity_block(d, bounds) if has_map else None,

@@ -84,14 +84,15 @@ def _base_table(p):
     """Comparable part of the meet table plus the incomparable pairs with
     their candidate meets (in canonical order)."""
     n = p.n
+    up = p._up
     table = [[-1] * n for _ in range(n)]
     pairs = []
     for x in range(n):
         table[x][x] = x
         for y in range(x + 1, n):
-            if p.leq(x, y):
+            if (up[x] >> y) & 1:
                 table[x][y] = table[y][x] = x
-            elif p.leq(y, x):
+            elif (up[y] >> x) & 1:
                 table[x][y] = table[y][x] = y
             else:
                 cands = tuple(_bits(p._down[x] & p._down[y]))
@@ -362,9 +363,9 @@ class MeetDirectoid:
         induced order."""
         self._require_inv()
         bottom, top = self._element(bottom), self._element(top)
-        above, _, lower = self._order()
+        above, below, _ = self._order()
         full = (1 << self.n) - 1
-        if above[bottom] != full or lower[top] != full:
+        if above[bottom] != full or below[top] != full:
             raise UsageError("designated bounds do not bound the induced order")
         inner = [x for x in range(self.n) if x not in (bottom, top)]
         return self._shared_lower_body("(6)", inner, require_incomparable=False)
@@ -377,8 +378,12 @@ class MeetDirectoid:
 
 def assignment_count(source):
     p, _ = _split_source(source)
+    return _count(_base_table(p)[1])
+
+
+def _count(pairs):
     count = 1
-    for _, cands in _base_table(p)[1]:
+    for _, cands in pairs:
         count *= len(cands)
     return count
 
@@ -401,7 +406,12 @@ def iter_assignments(source):
     """All assignments, lexicographic in the canonical pair/candidate
     order.  No cap: callers slice as needed."""
     p, inv = _split_source(source)
-    table, pairs = _base_table(p)
+    yield from _assignments(p, inv, *_base_table(p))
+
+
+def _assignments(p, inv, table, pairs):
+    """:func:`iter_assignments` from a built base table, which it fills
+    in place."""
     if not pairs:
         yield MeetDirectoid(table, inv=inv, labels=p.labels)
         return
@@ -425,10 +435,12 @@ def assignment_choices(directoid, source):
     """Recover the choice made for each incomparable pair as a label map
     (used to serialize audit witnesses)."""
     p, _ = _split_source(source)
-    out = {}
-    for (x, y), _ in _base_table(p)[1]:
-        out[f"{p.labels[x]},{p.labels[y]}"] = p.labels[directoid.meet[x][y]]
-    return out
+    return _choices(directoid, p, _base_table(p)[1])
+
+
+def _choices(directoid, p, pairs):
+    return {f"{p.labels[x]},{p.labels[y]}": p.labels[directoid.meet[x][y]]
+            for (x, y), _ in pairs}
 
 
 def directoid_from_choices(source, choices):

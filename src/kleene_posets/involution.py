@@ -123,14 +123,16 @@ class InvolutivePoset:
 
     def prime_subset(self, items):
         """Elementwise image A' of a subset."""
-        mask = self.base._mask_of(items)
+        return Subset(self.base, self._image(self.base._mask_of(items)))
+
+    def _image(self, mask):
         out = 0
-        m = mask
-        while m:
-            low = m & -m
-            out |= 1 << self.inv[low.bit_length() - 1]
-            m ^= low
-        return Subset(self.base, out)
+        inv = self.inv
+        while mask:
+            low = mask & -mask
+            out |= 1 << inv[low.bit_length() - 1]
+            mask ^= low
+        return out
 
     def check_antitone_involution(self):
         """x'' = x for all x, and x <= y implies y' <= x'."""
@@ -146,17 +148,19 @@ class InvolutivePoset:
                     f"not involutive: {lab[x]}'' = {lab[self.inv[self.inv[x]]]} != {lab[x]}")
                 break
         else:
+            # The map is an involution here, so {y | y' <= x'} is the
+            # image of the down-set of x'; y fails when it lies above x
+            # and outside that image (x itself, x'' = x, lies inside).
+            inv, up, down = self.inv, self.base._up, self.base._down
             for x in range(self.n):
-                for y in range(self.n):
-                    if x != y and self.base.leq(x, y) and not self.base.leq(self.inv[y], self.inv[x]):
-                        verdict = Verdict(
-                            False, (x, y),
-                            f"not antitone: {lab[x]} <= {lab[y]} but "
-                            f"{lab[y]}' = {lab[self.inv[y]]} !<= {lab[self.inv[x]]} = {lab[x]}'")
-                        break
-                else:
-                    continue
-                break
+                bad = up[x] & ~self._image(down[inv[x]])
+                if bad:
+                    y = (bad & -bad).bit_length() - 1
+                    verdict = Verdict(
+                        False, (x, y),
+                        f"not antitone: {lab[x]} <= {lab[y]} but "
+                        f"{lab[y]}' = {lab[inv[y]]} !<= {lab[inv[x]]} = {lab[x]}'")
+                    break
         object.__setattr__(self, "_involution_verdict", verdict)
         return verdict
 
@@ -175,24 +179,32 @@ class InvolutivePoset:
     # -- cone shorthands ---------------------------------------------------
     def _self_cone_masks(self):
         """Masks of L(x, x') and U(x, x') for every x."""
-        p = self.base
-        lows = [p._lower((1 << x) | (1 << self.inv[x])) for x in range(self.n)]
-        ups = [p._upper((1 << x) | (1 << self.inv[x])) for x in range(self.n)]
+        down, up, inv = self.base._down, self.base._up, self.inv
+        lows = [down[x] & down[inv[x]] for x in range(self.n)]
+        ups = [up[x] & up[inv[x]] for x in range(self.n)]
         return lows, ups
 
     # -- classification ladder -----------------------------------------------
     def is_pseudo_kleene(self):
-        """Condition (K): L(x,x') <= U(y,y') for all pairs x, y."""
+        """Condition (K): L(x,x') <= U(y,y') for all pairs x, y.  A set
+        lies above L(x,x') in the set order iff it lies inside
+        U(L(x,x')), so each distinct L(x,x') takes one upper cone and
+        one scan for the first y whose U(y,y') leaves it."""
         self._require_involution()
         p = self.base
         lab = self.labels
         lows, ups = self._self_cone_masks()
+        first_bad = {}
         for x in range(self.n):
-            for y in range(self.n):
-                if not p._leq_set(lows[x], ups[y]):
-                    detail = (f"L({lab[x]},{lab[x]}') = {Subset(p, lows[x]).render()} !<= "
-                              f"{Subset(p, ups[y]).render()} = U({lab[y]},{lab[y]}')")
-                    return Verdict(False, (x, y), detail)
+            low = lows[x]
+            if low not in first_bad:
+                cone = p._upper(low)
+                first_bad[low] = next((y for y in range(self.n) if ups[y] & ~cone), None)
+            y = first_bad[low]
+            if y is not None:
+                detail = (f"L({lab[x]},{lab[x]}') = {Subset(p, low).render()} !<= "
+                          f"{Subset(p, ups[y]).render()} = U({lab[y]},{lab[y]}')")
+                return Verdict(False, (x, y), detail)
         return Verdict(True)
 
     def is_kleene(self):

@@ -146,9 +146,18 @@ def check_product_cones(t, restricted=True):
 
     checked for every nonempty subset A of the twist when the carrier is
     small, else for all singletons and pairs.  The unrestricted reading
-    demands that every product pair already belong to the carrier."""
+    demands that every product pair already belong to the carrier.
+
+    Everything is a mask over the carrier: with ``first[x]`` and
+    ``second[y]`` the pairs whose first/second coordinate is x/y, the
+    carrier part of X x Y is ``OR first[X] & OR second[Y]``.  Each pair
+    belongs to one k, so X x Y leaves the carrier exactly when
+    |X|·|Y| exceeds that mask's popcount, and only then is the first
+    outside pair looked for.  A subset's projections and cones extend
+    those of the subset without its lowest element, which every subset
+    order below visits first; the Q-cones and ORs are memoised by mask."""
     q = t.source
-    r = t.result
+    r = t.result.base
     n = t.n
     if n <= 12:
         subsets = range(1, 1 << n)
@@ -156,50 +165,72 @@ def check_product_cones(t, restricted=True):
         singles = [1 << i for i in range(n)]
         doubles = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
         subsets = singles + doubles
+    first = [0] * q.n
+    second = [0] * q.n
+    for k, (x, y) in enumerate(t.pairs):
+        first[x] |= 1 << k
+        second[y] |= 1 << k
+    lower, upper = _memoised(q._lower), _memoised(q._upper)
+    or_first = _memoised(lambda m: _union(first, m))
+    or_second = _memoised(lambda m: _union(second, m))
+    proj = {0: (0, 0, r._full, r._full)}
     for am in subsets:
-        p1m = p2m = 0
-        for k in _bits(am):
-            x, y = t.pairs[k]
-            p1m |= 1 << x
-            p2m |= 1 << y
-        l1 = q._lower(p1m)
-        u2 = q._upper(p2m)
-        u1 = q._upper(p1m)
-        l2 = q._lower(p2m)
-        lcone = r.base._lower(am)
-        ucone = r.base._upper(am)
-        lprod_mask = 0
-        uprod_mask = 0
-        l_outside = u_outside = None
-        for x in _bits(l1):
-            for y in _bits(u2):
-                k = t._pair_index.get((x, y))
-                if k is not None:
-                    lprod_mask |= 1 << k
-                elif l_outside is None:
-                    l_outside = (x, y)
-        for x in _bits(u1):
-            for y in _bits(l2):
-                k = t._pair_index.get((x, y))
-                if k is not None:
-                    uprod_mask |= 1 << k
-                elif u_outside is None:
-                    u_outside = (x, y)
-        if lcone != lprod_mask:
+        low = am & -am
+        k = low.bit_length() - 1
+        p1m, p2m, lcone, ucone = proj[am ^ low]
+        x, y = t.pairs[k]
+        p1m, p2m = p1m | 1 << x, p2m | 1 << y
+        lcone, ucone = lcone & r._down[k], ucone & r._up[k]
+        if n <= 12 or am == low:    # a pair is no later subset's rest
+            proj[am] = (p1m, p2m, lcone, ucone)
+        l1, u2, u1, l2 = lower(p1m), upper(p2m), upper(p1m), lower(p2m)
+        lprod = or_first(l1) & or_second(u2)
+        uprod = or_first(u1) & or_second(l2)
+        if lcone != lprod:
             kind, outside = "L", None
-        elif ucone != uprod_mask:
+        elif ucone != uprod:
             kind, outside = "U", None
-        elif not restricted and l_outside is not None:
-            kind, outside = "L-unrestricted", l_outside
-        elif not restricted and u_outside is not None:
-            kind, outside = "U-unrestricted", u_outside
+        elif not restricted and (outside := _outside(t, l1, u2, lprod)):
+            kind = "L-unrestricted"
+        elif not restricted and (outside := _outside(t, u1, l2, uprod)):
+            kind = "U-unrestricted"
         else:
             continue
         pair = (f"({q.labels[outside[0]]},{q.labels[outside[1]]})"
                 if outside else "")
         return Verdict(False, (kind, am), _CONE_FAILURES[kind].format(
-            A=Subset(r.base, am).render(), pair=pair))
+            A=Subset(r, am).render(), pair=pair))
     return Verdict(True)
+
+
+def _memoised(fn):
+    """``fn`` of a mask, memoised by the mask."""
+    memo = {}
+
+    def get(mask):
+        value = memo.get(mask)
+        if value is None:
+            value = memo[mask] = fn(mask)
+        return value
+    return get
+
+
+def _union(table, mask):
+    out = 0
+    for x in _bits(mask):
+        out |= table[x]
+    return out
+
+
+def _outside(t, xs, ys, inside):
+    """The first (x, y) of xs × ys outside the carrier, or None when the
+    carrier mask ``inside`` already holds all of them."""
+    if xs.bit_count() * ys.bit_count() == inside.bit_count():
+        return None
+    for x in _bits(xs):
+        for y in _bits(ys):
+            if (x, y) not in t._pair_index:
+                return (x, y)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,19 @@ class RefInvolutive(RefPoset):
                    for x, y in itertools.product(self.elements, repeat=2)
                    if self.leq(x, y))
 
+    def involution_failure(self):
+        """First x with x'' != x as ``(x,)``, else the first (x, y) with
+        x != y, x <= y and not y' <= x', scanning x then y in element
+        order; None for an antitone involution."""
+        pr = self.prime
+        for x in self.elements:
+            if pr[pr[x]] != x:
+                return (x,)
+        for x, y in itertools.product(self.elements, repeat=2):
+            if x != y and self.leq(x, y) and not self.leq(pr[y], pr[x]):
+                return (x, y)
+        return None
+
     def pseudo_kleene(self):
         pr = self.prime
         for x, y in itertools.product(self.elements, repeat=2):
@@ -189,6 +202,70 @@ class RefInvolutive(RefPoset):
             return {top}
         return self.upper([self.prime[x], y])
 
+    def odot_table(self):
+        return {(x, y): self.odot(x, y)
+                for x, y in itertools.product(self.elements, repeat=2)}
+
+    def arrow_table(self):
+        return {(x, y): self.arrow(x, y)
+                for x, y in itertools.product(self.elements, repeat=2)}
+
+    def associativity(self, odot=None):
+        """First (x, y, z) with (x ⊙ y) ⊙ z != x ⊙ (y ⊙ z), where
+        A ⊙ B is the intersection of a ⊙ b over a in A and b in B, and
+        an empty family gives every element.  ``odot`` replaces the
+        table, so that an edited operation can be checked."""
+        odot = self.odot_table() if odot is None else odot
+
+        def sets(a_items, b_items):
+            out = set(self.elements)
+            for a in a_items:
+                for b in b_items:
+                    out &= odot[(a, b)]
+            return out
+
+        for x, y, z in itertools.product(self.elements, repeat=3):
+            if sets(odot[(x, y)], [z]) != sets([x], odot[(y, z)]):
+                return False, (x, y, z)
+        return True, None
+
+    def adjointness(self):
+        """First (a, b, c) where a ⊙ b <= {c} and {a} <= b → c disagree
+        (both in the set order)."""
+        odot, arrow = self.odot_table(), self.arrow_table()
+        for a, b, c in itertools.product(self.elements, repeat=3):
+            left = all(self.leq(w, c) for w in odot[(a, b)])
+            right = all(self.leq(a, w) for w in arrow[(b, c)])
+            if left != right:
+                return False, (a, b, c)
+        return True, None
+
+    def adjointness_cases(self):
+        """How many triples (a, b, c) fall in each proof case, the first
+        that applies of 1: a <= b' and b <= c, 2: a <= b', 3: b <= c,
+        4: a = 1, 5: b = 1, 6: c = 0, 7: the rest."""
+        bottom, top = self.bounds()
+        pr = self.prime
+        counts = {k: 0 for k in range(1, 8)}
+        for a, b, c in itertools.product(self.elements, repeat=3):
+            ab, bc = self.leq(a, pr[b]), self.leq(b, c)
+            if ab and bc:
+                case = 1
+            elif ab:
+                case = 2
+            elif bc:
+                case = 3
+            elif a == top:
+                case = 4
+            elif b == top:
+                case = 5
+            elif c == bottom:
+                case = 6
+            else:
+                case = 7
+            counts[case] += 1
+        return counts
+
     def condition7(self):
         bottom, _ = self.bounds()
         for x, y in itertools.product(self.elements, repeat=2):
@@ -226,6 +303,59 @@ def ref_twist_carrier(p, a):
 def ref_twist_leq(p, pair1, pair2):
     (x, y), (z, v) = pair1, pair2
     return p.leq(x, z) and p.leq(v, y)
+
+
+def ref_product_cone_failure(p, a, restricted=True):
+    """The first subset A of the twist at ``a`` where
+
+        L(A) = L(p1(A)) x U(p2(A))   and   U(A) = U(p1(A)) x L(p2(A))
+
+    fail, the products cut down to the carrier when ``restricted``;
+    unrestricted, a product pair outside the carrier fails too, L before
+    U.  A carrier of at most 12 pairs has every nonempty subset checked,
+    in the order of their bitmasks over the carrier order of
+    ``ref_twist_carrier``; a larger one has its singletons, then its
+    pairs.  Returns (kind, A, outside pair or None), or None."""
+    carrier = ref_twist_carrier(p, a)
+    members = set(carrier)
+    n = len(carrier)
+    if n <= 12:
+        subsets = [[carrier[k] for k in range(n) if (m >> k) & 1]
+                   for m in range(1, 1 << n)]
+    else:
+        subsets = ([[s] for s in carrier]
+                   + [list(pair) for pair in itertools.combinations(carrier, 2)])
+    below = {t: {s for s in carrier if ref_twist_leq(p, s, t)} for t in carrier}
+    above = {t: {s for s in carrier if ref_twist_leq(p, t, s)} for t in carrier}
+    cones = {}
+
+    def cone(side, items):
+        key = (side, frozenset(items))
+        if key not in cones:
+            cones[key] = (p.lower if side == "L" else p.upper)(items)
+        return cones[key]
+
+    for subset in subsets:
+        firsts = [x for x, _ in subset]
+        seconds = [y for _, y in subset]
+        lower = set.intersection(*(below[t] for t in subset))
+        upper = set.intersection(*(above[t] for t in subset))
+        l1, u2 = cone("L", firsts), cone("U", seconds)
+        u1, l2 = cone("U", firsts), cone("L", seconds)
+        lprod = [(x, y) for x in p.elements if x in l1
+                 for y in p.elements if y in u2]
+        uprod = [(x, y) for x in p.elements if x in u1
+                 for y in p.elements if y in l2]
+        if lower != members.intersection(lprod):
+            return "L", subset, None
+        if upper != members.intersection(uprod):
+            return "U", subset, None
+        if not restricted:
+            for kind, prod in (("L-unrestricted", lprod), ("U-unrestricted", uprod)):
+                outside = [pair for pair in prod if pair not in members]
+                if outside:
+                    return kind, subset, outside[0]
+    return None
 
 
 # -- labeled / unlabeled poset counting (independent of the package) ------
@@ -410,9 +540,10 @@ def ref_implication_5(meet, inv):
 def ref_implication_6(meet, inv, bottom, top):
     """For x, y other than the bounds, x ⊓ z = x' ⊓ z = z imply
     y ⊓ z = y' ⊓ z = z; first failing (x, y, z).  ValueError unless
-    bottom ⊓ x = bottom and top ⊓ x = x for every x."""
+    bottom ⊓ x = bottom and x ⊓ top = x for every x, that is, unless
+    bottom <= x <= top in the order a <= b iff a ⊓ b = a."""
     elems = range(len(meet))
-    if any(meet[bottom][x] != bottom or meet[top][x] != x for x in elems):
+    if any(meet[bottom][x] != bottom or meet[x][top] != x for x in elems):
         raise ValueError("the designated bounds do not bound the order")
     inner = [x for x in elems if x not in (bottom, top)]
     return _ref_shared_lower(meet, inv, inner, lambda x, y: True)

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -171,6 +174,17 @@ def test_directoid_all_assignments():
     assert out.count("(6): yes") == 2  # fig4 is strict
 
 
+@pytest.mark.parametrize("argv, header", [
+    ((), "2 total, 1 checked (sampled)"),
+    (("--all-assignments", "1"), "2 total, 1 checked (sampled)"),
+    (("--all-assignments", "2"), "2 total, 2 checked\n"),
+])
+def test_directoid_sampled_only_below_the_count(argv, header):
+    code, out, _ = run("directoid", fx("fig4"), *argv)
+    assert code == 0
+    assert out.startswith(f"meet assignments of {fx('fig4')}: {header}")
+
+
 def test_directoid_plain_poset():
     code, out, _ = run("directoid", fx("fig8"))
     assert code == 0
@@ -275,3 +289,21 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_help_exits_0(capsys):
     code, _, _ = run("--help")
     assert code == 0
+
+
+def test_directoid_on_undirected_poset_is_usage_error(tmp_path):
+    path = tmp_path / "v.poset"
+    path.write_text("elements a b c\ncovers a<c\ncovers b<c\n")
+    code, out, err = run("directoid", str(path))
+    assert code == 2 and out == ""
+    assert "not downward directed" in err
+
+
+@pytest.mark.parametrize("name, exit_code", [("fig7", 0), ("fig6", 1)])
+def test_python_m_runs_the_cli(name, exit_code):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "kleene_posets", "residuate", fx(name)],
+                          capture_output=True, text=True, env=env)
+    code, out, _ = run("residuate", fx(name))
+    assert (proc.returncode, proc.stdout) == (exit_code, out) == (code, out)

@@ -193,6 +193,14 @@ def test_implication6_validates_bounds():
         d.check_implication_6("0", "b'")
 
 
+def test_implication6_reads_the_top_in_the_induced_order():
+    """x <= top means x ⊓ top = x.  In this non-commutative table every
+    top ⊓ x = x, but x1 ⊓ x2 = x0, so x2 is not a top."""
+    d = MeetDirectoid([[0, 0, 0], [0, 1, 0], [0, 1, 2]], inv=[2, 1, 0])
+    with pytest.raises(UsageError, match="do not bound"):
+        d.check_implication_6(0, 2)
+
+
 @pytest.mark.parametrize("bounds", [("zz", "1"), ("0", "zz"), (-1, 5),
                                     (0, 6), (99, 5)])
 def test_implication6_rejects_unknown_bounds(bounds):

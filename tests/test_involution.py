@@ -10,9 +10,9 @@ import itertools
 import pytest
 
 from kleene_posets import (InvolutivePoset, Poset, UsageError, classify,
-                           figure, involution_from_pairs)
+                           enumerate_posets, figure, involution_from_pairs)
 
-from oracles import RefInvolutive
+from oracles import RefInvolutive, RefPoset, ref_involutions
 
 INV_FIGS = ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig9"]
 
@@ -200,3 +200,43 @@ def test_lemma11_requires_distributive():
 def test_isomorphic_to_respects_involution():
     assert figure("fig1").isomorphic_to(figure("fig1")) is not None
     assert figure("fig1").isomorphic_to(figure("fig4")) is None
+
+
+# -- involution validity and condition (K) against the oracle ---------------
+
+def _ref_base(p):
+    return RefPoset.from_covers(list(p.labels),
+                                [(p.labels[a], p.labels[b]) for a, b in p.covers()])
+
+
+def _with_prime(base, p, perm):
+    prime = {p.labels[i]: p.labels[perm[i]] for i in range(p.n)}
+    return RefInvolutive(base.elements, base.leq_pairs, prime)
+
+
+def _labelled(p, verdict):
+    return None if verdict.ok else tuple(p.labels[i] for i in verdict.witness)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_involution_check_matches_oracle_on_every_permutation(n):
+    """Every poset with n <= 5 and every permutation of its carrier: the
+    same first non-involutive x, or first antitone failure (x, y)."""
+    for p in enumerate_posets(n):
+        base = _ref_base(p)
+        for perm in itertools.permutations(range(n)):
+            verdict = InvolutivePoset(p, perm).check_antitone_involution()
+            assert _labelled(p, verdict) == \
+                _with_prime(base, p, perm).involution_failure(), (p, perm)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pseudo_kleene_matches_oracle_on_every_antitone_involution(n):
+    """Every poset with n <= 5 and every antitone involution of it: the
+    same (K) verdict and first failing (x, y)."""
+    for p in enumerate_posets(n):
+        base = _ref_base(p)
+        for perm in ref_involutions(base):
+            ok, witness = _with_prime(base, p, perm).pseudo_kleene()
+            assert _labelled(p, InvolutivePoset(p, perm).is_pseudo_kleene()) == \
+                (None if ok else witness), (p, perm)

@@ -10,10 +10,10 @@ import itertools
 import pytest
 
 from kleene_posets import (DomainError, ResiduatedStructure, check_condition7,
-                           figure)
+                           enumerate_posets, figure)
 from kleene_posets.involution import InvolutivePoset
 
-from oracles import RefInvolutive
+from oracles import RefInvolutive, RefPoset, ref_involutions
 
 BOUNDED_FIGS = ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7"]
 
@@ -158,3 +158,78 @@ def test_requires_bounds():
 def test_requires_involutive_poset():
     with pytest.raises(DomainError):
         ResiduatedStructure(figure("fig8"))
+
+
+# -- associativity, adjointness and the case tally against the oracle ---------
+
+def _bounded_involutive(max_n):
+    """Every bounded poset with n <= max_n and every antitone involution
+    of it, with its oracle twin."""
+    for n in range(1, max_n + 1):
+        for p in enumerate_posets(n):
+            if None in p.bounds():
+                continue
+            base = RefPoset.from_covers(
+                list(p.labels), [(p.labels[a], p.labels[b]) for a, b in p.covers()])
+            for perm in ref_involutions(base):
+                prime = {p.labels[i]: p.labels[perm[i]] for i in range(n)}
+                yield (InvolutivePoset(p, perm),
+                       RefInvolutive(base.elements, base.leq_pairs, prime))
+
+
+def _as_labels(p, verdict):
+    return (True, None) if verdict.ok else \
+        (False, tuple(p.labels[i] for i in verdict.witness))
+
+
+def _assert_residuation_matches_oracle(ip, ref):
+    rep = ResiduatedStructure(ip).verify_kleene_residuated()
+    assert _as_labels(ip.base, rep.associativity) == ref.associativity()
+    assert _as_labels(ip.base, rep.adjointness) == ref.adjointness()
+    assert rep.case_counts == ref.adjointness_cases()
+
+
+def test_residuation_matches_oracle_on_small_bounded_posets():
+    """Every bounded poset with n <= 5 and every antitone involution: the
+    same first associativity and adjointness witnesses and case tally."""
+    seen = 0
+    for ip, ref in _bounded_involutive(5):
+        _assert_residuation_matches_oracle(ip, ref)
+        seen += 1
+    assert seen == 12
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig5", "fig6", "fig7"])
+def test_residuation_matches_oracle_on_figures(name):
+    ip = figure(name)
+    _assert_residuation_matches_oracle(ip, ref_of(ip))
+
+
+def test_fig6_case_counts_pinned():
+    rep = ResiduatedStructure(figure("fig6")).verify_kleene_residuated()
+    assert rep.case_counts == {1: 731, 2: 459, 3: 459, 4: 111, 5: 156, 6: 86, 7: 742}
+
+
+@pytest.mark.parametrize("x, y, value, witness, detail", [
+    ("a", "b", "1", ("a", "a", "b"),
+     "(a odot a) odot b = {0} != a odot (a odot b) = {0, a}"),
+    ("1", "0", "a", ("1", "0", "0"),
+     "(1 odot 0) odot 0 = {0} != 1 odot (0 odot 0) = {a}"),
+])
+def test_first_associativity_failure_on_an_edited_table(x, y, value, witness, detail):
+    """Associativity holds on every constructed structure (each x ⊙ y
+    holds 0, and 0 ⊙ z = {0}, so both sides are {0}).  Setting one entry
+    x ⊙ y of fig4's table to {value} breaks it; the second edit also
+    breaks commutativity, so the right side must read the row of x.
+    The first failing triple, its detail and the oracle agree."""
+    ip = figure("fig4")
+    r = ResiduatedStructure(ip)
+    odot = [list(row) for row in r._odot]
+    odot[ip.index(x)][ip.index(y)] = 1 << ip.index(value)
+    r._odot = tuple(tuple(row) for row in odot)
+    rep = r.verify_kleene_residuated()
+    table = ref_of(ip).odot_table()
+    table[(x, y)] = {value}
+    assert _as_labels(ip.base, rep.associativity) == \
+        ref_of(ip).associativity(table) == (False, witness)
+    assert rep.associativity.detail == detail

@@ -5,10 +5,12 @@ import itertools
 import pytest
 
 from kleene_posets import (DomainError, UsageError, audit_theorem61, classify,
-                           figure, twist, twist_embedding)
+                           enumerate_posets, figure, twist, twist_embedding)
 from kleene_posets.involution import InvolutivePoset
+from kleene_posets.twist import check_product_cones
 
-from oracles import RefPoset, ref_twist_carrier, ref_twist_leq
+from oracles import (RefPoset, ref_product_cone_failure, ref_twist_carrier,
+                     ref_twist_leq)
 
 
 def ref_of(p):
@@ -173,3 +175,64 @@ def test_pair_index():
     assert t.result.labels[i] == "(0,a)"
     assert t.pair_index("b", "b") is None  # L(b,b) !<= {a}
     assert t.pair_index("0", "0") is None  # {a} !<= U(0,0)
+
+
+# -- product cones against the subset-by-subset oracle ------------------------
+
+# The failure text per kind, as the oracle's (kind, A, outside) renders it.
+CONE_TEXT = {
+    "L": "L({A}) != L(p1) x U(p2) restricted to the carrier",
+    "U": "U({A}) != U(p1) x L(p2) restricted to the carrier",
+    "L-unrestricted": "L(p1(A)) x U(p2(A)) for A = {A} contains {pair}, "
+                      "which is not a member",
+    "U-unrestricted": "U(p1(A)) x L(p2(A)) for A = {A} contains {pair}, "
+                      "which is not a member",
+}
+
+
+def _assert_cones_match_oracle(q, pivot):
+    t = twist(q, pivot)
+    ref = ref_of(q)
+    for restricted in (True, False):
+        verdict = check_product_cones(t, restricted=restricted)
+        want = ref_product_cone_failure(ref, q.labels[pivot], restricted)
+        if want is None:
+            assert verdict.ok, (q, pivot, restricted)
+            continue
+        kind, subset, outside = want
+        mask = sum(1 << t.pair_index(x, y) for x, y in subset)
+        rendered = "{" + ", ".join(f"({x},{y})" for x, y in subset) + "}"
+        pair = f"({outside[0]},{outside[1]})" if outside else ""
+        assert (verdict.ok, verdict.witness, verdict.detail) == \
+            (False, (kind, mask), CONE_TEXT[kind].format(A=rendered, pair=pair))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_cones_match_oracle_at_every_pivot(n):
+    """Every poset with n <= 4 at every pivot, both readings: the same
+    first subset, kind and outside pair as the oracle.  Twists of 13
+    pairs take the singletons-and-pairs branch."""
+    for q in enumerate_posets(n):
+        for pivot in range(n):
+            _assert_cones_match_oracle(q, pivot)
+
+
+@pytest.mark.parametrize("name, pivot", [
+    ("fig1", "a'"), ("fig2", "c"), ("fig3", "a"), ("fig4", "b"),
+    ("fig5", "a"), ("fig6", "c"), ("fig7", "0"), ("fig8", "b"),
+    ("fig9", "(b,c)"),
+])
+def test_product_cones_match_oracle_on_fixture_twists(name, pivot):
+    q = figure(name)
+    q = getattr(q, "base", q)
+    _assert_cones_match_oracle(q, q.index(pivot))
+
+
+def test_fig6_unrestricted_cone_witness_pinned():
+    t = twist(figure("fig6").base, "c")
+    assert t.n == 81
+    assert check_product_cones(t, restricted=True).ok
+    v = check_product_cones(t, restricted=False)
+    assert (v.ok, v.witness, v.detail) == (
+        False, ("U-unrestricted", 1),
+        "U(p1(A)) x L(p2(A)) for A = {(0,c)} contains (0,0), which is not a member")
