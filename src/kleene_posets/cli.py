@@ -11,6 +11,7 @@ parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -423,7 +424,9 @@ def _cmd_audit(args, out):
     return 0 if report.confirmed else 1
 
 
+@functools.cache
 def _build_parser():
+    """Built once per process; ``parse_args`` leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="kleene-posets",
         description="Finite order-theory toolkit: cone calculus, completions, "

@@ -30,6 +30,7 @@ encounter.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import DomainError, UsageError
@@ -104,6 +105,15 @@ def _base_table(p):
     return table, pairs
 
 
+@functools.cache
+def _carrier(n):
+    return frozenset(range(n))
+
+
+def _all_ints(values):
+    return all(map(isinstance, values, itertools.repeat(int)))
+
+
 class MeetDirectoid:
     """A groupoid table, optionally with a unary map, on named elements."""
 
@@ -112,9 +122,12 @@ class MeetDirectoid:
     def __init__(self, meet, inv=None, labels=None):
         meet = tuple(tuple(row) for row in meet)
         n = len(meet)
-        for row in meet:
-            if len(row) != n or any(not (0 <= v < n) for v in row):
-                raise UsageError("meet table is not a total binary operation")
+        carrier = _carrier(n)
+        # Types first: a float equal to an index (1.0) passes the set
+        # test, and an unhashable entry would raise inside it.
+        if not _all_ints(itertools.chain.from_iterable(meet)) or any(
+                len(row) != n or not carrier.issuperset(row) for row in meet):
+            raise UsageError("meet table is not a total binary operation")
         if labels is None:
             labels = tuple(f"x{i}" for i in range(n))
         else:
@@ -123,7 +136,7 @@ class MeetDirectoid:
                 raise UsageError("label count does not match table size")
         if inv is not None:
             inv = tuple(inv)
-            if len(inv) != n or any(not (0 <= v < n) for v in inv):
+            if len(inv) != n or not _all_ints(inv) or not carrier.issuperset(inv):
                 raise UsageError("unary map is not total on the carrier")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "labels", labels)

@@ -13,7 +13,8 @@ Instance spaces are combinations of
   - all posets on up to ``n_bound`` elements, one representative per
     isomorphism class: its least natural labelling, generated from the
     representatives one size smaller (``_representatives``),
-  - all unary maps or all antitone involutions on each poset,
+  - all unary maps or all antitone involutions on each poset, the
+    latter built once per size (``_involutive_representatives``),
   - all meet-operation assignments, capped per poset (deterministic
     first-k sampling in canonical order; reports carry a sampled flag).
 
@@ -161,18 +162,19 @@ def enumerate_posets(n):
 def enumerate_involutions(p):
     """All antitone involutions of p, lexicographic by the map tuple."""
     n = p.n
+    down, up = p._down, p._up
     out = []
     mapping = [-1] * n
 
     def antitone_ok(x, y):
-        # check x -> y against all previously assigned points
+        # against each assigned u -> v: u <= x needs y <= v, x <= u needs v <= y
         for u in range(n):
             v = mapping[u]
             if v < 0:
                 continue
-            if p.leq(u, x) and not p.leq(y, v):
+            if (down[x] >> u) & 1 and not (up[y] >> v) & 1:
                 return False
-            if p.leq(x, u) and not p.leq(v, y):
+            if (up[x] >> u) & 1 and not (down[y] >> v) & 1:
                 return False
         return True
 
@@ -185,9 +187,8 @@ def enumerate_involutions(p):
             if y != x and mapping[y] >= 0:
                 continue
             # pair x <-> y
-            if p._down[x].bit_count() != p._up[y].bit_count():
-                continue
-            if p._up[x].bit_count() != p._down[y].bit_count():
+            if (down[x].bit_count() != up[y].bit_count()
+                    or up[x].bit_count() != down[y].bit_count()):
                 continue
             if not (antitone_ok(x, y) and (x == y or antitone_ok(y, x))):
                 continue
@@ -200,6 +201,19 @@ def enumerate_involutions(p):
 
     extend()
     return tuple(sorted(out))
+
+
+@functools.cache
+def _involutive_representatives(n):
+    """Each representative on n elements with each of its antitone
+    involutions, in that nested order, built once per size for every
+    involutive space.  Sharing them changes no result: each space yields
+    the same instances in the same order as building them per claim did,
+    posets are immutable, and all an ``InvolutivePoset`` carries from one
+    claim to the next is its own cached ``check_antitone_involution``
+    verdict, a function of its order and map alone."""
+    return tuple(InvolutivePoset(p, inv) for p in enumerate_posets(n)
+                 for inv in enumerate_involutions(p))
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +229,9 @@ def iter_directed(n_bound):
     return filter(Poset.is_downward_directed, iter_posets(n_bound))
 
 
-def _with_involutions(posets):
-    for p in posets:
-        for inv in enumerate_involutions(p):
-            yield InvolutivePoset(p, inv)
+def iter_involutive(n_bound):
+    for n in range(1, n_bound + 1):
+        yield from _involutive_representatives(n)
 
 
 def serialize_poset(p):
@@ -266,9 +279,8 @@ def _uncapped(iterate):
 
 def _involutive(description, keep):
     """Posets with an antitone involution, those failing ``keep`` dropped."""
-    def iterate(n_bound):
-        return filter(keep, _with_involutions(iter_posets(n_bound)))
-    return InstanceSpace(description, _uncapped(iterate),
+    return InstanceSpace(description,
+                         _uncapped(lambda n: filter(keep, iter_involutive(n))),
                          serialize_involutive, involutive_from_witness)
 
 
@@ -318,7 +330,7 @@ DIRECTED_ASSIGNED = _assigned(
     iter_directed, serialize_poset, poset_from_witness)
 DIRECTED_INVOLUTIVE_ASSIGNED = _assigned(
     "downward directed posets with antitone involution x assignments (capped)",
-    lambda n: _with_involutions(iter_directed(n)),
+    lambda n: (ip for ip in iter_involutive(n) if ip.base.is_downward_directed()),
     serialize_involutive, involutive_from_witness)
 
 

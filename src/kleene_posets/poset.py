@@ -400,15 +400,38 @@ class Poset:
         if form not in DISTRIBUTIVITY_FORMS:
             raise UsageError(f"unknown distributivity form {form!r}; "
                              f"expected one of {DISTRIBUTIVITY_FORMS}")
-        if form in ("LU", "ULU"):
-            inner, outer, inner_cone, cone = self._upper, self._lower, self._up, self._down
-        else:
-            inner, outer, inner_cone, cone = self._lower, self._upper, self._down, self._up
-        close_inner, close_outer = _row_closure(inner), _row_closure(outer)
+        return self._distributivity((form,))[form]
+
+    def distributivity_all_forms(self):
+        """Evaluate all four distributivity identities.  LU and ULU read
+        the same tables and closures, and so do UL and LUL; the closures
+        are functions of a mask alone, so sharing their memos is exact
+        and each verdict equals ``is_distributive(form)``."""
+        return self._distributivity(DISTRIBUTIVITY_FORMS)
+
+    def _distributivity(self, forms):
+        """The kernel of :meth:`is_distributive` for each of ``forms`` (in
+        ``DISTRIBUTIVITY_FORMS`` order), building one table pair and one
+        pair of closures per dual."""
         n = self.n
-        pair = close_outer([a & b for a in inner_cone for b in inner_cone])
-        flat = close_inner([a & b for a in cone for b in cone])
-        back = [flat[k:k + n] for k in range(0, n * n, n)]
+        duals = ((("LU", "ULU"), self._upper, self._lower, self._up, self._down),
+                 (("UL", "LUL"), self._lower, self._upper, self._down, self._up))
+        verdicts = {}
+        for dual, inner, outer, inner_cone, cone in duals:
+            wanted = [form for form in dual if form in forms]
+            if not wanted:
+                continue
+            close_inner, close_outer = _row_closure(inner), _row_closure(outer)
+            pair = close_outer([a & b for a in inner_cone for b in inner_cone])
+            flat = close_inner([a & b for a in cone for b in cone])
+            back = [flat[k:k + n] for k in range(0, n * n, n)]
+            for form in wanted:
+                verdicts[form] = self._distributivity_scan(
+                    form, pair, back, cone, close_inner, close_outer)
+        return verdicts
+
+    def _distributivity_scan(self, form, pair, back, cone, close_inner, close_outer):
+        n = self.n
         closes_lhs = form in ("ULU", "LUL")
         for x in range(n):
             back_x = back[x]
@@ -428,10 +451,6 @@ class Poset:
                               f"rhs = {Subset(self, rhs[z]).render()}")
                     return Verdict(False, (x, y, z), detail)
         return Verdict(True)
-
-    def distributivity_all_forms(self):
-        """Evaluate all four distributivity identities."""
-        return {form: self.is_distributive(form) for form in DISTRIBUTIVITY_FORMS}
 
 
 def _resolve_pairs(labels, pairs, kind):

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from kleene_posets import run_cli
+from kleene_posets.cli import _build_parser
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -289,6 +290,23 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_help_exits_0(capsys):
     code, _, _ = run("--help")
     assert code == 0
+
+
+def test_one_parser_serves_every_call(capsys):
+    """The cached parser gives each call the output a freshly built one
+    gives, whatever ran before it, and still rejects a bad argument."""
+    calls = [("check", fx("fig1"), "--json"), ("check", fx("fig1")),
+             ("directoid", fx("fig2"), "--json"), ("directoid", fx("fig2")),
+             ("check", fx("fig4"), "--nonsense"), ("check", fx("fig4"))]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(*argv))
+    parser = _build_parser()
+    assert [run(*argv) for argv in calls] == fresh
+    assert _build_parser() is parser
+    assert fresh[4][0] == 2 and fresh[5][0] == 0
+    assert fresh[0][1] != fresh[1][1] and fresh[0][1].startswith("{")
 
 
 def test_directoid_on_undirected_poset_is_usage_error(tmp_path):

@@ -185,6 +185,19 @@ def test_malformed_tables_rejected():
         MeetDirectoid([[0, 0], [0, 1]], inv=[0])
 
 
+@pytest.mark.parametrize("meet, inv", [
+    ([[0, 0], [0, 1.5]], None),
+    ([[0, 0], [0, 1]], [1, 0.5]),
+    ([[0, 0], [0, "a"]], None),
+    ([[0, 0], [0, 1.0]], None),
+    ([[0, 0], [0, [1]]], None),
+    ([[0, 0], [0, 1]], [1, "0"]),
+])
+def test_non_integer_entries_rejected(meet, inv):
+    with pytest.raises(UsageError):
+        MeetDirectoid(meet, inv=inv)
+
+
 def test_implication6_validates_bounds():
     d = assign_directoid(figure("fig1"))
     with pytest.raises(UsageError):

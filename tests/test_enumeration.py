@@ -20,12 +20,17 @@ from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            figure, iter_assignments)
 from kleene_posets import audit, claim_ids, replay_report, replay_witness
 from kleene_posets.directoid import assignment_choices
-from kleene_posets.enumeration import (ALIASES, CLAIMS, UNARY_MAPS, Claim,
-                                       _is_least, _representatives,
-                                       _unary_map_runs, involutive_from_witness,
+from kleene_posets.enumeration import (ALIASES, BOUNDED, BOUNDED_LU, CLAIMS,
+                                       CONDITION7, DIRECTED_INVOLUTIVE_ASSIGNED,
+                                       INVOLUTIVE, UNARY_MAPS, Claim,
+                                       _bounded, _bounded_lu, _condition7,
+                                       _involutive_representatives, _is_least,
+                                       _representatives, _unary_map_runs,
+                                       involutive_from_witness,
                                        isomorphic_with_pin, iter_directed,
-                                       poset_from_witness, resolve_claim,
-                                       serialize_involutive, serialize_poset)
+                                       iter_posets, poset_from_witness,
+                                       resolve_claim, serialize_involutive,
+                                       serialize_poset)
 
 from oracles import (RefPoset, count_posets_bruteforce, count_posets_vectorized,
                      ref_involutions, ref_isomorphic_with_pin,
@@ -98,11 +103,72 @@ def test_enumerated_posets_are_valid_and_distinct():
 
 def test_involution_counts_small():
     """Antitone involutions found by the package match the permutation
-    filter oracle on each enumerated 3-element poset."""
-    for p in enumerate_posets(3):
-        covers = [(p.labels[a], p.labels[b]) for a, b in p.covers()]
-        ref = RefPoset.from_covers(list(p.labels), covers)
-        assert sorted(enumerate_involutions(p)) == ref_involutions(ref)
+    filter oracle, in order, on every poset with at most 5 elements and
+    on a seeded relabelling of each."""
+    rng = random.Random(5)
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            for q in (p, _shuffled(p, rng)):
+                assert list(enumerate_involutions(q)) == ref_involutions(_ref(q))
+
+
+@pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 10)])
+def test_involutions_of_fixture_bases(name):
+    """Oracle up to 8 elements; on every fixture, valid and distinct maps
+    in lexicographic order, the fixture's own map among them, and the
+    same maps moved along a relabelling."""
+    obj = figure(name)
+    p = obj.base if isinstance(obj, InvolutivePoset) else obj
+    invs = enumerate_involutions(p)
+    assert list(invs) == sorted(set(invs))
+    assert all(InvolutivePoset(p, inv).check_antitone_involution().ok
+               for inv in invs)
+    if isinstance(obj, InvolutivePoset):
+        assert obj.inv in invs
+    if p.n <= 8:
+        assert list(invs) == ref_involutions(_ref(p))
+    perm = list(range(p.n))
+    random.Random(name).shuffle(perm)
+    moved = []
+    for inv in invs:
+        image = [None] * p.n
+        for x in range(p.n):
+            image[perm[x]] = perm[inv[x]]
+        moved.append(tuple(image))
+    assert enumerate_involutions(_moved(p, perm)) == tuple(sorted(moved))
+
+
+INVOLUTIVE_COUNTS = (1, 3, 6, 21, 51, 190)
+DIRECTED_INVOLUTIVE_COUNTS = (1, 1, 1, 3, 6, 21)
+
+
+def test_involutive_representatives_pinned():
+    reps = [_involutive_representatives(n) for n in range(1, 7)]
+    assert tuple(map(len, reps)) == INVOLUTIVE_COUNTS
+    assert sum(INVOLUTIVE_COUNTS) == 272
+    assert tuple(sum(ip.base.is_downward_directed() for ip in r)
+                 for r in reps) == DIRECTED_INVOLUTIVE_COUNTS
+    assert all(_involutive_representatives(n) is reps[n - 1]
+               for n in range(1, 7))
+
+
+def _nested_involutive(posets):
+    return [InvolutivePoset(p, inv) for p in posets
+            for inv in enumerate_involutions(p)]
+
+
+@pytest.mark.parametrize("space, keep", [
+    (INVOLUTIVE, lambda ip: True), (BOUNDED, _bounded),
+    (BOUNDED_LU, _bounded_lu), (CONDITION7, _condition7)])
+def test_involutive_spaces_walk_the_nested_loop(space, keep):
+    want = [ip for ip in _nested_involutive(iter_posets(6)) if keep(ip)]
+    assert [inst for inst, _, _ in space.sweep(6, 1)] == want
+
+
+def test_directed_involutive_space_walks_the_nested_loop():
+    want = _nested_involutive(iter_directed(6))
+    swept = DIRECTED_INVOLUTIVE_ASSIGNED.sweep(6, 1)
+    assert [source for (source, _), _, _ in swept] == want
 
 
 def test_involutions_of_figures():
@@ -390,6 +456,11 @@ def _shuffled(p, rng):
     """p with its elements moved to random indices, keeping the labels."""
     perm = list(range(p.n))
     rng.shuffle(perm)
+    return _moved(p, perm)
+
+
+def _moved(p, perm):
+    """p with element i moved to index perm[i], keeping the labels."""
     up = [0] * p.n
     for i in range(p.n):
         for j in range(p.n):

@@ -11,7 +11,9 @@ import pytest
 
 from kleene_posets import (DISTRIBUTIVITY_FORMS, Poset, UsageError,
                            enumerate_posets, figure, find_isomorphism)
+from kleene_posets.enumeration import iter_posets
 from kleene_posets.involution import InvolutivePoset
+from kleene_posets.twist import twist
 
 from oracles import RefPoset
 
@@ -227,6 +229,29 @@ def test_all_forms_agree(name):
     forms = p.distributivity_all_forms()
     assert set(forms) == set(DISTRIBUTIVITY_FORMS)
     assert len({v.ok for v in forms.values()}) == 1
+
+
+def _all_forms_cases():
+    """Every poset with n <= 6, every fixture, and every twist of a
+    fixture at any pivot with at most 13 elements."""
+    yield from iter_posets(6)
+    for name in ALL_FIGS:
+        p = base_of(figure(name))
+        yield p
+        for a in range(p.n):
+            t = twist(p, a).result.base
+            if t.n <= 13:
+                yield t
+
+
+def test_all_forms_equal_each_form_alone():
+    """Sharing tables and closures between duals changes no verdict,
+    witness or detail."""
+    cases = list(_all_forms_cases())
+    assert len(cases) == 405 + 9 + 8
+    for p in cases:
+        assert list(p.distributivity_all_forms().items()) == [
+            (form, p.is_distributive(form)) for form in DISTRIBUTIVITY_FORMS]
 
 
 def test_unknown_form_rejected():
