@@ -138,13 +138,27 @@ class MeetDirectoid:
             inv = tuple(inv)
             if len(inv) != n or not _all_ints(inv) or not carrier.issuperset(inv):
                 raise UsageError("unary map is not total on the carrier")
-        object.__setattr__(self, "n", n)
+        self._fill(meet, inv, labels, None)
+
+    def _fill(self, meet, inv, labels, masks):
+        object.__setattr__(self, "n", len(meet))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "meet", meet)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "_join", None)
         object.__setattr__(self, "_i12", None)
-        object.__setattr__(self, "_masks", None)
+        object.__setattr__(self, "_masks", masks)
+
+    def _with_map(self, inv):
+        """This table with the unary map ``inv``, sharing its cached
+        :meth:`_order` view; nothing is validated again.  The table was
+        validated when ``self`` was built.  ``inv`` must be a tuple that
+        ``InvolutivePoset`` has accepted on a poset of this table's
+        size, which runs the constructor's length, integer and range
+        checks on it."""
+        d = object.__new__(MeetDirectoid)
+        d._fill(self.meet, inv, self.labels, self._order())
+        return d
 
     def __setattr__(self, name, value):
         raise AttributeError("MeetDirectoid is immutable")

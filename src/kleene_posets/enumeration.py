@@ -34,14 +34,15 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .completion import dedekind_macneille
-from .directoid import (MeetDirectoid, assignment_choices, assignment_count,
+from .directoid import (assignment_choices, assignment_count,
                         check_derived_set_laws, check_printed_u_pair_law,
                         directoid_from_choices, iter_assignments)
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, involution_from_pairs
 from .poset import DISTRIBUTIVITY_FORMS, Poset, _bits, _isomorphism
 from .residuation import ResiduatedStructure, check_condition7
-from .twist import audit_theorem61, check_product_cones, twist
+from .twist import (_part_i, audit_theorem61, check_embedding,
+                    check_product_cones, twist)
 
 ENUMERATION_BOUND = 6
 
@@ -378,10 +379,18 @@ def _map_sweep(n_bound, cap):
     assigned table and the map is not an antitone involution, so both
     sides of every rung are False and the map is never a witness.  The
     runs keep the lexicographic order, so ``instances`` counts exactly
-    the maps a full product loop would have visited."""
+    the maps a full product loop would have visited.
+
+    The tables are the map-free ``MeetDirectoid``s that
+    ``iter_assignments(p)`` built, so each is validated once, by its own
+    constructor, however many maps it meets.  The evaluator attaches a
+    map through ``MeetDirectoid._with_map`` (see
+    ``_directoid_characterization``).  The tables, their order and the
+    runs are those of building each (table, map) pair anew, so no
+    verdict and no ``instances`` count can change."""
     for p in iter_directed(n_bound):
         sampled = assignment_count(p) > cap
-        tables = [d.meet for d in itertools.islice(iter_assignments(p), cap)]
+        tables = list(itertools.islice(iter_assignments(p), cap))
         for unary, count in _unary_map_runs(p.n):
             yield (None if unary is None else (p, unary, tables)), count, sampled
 
@@ -400,8 +409,7 @@ def _map_rebuild(witness):
     if missing:
         raise UsageError(f"unary map does not cover: {', '.join(missing)}")
     unary = tuple(p.index(unary_map[lab]) for lab in p.labels)
-    base = directoid_from_choices(p, witness["binding"]["choices"])
-    return p, unary, [base.meet]
+    return p, unary, [directoid_from_choices(p, witness["binding"]["choices"])]
 
 
 UNARY_MAPS = InstanceSpace(
@@ -612,7 +620,16 @@ _RUNGS = {
 
 def _directoid_characterization(*rungs):
     """Each rung's two sides must agree on every table; with two rungs the
-    binding names the failing one as ``part`` i or ii."""
+    binding names the failing one as ``part`` i or ii.
+
+    Every check runs once per object it covers.  The tables are
+    directoids on p's labels that the public constructor validated
+    (``iter_assignments`` in the sweep, ``directoid_from_choices`` in a
+    replay), and ``InvolutivePoset(p, unary)`` validates the map against
+    p's size with the constructor's length, integer and range checks.
+    ``_with_map`` joins the two without repeating either, so each
+    directoid has the table, map and labels the constructor would have
+    stored, and every checker reads the same values."""
     def evaluate(instance):
         p, unary, tables = instance
         # The sweep yields only involutive maps; a replayed witness can
@@ -625,7 +642,7 @@ def _directoid_characterization(*rungs):
         bounds = p.bounds() if valid else (0, 0)   # read only if (2) holds
         order_sides = [valid and _RUNGS[r][0](ip) for r in rungs]
         for table in tables:
-            d = MeetDirectoid(table, inv=unary, labels=p.labels)
+            d = table._with_map(ip.inv)
             holds = d.check_identities_1_2().ok
             directoid_sides = [holds and _RUNGS[r][1](d, bounds) for r in rungs]
             for part, order_side, directoid_side in zip(
@@ -709,14 +726,6 @@ def _roundtrip(instance):
     return None
 
 
-def _twist_part(part):
-    def evaluate(instance):
-        _, report = audit_theorem61(*instance)
-        verdict = report.part_i if part == "i" else report.part_ii
-        return None if verdict.ok else {"detail": verdict.detail}
-    return evaluate
-
-
 def _twist_kleene_agreement(instance):
     _, report = audit_theorem61(*instance)
     if report.part_iii_agree:
@@ -732,9 +741,11 @@ def _twist_kleene_agreement(instance):
     }
 
 
-def _twist_cones(restricted):
+def _twist_check(check):
+    """A claim read off the twist alone by ``check``, which returns a
+    verdict; computes only that part, not the whole Thm 6.1 audit."""
     def evaluate(instance):
-        verdict = check_product_cones(twist(*instance), restricted=restricted)
+        verdict = check(twist(*instance))
         return None if verdict.ok else {"detail": verdict.detail}
     return evaluate
 
@@ -809,19 +820,21 @@ CLAIMS = {claim_id: Claim(claim_id, *spec) for claim_id, spec in {
         DIRECTED_ASSIGNED, _roundtrip),
     "Thm-6.1-i": (
         "every twist is pseudo-Kleene with exactly the pivot pair fixed",
-        PIVOTS, _twist_part("i"), 4),
+        PIVOTS, _twist_check(lambda t: _part_i(t)[0]), 4),
     "Thm-6.1-ii": (
         "x -> (x, a) embeds the source into its twist",
-        PIVOTS, _twist_part("ii"), 4),
+        PIVOTS, _twist_check(check_embedding), 4),
     "Thm-6.1-iii": (
         "the source is distributive exactly when its twist is Kleene",
         PIVOTS, _twist_kleene_agreement, 4),
     "Twist-cone-product-restricted": (
         "twist cones equal the product cones intersected with the carrier",
-        PIVOTS, _twist_cones(True), 3),
+        PIVOTS, _twist_check(lambda t: check_product_cones(t, restricted=True)),
+        3),
     "Twist-cone-product-unrestricted": (
         "twist cones equal the unrestricted product cones",
-        PIVOTS, _twist_cones(False), 3),
+        PIVOTS, _twist_check(lambda t: check_product_cones(t, restricted=False)),
+        3),
     "Strict-implies-strong": (
         "every strict pseudo-Kleene order is strong",
         BOUNDED, _strict_implies_strong),

@@ -260,40 +260,44 @@ class TwistAuditReport:
         return self.part_i.ok and self.part_ii.ok
 
 
+def _part_i(t):
+    """Part (i) of the Thm 6.1 audit: the twist is pseudo-Kleene with
+    exactly the fixed point (a, a).  Returns the part's verdict and the
+    twist's (K) verdict, which is the involution's verdict when the swap
+    is not a valid antitone involution."""
+    r = t.result
+    inv_verdict = r.check_antitone_involution()
+    if not inv_verdict.ok:
+        part_i = Verdict(False, None, f"involution invalid: {inv_verdict.detail}")
+        return part_i, inv_verdict
+    pivot_pair = t._pair_index[(t.pivot, t.pivot)]
+    pk = r.is_pseudo_kleene()
+    fixed = r.fixed_points()
+    if not pk.ok:
+        part_i = Verdict(False, pk.witness, f"not pseudo-Kleene: {pk.detail}")
+    elif fixed.mask != 1 << pivot_pair:
+        part_i = Verdict(False, None,
+                         f"fixed points {fixed.render()} != "
+                         f"{{{r.labels[pivot_pair]}}}")
+    else:
+        part_i = Verdict(True)
+    return part_i, pk
+
+
 def audit_theorem61(q, a):
     """Audit one instance: (i) the twist is pseudo-Kleene with exactly
     the fixed point (a, a); (ii) x -> (x, a) is an order-embedding;
     (iii) record whether distributivity of Q coincides with the twist
     being a Kleene poset."""
     t = twist(q, a)
-    r = t.result
-    inv_verdict = r.check_antitone_involution()
-    pivot_pair = t._pair_index[(t.pivot, t.pivot)]
-    if not inv_verdict.ok:
-        part_i = Verdict(False, None, f"involution invalid: {inv_verdict.detail}")
-        pk = inv_verdict
-        kleene = inv_verdict
-    else:
-        pk = r.is_pseudo_kleene()
-        fixed = r.fixed_points()
-        expected = 1 << pivot_pair
-        if not pk.ok:
-            part_i = Verdict(False, pk.witness, f"not pseudo-Kleene: {pk.detail}")
-        elif fixed.mask != expected:
-            part_i = Verdict(False, None,
-                             f"fixed points {fixed.render()} != "
-                             f"{{{r.labels[pivot_pair]}}}")
-        else:
-            part_i = Verdict(True)
-        kleene = r.is_kleene()
-    part_ii = check_embedding(t)
+    part_i, pk = _part_i(t)
+    kleene = t.result.is_kleene() if t.result.check_antitone_involution().ok else pk
     q_dist = q.is_distributive("LU")
-    agree = q_dist.ok == kleene.ok
     return t, TwistAuditReport(
         part_i=part_i,
-        part_ii=part_ii,
+        part_ii=check_embedding(t),
         q_distributive=q_dist,
         twist_kleene=kleene,
         twist_pseudo_kleene=pk,
-        part_iii_agree=agree,
+        part_iii_agree=q_dist.ok == kleene.ok,
         _twist=t)

@@ -138,12 +138,21 @@ def test_AC4_full_audit_registry_within_10min():
     t0 = time.monotonic()
     expected_refuted = {"Thm-6.1-iii", "Twist-cone-product-unrestricted",
                         "U-pair-law-printed"}
+    # Instance counts at the default bounds, captured before the map
+    # claims reused their validated tables and the twist claims stopped
+    # building the whole Thm 6.1 report.
+    pinned = {cid: 2990667 for cid in ("Lem-4.1", "Thm-4.2", "Thm-4.3",
+                                       "Thm-4.8", "Thm-4.11")}
+    pinned.update({"Thm-6.1-i": 84, "Thm-6.1-ii": 84})
     verdicts = {}
     for cid in CLAIMS:
         report = audit(cid)
         verdicts[cid] = report.verdict
         if report.verdict == "Refuted":
             assert replay_report(report), cid
+        if cid in pinned:
+            assert report.instances == pinned[cid], cid
+            assert report.sampled is False, cid
     assert {cid for cid, v in verdicts.items() if v == "Refuted"} == \
         expected_refuted
     assert all(v == "Confirmed" for cid, v in verdicts.items()

@@ -268,6 +268,20 @@ def test_missing_file():
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [("check",), ("complete",), ("complete", "--dot"),
+                                  ("twist", "--at", "a"), ("residuate",),
+                                  ("directoid",), ("directoid", "--json")],
+                         ids="-".join)
+def test_non_utf8_fixture_is_usage_error(tmp_path, argv):
+    bad = tmp_path / "bad.poset"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(argv[0], str(bad), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert "codec can't decode" in err and err.count("\n") == 1
+
+
 def test_parse_error_reported():
     import tempfile, os
     with tempfile.NamedTemporaryFile("w", suffix=".poset",

@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from kleene_posets import (DomainError, MeetDirectoid, Poset, UsageError,
-                           all_assignments, assign_directoid,
+from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
+                           UsageError, all_assignments, assign_directoid,
                            assignment_choices, assignment_count,
                            check_derived_set_laws, check_printed_u_pair_law,
                            directoid_from_choices, enumerate_posets, figure,
@@ -296,17 +296,46 @@ def test_identities_match_oracles_on_directed_posets(n, cap):
     """Every directed poset of size n, every involutive map (antitone or
     not) and every assignment, or the first ``cap`` of them; each table
     also under a seeded relabelling, so that index order is not the
-    induced order and the scan order of a witness is exercised."""
+    induced order and the scan order of a witness is exercised.  The
+    directoid the map audits assemble (``_with_map`` on the validated
+    table) must read exactly as the public constructor's."""
     rng = random.Random(n)
     bound_pairs = list(itertools.product(range(n), repeat=2))
     for p in filter(Poset.is_downward_directed, enumerate_posets(n)):
-        tables = [d.meet for d in itertools.islice(iter_assignments(p), cap)]
+        tables = list(itertools.islice(iter_assignments(p), cap))
         for u in _involutions(n):
-            for table in tables:
+            for base in tables:
                 perm = list(range(n))
                 rng.shuffle(perm)
-                for d in (MeetDirectoid(table, inv=u), _relabelled(table, u, perm)):
+                public = MeetDirectoid(base.meet, inv=u)
+                assembled = base._with_map(InvolutivePoset(p, u).inv)
+                for d in (public, _relabelled(base.meet, u, perm), assembled):
                     _assert_matches_oracles(d, bound_pairs)
+                _assert_same_verdicts(assembled, public, bound_pairs)
+                assert assembled._order() is base._order()
+
+
+def _verdicts(d, bound_pairs):
+    """Every checker's (ok, witness, detail), or the error it raises."""
+    def outcome(check, *args):
+        try:
+            v = check(*args)
+        except (UsageError, DomainError) as exc:
+            return type(exc), str(exc)
+        return v if isinstance(v, Poset) else (v.ok, v.witness, v.detail)
+    checks = [(d.check_identities_1_2,), (d.check_identity_3,),
+              (d.check_implication_4,), (d.check_implication_5,),
+              (d.induced_poset,)]
+    checks += [(d.check_implication_6, b, t) for b, t in bound_pairs]
+    return [outcome(*c) for c in checks]
+
+
+def _assert_same_verdicts(assembled, public, bound_pairs):
+    """The (table, map) directoid an audit assembles from a validated
+    table and a validated map reads exactly as the public constructor's."""
+    assert (assembled.n, assembled.labels, assembled.meet, assembled.inv) == \
+        (public.n, public.labels, public.meet, public.inv)
+    assert _verdicts(assembled, bound_pairs) == _verdicts(public, bound_pairs)
 
 
 @pytest.mark.parametrize("name", SMALL_FIGS + ["fig6", "fig7"])

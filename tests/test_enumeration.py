@@ -398,8 +398,7 @@ def test_refuted_map_claim_counts_every_map_up_to_the_witness():
         p, unary, tables = instance
         if unary != target:
             return None
-        d = MeetDirectoid(tables[0], inv=unary, labels=p.labels)
-        return {"choices": assignment_choices(d, p)}
+        return {"choices": assignment_choices(tables[0], p)}
 
     claim = Claim("Synthetic", "refuted at one map", UNARY_MAPS, evaluate, 3)
     loop = [(p, u) for p in iter_directed(3)

@@ -1,16 +1,21 @@
 """The twist construction over a pivot, checked against the pair oracle."""
 
+import importlib
 import itertools
 
 import pytest
 
 from kleene_posets import (DomainError, UsageError, audit_theorem61, classify,
                            enumerate_posets, figure, twist, twist_embedding)
+from kleene_posets.enumeration import CLAIMS
 from kleene_posets.involution import InvolutivePoset
-from kleene_posets.twist import check_product_cones
+from kleene_posets.twist import _part_i, check_embedding, check_product_cones
 
 from oracles import (RefPoset, ref_product_cone_failure, ref_twist_carrier,
                      ref_twist_leq)
+
+# The package attribute ``twist`` is the function, not this module.
+twist_module = importlib.import_module("kleene_posets.twist")
 
 
 def ref_of(p):
@@ -236,3 +241,69 @@ def test_fig6_unrestricted_cone_witness_pinned():
     assert (v.ok, v.witness, v.detail) == (
         False, ("U-unrestricted", 1),
         "U(p1(A)) x L(p2(A)) for A = {(0,c)} contains (0,0), which is not a member")
+
+
+# -- the part-only Thm 6.1 evaluators against the full audit -------------------
+
+def _triple(verdict):
+    return verdict.ok, verdict.witness, verdict.detail
+
+
+def _assert_parts_match_audit(q, pivot):
+    """``_part_i`` and ``check_embedding`` on the twist, and the two claim
+    evaluators on the instance, equal the parts of ``audit_theorem61``."""
+    _, report = audit_theorem61(q, pivot)
+    t = twist_module.twist(q, pivot)
+    assert _triple(_part_i(t)[0]) == _triple(report.part_i)
+    assert _triple(check_embedding(t)) == _triple(report.part_ii)
+    for cid, want in (("Thm-6.1-i", report.part_i), ("Thm-6.1-ii", report.part_ii)):
+        binding = CLAIMS[cid].evaluate((q, pivot))
+        assert binding == (None if want.ok else {"detail": want.detail})
+    return report
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_part_only_evaluators_match_the_full_audit(n):
+    for q in enumerate_posets(n):
+        for pivot in range(n):
+            _assert_parts_match_audit(q, pivot)
+
+
+def test_part_only_evaluators_match_the_full_audit_when_parts_fail(monkeypatch):
+    """No real twist fails part (i) or (ii), so the failing branches are
+    reached through doctored twists of the 2-antichain at x0: its three
+    pairs under every labelled order, with the swap, the identity or a
+    swap that fixes another pair as the map.  The first failure of each
+    kind was captured from the full audit before part (i) was factored
+    out."""
+    from kleene_posets import Poset
+    from kleene_posets.twist import TwistPoset
+    enumeration = importlib.import_module("kleene_posets.enumeration")
+    q = Poset.from_covers(["x0", "x1"], [])
+    real = twist(q, "x0")
+    first = {}
+    for up in itertools.product(range(1, 8), repeat=3):
+        try:
+            order = Poset(real.result.labels, up)
+        except UsageError:
+            continue
+        for inv in (real.result.inv, (0, 1, 2), (1, 0, 2)):
+            doctored = TwistPoset(q, real.pivot, real.pairs, InvolutivePoset(order, inv))
+            for module in (twist_module, enumeration):
+                monkeypatch.setattr(module, "twist", lambda *_: doctored)
+            report = _assert_parts_match_audit(q, 0)
+            for part, v in (("i", report.part_i), ("ii", report.part_ii)):
+                if not v.ok:
+                    first.setdefault((part, v.detail.split(" ")[0]), (up, inv, _triple(v)))
+    assert first == {
+        ("i", "not"): ((1, 2, 4), (0, 1, 2), (
+            False, (0, 1), "not pseudo-Kleene: L((x0,x0),(x0,x0)') = {(x0,x0)} "
+            "!<= {(x0,x1)} = U((x0,x1),(x0,x1)')")),
+        ("i", "fixed"): ((1, 2, 4), (1, 0, 2), (
+            False, None, "fixed points {(x1,x0)} != {(x0,x0)}")),
+        ("i", "involution"): ((1, 2, 5), (0, 2, 1), (
+            False, None, "involution invalid: not antitone: (x1,x0) <= (x0,x0) "
+            "but (x0,x0)' = (x0,x0) !<= (x0,x1) = (x1,x0)'")),
+        ("ii", "order"): ((1, 2, 5), (0, 2, 1), (
+            False, (1, 0), "order not preserved/reflected at (x1, x0)")),
+    }
