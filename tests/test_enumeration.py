@@ -426,6 +426,7 @@ def test_twist_audits_never_check_product_cones(monkeypatch):
                             "check_product_cones", forbidden)
     for cid in ("Thm-6.1-i", "Thm-6.1-ii"):
         assert audit(cid, n_bound=3).confirmed
+    assert len(audit("Thm-6.1-iii", n_bound=3, collect_all=True).witnesses) == 6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -9,7 +9,8 @@ from kleene_posets import (DomainError, UsageError, audit_theorem61, classify,
                            enumerate_posets, figure, twist, twist_embedding)
 from kleene_posets.enumeration import CLAIMS
 from kleene_posets.involution import InvolutivePoset
-from kleene_posets.twist import _part_i, check_embedding, check_product_cones
+from kleene_posets.twist import (_part_i, _twist_kleene, check_embedding,
+                                 check_product_cones)
 
 from oracles import (RefPoset, ref_product_cone_failure, ref_twist_carrier,
                      ref_twist_leq)
@@ -23,25 +24,60 @@ def ref_of(p):
     return RefPoset.from_covers(list(p.labels), covers)
 
 
-def test_carrier_matches_oracle_fig8():
-    q = figure("fig8")
-    t = twist(q, "a")
+# One pivot per fixture; the cone tests below add fig7's two largest twists.
+FIXTURE_PIVOTS = [
+    ("fig1", "a'"), ("fig2", "c"), ("fig3", "a"), ("fig4", "b"),
+    ("fig5", "a"), ("fig6", "c"), ("fig7", "0"), ("fig8", "b"),
+    ("fig9", "(b,c)"),
+]
+
+
+def _plain(name):
+    q = figure(name)
+    return getattr(q, "base", q)
+
+
+def _assert_carrier_matches_oracle(q, pivot):
+    t = twist(q, pivot)
+    want = ref_twist_carrier(ref_of(q), q.labels[t.pivot])
+    assert {(q.labels[x], q.labels[y]) for x, y in t.pairs} == set(want)
+    assert set(t.result.labels) == {f"({x},{y})" for x, y in want}
+    return t
+
+
+def _assert_order_matches_oracle(q, pivot):
+    """The construction and the cone check share the coordinate masks, so
+    this pair-by-pair oracle is what guards the construction."""
+    t = twist(q, pivot)
     ref = ref_of(q)
-    want = {f"({x},{y})" for x, y in ref_twist_carrier(ref, "a")}
-    assert set(t.result.labels) == want
+    pairs = [(q.labels[x], q.labels[y]) for x, y in t.pairs]
+    r = t.result.base
+    for (i, a), (j, b) in itertools.product(enumerate(pairs), repeat=2):
+        assert r.leq(i, j) == ref_twist_leq(ref, a, b), (q, pivot, a, b)
+
+
+def test_carrier_matches_oracle_fig8():
+    t = _assert_carrier_matches_oracle(figure("fig8"), "a")
     assert t.n == 13
 
 
 def test_order_matches_oracle_fig8():
-    q = figure("fig8")
-    t = twist(q, "a")
-    ref = ref_of(q)
-    pairs = {lbl: pair for lbl, pair in
-             zip(t.result.labels,
-                 [tuple(l[1:-1].split(",")) for l in t.result.labels])}
-    r = t.result.base
-    for la, lb in itertools.product(t.result.labels, repeat=2):
-        assert r.leq(la, lb) == ref_twist_leq(ref, pairs[la], pairs[lb])
+    _assert_order_matches_oracle(figure("fig8"), "a")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_carrier_and_order_match_oracle_at_every_pivot(n):
+    for q in enumerate_posets(n):
+        for pivot in range(n):
+            _assert_carrier_matches_oracle(q, pivot)
+            _assert_order_matches_oracle(q, pivot)
+
+
+@pytest.mark.parametrize("name, pivot", FIXTURE_PIVOTS)
+def test_carrier_and_order_match_oracle_on_fixture_twists(name, pivot):
+    q = _plain(name)
+    _assert_carrier_matches_oracle(q, pivot)
+    _assert_order_matches_oracle(q, pivot)
 
 
 @pytest.mark.parametrize("pivot", ["0", "a", "b", "c"])
@@ -79,6 +115,21 @@ def test_embedding_is_order_embedding():
     r = t.result
     for x, y in itertools.product(range(q.n), repeat=2):
         assert q.leq(x, y) == r.leq(emb[x], emb[y])
+
+
+def test_embedding_failure_witness_is_row_major_first():
+    """The twist of a 3-chain doctored to the discrete order: every
+    x < y breaks the embedding, and the first in row-major order is
+    (x0, x1), not (x0, x2)."""
+    from kleene_posets import Poset
+    from kleene_posets.twist import TwistPoset
+    q = Poset.from_covers(["x0", "x1", "x2"], [("x0", "x1"), ("x1", "x2")])
+    t = twist(q, "x1")
+    discrete = Poset(t.result.labels, [1 << k for k in range(t.n)])
+    doctored = TwistPoset(q, t.pivot, t.pairs, InvolutivePoset(discrete, t.result.inv))
+    v = check_embedding(doctored)
+    assert (v.ok, v.witness, v.detail) == (
+        False, (0, 1), "order not preserved/reflected at (x0, x1)")
 
 
 def test_involution_swaps_components():
@@ -215,21 +266,18 @@ def _assert_cones_match_oracle(q, pivot):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_product_cones_match_oracle_at_every_pivot(n):
     """Every poset with n <= 4 at every pivot, both readings: the same
-    first subset, kind and outside pair as the oracle.  Twists of 13
-    pairs take the singletons-and-pairs branch."""
+    first subset, kind and outside pair as the oracle, which walks every
+    subset of a carrier of at most 12 pairs."""
     for q in enumerate_posets(n):
         for pivot in range(n):
             _assert_cones_match_oracle(q, pivot)
 
 
-@pytest.mark.parametrize("name, pivot", [
-    ("fig1", "a'"), ("fig2", "c"), ("fig3", "a"), ("fig4", "b"),
-    ("fig5", "a"), ("fig6", "c"), ("fig7", "0"), ("fig8", "b"),
-    ("fig9", "(b,c)"),
+@pytest.mark.parametrize("name, pivot", FIXTURE_PIVOTS + [
+    ("fig7", "a"), ("fig7", "f"),
 ])
 def test_product_cones_match_oracle_on_fixture_twists(name, pivot):
-    q = figure(name)
-    q = getattr(q, "base", q)
+    q = _plain(name)
     _assert_cones_match_oracle(q, q.index(pivot))
 
 
@@ -256,9 +304,17 @@ def _assert_parts_match_audit(q, pivot):
     t = twist_module.twist(q, pivot)
     assert _triple(_part_i(t)[0]) == _triple(report.part_i)
     assert _triple(check_embedding(t)) == _triple(report.part_ii)
+    assert _triple(_twist_kleene(t)) == _triple(report.twist_kleene)
     for cid, want in (("Thm-6.1-i", report.part_i), ("Thm-6.1-ii", report.part_ii)):
         binding = CLAIMS[cid].evaluate((q, pivot))
         assert binding == (None if want.ok else {"detail": want.detail})
+    binding = CLAIMS["Thm-6.1-iii"].evaluate((q, pivot))
+    if report.part_iii_agree:
+        assert binding is None
+    else:
+        assert binding["source_distributive"] == report.q_distributive.ok
+        assert binding["twist_kleene"] == report.twist_kleene.ok
+        assert binding["detail"].endswith(report.twist_kleene.detail or "")
     return report
 
 
@@ -275,13 +331,14 @@ def test_part_only_evaluators_match_the_full_audit_when_parts_fail(monkeypatch):
     pairs under every labelled order, with the swap, the identity or a
     swap that fixes another pair as the map.  The first failure of each
     kind was captured from the full audit before part (i) was factored
-    out."""
+    out, and the first (K) failure of each kind before (K) got its own
+    helper: an invalid swap reports the involution's verdict."""
     from kleene_posets import Poset
     from kleene_posets.twist import TwistPoset
     enumeration = importlib.import_module("kleene_posets.enumeration")
     q = Poset.from_covers(["x0", "x1"], [])
     real = twist(q, "x0")
-    first = {}
+    first, kleene = {}, {}
     for up in itertools.product(range(1, 8), repeat=3):
         try:
             order = Poset(real.result.labels, up)
@@ -295,6 +352,9 @@ def test_part_only_evaluators_match_the_full_audit_when_parts_fail(monkeypatch):
             for part, v in (("i", report.part_i), ("ii", report.part_ii)):
                 if not v.ok:
                     first.setdefault((part, v.detail.split(" ")[0]), (up, inv, _triple(v)))
+            v = report.twist_kleene
+            if not v.ok:
+                kleene.setdefault(v.detail.split(":")[0], (up, inv, _triple(v)))
     assert first == {
         ("i", "not"): ((1, 2, 4), (0, 1, 2), (
             False, (0, 1), "not pseudo-Kleene: L((x0,x0),(x0,x0)') = {(x0,x0)} "
@@ -306,4 +366,15 @@ def test_part_only_evaluators_match_the_full_audit_when_parts_fail(monkeypatch):
             "but (x0,x0)' = (x0,x0) !<= (x0,x1) = (x1,x0)'")),
         ("ii", "order"): ((1, 2, 5), (0, 2, 1), (
             False, (1, 0), "order not preserved/reflected at (x1, x0)")),
+    }
+    assert kleene == {
+        "not distributive": ((1, 2, 4), (0, 2, 1), (
+            False, (0, 1, 2), "not distributive: form LU fails at "
+            "((x0,x0), (x0,x1), (x1,x0)): lhs = {(x1,x0)}, rhs = {}")),
+        "not pseudo-Kleene": ((1, 2, 4), (0, 1, 2), (
+            False, (0, 1), "not pseudo-Kleene: L((x0,x0),(x0,x0)') = {(x0,x0)} "
+            "!<= {(x0,x1)} = U((x0,x1),(x0,x1)')")),
+        "not antitone": ((1, 2, 5), (0, 2, 1), (
+            False, (2, 0), "not antitone: (x1,x0) <= (x0,x0) but "
+            "(x0,x0)' = (x0,x0) !<= (x0,x1) = (x1,x0)'")),
     }
