@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -25,7 +26,6 @@ from .involution import InvolutivePoset, classify
 from .poset import DISTRIBUTIVITY_FORMS, Poset
 from .residuation import ResiduatedStructure, check_condition7
 from .twist import audit_theorem61
-import itertools
 
 
 def _verdict_json(v):

@@ -18,8 +18,9 @@ Instance spaces are combinations of
   - all meet-operation assignments, capped per poset (deterministic
     first-k sampling in canonical order; reports carry a sampled flag).
 
-The unary-map space builds only the involutive maps (x'' = x) and counts
-every other map in runs without evaluating it (``_map_sweep`` gives the
+The map spaces build only some maps (every involution for Lem-4.1, the
+antitone involutions for the four characterisations) and count every
+other map in runs without evaluating it (``_map_space`` gives the
 argument); verdicts, witnesses and instance counts are those of the full
 n^n sweep, and the five directoid claims default to n =
 ``ENUMERATION_BOUND``.
@@ -211,9 +212,12 @@ def _involutive_representatives(n):
     involutive space.  Sharing them changes no result: each space yields
     the same instances in the same order as building them per claim did,
     posets are immutable, and all an ``InvolutivePoset`` carries from one
-    claim to the next is its own cached ``check_antitone_involution``
-    verdict, a function of its order and map alone."""
-    return tuple(InvolutivePoset(p, inv) for p in enumerate_posets(n)
+    claim to the next is its ``check_antitone_involution`` verdict, a
+    function of its order and map alone.  That verdict is recorded as
+    valid when the representative is built, since every map comes from
+    ``enumerate_involutions``; so no claim pays for checking it, whatever
+    claim runs first."""
+    return tuple(InvolutivePoset._antitone(p, inv) for p in enumerate_posets(n)
                  for inv in enumerate_involutions(p))
 
 
@@ -264,7 +268,7 @@ def involutive_from_witness(doc):
 class InstanceSpace:
     """``sweep(n_bound, cap)`` yields ``(instance, count, sampled)`` in
     canonical order: one instance with count 1, or ``None`` for a run of
-    ``count`` instances settled without evaluation (see ``_map_sweep``).
+    ``count`` instances settled without evaluation (see ``_map_space``).
     ``capped`` if it cuts assignments at ``cap``; ``serialize`` and
     ``rebuild`` turn an instance into witness fields and back."""
     description: str
@@ -336,63 +340,58 @@ DIRECTED_INVOLUTIVE_ASSIGNED = _assigned(
 
 
 @functools.cache
-def _unary_map_runs(n):
-    """All n^n maps of ``range(n)`` in lexicographic order as ``(map,
-    count)`` items: each involution u (u(u(x)) = x) is its own item with
-    count 1, and each maximal run of non-involutive maps between them
-    (and after the last) is one ``(None, length)`` item.  The involutions
-    are built as matchings with fixed points; a map's position in the
-    order is its rank sum(u[i] * n^(n-1-i))."""
-    def matchings(u, free):
-        # Every entry before the lowest free point is settled, and that
-        # point's partner is tried in increasing order, so the maps come
-        # out in lexicographic order.
-        if not free:
-            yield tuple(u)
-            return
-        i = free[0]
-        for j in free:
-            u[i], u[j] = j, i
-            yield from matchings(u, [k for k in free if k != i and k != j])
-
-    items = []
-    next_rank = 0
-    for u in matchings([0] * n, list(range(n))):
-        rank = 0
-        for v in u:
-            rank = rank * n + v
-        if rank > next_rank:
-            items.append((None, rank - next_rank))
-        items.append((u, 1))
-        next_rank = rank + 1
-    if n ** n > next_rank:
-        items.append((None, n ** n - next_rank))
-    return tuple(items)
+def _involutions(n):
+    """Every involution of ``range(n)`` in lexicographic order: the
+    antitone involutions of the n-element antichain, where every map is
+    antitone."""
+    return enumerate_involutions(Poset(_labels(n), [1 << i for i in range(n)],
+                                       _validated=True))
 
 
-def _map_sweep(n_bound, cap):
-    """Every unary map on each directed poset, sharing its capped tables.
+def _map_space(maps):
+    """Every unary map on each directed poset p, of which only ``maps(p)``
+    (in lexicographic order) are built and evaluated, on p's capped
+    tables.  Each such map is one item with count 1; each gap before,
+    between and after them is one ``(None, gap)`` run, a map's position
+    being its rank sum(u[i] * n^(n-1-i)).  So ``instances`` counts exactly
+    the n^n maps per poset that a full product loop would visit.
 
-    Only the involutive maps are built; each run of non-involutive maps
-    is one item that counts its length and carries no instance.  This
-    cannot change a verdict: without x'' = x, identity (1) fails in every
-    assigned table and the map is not an antitone involution, so both
-    sides of every rung are False and the map is never a witness.  The
-    runs keep the lexicographic order, so ``instances`` counts exactly
-    the maps a full product loop would have visited.
+    A skipped map cannot change a verdict if it is not an antitone
+    involution of p: then (1)/(2) fail in every table, so both sides of
+    every rung are False.  Every table ``_base_table`` fills is
+    symmetric, has a ⊓ b = a whenever a <= b, and holds a common lower
+    bound of x and y at (x, y).  Write x' for u(x).  Without x'' = x, (1)
+    fails.  For an involution u and a <= b, (a ⊓ b)' ⊓ b' = a' ⊓ b' is a
+    lower bound of a', so it equals b' only if b' <= a': (2) fails unless
+    u is antitone.  If u is antitone, each m = x ⊓ y is <= y, so
+    y' <= m' and m' ⊓ y' = y': (2) holds.  So (1)/(2) hold in a table
+    exactly when u is an antitone involution of p.  That is Lemma 4.1
+    itself, so ``UNARY_MAPS`` (Lem-4.1) evaluates every involution of
+    ``range(n)`` on every table, and ``ANTITONE_MAPS`` (the four
+    characterisations) only the antitone ones, at the bounds Lem-4.1
+    confirms.
 
     The tables are the map-free ``MeetDirectoid``s that
-    ``iter_assignments(p)`` built, so each is validated once, by its own
-    constructor, however many maps it meets.  The evaluator attaches a
-    map through ``MeetDirectoid._with_map`` (see
-    ``_directoid_characterization``).  The tables, their order and the
-    runs are those of building each (table, map) pair anew, so no
-    verdict and no ``instances`` count can change."""
-    for p in iter_directed(n_bound):
-        sampled = assignment_count(p) > cap
-        tables = list(itertools.islice(iter_assignments(p), cap))
-        for unary, count in _unary_map_runs(p.n):
-            yield (None if unary is None else (p, unary, tables)), count, sampled
+    ``iter_assignments(p)`` built, each validated once by its own
+    constructor; the evaluator attaches a map through
+    ``MeetDirectoid._with_map`` (see ``_directoid_characterization``)."""
+    def sweep(n_bound, cap):
+        for p in iter_directed(n_bound):
+            n, sampled = p.n, assignment_count(p) > cap
+            chosen = maps(p)
+            tables = list(itertools.islice(iter_assignments(p), cap)) if chosen else []
+            next_rank = 0
+            for unary in chosen:
+                rank = functools.reduce(lambda r, v: r * n + v, unary, 0)
+                if rank > next_rank:
+                    yield None, rank - next_rank, sampled
+                yield (p, unary, tables), 1, sampled
+                next_rank = rank + 1
+            if n ** n > next_rank:
+                yield None, n ** n - next_rank, sampled
+    return InstanceSpace(
+        "downward directed posets x all unary maps x assignments (capped)",
+        sweep, _map_serialize, _map_rebuild, capped=True)
 
 
 def _map_serialize(instance):
@@ -412,9 +411,8 @@ def _map_rebuild(witness):
     return p, unary, [directoid_from_choices(p, witness["binding"]["choices"])]
 
 
-UNARY_MAPS = InstanceSpace(
-    "downward directed posets x all unary maps x assignments (capped)",
-    _map_sweep, _map_serialize, _map_rebuild, capped=True)
+UNARY_MAPS = _map_space(lambda p: _involutions(p.n))
+ANTITONE_MAPS = _map_space(enumerate_involutions)
 
 
 def _pivot_serialize(instance):
@@ -554,22 +552,14 @@ def _forms_equivalent(p):
 
 
 def _lem11(ip):
+    """Every pair with a <= b and L(b, a') one element: in a bounded order
+    that element is 0, and ``lemma11_holds`` refuses an unbounded or
+    non-distributive instance with a ``DomainError``."""
     p = ip.base
-    bottom, top = ip.bounds()
-    zero = 1 << bottom
-    one = 1 << top
-    for a in range(p.n):
-        for b in range(p.n):
-            if not p.leq(a, b):
-                continue
-            if p._down[b] & p._down[ip.inv[a]] != zero:
-                continue
-            la = p._down[a] & p._down[ip.inv[a]]
-            lb = p._down[b] & p._down[ip.inv[b]]
-            ua = p._up[a] & p._up[ip.inv[a]]
-            ub = p._up[b] & p._up[ip.inv[b]]
-            if not (la == zero and lb == zero and ua == one and ub == one):
-                return {"a": p.labels[a], "b": p.labels[b]}
+    for a, b in itertools.product(range(p.n), repeat=2):
+        if (p.leq(a, b) and (p._down[b] & p._down[ip.inv[a]]).bit_count() == 1
+                and not ip.lemma11_holds(a, b).ok):
+            return {"a": p.labels[a], "b": p.labels[b]}
     return None
 
 
@@ -620,7 +610,9 @@ _RUNGS = {
 
 def _directoid_characterization(*rungs):
     """Each rung's two sides must agree on every table; with two rungs the
-    binding names the failing one as ``part`` i or ii.
+    binding names the failing one as ``part`` i or ii.  Lem-4.1 runs on
+    every involution, the rest only on antitone ones (``_map_space``
+    says why skipping the others is exact).
 
     Every check runs once per object it covers.  The tables are
     directoids on p's labels that the public constructor validated
@@ -632,8 +624,8 @@ def _directoid_characterization(*rungs):
     stored, and every checker reads the same values."""
     def evaluate(instance):
         p, unary, tables = instance
-        # The sweep yields only involutive maps; a replayed witness can
-        # carry any map, and without x'' = x both sides are False.
+        # A replayed witness can carry any map; without x'' = x both
+        # sides are False (see ``_map_space``).
         if any(unary[unary[x]] != x for x in range(p.n)):
             return None
         ip = InvolutivePoset(p, unary)
@@ -779,12 +771,12 @@ CLAIMS = {claim_id: Claim(claim_id, *spec) for claim_id, spec in {
         ENUMERATION_BOUND),
     "Thm-4.2": (
         "identities (1)-(3) characterize the pseudo-Kleene property",
-        UNARY_MAPS, _directoid_characterization("pk"),
+        ANTITONE_MAPS, _directoid_characterization("pk"),
         ENUMERATION_BOUND),
     "Thm-4.3": (
         "identities (1)-(3) plus implication (4) characterize the Kleene "
         "property",
-        UNARY_MAPS, _directoid_characterization("kleene"),
+        ANTITONE_MAPS, _directoid_characterization("kleene"),
         ENUMERATION_BOUND),
     "Lem-4.6": (
         "every strong pseudo-Kleene order is pseudo-Kleene",
@@ -792,12 +784,12 @@ CLAIMS = {claim_id: Claim(claim_id, *spec) for claim_id, spec in {
     "Thm-4.8": (
         "identities (1), (2) plus implication (5) characterize the strong "
         "pseudo-Kleene property",
-        UNARY_MAPS, _directoid_characterization("strong"),
+        ANTITONE_MAPS, _directoid_characterization("strong"),
         ENUMERATION_BOUND),
     "Thm-4.11": (
         "identities (1), (2) plus implication (6) characterize strictness, "
         "and adding implication (4) characterizes strict Kleene",
-        UNARY_MAPS, _directoid_characterization("strict", "strict-kleene"),
+        ANTITONE_MAPS, _directoid_characterization("strict", "strict-kleene"),
         ENUMERATION_BOUND),
     "Thm-5.2": (
         "on a bounded strict Kleene order where nonzero pairs have nonzero "

@@ -59,6 +59,15 @@ class InvolutivePoset:
         raise AttributeError("InvolutivePoset is immutable")
 
     @classmethod
+    def _antitone(cls, base, inv):
+        """``cls(base, inv)`` for a map already known to be an antitone
+        involution of ``base`` (one of :func:`enumerate_involutions`): its
+        verdict is recorded rather than checked again."""
+        ip = cls(base, inv)
+        object.__setattr__(ip, "_involution_verdict", Verdict(True))
+        return ip
+
+    @classmethod
     def from_covers(cls, labels, covers, involution_pairs):
         base = Poset.from_covers(labels, covers)
         return cls(base, involution_from_pairs(base.labels, involution_pairs))

@@ -122,7 +122,8 @@ class Subset:
 class Poset:
     """A finite partially ordered set with named elements."""
 
-    __slots__ = ("labels", "n", "_up", "_down", "_index", "_full")
+    __slots__ = ("labels", "n", "_up", "_down", "_index", "_full",
+                 "_distributivity_verdicts")
 
     def __init__(self, labels, up_masks, *, _validated=False):
         labels = tuple(labels)
@@ -148,6 +149,7 @@ class Poset:
         object.__setattr__(self, "_down", tuple(down))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(labels)})
         object.__setattr__(self, "_full", full)
+        object.__setattr__(self, "_distributivity_verdicts", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Poset is immutable")
@@ -393,7 +395,11 @@ class Poset:
         is cone[x] (x is the least element of U(x), dually) and
         outer(inner(outer(A))) = outer(A), so both sides of (x, x, z)
         are outer(x,z) for LU and UL, and back[x][z] for ULU and LUL.
-        Scanning y > x therefore finds the first failing triple.  For
+        Nor are x and y comparable.  Say inner(y) is inside inner(x), so
+        outer(x) is inside outer(y).  Then pair[x][y] = outer(inner(y)) =
+        cone[y], and back[x][z] contains back[y][z], so the sides of
+        (x, y, z) are those of (y, y, z).  Scanning the y > x
+        incomparable to x therefore finds the first failing triple.  For
         each such pair the sides are compared as rows over z, and the
         closures are memoised by mask for the whole call.
         """
@@ -412,13 +418,15 @@ class Poset:
     def _distributivity(self, forms):
         """The kernel of :meth:`is_distributive` for each of ``forms`` (in
         ``DISTRIBUTIVITY_FORMS`` order), building one table pair and one
-        pair of closures per dual."""
+        pair of closures per dual.  A verdict is a function of the order
+        alone and the poset is immutable, so each form's verdict is
+        memoised on it and scanned at most once."""
         n = self.n
+        memo = self._distributivity_verdicts
         duals = ((("LU", "ULU"), self._upper, self._lower, self._up, self._down),
                  (("UL", "LUL"), self._lower, self._upper, self._down, self._up))
-        verdicts = {}
         for dual, inner, outer, inner_cone, cone in duals:
-            wanted = [form for form in dual if form in forms]
+            wanted = [form for form in dual if form in forms and form not in memo]
             if not wanted:
                 continue
             close_inner, close_outer = _row_closure(inner), _row_closure(outer)
@@ -426,16 +434,17 @@ class Poset:
             flat = close_inner([a & b for a in cone for b in cone])
             back = [flat[k:k + n] for k in range(0, n * n, n)]
             for form in wanted:
-                verdicts[form] = self._distributivity_scan(
+                memo[form] = self._distributivity_scan(
                     form, pair, back, cone, close_inner, close_outer)
-        return verdicts
+        return {form: memo[form] for form in forms}
 
     def _distributivity_scan(self, form, pair, back, cone, close_inner, close_outer):
         n = self.n
         closes_lhs = form in ("ULU", "LUL")
+        up, down = self._up, self._down
         for x in range(n):
             back_x = back[x]
-            for y in range(x + 1, n):
+            for y in _bits(self._full >> (x + 1) << (x + 1) & ~(up[x] | down[x])):
                 pxy = pair[x * n + y]
                 lhs = [pxy & c for c in cone]
                 rhs = list(map(and_, back_x, back[y]))

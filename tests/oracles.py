@@ -84,25 +84,23 @@ class RefPoset:
         - UL:  U(L(x,y), z)    = U(L(U(x,z), U(y,z)))
         - LUL: L(U(L(x,y), z)) = L(U(x,z), U(y,z))
         """
-        L, U = self.lower, self.upper
         for x, y, z in itertools.product(self.elements, repeat=3):
-            if form == "LU":
-                lhs = L(U([x, y]) | {z})
-                rhs = L(U(L([x, z]) | L([y, z])))
-            elif form == "ULU":
-                lhs = U(L(U([x, y]) | {z}))
-                rhs = U(L([x, z]) | L([y, z]))
-            elif form == "UL":
-                lhs = U(L([x, y]) | {z})
-                rhs = U(L(U([x, z]) | U([y, z])))
-            elif form == "LUL":
-                lhs = L(U(L([x, y]) | {z}))
-                rhs = L(U([x, z]) | U([y, z]))
-            else:
-                raise ValueError(form)
-            if lhs != rhs:
+            if not self.distributive_at(form, x, y, z):
                 return False, (x, y, z)
         return True, None
+
+    def distributive_at(self, form, x, y, z):
+        """Does ``form`` hold at the triple (x, y, z)?"""
+        L, U = self.lower, self.upper
+        if form == "LU":
+            return L(U([x, y]) | {z}) == L(U(L([x, z]) | L([y, z])))
+        if form == "ULU":
+            return U(L(U([x, y]) | {z})) == U(L([x, z]) | L([y, z]))
+        if form == "UL":
+            return U(L([x, y]) | {z}) == U(L(U([x, z]) | U([y, z])))
+        if form == "LUL":
+            return L(U(L([x, y]) | {z})) == L(U([x, z]) | U([y, z]))
+        raise ValueError(form)
 
 
 class RefInvolutive(RefPoset):
@@ -547,3 +545,41 @@ def ref_implication_6(meet, inv, bottom, top):
         raise ValueError("the designated bounds do not bound the order")
     inner = [x for x in elems if x not in (bottom, top)]
     return _ref_shared_lower(meet, inv, inner, lambda x, y: True)
+
+
+def ref_derived_set_laws(meet, inv, leq):
+    """The derived-set laws of a table against the order ``leq`` (a set
+    of pairs (a, b) meaning a <= b): L(x), U(x) for each x, then L(x,y),
+    U(x,y) for each (x, y), then the comparable / cone / duality laws for
+    each (x, y); the first failing tag, as ``(law, x)`` or
+    ``(law, x, y)``, in that scan order."""
+    join = ref_join(meet, inv)
+    elems = range(len(meet))
+    down = [{a for a in elems if (a, x) in leq} for x in elems]
+    up = [{b for b in elems if (x, b) in leq} for x in elems]
+    for x in elems:
+        if {meet[z][x] for z in elems} != down[x]:
+            return ("L(x)", x)
+        if {join[z][x] for z in elems} != up[x]:
+            return ("U(x)", x)
+    for x, y in itertools.product(elems, repeat=2):
+        if {meet[meet[z][x]][meet[z][y]] for z in elems} != down[x] & down[y]:
+            return ("L(x,y)", x, y)
+        if {join[join[t][x]][join[t][y]] for t in elems} != up[x] & up[y]:
+            return ("U(x,y)", x, y)
+    for x, y in itertools.product(elems, repeat=2):
+        m, j = meet[x][y], join[x][y]
+        if (x, y) in leq:
+            if (m, j) != (x, y):
+                return ("comparable", x, y)
+        elif (y, x) in leq:
+            if (m, j) != (y, x):
+                return ("comparable", x, y)
+        else:
+            if m not in down[x] & down[y]:
+                return ("meet-cone", x, y)
+            if j not in up[x] & up[y]:
+                return ("join-cone", x, y)
+        if (m == x) != (j == y):
+            return ("duality", x, y)
+    return None

@@ -16,11 +16,11 @@ from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            UsageError, all_assignments, assign_directoid,
                            assignment_choices, assignment_count,
                            check_derived_set_laws, check_printed_u_pair_law,
-                           directoid_from_choices, enumerate_posets, figure,
-                           iter_assignments)
+                           directoid_from_choices, enumerate_involutions,
+                           enumerate_posets, figure, iter_assignments)
 
-from oracles import (ref_identity_3, ref_implication_4, ref_implication_5,
-                     ref_implication_6)
+from oracles import (ref_derived_set_laws, ref_identity_3, ref_implication_4,
+                     ref_implication_5, ref_implication_6)
 
 SMALL_FIGS = ["fig1", "fig2", "fig3", "fig4", "fig5"]
 
@@ -237,6 +237,57 @@ def test_derived_set_laws_sampled_large():
         ip = figure(name)
         for d in itertools.islice(iter_assignments(ip), 5):
             assert check_derived_set_laws(d, ip).ok
+
+
+def test_derived_set_laws_match_oracle_on_random_tables():
+    """Seeded tables on every poset with n <= 4 under each of its antitone
+    involutions, each entry x ∘ y drawn from L(y), so that the single
+    cones often hold and the pair laws are reached; some tables are made
+    idempotent, some keep the order's minimum on comparable pairs, and
+    some are made commutative where a common lower bound allows it.
+    Non-commutative tables fail the pair laws at pairs (x, y) with x > y
+    whose mirror holds, which a scan of x <= y alone would miss."""
+    rng = random.Random(11)
+    mirrored = 0
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            leq = {(a, b) for a in range(n) for b in range(n) if p.leq(a, b)}
+            downs = [[a for a in range(n) if p.leq(a, y)] for y in range(n)]
+            for inv in enumerate_involutions(p):
+                for k in range(30):
+                    table = [[rng.choice(downs[y]) for y in range(n)]
+                             for _ in range(n)]
+                    if k % 3:
+                        for x in range(n):
+                            table[x][x] = x
+                    if k % 3 == 2:
+                        for x, y in leq:
+                            table[x][y] = table[y][x] = x
+                    if k % 2:
+                        for x, y in itertools.combinations(range(n), 2):
+                            if p.leq(table[x][y], x):
+                                table[y][x] = table[x][y]
+                    d = MeetDirectoid(table, inv=inv, labels=p.labels)
+                    want = ref_derived_set_laws(table, list(inv), leq)
+                    assert _first(check_derived_set_laws(d, p)) == want
+                    mirrored += (want is not None and len(want) == 3
+                                 and want[1] > want[2])
+    assert mirrored >= 5
+
+
+def test_derived_set_laws_commutative_table_fails_on_the_diagonal():
+    """A commutative table on the chain 0 < 1 < 2 whose single cones hold
+    but with 1 ∘ 1 = 0, so 1 ⊔ 1 = 2 under the reversal: the pair laws
+    first fail at (0, 0), a diagonal pair that a scan of x < y alone
+    would skip."""
+    chain = Poset.from_covers(["0", "1", "2"], [("0", "1"), ("1", "2")])
+    table = [[0, 0, 0], [0, 0, 1], [0, 1, 2]]
+    d = MeetDirectoid(table, inv=(2, 1, 0), labels=chain.labels)
+    leq = {(a, b) for a in range(3) for b in range(3) if a <= b}
+    assert ref_derived_set_laws(table, [2, 1, 0], leq) == ("U(x,y)", 0, 0)
+    verdict = check_derived_set_laws(d, chain)
+    assert verdict.witness == ("U(x,y)", 0, 0)
+    assert verdict.detail == "{(t join 0) join (t join 0)} != U(0,0)"
 
 
 def test_printed_u_pair_law_fails_on_two_chain():

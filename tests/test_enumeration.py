@@ -12,6 +12,7 @@ import importlib
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,13 +20,14 @@ from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            UsageError, enumerate_involutions, enumerate_posets,
                            figure, iter_assignments)
 from kleene_posets import audit, claim_ids, replay_report, replay_witness
-from kleene_posets.directoid import assignment_choices
+from kleene_posets.directoid import assignment_choices, assignment_count
 from kleene_posets.enumeration import (ALIASES, BOUNDED, BOUNDED_LU, CLAIMS,
                                        CONDITION7, DIRECTED_INVOLUTIVE_ASSIGNED,
-                                       INVOLUTIVE, UNARY_MAPS, Claim,
-                                       _bounded, _bounded_lu, _condition7,
-                                       _involutive_representatives, _is_least,
-                                       _representatives, _unary_map_runs,
+                                       INVOLUTIVE, UNARY_MAPS, ANTITONE_MAPS,
+                                       Claim, _RUNGS, _bounded, _bounded_lu,
+                                       _condition7, _directoid_characterization,
+                                       _involutions, _involutive_representatives,
+                                       _is_least, _representatives,
                                        involutive_from_witness,
                                        isomorphic_with_pin, iter_directed,
                                        iter_posets, poset_from_witness,
@@ -150,6 +152,17 @@ def test_involutive_representatives_pinned():
                  for r in reps) == DIRECTED_INVOLUTIVE_COUNTS
     assert all(_involutive_representatives(n) is reps[n - 1]
                for n in range(1, 7))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_involutive_representatives_carry_their_verdict(n):
+    """Each representative is built with its map's verdict already
+    recorded, so no claim pays for the check; the recorded verdict is the
+    one the check computes on a fresh instance."""
+    for ip in _involutive_representatives.__wrapped__(n):
+        recorded = ip._involution_verdict
+        assert recorded is not None and recorded.ok
+        assert InvolutivePoset(ip.base, ip.inv).check_antitone_involution() == recorded
 
 
 def _nested_involutive(posets):
@@ -302,6 +315,15 @@ def test_malformed_witness_json_names_the_claim(cid, fields, message):
     assert "no field" not in str(exc.value)
 
 
+def test_lem11_replay_outside_its_space_is_a_domain_error():
+    """An unbounded poset is outside Lem-1.1's space: replaying it gets
+    ``lemma11_holds``'s DomainError, not a TypeError from a missing 0."""
+    witness = {"elements": ["a", "b"], "covers": [],
+               "involution": {"a": "a", "b": "b"}, "binding": {"a": "a", "b": "a"}}
+    with pytest.raises(DomainError, match="requires a bounded poset"):
+        replay_witness("Lem-1.1", witness)
+
+
 def test_unary_map_witness_must_cover_the_carrier():
     witness = {"elements": ["x0"], "covers": [], "unary_map": {},
                "binding": {"choices": {}}}
@@ -355,9 +377,10 @@ def test_audit_rejects_cap_below_1(cap):
 
 
 def test_non_involutive_maps_fail_both_sides_on_every_table():
-    """The argument that lets the directoid claims skip a non-involutive
-    map: identity (1) fails in every assigned table and the map is not an
-    antitone involution, so both sides of every rung are False."""
+    """The argument that lets the map spaces skip a map (``_map_space``):
+    on every assigned table, (1)/(2) hold exactly when the map is an
+    antitone involution, checked for every map with n <= 4.  Without
+    x'' = x it is identity (1) that fails."""
     checked = 0
     for n in range(1, 5):
         for p in enumerate_posets(n):
@@ -365,54 +388,133 @@ def test_non_involutive_maps_fail_both_sides_on_every_table():
                 continue
             tables = [d.meet for d in itertools.islice(iter_assignments(p), 1000)]
             for unary in itertools.product(range(n), repeat=n):
-                if all(unary[unary[x]] == x for x in range(n)):
-                    continue
-                assert not InvolutivePoset(p, unary).check_antitone_involution().ok
+                involutive = all(unary[unary[x]] == x for x in range(n))
+                valid = InvolutivePoset(p, unary).check_antitone_involution().ok
+                assert involutive or not valid
                 for table in tables:
                     verdict = MeetDirectoid(table, inv=unary).check_identities_1_2()
-                    assert not verdict.ok
-                    assert verdict.witness[0] == "(1)"
+                    assert verdict.ok == valid
+                    if not involutive:
+                        assert verdict.witness[0] == "(1)"
                     checked += 1
     assert checked > 1000
 
 
+def _rank(u):
+    return sum(v * len(u) ** (len(u) - 1 - i) for i, v in enumerate(u))
+
+
+def _evaluated_maps(space, n_bound, cap):
+    """``{poset: [maps]}`` of the maps ``space`` evaluates, after checking
+    that each sits at its rank among the n^n maps of its poset with the
+    poset's first ``cap`` tables, and that the items count every map of
+    every directed poset."""
+    offsets, total = {}, 0
+    for p in iter_directed(n_bound):
+        offsets[p] = total
+        total += p.n ** p.n
+    position, maps = 0, {p: [] for p in offsets}
+    for instance, count, sampled in space.sweep(n_bound, cap):
+        if instance is not None:
+            p, unary, tables = instance
+            assert count == 1
+            assert position == offsets[p] + _rank(unary)
+            assert [d.meet for d in tables] == [
+                d.meet for d in itertools.islice(iter_assignments(p), cap)]
+            assert sampled == (assignment_count(p) > cap)
+            maps[p].append(unary)
+        position += count
+    assert position == total
+    return maps
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_unary_map_runs_are_the_involutions_in_product_order(n):
-    runs = _unary_map_runs(n)
-    assert [u for u, _ in runs if u is not None] == [
+    """Lem-4.1's space evaluates every involution of ``range(n)`` (the
+    antitone involutions of the antichain) on each directed poset, in
+    product order, and its runs bring each poset to n^n maps."""
+    assert _involutions(n) == tuple(
         u for u in itertools.product(range(n), repeat=n)
-        if all(u[u[x]] == x for x in range(n))]
-    assert all(count == 1 for u, count in runs if u is not None)
-    assert all(count >= 1 for _, count in runs)
-    assert all(a[0] is not None or b[0] is not None
-               for a, b in zip(runs, runs[1:]))   # runs are maximal
-    assert sum(count for _, count in runs) == n ** n
+        if all(u[u[x]] == x for x in range(n)))
+    maps = _evaluated_maps(UNARY_MAPS, n, 3)
+    assert all(found == list(_involutions(p.n)) for p, found in maps.items())
+
+
+def test_antitone_space_evaluates_exactly_the_antitone_involutions():
+    maps = _evaluated_maps(ANTITONE_MAPS, 5, 3)
+    assert sum(map(len, maps.values())) == 12
+    for p, found in maps.items():
+        assert found == [u for u in itertools.product(range(p.n), repeat=p.n)
+                         if all(u[u[x]] == x for x in range(p.n))
+                         and InvolutivePoset(p, u).check_antitone_involution().ok]
+
+
+MAP_CHARACTERISATIONS = ("Thm-4.2", "Thm-4.3", "Thm-4.8", "Thm-4.11")
+
+
+def _characterisations():
+    """The four characterisations, a deliberately mismatched rung (Kleene
+    order side against the pseudo-Kleene table side) that is refuted
+    where a map is an antitone involution, and each one's claim over
+    every involution instead."""
+    mismatched = Claim("Mismatched", "refuted", ANTITONE_MAPS,
+                       _directoid_characterization("mismatched"))
+    for claim in [CLAIMS[cid] for cid in MAP_CHARACTERISATIONS] + [mismatched]:
+        assert claim.instance_space is ANTITONE_MAPS
+        yield claim, replace(claim, instance_space=UNARY_MAPS)
+
+
+@pytest.mark.parametrize("cap", [1000, 2])
+@pytest.mark.parametrize("collect_all", [False, True])
+def test_characterisations_match_their_sweep_over_every_involution(
+        monkeypatch, cap, collect_all):
+    monkeypatch.setitem(_RUNGS, "mismatched",
+                        (_RUNGS["kleene"][0], _RUNGS["pk"][1]))
+    refuted = 0
+    for antitone, every in _characterisations():
+        for n in range(1, 6):
+            got = antitone.run(n, cap, collect_all)
+            want = every.run(n, cap, collect_all)
+            assert got.to_dict() == want.to_dict()
+            for w in want.witnesses:
+                assert antitone.replay(w) and every.replay(w)
+            refuted += not got.confirmed
+    assert refuted > 0
 
 
 def test_refuted_map_claim_counts_every_map_up_to_the_witness():
-    """A claim refuted at one involutive map counts the maps a plain
-    product loop visits, up to and including the witness."""
-    target = (0, 2, 1)
+    """A claim refuted at one evaluated map counts the maps a plain
+    product loop visits, up to and including the witness, in both map
+    spaces."""
+    _check_one_map_refutation(
+        UNARY_MAPS, (0, 2, 1),
+        lambda p, u: all(u[u[x]] == x for x in range(p.n)))
+    _check_one_map_refutation(
+        ANTITONE_MAPS, (2, 1, 0),
+        lambda p, u: InvolutivePoset(p, u).check_antitone_involution().ok)
 
+
+def _check_one_map_refutation(space, target, evaluated):
     def evaluate(instance):
         p, unary, tables = instance
         if unary != target:
             return None
         return {"choices": assignment_choices(tables[0], p)}
 
-    claim = Claim("Synthetic", "refuted at one map", UNARY_MAPS, evaluate, 3)
+    claim = Claim("Synthetic", "refuted at one map", space, evaluate, 3)
     loop = [(p, u) for p in iter_directed(3)
             for u in itertools.product(range(p.n), repeat=p.n)]
+    hits = [i for i, (p, u) in enumerate(loop) if u == target and evaluated(p, u)]
     first = claim.run()
     assert not first.confirmed and len(first.witnesses) == 1
-    assert first.instances == 1 + [u for _, u in loop].index(target)
+    assert first.instances == 1 + hits[0]
     everything = claim.run(collect_all=True)
     assert everything.instances == len(loop) == sum(
         p.n ** p.n for p in iter_directed(3))
-    assert len(everything.witnesses) == sum(u == target for _, u in loop)
+    assert len(everything.witnesses) == len(hits)
 
     witness = first.witnesses[0]
-    assert witness["unary_map"] == {"x0": "x0", "x1": "x2", "x2": "x1"}
+    assert witness["unary_map"] == {f"x{i}": f"x{target[i]}" for i in range(3)}
     assert claim.replay(witness)
     edited = dict(witness, unary_map=dict(witness["unary_map"], x1="x0"))
     assert not claim.replay(edited)

@@ -250,8 +250,33 @@ def test_all_forms_equal_each_form_alone():
     cases = list(_all_forms_cases())
     assert len(cases) == 405 + 9 + 8
     for p in cases:
-        assert list(p.distributivity_all_forms().items()) == [
-            (form, p.is_distributive(form)) for form in DISTRIBUTIVITY_FORMS]
+        # fresh copies, so that neither side reads the other's memo
+        assert list(Poset(p.labels, p._up).distributivity_all_forms().items()) == [
+            (form, Poset(p.labels, p._up).is_distributive(form))
+            for form in DISTRIBUTIVITY_FORMS]
+
+
+def test_distributivity_verdicts_are_memoised_per_form(monkeypatch):
+    """A second call returns the same verdict without scanning again, and
+    ``distributivity_all_forms`` reads and fills the same memo."""
+    scans = []
+    scan = Poset._distributivity_scan
+
+    def counted(self, form, *args):
+        scans.append(form)
+        return scan(self, form, *args)
+
+    monkeypatch.setattr(Poset, "_distributivity_scan", counted)
+    fig2 = base_of(figure("fig2"))
+    p = Poset(fig2.labels, fig2._up)
+    lu = p.is_distributive("LU")
+    assert not lu.ok and scans == ["LU"]
+    assert p.is_distributive("LU") is lu and scans == ["LU"]
+    forms = p.distributivity_all_forms()
+    assert forms["LU"] is lu and scans == ["LU", "ULU", "UL", "LUL"]
+    assert p.distributivity_all_forms() == forms
+    assert all(p.is_distributive(f) is forms[f] for f in DISTRIBUTIVITY_FORMS)
+    assert len(scans) == 4
 
 
 def test_unknown_form_rejected():
@@ -271,6 +296,20 @@ def test_distributivity_matches_brute_force(n):
             assert verdict.ok == ok
             want = None if ok else tuple(p.index(lbl) for lbl in witness)
             assert verdict.witness == want
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_comparable_triples_never_fail(n):
+    """(x, y, z) with x <= y satisfies every form, which lets the kernel
+    skip comparable pairs."""
+    for p in enumerate_posets(n):
+        ref = ref_of(p)
+        for x, y in itertools.product(ref.elements, repeat=2):
+            if not ref.leq(x, y):
+                continue
+            for z in ref.elements:
+                for form in DISTRIBUTIVITY_FORMS:
+                    assert ref.distributive_at(form, x, y, z)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
