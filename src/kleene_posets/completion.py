@@ -1,10 +1,13 @@
 """Completion by cut ideals (the Dedekind-MacNeille construction).
 
 The completion of a finite poset P is the family of all cone intersections
-``L(A)`` for ``A ⊆ P``, ordered by inclusion.  It is computed as the
-closure of the principal ideals plus the full carrier under pairwise
-intersection.  Meets are intersections; joins are ``L(U(.))`` of unions.
-When P carries a valid antitone involution, the completion inherits one:
+``L(A)`` for ``A ⊆ P``, ordered by inclusion.  Each ``L(A)`` is the
+intersection of the principal ideals ``L(a)``, ``a ∈ A``, so meeting every
+ideal found so far with each ``L(x)`` in turn, starting from the full
+carrier ``L({})``, closes the family in one pass over the elements.  Meets
+are intersections; joins are ``L(U(.))`` of unions.  When P is an
+:class:`InvolutivePoset` with a valid antitone involution, the completion
+inherits one:
 
     star(I) = L(I')     (elementwise prime, then lower cone)
 
@@ -21,51 +24,41 @@ from .poset import Poset, Subset, _bits
 class CompletionLattice:
     """The lattice of cut ideals of a finite poset."""
 
-    __slots__ = ("base", "inv", "ideals", "labels", "_index", "_embed", "_star")
+    __slots__ = ("base", "ideals", "labels", "_index", "_embed", "_poset",
+                 "_involutive")
 
-    def __init__(self, base, inv=None):
+    def __init__(self, base):
+        ip = None
         if isinstance(base, InvolutivePoset):
-            if inv is not None:
-                raise UsageError("involution given twice")
-            inv = base.inv
             base._require_involution()
-            base = base.base
+            ip, base = base, base.base
         if not isinstance(base, Poset):
             raise UsageError("base must be a Poset or InvolutivePoset")
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "inv", tuple(inv) if inv is not None else None)
 
         found = {base._full}
-        work = [base._lower(1 << x) for x in range(base.n)]
-        found.update(work)
-        work = list(found)
-        while work:
-            cur = work.pop()
-            for other in list(found):
-                meet = cur & other
-                if meet not in found:
-                    found.add(meet)
-                    work.append(meet)
+        for down in base._down:
+            found |= {m & down for m in found}
         ideals = sorted(found, key=lambda m: (m.bit_count(), tuple(_bits(m))))
+        index = {m: i for i, m in enumerate(ideals)}
         object.__setattr__(self, "ideals", tuple(ideals))
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(ideals)})
+        object.__setattr__(self, "_index", index)
         lab = base.labels
         object.__setattr__(
             self, "labels",
             tuple("{" + ",".join(lab[x] for x in _bits(m)) + "}" for m in ideals))
-        object.__setattr__(
-            self, "_embed",
-            tuple(self._index[base._lower(1 << x)] for x in range(base.n)))
-        if self.inv is None:
-            object.__setattr__(self, "_star", None)
-        else:
-            star = []
-            for m in ideals:
-                primed = 0
-                for x in _bits(m):
-                    primed |= 1 << self.inv[x]
-                star.append(self._index[base._lower(primed)])
-            object.__setattr__(self, "_star", tuple(star))
+        # L({x}) is the down-set of x.
+        object.__setattr__(self, "_embed", tuple(index[d] for d in base._down))
+
+        up = [sum(1 << j for j, other in enumerate(ideals) if m & ~other == 0)
+              for m in ideals]
+        poset = Poset(self.labels, up, _validated=True)
+        object.__setattr__(self, "_poset", poset)
+        involutive = None
+        if ip is not None:
+            star = [index[base._lower(ip._image(m))] for m in ideals]
+            involutive = InvolutivePoset(poset, star)
+        object.__setattr__(self, "_involutive", involutive)
 
     def __setattr__(self, name, value):
         raise AttributeError("CompletionLattice is immutable")
@@ -77,7 +70,7 @@ class CompletionLattice:
 
     @property
     def has_involution(self):
-        return self.inv is not None
+        return self._involutive is not None
 
     def ideal(self, i):
         """The i-th ideal as a subset of the base poset."""
@@ -110,38 +103,28 @@ class CompletionLattice:
 
     def star(self, i):
         """The inherited involution L(I')."""
-        if self._star is None:
-            raise UsageError("completion of a plain poset has no involution")
-        return self._star[i]
+        return self.as_involutive_poset().inv[i]
 
-    # -- views -------------------------------------------------------------
+    # -- views (built once, in the constructor) ---------------------------
     def as_poset(self):
         """The completion as a poset ordered by inclusion."""
-        n = self.n
-        up = []
-        for i in range(n):
-            m = 0
-            for j in range(n):
-                if self.leq(i, j):
-                    m |= 1 << j
-            up.append(m)
-        return Poset(self.labels, up, _validated=True)
+        return self._poset
 
     def as_involutive_poset(self):
-        if self._star is None:
+        """The completion with its star, over :meth:`as_poset`."""
+        if self._involutive is None:
             raise UsageError("completion of a plain poset has no involution")
-        return InvolutivePoset(self.as_poset(), self._star)
+        return self._involutive
 
     def fixed_ideals(self):
         """Labels of the star-fixed ideals."""
-        if self._star is None:
-            raise UsageError("completion of a plain poset has no involution")
-        return tuple(self.labels[i] for i in range(self.n) if self._star[i] == i)
+        star = self.as_involutive_poset().inv
+        return tuple(self.labels[i] for i in range(self.n) if star[i] == i)
 
     def __repr__(self):
         return f"CompletionLattice({self.n} ideals over {self.base.n} elements)"
 
 
-def dedekind_macneille(base, inv=None):
+def dedekind_macneille(base):
     """Build the completion of a poset or involutive poset."""
-    return CompletionLattice(base, inv)
+    return CompletionLattice(base)

@@ -220,6 +220,12 @@ class MeetDirectoid:
         except UsageError as exc:
             raise DomainError(f"induced relation is not a partial order: {exc}") from None
 
+    def _induces(self, p):
+        """``induced_poset() == p``, read off the cached order view without
+        building a poset.  A relation that is no partial order differs
+        from ``p._up`` and reads False where ``induced_poset`` raises."""
+        return self.labels == p.labels and self._order()[0] == list(p._up)
+
     # -- the dual operation --------------------------------------------------
     def _require_inv(self):
         if self.inv is None:

@@ -552,9 +552,11 @@ def _forms_equivalent(p):
 
 
 def _lem11(ip):
-    """Every pair with a <= b and L(b, a') one element: in a bounded order
-    that element is 0, and ``lemma11_holds`` refuses an unbounded or
-    non-distributive instance with a ``DomainError``."""
+    """Every pair with a <= b and L(b, a') one element, which in a bounded
+    order is 0.  An unbounded or non-distributive instance (a replay
+    outside the space) gets ``lemma11_holds``'s ``DomainError`` before the
+    scan, whether or not some pair qualifies."""
+    ip._lemma11_bounds()
     p = ip.base
     for a, b in itertools.product(range(p.n), repeat=2):
         if (p.leq(a, b) and (p._down[b] & p._down[ip.inv[a]]).bit_count() == 1
@@ -710,7 +712,7 @@ def _assignment_law(checker):
 def _roundtrip(instance):
     p, assignments = instance
     for d in assignments:
-        if d.induced_poset() != p:
+        if not d._induces(p):
             return {"choices": assignment_choices(d, p)}
         verdict = d.check_directoid_axioms()
         if not verdict.ok:
@@ -812,7 +814,7 @@ CLAIMS = {claim_id: Claim(claim_id, *spec) for claim_id, spec in {
         DIRECTED_ASSIGNED, _roundtrip),
     "Thm-6.1-i": (
         "every twist is pseudo-Kleene with exactly the pivot pair fixed",
-        PIVOTS, _twist_check(lambda t: _part_i(t)[0]), 4),
+        PIVOTS, _twist_check(_part_i), 4),
     "Thm-6.1-ii": (
         "x -> (x, a) embeds the source into its twist",
         PIVOTS, _twist_check(check_embedding), 4),

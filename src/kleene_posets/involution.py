@@ -287,17 +287,25 @@ class InvolutivePoset:
                 return Verdict(False, (x,), detail)
         return Verdict(True)
 
-    def lemma11_holds(self, a, b):
-        """On a bounded distributive involutive poset: a <= b together with
-        L(b, a') = {0} forces L(a,a') = L(b,b') = {0} and
-        U(a,a') = U(b,b') = {1}.  Precondition violations raise
-        :class:`DomainError`."""
+    def _lemma11_bounds(self):
+        """The bounds (0, 1), once the preconditions of Lemma 1.1 that do
+        not depend on the pair are met: a valid involution on a bounded
+        distributive poset.  Otherwise :class:`DomainError` (or
+        :class:`UsageError` for the involution)."""
         self._require_involution()
         bottom, top = self.base.bounds()
         if bottom is None or top is None:
             raise DomainError("requires a bounded poset")
         if not self.base.is_distributive("LU").ok:
             raise DomainError("requires a distributive poset")
+        return bottom, top
+
+    def lemma11_holds(self, a, b):
+        """On a bounded distributive involutive poset: a <= b together with
+        L(b, a') = {0} forces L(a,a') = L(b,b') = {0} and
+        U(a,a') = U(b,b') = {1}.  Precondition violations raise
+        :class:`DomainError`."""
+        bottom, top = self._lemma11_bounds()
         a, b = self.base.index(a), self.base.index(b)
         if not self.base.leq(a, b):
             raise DomainError(f"requires {self.labels[a]} <= {self.labels[b]}")

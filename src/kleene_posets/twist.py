@@ -223,7 +223,6 @@ class TwistAuditReport:
     part_ii: Verdict
     q_distributive: Verdict
     twist_kleene: Verdict
-    twist_pseudo_kleene: Verdict
     part_iii_agree: bool
     product_cones_restricted: Verdict
     product_cones_unrestricted: Verdict
@@ -235,26 +234,21 @@ class TwistAuditReport:
 
 def _part_i(t):
     """Part (i) of the Thm 6.1 audit: the twist is pseudo-Kleene with
-    exactly the fixed point (a, a).  Returns the part's verdict and the
-    twist's (K) verdict, which is the involution's verdict when the swap
-    is not a valid antitone involution."""
+    exactly the fixed point (a, a)."""
     r = t.result
     inv_verdict = r.check_antitone_involution()
     if not inv_verdict.ok:
-        part_i = Verdict(False, None, f"involution invalid: {inv_verdict.detail}")
-        return part_i, inv_verdict
+        return Verdict(False, None, f"involution invalid: {inv_verdict.detail}")
     pivot_pair = t._pair_index[(t.pivot, t.pivot)]
     pk = r.is_pseudo_kleene()
-    fixed = r.fixed_points()
     if not pk.ok:
-        part_i = Verdict(False, pk.witness, f"not pseudo-Kleene: {pk.detail}")
-    elif fixed.mask != 1 << pivot_pair:
-        part_i = Verdict(False, None,
-                         f"fixed points {fixed.render()} != "
-                         f"{{{r.labels[pivot_pair]}}}")
-    else:
-        part_i = Verdict(True)
-    return part_i, pk
+        return Verdict(False, pk.witness, f"not pseudo-Kleene: {pk.detail}")
+    fixed = r.fixed_points()
+    if fixed.mask != 1 << pivot_pair:
+        return Verdict(False, None,
+                       f"fixed points {fixed.render()} != "
+                       f"{{{r.labels[pivot_pair]}}}")
+    return Verdict(True)
 
 
 def _twist_kleene(t):
@@ -272,15 +266,13 @@ def audit_theorem61(q, a):
     being a Kleene poset.  The product-cone verdicts of both readings
     ride along."""
     t = twist(q, a)
-    part_i, pk = _part_i(t)
     kleene = _twist_kleene(t)
     q_dist = q.is_distributive("LU")
     return t, TwistAuditReport(
-        part_i=part_i,
+        part_i=_part_i(t),
         part_ii=check_embedding(t),
         q_distributive=q_dist,
         twist_kleene=kleene,
-        twist_pseudo_kleene=pk,
         part_iii_agree=q_dist.ok == kleene.ok,
         product_cones_restricted=check_product_cones(t, restricted=True),
         product_cones_unrestricted=check_product_cones(t, restricted=False))

@@ -36,6 +36,18 @@ def test_check_fig1_report():
     assert "strong: no" in out
 
 
+def test_readme_check_example_matches(monkeypatch):
+    """The README's ``kleene-posets check fixtures/fig1.poset`` example is
+    the command's output, line for line."""
+    root = FIXTURES.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    prompt = "$ kleene-posets check fixtures/fig1.poset\n"
+    assert prompt in readme
+    block = readme.split(prompt, 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    assert run("check", "fixtures/fig1.poset") == (0, block, "")
+
+
 def test_check_plain_poset():
     code, out, _ = run("check", fx("fig8"))
     assert code == 0

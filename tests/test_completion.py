@@ -6,6 +6,7 @@ import pytest
 
 from kleene_posets import (CompletionLattice, UsageError, classify,
                            dedekind_macneille, figure, find_isomorphism)
+from kleene_posets.enumeration import _involutive_representatives, enumerate_posets
 from kleene_posets.involution import InvolutivePoset
 
 from oracles import RefPoset, ref_dm_completion, ref_dm_star
@@ -147,6 +148,56 @@ def test_index_of_and_ideal_roundtrip():
 
 def test_usage_errors():
     with pytest.raises(UsageError):
-        CompletionLattice(figure("fig1"), inv=figure("fig1").inv)
-    with pytest.raises(UsageError):
         CompletionLattice("not a poset")
+
+
+def test_invalid_involution_is_refused():
+    """The star comes only from an InvolutivePoset whose map is a valid
+    antitone involution."""
+    with pytest.raises(UsageError, match="valid antitone involution"):
+        dedekind_macneille(InvolutivePoset(figure("fig8"), (0, 0, 0, 0)))
+
+
+def _assert_matches_oracle(obj):
+    p, inv = (obj.base, obj.inv) if isinstance(obj, InvolutivePoset) else (obj, None)
+    dm = dedekind_macneille(obj)
+    ref = RefPoset(p.labels, {(p.labels[x], p.labels[y])
+                              for x in range(p.n) for y in range(p.n)
+                              if p.leq(x, y)})
+    ideals = [frozenset(dm.ideal(i).labels) for i in range(dm.n)]
+    assert set(ideals) == ref_dm_completion(ref) and len(set(ideals)) == dm.n
+    order = dm.as_poset()
+    for i, j in itertools.product(range(dm.n), repeat=2):
+        assert order.leq(i, j) == (ideals[i] <= ideals[j])
+    for x in range(p.n):
+        assert ideals[dm.embed(x)] == frozenset(p.lower_cone([x]).labels)
+    if inv is None:
+        assert not dm.has_involution
+        return
+    prime = {p.labels[x]: p.labels[inv[x]] for x in range(p.n)}
+    star = dm.as_involutive_poset()
+    for i in range(dm.n):
+        assert ideals[dm.star(i)] == ref_dm_star(ref, prime, ideals[i])
+        assert star.inv[i] == dm.star(i)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_small_poset_matches_oracle(n):
+    for p in enumerate_posets(n):
+        _assert_matches_oracle(p)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_involutive_representative_matches_oracle(n):
+    for ip in _involutive_representatives(n):
+        _assert_matches_oracle(ip)
+
+
+@pytest.mark.parametrize("name", ALL_FIGS)
+def test_views_are_built_once(name):
+    dm = dedekind_macneille(figure(name))
+    assert dm.as_poset() is dm.as_poset()
+    if dm.has_involution:
+        ip = dm.as_involutive_poset()
+        assert dm.as_involutive_poset() is ip
+        assert dm.as_poset() is ip.base

@@ -174,6 +174,29 @@ def test_induced_relation_must_be_order():
         d.induced_poset()
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_order_view_roundtrip_agrees_with_induced_poset(n):
+    """``_induces(p)``, which reads the cached order view, agrees with
+    ``induced_poset() == p`` on every capped table of every directed poset."""
+    for p in enumerate_posets(n):
+        try:
+            tables = list(itertools.islice(iter_assignments(p), 1000))
+        except DomainError:  # not downward directed
+            continue
+        for d in tables:
+            assert d._induces(p) == (d.induced_poset() == p)
+
+
+def test_order_view_roundtrip_rejects_other_orders():
+    p = figure("fig8")
+    d = assign_directoid(p)
+    assert d._induces(p)
+    assert not d._induces(Poset(["x0", "x1", "x2", "x3"], p._up))
+    assert not d._induces(Poset(p.labels, [0b1111, 0b0010, 0b0100, 0b1000]))
+    bad = MeetDirectoid([[0, 0], [1, 1]])  # no partial order is induced
+    assert not bad._induces(Poset(bad.labels, [0b01, 0b10]))
+
+
 def test_malformed_tables_rejected():
     with pytest.raises(UsageError):
         MeetDirectoid([[0, 1]])

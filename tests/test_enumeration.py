@@ -9,8 +9,10 @@ n! orders.
 """
 
 import importlib
+import io
 import itertools
 import json
+import pathlib
 import random
 from dataclasses import replace
 
@@ -18,7 +20,7 @@ import pytest
 
 from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            UsageError, enumerate_involutions, enumerate_posets,
-                           figure, iter_assignments)
+                           figure, iter_assignments, run_cli)
 from kleene_posets import audit, claim_ids, replay_report, replay_witness
 from kleene_posets.directoid import assignment_choices, assignment_count
 from kleene_posets.enumeration import (ALIASES, BOUNDED, BOUNDED_LU, CLAIMS,
@@ -38,6 +40,7 @@ from oracles import (RefPoset, count_posets_bruteforce, count_posets_vectorized,
                      ref_involutions, ref_isomorphic_with_pin,
                      ref_least_natural_labelling)
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 ISO_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
 LABELED_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
 
@@ -324,6 +327,24 @@ def test_lem11_replay_outside_its_space_is_a_domain_error():
         replay_witness("Lem-1.1", witness)
 
 
+@pytest.mark.parametrize("instance, message", [
+    ({"elements": ["a", "b"], "covers": [], "involution": {"a": "b"}},
+     "requires a bounded poset"),
+    ({"elements": ["a", "b"], "covers": [], "involution": {"a": "a", "b": "b"}},
+     "requires a bounded poset"),
+    (serialize_involutive(figure("fig3")), "requires a distributive poset"),
+])
+def test_lem11_preconditions_are_checked_before_the_pair_scan(instance, message):
+    """Lem-1.1 refuses an instance outside its space whether or not some
+    pair has a one-element L(b, a'): the swapped antichain has none."""
+    witness = dict(instance, binding={"a": instance["elements"][0],
+                                      "b": instance["elements"][0]})
+    with pytest.raises(DomainError, match=message):
+        replay_witness("Lem-1.1", witness)
+    with pytest.raises(DomainError, match=message):
+        CLAIMS["Lem-1.1"].evaluate(involutive_from_witness(instance))
+
+
 def test_unary_map_witness_must_cover_the_carrier():
     witness = {"elements": ["x0"], "covers": [], "unary_map": {},
                "binding": {"choices": {}}}
@@ -529,6 +550,21 @@ def test_twist_audits_never_check_product_cones(monkeypatch):
     for cid in ("Thm-6.1-i", "Thm-6.1-ii"):
         assert audit(cid, n_bound=3).confirmed
     assert len(audit("Thm-6.1-iii", n_bound=3, collect_all=True).witnesses) == 6
+
+
+def test_roundtrips_never_build_the_induced_poset(monkeypatch):
+    """Directoid-roundtrip and the CLI ``directoid`` compare each table's
+    cached order view with the poset; neither builds a Poset per table."""
+    def forbidden(self):
+        raise AssertionError("induced poset built")
+    monkeypatch.setattr(MeetDirectoid, "induced_poset", forbidden)
+    assert audit("Directoid-roundtrip", n_bound=5).confirmed
+    for name in ("fig1", "fig7"):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["directoid", str(FIXTURES / f"{name}.poset"), "--all-assignments", "50"]
+        assert run_cli(argv, out, err) == 0, err.getvalue()
+        assert "induces original order: yes" in out.getvalue()
+        assert "induces original order: no" not in out.getvalue()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
