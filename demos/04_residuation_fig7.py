@@ -26,10 +26,9 @@ def main():
     print("adjointness proof case counts over 2744 triples:")
     for case in sorted(rep.case_counts):
         print(f"  case {case}: {rep.case_counts[case]}")
-    print(f"condition (7) (L(x,y) != {{0}} for x,y != 0): "
-          f"{r.check_condition7().ok}")
-
     t54 = r.theorem54_checks()
+    print(f"condition (7) (L(x,y) != {{0}} for x,y != 0): "
+          f"{t54.condition7.ok}")
     print("tiered dualities:")
     for name, item in t54.items.items():
         print(f"  {name}: {item.status}  [{item.tier}]")

@@ -23,8 +23,8 @@ from .completion import dedekind_macneille
 from .errors import DomainError, FixtureParseError, UsageError
 from .fileformat import build, parse
 from .involution import InvolutivePoset, classify
-from .poset import DISTRIBUTIVITY_FORMS, Poset
-from .residuation import ResiduatedStructure, check_condition7
+from .poset import DISTRIBUTIVITY_FORMS
+from .residuation import AXIOMS, ResiduatedStructure
 from .twist import audit_theorem61
 
 
@@ -205,10 +205,7 @@ def _cmd_twist(args, out):
     obj = _load(args.file)
     if isinstance(obj, InvolutivePoset):
         obj = obj.base
-    try:
-        t, report = audit_theorem61(obj, args.at)
-    except KeyError:
-        raise UsageError(f"unknown pivot {args.at!r}") from None
+    t, report = audit_theorem61(obj, args.at)
     payload = {
         "command": "twist", "file": args.file, "pivot": args.at,
         "count": t.n, "elements": list(t.result.labels),
@@ -252,22 +249,15 @@ def _cmd_residuate(args, out):
     r = ResiduatedStructure(obj)
     report = r.verify_kleene_residuated()
     t54 = r.theorem54_checks()
-    cond7 = r.check_condition7()
     labels = obj.labels
     odot_table = {f"{labels[x]},{labels[y]}": r.odot(x, y).labels
                   for x in range(obj.n) for y in range(obj.n)}
     arrow_table = {f"{labels[x]},{labels[y]}": r.arrow(x, y).labels
                    for x in range(obj.n) for y in range(obj.n)}
-    axioms = {
-        "zero_absorbing": _verdict_json(report.zero_absorbing),
-        "commutativity": _verdict_json(report.commutativity),
-        "unit": _verdict_json(report.unit),
-        "associativity": _verdict_json(report.associativity),
-        "adjointness": _verdict_json(report.adjointness),
-    }
+    axioms = {name: _verdict_json(getattr(report, name)) for name in AXIOMS}
     payload = {
         "command": "residuate", "file": args.file,
-        "condition7": _verdict_json(cond7),
+        "condition7": _verdict_json(t54.condition7),
         "axioms": axioms,
         "adjointness_case_counts": {str(k): v
                                     for k, v in report.case_counts.items()},
@@ -280,16 +270,14 @@ def _cmd_residuate(args, out):
 
     def text():
         out.write(f"residuation on {args.file} ({obj.n} elements)\n")
-        out.write("condition (7): " + _verdict_text(cond7) + "\n")
-        for name in ("zero_absorbing", "commutativity", "unit",
-                     "associativity", "adjointness"):
+        out.write("condition (7): " + _verdict_text(t54.condition7) + "\n")
+        for name in AXIOMS:
             out.write(f"{name.replace('_', ' ')}: "
                       + _verdict_text_from_json(axioms[name]) + "\n")
         out.write("adjointness case counts: "
                   + " ".join(f"{k}:{v}" for k, v in sorted(report.case_counts.items()))
                   + "\n")
-        for k in ("i", "ii", "iii", "iv", "v"):
-            item = t54.items[k]
+        for k, item in t54.items.items():
             line = f"duality ({k}): {item.status} [{item.tier}]"
             if item.status == "fail":
                 line += f" — {item.verdict.detail}"

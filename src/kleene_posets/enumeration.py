@@ -41,7 +41,7 @@ from .directoid import (assignment_choices, assignment_count,
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, involution_from_pairs
 from .poset import DISTRIBUTIVITY_FORMS, Poset, _bits, _isomorphism
-from .residuation import ResiduatedStructure, check_condition7
+from .residuation import AXIOMS, ResiduatedStructure, check_condition7
 from .twist import (_part_i, _twist_kleene, check_embedding,
                     check_product_cones, twist)
 
@@ -679,9 +679,7 @@ def _thm52(ip):
     report = ResiduatedStructure(ip).verify_kleene_residuated()
     if report.all_ok:
         return None
-    failing = [name for name in ("zero_absorbing", "commutativity", "unit",
-                                 "associativity", "adjointness")
-               if not getattr(report, name).ok]
+    failing = [name for name in AXIOMS if not getattr(report, name).ok]
     return {
         "failing": failing,
         "detail": getattr(report, failing[0]).detail,

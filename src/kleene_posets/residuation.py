@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations, combinations_with_replacement, product
 from operator import and_
 from typing import Optional
 
@@ -23,26 +24,33 @@ from .errors import DomainError
 from .involution import InvolutivePoset
 from .poset import Subset, Verdict, _bits
 
+# The residuated-poset axioms of Theorem 5.2, in report order.
+AXIOMS = ("zero_absorbing", "commutativity", "unit", "associativity", "adjointness")
+
+
+def _first(cells, fails, detail):
+    """The first cell where ``fails(*cell)`` holds, as a failing verdict
+    with that cell as witness and ``detail(*cell)``; else a pass."""
+    for cell in cells:
+        if fails(*cell):
+            return Verdict(False, cell, detail(*cell))
+    return Verdict(True)
+
 
 def check_condition7(ip):
     """Condition (7): L(x, y) != {0} for all nonzero x, y.  Requires a
     bounded carrier; witness is the first failing pair."""
+    if not isinstance(ip, InvolutivePoset):
+        raise DomainError("condition (7) requires a unary map on the carrier")
     ip._require_involution()
     bottom, top = ip.bounds()
     if bottom is None or top is None:
         raise DomainError("condition (7) requires bounds")
-    p = ip.base
+    down, lab = ip.base._down, ip.labels
     zero = 1 << bottom
-    for x in range(p.n):
-        if x == bottom:
-            continue
-        for y in range(x, p.n):
-            if y == bottom:
-                continue
-            if p._down[x] & p._down[y] == zero:
-                return Verdict(False, (x, y),
-                               f"L({p.labels[x]}, {p.labels[y]}) = {{{p.labels[bottom]}}}")
-    return Verdict(True)
+    return _first(combinations_with_replacement([x for x in range(ip.n) if x != bottom], 2),
+                  lambda x, y: down[x] & down[y] == zero,
+                  lambda x, y: f"L({lab[x]}, {lab[y]}) = {{{lab[bottom]}}}")
 
 
 @dataclass(frozen=True)
@@ -57,15 +65,19 @@ class ResiduationReport:
 
     @property
     def all_ok(self):
-        return (self.zero_absorbing.ok and self.commutativity.ok and self.unit.ok
-                and self.associativity.ok and self.adjointness.ok)
+        return all(getattr(self, name).ok for name in AXIOMS)
 
 
 @dataclass(frozen=True)
 class Theorem54Item:
-    status: str                       # "pass" | "fail" | "skipped"
-    tier: str                         # precondition tier that was active
-    verdict: Optional[Verdict] = None
+    tier: str                         # precondition tier gating the item
+    verdict: Optional[Verdict] = None  # None when the tier does not hold
+
+    @property
+    def status(self):
+        if self.verdict is None:
+            return "skipped"
+        return "pass" if self.verdict.ok else "fail"
 
 
 @dataclass(frozen=True)
@@ -97,28 +109,12 @@ class ResiduatedStructure:
         self.bottom = bottom
         self.top = top
         p, inv = self.p, ip.inv
-        n = p.n
-        up, down = p._up, p._down
-        zero = 1 << bottom
-        one = 1 << top
-        odot = []
-        arrow = []
-        for x in range(n):
-            orow = []
-            arow = []
-            for y in range(n):
-                if (up[x] >> inv[y]) & 1:
-                    orow.append(zero)
-                else:
-                    orow.append(down[x] & down[y])
-                if (up[x] >> y) & 1:
-                    arow.append(one)
-                else:
-                    arow.append(up[inv[x]] & up[y])
-            odot.append(tuple(orow))
-            arrow.append(tuple(arow))
-        self._odot = tuple(odot)
-        self._arrow = tuple(arrow)
+        n, up, down = p.n, p._up, p._down
+        zero, one = 1 << bottom, 1 << top
+        self._odot = tuple(tuple([zero if (up[x] >> inv[y]) & 1 else down[x] & down[y]
+                                  for y in range(n)]) for x in range(n))
+        self._arrow = tuple(tuple([one if (up[x] >> y) & 1 else up[inv[x]] & up[y]
+                                   for y in range(n)]) for x in range(n))
 
     # -- operators ---------------------------------------------------------
     def odot(self, x, y):
@@ -150,13 +146,11 @@ class ResiduatedStructure:
 
     def check_zero_absorbing(self):
         """x ⊙ 0 = 0 ⊙ x = {0} for every x."""
-        zero = 1 << self.bottom
-        lab = self.p.labels
-        for x in range(self.p.n):
-            if self._odot[x][self.bottom] != zero or self._odot[self.bottom][x] != zero:
-                return Verdict(False, (x,),
-                               f"{lab[x]} odot {lab[self.bottom]} != {{{lab[self.bottom]}}}")
-        return Verdict(True)
+        odot, bottom, lab = self._odot, self.bottom, self.p.labels
+        zero = 1 << bottom
+        return _first(((x,) for x in range(self.p.n)),
+                      lambda x: odot[x][bottom] != zero or odot[bottom][x] != zero,
+                      lambda x: f"{lab[x]} odot {lab[bottom]} != {{{lab[bottom]}}}")
 
     def adjointness_case(self, a, b, c):
         """Tag a triple with its proof case, first match of:
@@ -184,34 +178,17 @@ class ResiduatedStructure:
         """Check the four residuated-poset axioms (plus 0-absorption)
         over every pair/triple; adjointness triples are tagged with
         their proof case for coverage reporting."""
-        p = self.p
-        n = p.n
-        lab = p.labels
-        odot = self._odot
-
-        commutativity = Verdict(True)
-        for x in range(n):
-            for y in range(x + 1, n):
-                if odot[x][y] != odot[y][x]:
-                    commutativity = Verdict(
-                        False, (x, y),
-                        f"{lab[x]} odot {lab[y]} = {Subset(p, odot[x][y]).render()} but "
-                        f"{lab[y]} odot {lab[x]} = {Subset(p, odot[y][x]).render()}")
-                    break
-            else:
-                continue
-            break
-
-        unit = Verdict(True)
-        top = self.top
-        for x in range(n):
-            if odot[x][top] != p._down[x] or odot[top][x] != p._down[x]:
-                unit = Verdict(False, (x,),
-                               f"{lab[x]} odot {lab[top]} = "
-                               f"{Subset(p, odot[x][top]).render()} != L({lab[x]}) = "
-                               f"{p.lower_cone([x]).render()}")
-                break
-
+        p, odot, top, lab = self.p, self._odot, self.top, self.p.labels
+        commutativity = _first(
+            combinations(range(p.n), 2),
+            lambda x, y: odot[x][y] != odot[y][x],
+            lambda x, y: f"{lab[x]} odot {lab[y]} = {Subset(p, odot[x][y]).render()} but "
+                         f"{lab[y]} odot {lab[x]} = {Subset(p, odot[y][x]).render()}")
+        unit = _first(
+            ((x,) for x in range(p.n)),
+            lambda x: odot[x][top] != p._down[x] or odot[top][x] != p._down[x],
+            lambda x: f"{lab[x]} odot {lab[top]} = {Subset(p, odot[x][top]).render()} != "
+                      f"L({lab[x]}) = {p.lower_cone([x]).render()}")
         adjointness, case_counts = self._adjointness()
         return ResiduationReport(
             zero_absorbing=self.check_zero_absorbing(),
@@ -302,83 +279,37 @@ class ResiduatedStructure:
           (iv)  a → b = {1} iff a <= b    [needs condition (7)]
           (v)  a <= b and L(a', b) = {0} imply a = b   [needs strict Kleene]
 
-        Checks whose tier preconditions fail are reported as skipped.
+        Each is a first-failure scan over (a, b) in row-major order;
+        checks whose tier preconditions fail are reported as skipped.
         """
-        p, inv = self.p, self.ip.inv
-        n = p.n
-        lab = p.labels
-        items = {}
-
-        primed = self.ip._image
-
-        verdict_i = Verdict(True)
-        verdict_ii = Verdict(True)
-        for a in range(n):
-            for b in range(n):
-                if self._odot[a][b] != primed(self._arrow[a][inv[b]]):
-                    if verdict_i.ok:
-                        verdict_i = Verdict(
-                            False, (a, b),
-                            f"{lab[a]} odot {lab[b]} != ({lab[a]} -> {lab[b]}')'")
-                if self._arrow[a][b] != primed(self._odot[a][inv[b]]):
-                    if verdict_ii.ok:
-                        verdict_ii = Verdict(
-                            False, (a, b),
-                            f"{lab[a]} -> {lab[b]} != ({lab[a]} odot {lab[b]}')'")
-        items["i"] = Theorem54Item("fail" if not verdict_i.ok else "pass",
-                                   "bounded antitone involution", verdict_i)
-        items["ii"] = Theorem54Item("fail" if not verdict_ii.ok else "pass",
-                                    "bounded antitone involution", verdict_ii)
-
+        p, inv, lab = self.p, self.ip.inv, self.p.labels
+        odot, arrow, primed, up, down = self._odot, self._arrow, self.ip._image, p._up, p._down
+        zero, one = 1 << self.bottom, 1 << self.top
         cond7 = self.check_condition7()
-        if cond7.ok:
-            zero = 1 << self.bottom
-            one = 1 << self.top
-            verdict_iii = Verdict(True)
-            verdict_iv = Verdict(True)
-            for a in range(n):
-                for b in range(n):
-                    if (self._odot[a][b] == zero) != p.leq(a, inv[b]):
-                        if verdict_iii.ok:
-                            verdict_iii = Verdict(
-                                False, (a, b),
-                                f"({lab[a]} odot {lab[b]} = {{0}}) does not match "
-                                f"{lab[a]} <= {lab[b]}'")
-                    if (self._arrow[a][b] == one) != p.leq(a, b):
-                        if verdict_iv.ok:
-                            verdict_iv = Verdict(
-                                False, (a, b),
-                                f"({lab[a]} -> {lab[b]} = {{1}}) does not match "
-                                f"{lab[a]} <= {lab[b]}")
-            items["iii"] = Theorem54Item("fail" if not verdict_iii.ok else "pass",
-                                         "condition (7)", verdict_iii)
-            items["iv"] = Theorem54Item("fail" if not verdict_iv.ok else "pass",
-                                        "condition (7)", verdict_iv)
-        else:
-            items["iii"] = Theorem54Item("skipped", "condition (7)")
-            items["iv"] = Theorem54Item("skipped", "condition (7)")
-
-        strict = self.ip.is_strict()
-        distributive = self.ip.is_distributive("LU")
-        strict_kleene = strict.ok and distributive.ok
-        if strict_kleene:
-            zero = 1 << self.bottom
-            verdict_v = Verdict(True)
-            for a in range(n):
-                for b in range(n):
-                    if a != b and p.leq(a, b) and p._down[inv[a]] & p._down[b] == zero:
-                        verdict_v = Verdict(
-                            False, (a, b),
-                            f"{lab[a]} <= {lab[b]} and L({lab[a]}', {lab[b]}) = {{0}} "
-                            f"but {lab[a]} != {lab[b]}")
-                        break
-                else:
-                    continue
-                break
-            items["v"] = Theorem54Item("fail" if not verdict_v.ok else "pass",
-                                       "strict Kleene", verdict_v)
-        else:
-            items["v"] = Theorem54Item("skipped", "strict Kleene")
-
-        return Theorem54Report(items=items, condition7=cond7,
-                               strict_kleene=strict_kleene)
+        strict_kleene = self.ip.is_strict().ok and self.ip.is_distributive("LU").ok
+        active = {"bounded antitone involution": True, "condition (7)": cond7.ok,
+                  "strict Kleene": strict_kleene}
+        table = (
+            ("i", "bounded antitone involution",
+             lambda a, b: odot[a][b] != primed(arrow[a][inv[b]]),
+             lambda a, b: f"{lab[a]} odot {lab[b]} != ({lab[a]} -> {lab[b]}')'"),
+            ("ii", "bounded antitone involution",
+             lambda a, b: arrow[a][b] != primed(odot[a][inv[b]]),
+             lambda a, b: f"{lab[a]} -> {lab[b]} != ({lab[a]} odot {lab[b]}')'"),
+            ("iii", "condition (7)",
+             lambda a, b: (odot[a][b] == zero) != ((up[a] >> inv[b]) & 1),
+             lambda a, b: f"({lab[a]} odot {lab[b]} = {{0}}) does not match "
+                          f"{lab[a]} <= {lab[b]}'"),
+            ("iv", "condition (7)",
+             lambda a, b: (arrow[a][b] == one) != ((up[a] >> b) & 1),
+             lambda a, b: f"({lab[a]} -> {lab[b]} = {{1}}) does not match "
+                          f"{lab[a]} <= {lab[b]}"),
+            ("v", "strict Kleene",
+             lambda a, b: a != b and (up[a] >> b) & 1 and down[inv[a]] & down[b] == zero,
+             lambda a, b: f"{lab[a]} <= {lab[b]} and L({lab[a]}', {lab[b]}) = {{0}} "
+                          f"but {lab[a]} != {lab[b]}"),
+        )
+        pairs = list(product(range(p.n), repeat=2))
+        items = {key: Theorem54Item(tier, _first(pairs, fails, detail) if active[tier] else None)
+                 for key, tier, fails, detail in table}
+        return Theorem54Report(items=items, condition7=cond7, strict_kleene=strict_kleene)

@@ -271,6 +271,71 @@ class RefInvolutive(RefPoset):
                 return False, (x, y)
         return True, None
 
+    # Each check below returns (True, None) or (False, its first failing
+    # cell); ``odot``/``arrow`` replace the tables, as in associativity.
+    def zero_absorbing(self, odot=None):
+        """First (x,) with x ⊙ 0 or 0 ⊙ x other than {0}."""
+        odot = self.odot_table() if odot is None else odot
+        bottom, _ = self.bounds()
+        for x in self.elements:
+            if odot[(x, bottom)] != {bottom} or odot[(bottom, x)] != {bottom}:
+                return False, (x,)
+        return True, None
+
+    def commutativity(self, odot=None):
+        """First (x, y), x before y, with x ⊙ y != y ⊙ x."""
+        odot = self.odot_table() if odot is None else odot
+        for x, y in itertools.combinations(self.elements, 2):
+            if odot[(x, y)] != odot[(y, x)]:
+                return False, (x, y)
+        return True, None
+
+    def unit(self, odot=None):
+        """First (x,) with x ⊙ 1 or 1 ⊙ x other than L(x)."""
+        odot = self.odot_table() if odot is None else odot
+        _, top = self.bounds()
+        for x in self.elements:
+            if odot[(x, top)] != self.lower([x]) or odot[(top, x)] != self.lower([x]):
+                return False, (x,)
+        return True, None
+
+    def theorem54(self, odot=None, arrow=None):
+        """Theorem 5.4's items "i".."v", each the first failing (a, b)
+        in element order, or None where its tier does not hold: (iii)
+        and (iv) need condition (7), (v) a strict Kleene poset (strict
+        and LU-distributive)."""
+        odot = self.odot_table() if odot is None else odot
+        arrow = self.arrow_table() if arrow is None else arrow
+        bottom, top = self.bounds()
+        pr = self.prime
+
+        def primed(items):
+            return {pr[w] for w in items}
+
+        laws = {
+            "i": lambda a, b: odot[(a, b)] == primed(arrow[(a, pr[b])]),
+            "ii": lambda a, b: arrow[(a, b)] == primed(odot[(a, pr[b])]),
+            "iii": lambda a, b: (odot[(a, b)] == {bottom}) == self.leq(a, pr[b]),
+            "iv": lambda a, b: (arrow[(a, b)] == {top}) == self.leq(a, b),
+            "v": lambda a, b: not (self.leq(a, b) and self.lower([pr[a], b]) == {bottom})
+            or a == b,
+        }
+        active = self._theorem54_tiers()
+        out = {}
+        for key, holds in laws.items():
+            out[key] = None if not active[key] else next(
+                ((False, (a, b)) for a, b in itertools.product(self.elements, repeat=2)
+                 if not holds(a, b)), (True, None))
+        return out
+
+    def _theorem54_tiers(self):
+        if not hasattr(self, "_tiers"):
+            cond7 = self.condition7()[0]
+            strict_kleene = self.strict()[0] is True and self.distributive("LU")[0]
+            self._tiers = {"i": True, "ii": True, "iii": cond7, "iv": cond7,
+                           "v": strict_kleene}
+        return self._tiers
+
 
 def ref_dm_completion(p):
     """All distinct L(A) over every subset A, as frozensets."""

@@ -123,6 +123,7 @@ def test_twist_unknown_pivot():
     code, _, err = run("twist", fx("fig8"), "--at", "zz")
     assert code == 2
     assert "error:" in err
+    assert "'zz'" in err
 
 
 def test_twist_json():

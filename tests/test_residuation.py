@@ -160,6 +160,11 @@ def test_requires_involutive_poset():
         ResiduatedStructure(figure("fig8"))
 
 
+def test_condition7_requires_involutive_poset():
+    with pytest.raises(DomainError, match=r"condition \(7\)"):
+        check_condition7(figure("fig8"))
+
+
 # -- associativity, adjointness and the case tally against the oracle ---------
 
 def _bounded_involutive(max_n):
@@ -233,3 +238,68 @@ def test_first_associativity_failure_on_an_edited_table(x, y, value, witness, de
     assert _as_labels(ip.base, rep.associativity) == \
         ref_of(ip).associativity(table) == (False, witness)
     assert rep.associativity.detail == detail
+
+
+# -- the pair checks and Theorem 5.4 against the oracle -----------------------
+
+PAIR_AXIOMS = ("zero_absorbing", "commutativity", "unit")
+
+
+def _pair_checks(r):
+    """Labelled (ok, first witness) of the pair axioms, and (status,
+    (ok, first witness) or None) of each Theorem 5.4 item."""
+    rep = r.verify_kleene_residuated()
+    items = r.theorem54_checks().items
+    return ({name: _as_labels(r.p, getattr(rep, name)) for name in PAIR_AXIOMS},
+            {k: (item.status,
+                 None if item.verdict is None else _as_labels(r.p, item.verdict))
+             for k, item in items.items()})
+
+
+def _oracle_pair_checks(ref, odot=None, arrow=None):
+    t54 = ref.theorem54(odot, arrow)
+    return ({name: getattr(ref, name)(odot) for name in PAIR_AXIOMS},
+            {k: ("skipped" if v is None else "pass" if v[0] else "fail", v)
+             for k, v in t54.items()})
+
+
+def test_pair_checks_match_oracle_on_bounded_posets():
+    """Every bounded poset with n <= 6 and every antitone involution:
+    the same statuses and first witnesses for zero absorption,
+    commutativity, unit and Theorem 5.4 (i)-(v)."""
+    statuses = set()
+    seen = 0
+    for ip, ref in _bounded_involutive(6):
+        axioms, items = _pair_checks(ResiduatedStructure(ip))
+        assert (axioms, items) == _oracle_pair_checks(ref), ip.labels
+        statuses |= {(k, status) for k, (status, _) in items.items()}
+        seen += 1
+    assert seen == 33
+    assert {("iii", "skipped"), ("iii", "pass"), ("v", "skipped"),
+            ("v", "pass")} <= statuses
+
+
+def test_pair_checks_match_oracle_on_edited_tables():
+    """Setting one entry of fig4's ⊙ or → table to {0} or {1}: every
+    first failure of the pair axioms and of Theorem 5.4 (i)-(iv), with
+    its status, agrees with the oracle on the same edited table."""
+    ip = figure("fig4")
+    ref = ref_of(ip)
+    failing = set()
+    for attr, table_of in (("_odot", ref.odot_table), ("_arrow", ref.arrow_table)):
+        for x, y, value in itertools.product(ip.labels, ip.labels, ("0", "1")):
+            r = ResiduatedStructure(ip)
+            rows = [list(row) for row in getattr(r, attr)]
+            if rows[ip.index(x)][ip.index(y)] == 1 << ip.index(value):
+                continue
+            rows[ip.index(x)][ip.index(y)] = 1 << ip.index(value)
+            setattr(r, attr, tuple(tuple(row) for row in rows))
+            edited = table_of()
+            edited[(x, y)] = {value}
+            tables = {"_odot": None, "_arrow": None, attr: edited}
+            axioms, items = _pair_checks(r)
+            assert (axioms, items) == _oracle_pair_checks(
+                ref, tables["_odot"], tables["_arrow"]), (attr, x, y, value)
+            failing |= {name for name, (ok, _) in axioms.items() if not ok}
+            failing |= {k for k, (status, _) in items.items() if status == "fail"}
+    assert failing == set(PAIR_AXIOMS) | {"i", "ii", "iii", "iv"}
