@@ -17,7 +17,7 @@ and the canonical embedding ``x -> L(x)`` commutes with the involutions.
 from __future__ import annotations
 
 from .errors import UsageError
-from .involution import InvolutivePoset
+from .involution import InvolutivePoset, _image
 from .poset import Poset, Subset, _bits
 
 
@@ -56,7 +56,7 @@ class CompletionLattice:
         object.__setattr__(self, "_poset", poset)
         involutive = None
         if ip is not None:
-            star = [index[base._lower(ip._image(m))] for m in ideals]
+            star = [index[base._lower(_image(ip.inv, m))] for m in ideals]
             involutive = InvolutivePoset(poset, star)
         object.__setattr__(self, "_involutive", involutive)
 

@@ -34,7 +34,7 @@ import functools
 import itertools
 
 from .errors import DomainError, UsageError
-from .involution import InvolutivePoset
+from .involution import InvolutivePoset, _image
 from .poset import Poset, Subset, Verdict, _bits
 
 
@@ -79,6 +79,14 @@ def _common(masks, sel, memo):
             acc &= masks[i]
         memo[sel] = acc
     return acc
+
+
+def _mask(values):
+    """The bitmask of an iterable of indices."""
+    out = 0
+    for v in values:
+        out |= 1 << v
+    return out
 
 
 def _base_table(p):
@@ -177,7 +185,12 @@ class MeetDirectoid:
     # -- directoid axioms -------------------------------------------------
     def check_directoid_axioms(self):
         """Idempotency, commutativity and the weak associativity
-        (x ⊓ (y ⊓ z)) ⊓ z = x ⊓ (y ⊓ z)."""
+        (x ⊓ (y ⊓ z)) ⊓ z = x ⊓ (y ⊓ z).
+
+        x ⊓ (y ⊓ z) ranges over the column v = y ⊓ z, so weak
+        associativity holds at (y, z) iff that column's values all lie
+        in ``below[z]``; the (x, y, z) scan runs only to find the first
+        witness of a failure."""
         meet = self.meet
         lab = self.labels
         rng = range(self.n)
@@ -185,23 +198,27 @@ class MeetDirectoid:
             if meet[x][x] != x:
                 return Verdict(False, ("idempotency", x),
                                f"{lab[x]} meet {lab[x]} = {lab[meet[x][x]]}")
-        for x in rng:
-            for y in rng:
-                if meet[x][y] != meet[y][x]:
-                    return Verdict(False, ("commutativity", x, y),
-                                   f"{lab[x]} meet {lab[y]} = {lab[meet[x][y]]} but "
-                                   f"{lab[y]} meet {lab[x]} = {lab[meet[y][x]]}")
-        for x in rng:
-            row_x = meet[x]
-            for y in rng:
-                row_y = meet[y]
-                for z in rng:
-                    m = row_x[row_y[z]]
-                    if meet[m][z] != m:
-                        return Verdict(
-                            False, ("weak associativity", x, y, z),
-                            f"(({lab[x]} meet ({lab[y]} meet {lab[z]})) meet {lab[z]}) "
-                            f"= {lab[meet[m][z]]} != {lab[m]}")
+        if meet != tuple(zip(*meet)):
+            for x in rng:
+                for y in rng:
+                    if meet[x][y] != meet[y][x]:
+                        return Verdict(False, ("commutativity", x, y),
+                                       f"{lab[x]} meet {lab[y]} = {lab[meet[x][y]]} but "
+                                       f"{lab[y]} meet {lab[x]} = {lab[meet[y][x]]}")
+        below = self._order()[1]
+        cols = [_mask(col) for col in meet]    # a column is its row once commutative
+        if any(cols[v] & ~below[z] for row in meet for z, v in enumerate(row)):
+            for x in rng:
+                row_x = meet[x]
+                for y in rng:
+                    row_y = meet[y]
+                    for z in rng:
+                        m = row_x[row_y[z]]
+                        if meet[m][z] != m:
+                            return Verdict(
+                                False, ("weak associativity", x, y, z),
+                                f"(({lab[x]} meet ({lab[y]} meet {lab[z]})) meet {lab[z]}) "
+                                f"= {lab[meet[m][z]]} != {lab[m]}")
         return Verdict(True)
 
     def _order(self):
@@ -289,16 +306,16 @@ class MeetDirectoid:
         x, y, z, w; witness is the first failing (x, y, z, w)."""
         self._require_identities_1_2()
         meet, inv = self.meet, self.inv
-        join = self.join_table()
         rng = range(self.n)
         above = self._order()[0]
         lmask = [0] * self.n    # lmask[x] = {(z ⊓ x) ⊓ (z ⊓ x') | z}
-        rmask = [0] * self.n    # rmask[y] = {(w ⊔ y) ⊔ (w ⊔ y') | w}
         for x in rng:
             ix = inv[x]
-            for mz, jz in zip(meet, join):
+            for mz in meet:
                 lmask[x] |= 1 << meet[mz[x]][mz[ix]]
-                rmask[x] |= 1 << join[jz[x]][jz[ix]]
+        # By (1), (w ⊔ y) ⊔ (w ⊔ y') = ((w' ⊓ y') ⊓ (w' ⊓ y))', so
+        # rmask[y] = {(w ⊔ y) ⊔ (w ⊔ y') | w} is the image of lmask[y'].
+        rmask = [_image(inv, lmask[inv[y]]) for y in rng]
         memo = {}
         for x in rng:
             common = _common(above, lmask[x], memo)    # above every lhs value
@@ -306,6 +323,7 @@ class MeetDirectoid:
                 if not rmask[y] & ~common:
                     continue
                 # (x, y) is the first failing pair: scan its (z, w)
+                join = self.join_table()
                 for z, w in itertools.product(rng, rng):
                     lhs = meet[meet[z][x]][meet[z][inv[x]]]
                     rhs = join[join[w][y]][join[w][inv[y]]]
@@ -319,49 +337,73 @@ class MeetDirectoid:
 
     def check_implication_4(self):
         """The distributivity implication; witness is the first violating
-        (w, s, x, y, z) in the checker's scan order."""
+        (w, s, x, y, z) in the checker's scan order.
+
+        One premise table serves both premises.  With ``lset[x][y] =
+        {(t ⊓ x) ⊓ (t ⊓ y) | t}``, identity (1) gives (t ⊔ x) ⊔ (t ⊔ y) =
+        ((t' ⊓ x') ⊓ (t' ⊓ y'))' and s ⊔ v = s iff s' <= v', without
+        commutativity.  So with ``low(m)`` the u with u <= v' for every v
+        in m, the w of (x, y) are ``low(lset[x'][y'])`` and the s of
+        (x, z) are the images of ``low(lset[x][z])``; each distinct mask
+        is reduced once.  (x, y, z) fails iff some s of both (x, z) and
+        (y, z) is not above every w of (x, y) with w <= z; the z of one
+        (x, y) are tested at once, on n-bit blocks, one block per z.  On a
+        commutative table ``lset`` is symmetric, so (x, y, z) fails
+        exactly when (y, x, z) does, with the same w and s; the first
+        failure then has x <= y, and both loops skip y < x."""
         self._require_identities_1_2()
-        meet = self.meet
-        join = self.join_table()
+        meet, inv = self.meet, self.inv
         n = self.n
         above, below, _ = self._order()
-        sfix = _order_masks(join)[1]    # sfix[l] = {s | s join l = s}
-        wset = [[0] * n for _ in range(n)]   # {w | forall t: w meet ((t v x) v (t v y)) = w}
-        sset = [[0] * n for _ in range(n)]   # {s | forall t: s join ((t ^ x) ^ (t ^ z)) = s}
-        wmemo, smemo, amemo = {}, {}, {}
+        symmetric = meet == tuple(zip(*meet))
         rng = range(n)
+        lset = [[0] * n for _ in rng]
         for x in rng:
-            for y in rng:
-                um = lm = 0
-                for mt, jt in zip(meet, join):
-                    um |= 1 << join[jt[x]][jt[y]]
-                    lm |= 1 << meet[mt[x]][mt[y]]
-                wset[x][y] = _common(below, um, wmemo)
-                sset[x][y] = _common(sfix, lm, smemo)
+            row = lset[x]
+            for y in range(x if symmetric else 0, n):
+                m = 0
+                for mt in meet:
+                    m |= 1 << meet[mt[x]][mt[y]]
+                row[y] = m
+                if symmetric:
+                    lset[y][x] = m
+        low = [below[inv[v]] for v in rng]    # low[v] = {u | u <= v'}
+        wred = {}    # wred[m] = low(m), the memo _common fills
+        sred = {m: _image(inv, _common(low, m, wred))
+                for m in set(itertools.chain.from_iterable(lset))}
+        full = (1 << n) - 1
+        # block z of packed[x]: the s of (x, z)
+        packed = [sum(sred[m] << n * z for z, m in enumerate(row)) for row in lset]
+        # block z of spread[w]: the s not above w, when w <= z
+        spread = [(full & ~above[w]) * sum(1 << n * z for z in _bits(above[w]))
+                  for w in rng]
+        outside = {}
         for x in rng:
-            wrow = wset[x]
-            srow = sset[x]
-            for y in rng:
-                wxy = wrow[y]
-                if not wxy:
-                    continue
-                sy = sset[y]
-                for z in rng:
+            lrow = lset[inv[x]]
+            px = packed[x]
+            for y in range(x if symmetric else 0, n):
+                wxy = wred[lrow[inv[y]]]
+                out = outside.get(wxy)
+                if out is None:
+                    # block z: the s not above every w of (x, y) with w <= z
+                    out = 0
+                    for w in _bits(wxy):
+                        out |= spread[w]
+                    outside[wxy] = out
+                fails = px & packed[y] & out
+                if fails:
+                    z = ((fails & -fails).bit_length() - 1) // n
                     wc = wxy & below[z]
-                    if not wc:
-                        continue
-                    sc = srow[z] & sy[z]
-                    # (x, y, z) fails iff some s in sc is not above every w in wc
-                    if sc and sc & ~_common(above, wc, amemo):
-                        w = next(w for w in _bits(wc) if sc & ~above[w])
-                        bad = sc & ~above[w]
-                        s = (bad & -bad).bit_length() - 1
-                        lab = self.labels
-                        return Verdict(
-                            False, (w, s, x, y, z),
-                            f"(4) fails at (w,s,x,y,z) = ({lab[w]}, {lab[s]}, "
-                            f"{lab[x]}, {lab[y]}, {lab[z]}): premises hold "
-                            f"but {lab[w]} !<= {lab[s]}")
+                    sc = sred[lset[x][z]] & sred[lset[y][z]]
+                    w = next(w for w in _bits(wc) if sc & ~above[w])
+                    bad = sc & ~above[w]
+                    s = (bad & -bad).bit_length() - 1
+                    lab = self.labels
+                    return Verdict(
+                        False, (w, s, x, y, z),
+                        f"(4) fails at (w,s,x,y,z) = ({lab[w]}, {lab[s]}, "
+                        f"{lab[x]}, {lab[y]}, {lab[z]}): premises hold "
+                        f"but {lab[w]} !<= {lab[s]}")
         return Verdict(True)
 
     def _shared_lower_body(self, name, xs, require_incomparable):

@@ -33,6 +33,16 @@ def involution_from_pairs(labels, pairs):
     return tuple(inv)
 
 
+def _image(inv, mask):
+    """The mask of ``inv[x]`` over the bits x of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << inv[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 class InvolutivePoset:
     """A finite poset together with a total unary map ``inv``.
 
@@ -132,16 +142,7 @@ class InvolutivePoset:
 
     def prime_subset(self, items):
         """Elementwise image A' of a subset."""
-        return Subset(self.base, self._image(self.base._mask_of(items)))
-
-    def _image(self, mask):
-        out = 0
-        inv = self.inv
-        while mask:
-            low = mask & -mask
-            out |= 1 << inv[low.bit_length() - 1]
-            mask ^= low
-        return out
+        return Subset(self.base, _image(self.inv, self.base._mask_of(items)))
 
     def check_antitone_involution(self):
         """x'' = x for all x, and x <= y implies y' <= x'."""
@@ -162,7 +163,7 @@ class InvolutivePoset:
             # and outside that image (x itself, x'' = x, lies inside).
             inv, up, down = self.inv, self.base._up, self.base._down
             for x in range(self.n):
-                bad = up[x] & ~self._image(down[inv[x]])
+                bad = up[x] & ~_image(inv, down[inv[x]])
                 if bad:
                     y = (bad & -bad).bit_length() - 1
                     verdict = Verdict(

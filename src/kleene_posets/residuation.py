@@ -21,7 +21,7 @@ from operator import and_
 from typing import Optional
 
 from .errors import DomainError
-from .involution import InvolutivePoset
+from .involution import InvolutivePoset, _image
 from .poset import Subset, Verdict, _bits
 
 # The residuated-poset axioms of Theorem 5.2, in report order.
@@ -156,10 +156,14 @@ class ResiduatedStructure:
         """Tag a triple with its proof case, first match of:
         1: a<=b', b<=c   2: a<=b', b!<=c   3: a!<=b', b<=c   4: +a=1
         5: +b=1          6: +c=0           7: the rest."""
-        p, inv = self.p, self.ip.inv
-        a, b, c = p.index(a), p.index(b), p.index(c)
-        ab = p.leq(a, inv[b])
-        bc = p.leq(b, c)
+        p = self.p
+        return self._case(p.index(a), p.index(b), p.index(c))
+
+    def _case(self, a, b, c):
+        """:meth:`adjointness_case` of three indices."""
+        up = self.p._up
+        ab = (up[a] >> self.ip.inv[b]) & 1
+        bc = (up[b] >> c) & 1
         if ab and bc:
             return 1
         if ab:
@@ -261,13 +265,13 @@ class ResiduatedStructure:
                         f"{'<=' if left else '!<='} {lab[c]} but {lab[a]} "
                         f"{'!<=' if left else '<='} {lab[b]} -> {lab[c]} = "
                         f"{Subset(p, arrow[b][c]).render()}")
-                case_counts[self.adjointness_case(a, b, b)] += up[b].bit_count()
+                case_counts[self._case(a, b, b)] += up[b].bit_count()
                 if b != bottom:
-                    case_counts[self.adjointness_case(a, b, bottom)] += 1
+                    case_counts[self._case(a, b, bottom)] += 1
                 others = p._full & ~up[b] & ~(1 << bottom)
                 if others:
                     c = (others & -others).bit_length() - 1
-                    case_counts[self.adjointness_case(a, b, c)] += others.bit_count()
+                    case_counts[self._case(a, b, c)] += others.bit_count()
         return verdict, case_counts
 
     def theorem54_checks(self):
@@ -283,7 +287,7 @@ class ResiduatedStructure:
         checks whose tier preconditions fail are reported as skipped.
         """
         p, inv, lab = self.p, self.ip.inv, self.p.labels
-        odot, arrow, primed, up, down = self._odot, self._arrow, self.ip._image, p._up, p._down
+        odot, arrow, up, down = self._odot, self._arrow, p._up, p._down
         zero, one = 1 << self.bottom, 1 << self.top
         cond7 = self.check_condition7()
         strict_kleene = self.ip.is_strict().ok and self.ip.is_distributive("LU").ok
@@ -291,10 +295,10 @@ class ResiduatedStructure:
                   "strict Kleene": strict_kleene}
         table = (
             ("i", "bounded antitone involution",
-             lambda a, b: odot[a][b] != primed(arrow[a][inv[b]]),
+             lambda a, b: odot[a][b] != _image(inv, arrow[a][inv[b]]),
              lambda a, b: f"{lab[a]} odot {lab[b]} != ({lab[a]} -> {lab[b]}')'"),
             ("ii", "bounded antitone involution",
-             lambda a, b: arrow[a][b] != primed(odot[a][inv[b]]),
+             lambda a, b: arrow[a][b] != _image(inv, odot[a][inv[b]]),
              lambda a, b: f"{lab[a]} -> {lab[b]} != ({lab[a]} odot {lab[b]}')'"),
             ("iii", "condition (7)",
              lambda a, b: (odot[a][b] == zero) != ((up[a] >> inv[b]) & 1),

@@ -545,6 +545,25 @@ def ref_isomorphic_with_pin(p, pin_p, q, pin_q):
 # table is not commutative.  Each returns the first violation in the
 # package checker's scan order, or None.
 
+def ref_directoid_axioms(meet):
+    """Idempotency x ⊓ x = x, then commutativity x ⊓ y = y ⊓ x, then weak
+    associativity (x ⊓ (y ⊓ z)) ⊓ z = x ⊓ (y ⊓ z); the first failing tag
+    ``("idempotency", x)``, ``("commutativity", x, y)`` or
+    ``("weak associativity", x, y, z)`` in that scan order, or None."""
+    elems = range(len(meet))
+    for x in elems:
+        if meet[x][x] != x:
+            return ("idempotency", x)
+    for x, y in itertools.product(elems, repeat=2):
+        if meet[x][y] != meet[y][x]:
+            return ("commutativity", x, y)
+    for x, y, z in itertools.product(elems, repeat=3):
+        m = meet[x][meet[y][z]]
+        if meet[m][z] != m:
+            return ("weak associativity", x, y, z)
+    return None
+
+
 def ref_join(meet, inv):
     """x ⊔ y = (x' ⊓ y')'."""
     n = len(meet)

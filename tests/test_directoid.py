@@ -7,6 +7,7 @@ checked exhaustively.  The first witness of each of (3)-(6) is compared
 with the brute-force transcriptions in ``oracles.py``.
 """
 
+import collections
 import itertools
 import random
 
@@ -19,8 +20,8 @@ from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            directoid_from_choices, enumerate_involutions,
                            enumerate_posets, figure, iter_assignments)
 
-from oracles import (ref_derived_set_laws, ref_identity_3, ref_implication_4,
-                     ref_implication_5, ref_implication_6)
+from oracles import (ref_derived_set_laws, ref_directoid_axioms, ref_identity_3,
+                     ref_implication_4, ref_implication_5, ref_implication_6)
 
 SMALL_FIGS = ["fig1", "fig2", "fig3", "fig4", "fig5"]
 
@@ -166,6 +167,46 @@ def test_weak_associativity_witness():
     d = MeetDirectoid(table)
     v = d.check_directoid_axioms()
     assert not v.ok and v.witness[0] == "weak associativity"
+
+
+def _axiom_failure(table):
+    v = MeetDirectoid(table).check_directoid_axioms()
+    return None if v.ok else v.witness
+
+
+@pytest.mark.parametrize("n, cap", [(1, None), (2, None), (3, None), (4, None),
+                                    (5, 5)])
+def test_directoid_axioms_match_oracle(n, cap):
+    """The axioms against ``ref_directoid_axioms`` on every assignment of
+    every directed poset of size n (the first ``cap`` of them), on a
+    seeded relabelling of each, and on seeded edits of both: one cell set
+    to a random value, and one cell and its mirror set to the same random
+    value.  The edits reach every failure tag, weak associativity
+    included, so the rescan that finds its witness runs."""
+    rng = random.Random(100 + n)
+    ident = list(range(n))
+    tags = collections.Counter()
+    for p in filter(Poset.is_downward_directed, enumerate_posets(n)):
+        for base in itertools.islice(iter_assignments(p), cap):
+            perm = ident[:]
+            rng.shuffle(perm)
+            tables = [base.meet, _relabelled(base.meet, ident, perm).meet]
+            for table in tables[:2]:
+                for mirrored in (False, True):
+                    for _ in range(3):
+                        edited = [list(row) for row in table]
+                        x, y, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                        edited[x][y] = v
+                        if mirrored:
+                            edited[y][x] = v
+                        tables.append(edited)
+            for table in tables:
+                want = ref_directoid_axioms(table)
+                assert _axiom_failure(table) == want
+                tags[want and want[0]] += 1
+    assert tags[None] > 0
+    if n >= 3:
+        assert {"idempotency", "commutativity", "weak associativity"} <= set(tags)
 
 
 def test_induced_relation_must_be_order():
@@ -337,10 +378,19 @@ def _first(verdict):
 
 
 def _assert_matches_oracles(d, bound_pairs):
+    """Every checker against its oracle.  On a commutative table the first
+    failure of (4) must have x <= y, the argument that lets the checker
+    skip y < x; returns whether that assertion ran."""
     meet, inv = [list(row) for row in d.meet], list(d.inv)
+    half_scan = False
     if d.check_identities_1_2().ok:
         assert _first(d.check_identity_3()) == ref_identity_3(meet, inv)
-        assert _first(d.check_implication_4()) == ref_implication_4(meet, inv)
+        want4 = ref_implication_4(meet, inv)
+        assert _first(d.check_implication_4()) == want4
+        if want4 is not None and d.meet == tuple(zip(*d.meet)):
+            _, _, x, y, _ = want4
+            assert x <= y
+            half_scan = True
     assert _first(d.check_implication_5()) == ref_implication_5(meet, inv)
     for bottom, top in bound_pairs:
         try:
@@ -350,6 +400,7 @@ def _assert_matches_oracles(d, bound_pairs):
                 d.check_implication_6(bottom, top)
         else:
             assert _first(d.check_implication_6(bottom, top)) == want
+    return half_scan
 
 
 def _relabelled(table, inv, perm):
@@ -372,9 +423,11 @@ def test_identities_match_oracles_on_directed_posets(n, cap):
     also under a seeded relabelling, so that index order is not the
     induced order and the scan order of a witness is exercised.  The
     directoid the map audits assemble (``_with_map`` on the validated
-    table) must read exactly as the public constructor's."""
+    table) must read exactly as the public constructor's.  Commutative
+    tables failing (4) first occur at n = 5."""
     rng = random.Random(n)
     bound_pairs = list(itertools.product(range(n), repeat=2))
+    half_scans = 0
     for p in filter(Poset.is_downward_directed, enumerate_posets(n)):
         tables = list(itertools.islice(iter_assignments(p), cap))
         for u in _involutions(n):
@@ -384,9 +437,10 @@ def test_identities_match_oracles_on_directed_posets(n, cap):
                 public = MeetDirectoid(base.meet, inv=u)
                 assembled = base._with_map(InvolutivePoset(p, u).inv)
                 for d in (public, _relabelled(base.meet, u, perm), assembled):
-                    _assert_matches_oracles(d, bound_pairs)
+                    half_scans += _assert_matches_oracles(d, bound_pairs)
                 _assert_same_verdicts(assembled, public, bound_pairs)
                 assert assembled._order() is base._order()
+    assert (half_scans > 0) == (n == 5)
 
 
 def _verdicts(d, bound_pairs):
@@ -416,8 +470,10 @@ def _assert_same_verdicts(assembled, public, bound_pairs):
 def test_identities_match_oracles_on_figures(name):
     ip = figure(name)
     cap = None if name in SMALL_FIGS else 3
-    for d in itertools.islice(iter_assignments(ip), cap):
-        _assert_matches_oracles(d, [(ip.index("0"), ip.index("1"))])
+    half_scans = [_assert_matches_oracles(d, [(ip.index("0"), ip.index("1"))])
+                  for d in itertools.islice(iter_assignments(ip), cap)]
+    # every assignment is commutative, so (4) fails exactly off the Kleene figures
+    assert all(half_scans) == (name in ("fig2", "fig3", "fig6"))
 
 
 def _random_involution(rng, n):
