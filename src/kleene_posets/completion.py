@@ -126,5 +126,15 @@ class CompletionLattice:
 
 
 def dedekind_macneille(base):
-    """Build the completion of a poset or involutive poset."""
-    return CompletionLattice(base)
+    """Build the completion of a poset or involutive poset.
+
+    An :class:`InvolutivePoset` keeps its completion, and every later
+    call returns that object.  The completion is a function of the order
+    and the map alone and both objects are immutable, so sharing it
+    cannot change a result.  Only a completion that was built is kept:
+    a map that is not an antitone involution raises on every call."""
+    if not isinstance(base, InvolutivePoset):
+        return CompletionLattice(base)
+    if base._completion is None:
+        object.__setattr__(base, "_completion", CompletionLattice(base))
+    return base._completion

@@ -211,12 +211,13 @@ def _involutive_representatives(n):
     involutions, in that nested order, built once per size for every
     involutive space.  Sharing them changes no result: each space yields
     the same instances in the same order as building them per claim did,
-    posets are immutable, and all an ``InvolutivePoset`` carries from one
-    claim to the next is its ``check_antitone_involution`` verdict, a
-    function of its order and map alone.  That verdict is recorded as
-    valid when the representative is built, since every map comes from
-    ``enumerate_involutions``; so no claim pays for checking it, whatever
-    claim runs first."""
+    and all an instance carries from one claim to the next are memoised
+    results (its involution and (K) verdicts, its completion, its
+    poset's lattice and distributivity verdicts), each shared for the
+    reason its own docstring gives.  The involution verdict is recorded
+    as valid when the representative is built, since every map comes
+    from ``enumerate_involutions``; so no claim pays for checking it,
+    whatever claim runs first."""
     return tuple(InvolutivePoset._antitone(p, inv) for p in enumerate_posets(n)
                  for inv in enumerate_involutions(p))
 
@@ -540,14 +541,17 @@ class Claim:
 # -- per-claim evaluators -----------------------------------------------------
 
 def _forms_equivalent(p):
-    verdicts = p.distributivity_all_forms()
-    oks = {form: verdicts[form].ok for form in DISTRIBUTIVITY_FORMS}
+    """Reads whether each form holds; the details are rendered only for
+    a binding."""
+    failures = p._distributivity(DISTRIBUTIVITY_FORMS)
+    oks = {form: failures[form] is None for form in DISTRIBUTIVITY_FORMS}
     if len(set(oks.values())) == 1:
         return None
+    verdicts = p.distributivity_all_forms()
     return {
         "forms": oks,
         "details": {form: verdicts[form].detail
-                    for form in DISTRIBUTIVITY_FORMS if not verdicts[form].ok},
+                    for form in DISTRIBUTIVITY_FORMS if not oks[form]},
     }
 
 
@@ -575,6 +579,8 @@ def _lem22(ip):
 
 
 def _completion_agreement(predicate_name):
+    """Thm-3.1 and Thm-3.2 read one completion per instance and share its
+    verdicts: ``dedekind_macneille`` and the predicates memoise them."""
     def evaluate(ip):
         dm = dedekind_macneille(ip)
         dm_ip = dm.as_involutive_poset()

@@ -50,7 +50,8 @@ class InvolutivePoset:
     it, and the classification predicates insist on validity.
     """
 
-    __slots__ = ("base", "inv", "_involution_verdict")
+    __slots__ = ("base", "inv", "_involution_verdict", "_pseudo_kleene_verdict",
+                 "_completion")
 
     def __init__(self, base, inv):
         if not isinstance(base, Poset):
@@ -64,6 +65,8 @@ class InvolutivePoset:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "_involution_verdict", None)
+        object.__setattr__(self, "_pseudo_kleene_verdict", None)
+        object.__setattr__(self, "_completion", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("InvolutivePoset is immutable")
@@ -199,8 +202,19 @@ class InvolutivePoset:
         """Condition (K): L(x,x') <= U(y,y') for all pairs x, y.  A set
         lies above L(x,x') in the set order iff it lies inside
         U(L(x,x')), so each distinct L(x,x') takes one upper cone and
-        one scan for the first y whose U(y,y') leaves it."""
+        one scan for the first y whose U(y,y') leaves it.
+
+        The involution is checked on every call.  The verdict is a
+        function of the order and the map alone and the object is
+        immutable, so it is memoised and every caller shares it."""
         self._require_involution()
+        verdict = self._pseudo_kleene_verdict
+        if verdict is None:
+            verdict = self._pseudo_kleene_scan()
+            object.__setattr__(self, "_pseudo_kleene_verdict", verdict)
+        return verdict
+
+    def _pseudo_kleene_scan(self):
         p = self.base
         lab = self.labels
         lows, ups = self._self_cone_masks()

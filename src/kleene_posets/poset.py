@@ -123,6 +123,7 @@ class Poset:
     """A finite partially ordered set with named elements."""
 
     __slots__ = ("labels", "n", "_up", "_down", "_index", "_full",
+                 "_lattice_verdict", "_distributivity_failures",
                  "_distributivity_verdicts")
 
     def __init__(self, labels, up_masks, *, _validated=False):
@@ -149,6 +150,8 @@ class Poset:
         object.__setattr__(self, "_down", tuple(down))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(labels)})
         object.__setattr__(self, "_full", full)
+        object.__setattr__(self, "_lattice_verdict", None)
+        object.__setattr__(self, "_distributivity_failures", {})
         object.__setattr__(self, "_distributivity_verdicts", {})
 
     def __setattr__(self, name, value):
@@ -342,12 +345,31 @@ class Poset:
         return self._greatest_of(self._down[self.index(x)] & self._down[self.index(y)])
 
     def is_lattice(self):
-        """Every pair has a least upper and greatest lower bound."""
+        """Every pair has a least upper and greatest lower bound; the
+        witness is the first failing pair in index order, its upper
+        bounds tested before its lower ones.
+
+        U(x,y) has a least element l exactly when U(x,y) = U(l): l in
+        U(x,y) puts U(l) inside U(x,y), and l below every element of
+        U(x,y) puts U(x,y) inside U(l).  Dually L(x,y) has a greatest
+        element exactly when it is some L(g).  So each pair is two
+        membership tests in the sets of principal cones.  The verdict is
+        a function of the order alone and the poset is immutable, so it
+        is memoised and every caller shares it."""
+        verdict = self._lattice_verdict
+        if verdict is None:
+            verdict = self._lattice_scan()
+            object.__setattr__(self, "_lattice_verdict", verdict)
+        return verdict
+
+    def _lattice_scan(self):
+        up, down = self._up, self._down
+        ups, downs = set(up), set(down)
         lab = self.labels
         for x in range(self.n):
             for y in range(x + 1, self.n):
-                um = self._up[x] & self._up[y]
-                if self._least_of(um) is None:
+                um = up[x] & up[y]
+                if um not in ups:
                     if um:
                         cands = "{" + ", ".join(lab[m] for m in self._minimal_of(um)) + "}"
                         detail = (f"{{{lab[x]}, {lab[y]}}} has no least upper bound "
@@ -355,8 +377,8 @@ class Poset:
                     else:
                         detail = f"{{{lab[x]}, {lab[y]}}} has no common upper bound"
                     return Verdict(False, (x, y), detail)
-                lm = self._down[x] & self._down[y]
-                if self._greatest_of(lm) is None:
+                lm = down[x] & down[y]
+                if lm not in downs:
                     if lm:
                         cands = "{" + ", ".join(lab[m] for m in self._maximal_of(lm)) + "}"
                         detail = (f"{{{lab[x]}, {lab[y]}}} has no greatest lower bound "
@@ -400,66 +422,90 @@ class Poset:
         cone[y], and back[x][z] contains back[y][z], so the sides of
         (x, y, z) are those of (y, y, z).  Scanning the y > x
         incomparable to x therefore finds the first failing triple.  For
-        each such pair the sides are compared as rows over z, and the
-        closures are memoised by mask for the whole call.
+        each such pair the sides are compared as rows over z.
         """
         if form not in DISTRIBUTIVITY_FORMS:
             raise UsageError(f"unknown distributivity form {form!r}; "
                              f"expected one of {DISTRIBUTIVITY_FORMS}")
-        return self._distributivity((form,))[form]
+        return self._distributivity_verdict(form)
 
     def distributivity_all_forms(self):
         """Evaluate all four distributivity identities.  LU and ULU read
         the same tables and closures, and so do UL and LUL; the closures
         are functions of a mask alone, so sharing their memos is exact
         and each verdict equals ``is_distributive(form)``."""
-        return self._distributivity(DISTRIBUTIVITY_FORMS)
+        self._distributivity(DISTRIBUTIVITY_FORMS)
+        return {form: self._distributivity_verdict(form)
+                for form in DISTRIBUTIVITY_FORMS}
+
+    def _distributivity_verdict(self, form):
+        """The :class:`Verdict` of ``form``.  Its detail is rendered from
+        the failing masks the scan kept, on the first request for it,
+        and memoised, so every request returns the same object."""
+        verdicts = self._distributivity_verdicts
+        if form not in verdicts:
+            failure = self._distributivity((form,))[form]
+            if failure is None:
+                verdicts[form] = Verdict(True)
+            else:
+                x, y, z, lhs, rhs = failure
+                lab = self.labels
+                detail = (f"form {form} fails at ({lab[x]}, {lab[y]}, {lab[z]}): "
+                          f"lhs = {Subset(self, lhs).render()}, "
+                          f"rhs = {Subset(self, rhs).render()}")
+                verdicts[form] = Verdict(False, (x, y, z), detail)
+        return verdicts[form]
 
     def _distributivity(self, forms):
-        """The kernel of :meth:`is_distributive` for each of ``forms`` (in
-        ``DISTRIBUTIVITY_FORMS`` order), building one table pair and one
-        pair of closures per dual.  A verdict is a function of the order
-        alone and the poset is immutable, so each form's verdict is
-        memoised on it and scanned at most once."""
-        n = self.n
-        memo = self._distributivity_verdicts
+        """The kernel of :meth:`is_distributive`: for each of ``forms``,
+        ``None`` where it holds, else its first failing triple with the
+        two sides at z as ``(x, y, z, lhs, rhs)`` masks.  A result is a
+        function of the order alone and the poset is immutable, so each
+        form's result is memoised on it and scanned at most once.
+
+        Each dual (LU and ULU, UL and LUL) shares one set of tables, and
+        nothing is closed before the scan asks for it: ``back[x]`` when
+        the scan first reaches a pair holding x, ``pair[x][y]`` when it
+        reaches (x, y), and each closure once per distinct mask.  A
+        table entry is a function of the order alone, so when it is
+        built cannot change its value, and the scan order is that of
+        :meth:`is_distributive`; the first failure is the same."""
+        memo = self._distributivity_failures
         duals = ((("LU", "ULU"), self._upper, self._lower, self._up, self._down),
                  (("UL", "LUL"), self._lower, self._upper, self._down, self._up))
         for dual, inner, outer, inner_cone, cone in duals:
             wanted = [form for form in dual if form in forms and form not in memo]
             if not wanted:
                 continue
-            close_inner, close_outer = _row_closure(inner), _row_closure(outer)
-            pair = close_outer([a & b for a in inner_cone for b in inner_cone])
-            flat = close_inner([a & b for a in cone for b in cone])
-            back = [flat[k:k + n] for k in range(0, n * n, n)]
+            close_inner, close_outer = _Memo(inner), _Memo(outer)
+            back = _rows(cone, close_inner)
             for form in wanted:
                 memo[form] = self._distributivity_scan(
-                    form, pair, back, cone, close_inner, close_outer)
+                    form, inner_cone, cone, back, close_inner, close_outer)
         return {form: memo[form] for form in forms}
 
-    def _distributivity_scan(self, form, pair, back, cone, close_inner, close_outer):
+    def _distributivity_scan(self, form, inner_cone, cone, back, close_inner,
+                             close_outer):
         n = self.n
         closes_lhs = form in ("ULU", "LUL")
         up, down = self._up, self._down
         for x in range(n):
-            back_x = back[x]
-            for y in _bits(self._full >> (x + 1) << (x + 1) & ~(up[x] | down[x])):
-                pxy = pair[x * n + y]
+            ys = self._full >> (x + 1) << (x + 1) & ~(up[x] | down[x])
+            if not ys:
+                continue
+            back_x, inner_x = back[x], inner_cone[x]
+            for y in _bits(ys):
+                pxy = close_outer[inner_x & inner_cone[y]]
                 lhs = [pxy & c for c in cone]
                 rhs = list(map(and_, back_x, back[y]))
                 if closes_lhs:
-                    lhs = close_inner(lhs)
+                    lhs = list(map(close_inner.__getitem__, lhs))
                 else:
-                    rhs = close_outer(rhs)
+                    rhs = list(map(close_outer.__getitem__, rhs))
                 if lhs != rhs:
                     z = next(z for z in range(n) if lhs[z] != rhs[z])
-                    lab = self.labels
-                    detail = (f"form {form} fails at ({lab[x]}, {lab[y]}, {lab[z]}): "
-                              f"lhs = {Subset(self, lhs[z]).render()}, "
-                              f"rhs = {Subset(self, rhs[z]).render()}")
-                    return Verdict(False, (x, y, z), detail)
-        return Verdict(True)
+                    return x, y, z, lhs[z], rhs[z]
+        return None
 
 
 def _resolve_pairs(labels, pairs, kind):
@@ -481,17 +527,24 @@ def _resolve_pairs(labels, pairs, kind):
         yield a, b
 
 
-def _row_closure(closure):
-    """Return a function that maps a list of masks through ``closure``;
-    each distinct mask is closed once per returned function."""
-    memo = {}
+class _Memo(dict):
+    """``memo[key]`` is ``fn(key)``, computed on the first lookup of key."""
 
-    def close(masks):
-        for mask in set(masks).difference(memo):
-            memo[mask] = closure(mask)
-        return list(map(memo.__getitem__, masks))
+    __slots__ = ("fn",)
 
-    return close
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _rows(cone, close):
+    """``rows[x][z] = close[cone[x] & cone[z]]``, each row built on its
+    first lookup."""
+    return _Memo(lambda x: list(map(close.__getitem__, [cone[x] & c for c in cone])))
 
 
 def _validate_order(up, n):

@@ -62,16 +62,19 @@ class RefPoset:
         return (bottom[0] if bottom else None, top[0] if top else None)
 
     def is_lattice(self):
+        """(ok, witness|None); the witness is the first pair (x, y), x
+        before y in element order, whose common upper bounds have no
+        least element or whose common lower bounds no greatest one."""
         if not self.elements:
-            return False
+            return False, None
         for x, y in itertools.combinations(self.elements, 2):
             ub = self.upper([x, y])
             if not any(all(self.leq(z, w) for w in ub) for z in ub):
-                return False
+                return False, (x, y)
             lb = self.lower([x, y])
             if not any(all(self.leq(w, z) for w in lb) for z in lb):
-                return False
-        return True
+                return False, (x, y)
+        return True, None
 
     def distributive(self, form):
         """form in {"LU","ULU","UL","LUL"}; returns (ok, witness|None).

@@ -1,12 +1,18 @@
 """Completion by cut ideals, checked against the all-subsets oracle."""
 
 import itertools
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from kleene_posets import (CompletionLattice, UsageError, classify,
+from kleene_posets import (CompletionLattice, UsageError, audit, classify,
                            dedekind_macneille, figure, find_isomorphism)
-from kleene_posets.enumeration import _involutive_representatives, enumerate_posets
+from kleene_posets.enumeration import (_involutive_representatives,
+                                       enumerate_posets, iter_involutive)
 from kleene_posets.involution import InvolutivePoset
 
 from oracles import RefPoset, ref_dm_completion, ref_dm_star
@@ -174,6 +180,7 @@ def _assert_matches_oracle(obj):
     if inv is None:
         assert not dm.has_involution
         return
+    assert dedekind_macneille(obj) is dm
     prime = {p.labels[x]: p.labels[inv[x]] for x in range(p.n)}
     star = dm.as_involutive_poset()
     for i in range(dm.n):
@@ -201,3 +208,42 @@ def test_views_are_built_once(name):
         ip = dm.as_involutive_poset()
         assert dm.as_involutive_poset() is ip
         assert dm.as_poset() is ip.base
+
+
+def test_audits_share_one_completion_per_instance():
+    """Thm-3.1 and Thm-3.2 read the completion each instance keeps, and
+    that completion is the oracle's, star included."""
+    audit("Thm-3.1", n_bound=6)
+    instances = list(iter_involutive(6))
+    assert len(instances) == 272
+    for ip in instances:
+        dm = ip._completion
+        assert dm is not None and dedekind_macneille(ip) is dm
+        _assert_matches_oracle(ip)
+
+
+SHARED_CLAIMS = ("Thm-3.1", "Thm-3.2", "Lem-2.2", "Distributivity-forms-equivalent")
+
+
+def _reports_in_fresh_interpreter(claims):
+    """``audit(c, n_bound=6, collect_all=True).to_dict()`` as JSON for
+    each claim in turn, all in one new interpreter."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    code = ("import json, sys\n"
+            "from kleene_posets import audit\n"
+            "print(json.dumps([audit(c, n_bound=6, collect_all=True).to_dict()\n"
+            "                  for c in sys.argv[1:]]))")
+    proc = subprocess.run([sys.executable, "-c", code, *claims],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return [json.dumps(d, sort_keys=True) for d in json.loads(proc.stdout)]
+
+
+def test_sharing_changes_no_report():
+    """Each claim's report is the same whether it runs alone or after
+    the claims that fill the caches it reads, in either order."""
+    alone = {c: _reports_in_fresh_interpreter([c])[0] for c in SHARED_CLAIMS}
+    for order in (SHARED_CLAIMS, SHARED_CLAIMS[::-1]):
+        assert _reports_in_fresh_interpreter(order) == [alone[c] for c in order]

@@ -10,7 +10,8 @@ import itertools
 import pytest
 
 from kleene_posets import (InvolutivePoset, Poset, UsageError, classify,
-                           enumerate_posets, figure, involution_from_pairs)
+                           dedekind_macneille, enumerate_posets, figure,
+                           involution_from_pairs)
 
 from oracles import RefInvolutive, RefPoset, ref_involutions
 
@@ -145,6 +146,20 @@ def test_invalid_involution_not_antitone():
     c = classify(ip)
     assert c.summary == "not an antitone involution"
     assert c.pseudo_kleene is None
+
+
+@pytest.mark.parametrize("inv, reason", [
+    ((0, 1, 2), "not antitone"),        # an involution, but order-preserving
+    ((1, 2, 0), "not involutive"),
+])
+def test_memos_never_hide_a_failed_involution_check(inv, reason):
+    """The memoised (K) verdict and completion are stored only once the
+    map is valid, so an invalid map raises on every call."""
+    ip = InvolutivePoset(Poset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")]), inv)
+    for _ in range(2):
+        for call in (ip.is_pseudo_kleene, ip.is_kleene, lambda: dedekind_macneille(ip)):
+            with pytest.raises(UsageError, match=reason):
+                call()
 
 
 def test_not_an_involution():

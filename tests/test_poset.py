@@ -5,17 +5,19 @@ Expected values were computed with the independent oracles in
 and compare exhaustively.
 """
 
+import hashlib
 import itertools
 
 import pytest
 
 from kleene_posets import (DISTRIBUTIVITY_FORMS, Poset, UsageError,
-                           enumerate_posets, figure, find_isomorphism)
-from kleene_posets.enumeration import iter_posets
+                           dedekind_macneille, enumerate_posets, figure,
+                           find_isomorphism)
+from kleene_posets.enumeration import _forms_equivalent, iter_involutive, iter_posets
 from kleene_posets.involution import InvolutivePoset
 from kleene_posets.twist import twist
 
-from oracles import RefPoset
+from oracles import RefPoset, ref_dm_completion
 
 
 def ref_of(obj):
@@ -168,11 +170,42 @@ LATTICE = {"fig1": False, "fig2": False, "fig3": True, "fig4": True,
            "fig9": False}
 
 
+def assert_lattice_matches_oracle(p, ref):
+    """Same verdict and first failing pair as the brute-force oracle,
+    whose elements are p's in index order; a second call returns the
+    memoised verdict."""
+    verdict = p.is_lattice()
+    ok, witness = ref.is_lattice()
+    assert verdict.ok == ok
+    assert verdict.witness == (None if ok else tuple(map(ref.elements.index, witness)))
+    assert p.is_lattice() is verdict
+
+
 @pytest.mark.parametrize("name", ALL_FIGS)
 def test_lattice_matches_oracle_and_pin(name):
     obj = figure(name)
     p = base_of(obj)
-    assert p.is_lattice().ok == LATTICE[name] == ref_of(obj).is_lattice()
+    assert p.is_lattice().ok == LATTICE[name]
+    assert_lattice_matches_oracle(p, ref_of(obj))
+
+
+def test_lattice_matches_oracle_on_every_small_poset():
+    posets = list(iter_posets(6))
+    assert len(posets) == 405
+    for p in posets:
+        assert_lattice_matches_oracle(Poset(p.labels, p._up), ref_of(p))
+
+
+def test_lattice_matches_oracle_on_every_small_completion():
+    """Each completion of an n <= 6 instance, against the oracle on the
+    oracle's own ideals ordered by inclusion."""
+    instances = list(iter_involutive(6))
+    assert len(instances) == 272
+    for ip in instances:
+        dm = dedekind_macneille(ip)
+        ideals = sorted(ref_dm_completion(ref_of(ip)), key=dm.index_of)
+        ref = RefPoset(ideals, {(a, b) for a in ideals for b in ideals if a <= b})
+        assert_lattice_matches_oracle(dm.as_poset(), ref)
 
 
 def test_lattice_witness_detail():
@@ -352,6 +385,45 @@ def test_distributivity_failure_detail_pinned(name, form):
     verdict = figure(name).base.is_distributive(form)
     assert not verdict.ok
     assert verdict.detail == FAILING_DETAILS[name, form]
+
+
+# sha256 over (form, ok, witness, detail) of ``distributivity_all_forms()``
+# for every poset with n <= 6, captured from the kernel that rendered
+# every detail eagerly.
+ALL_FORMS_N6_SHA256 = "020a8a18d9d2be03ca50fb8f528bf45fa775037c2c331e98d7df2ba1a0eb8219"
+
+
+def test_distributivity_details_pinned_for_every_small_poset():
+    digest = hashlib.sha256()
+    for p in iter_posets(6):
+        for form, v in Poset(p.labels, p._up).distributivity_all_forms().items():
+            digest.update(repr((form, v.ok, v.witness, v.detail)).encode())
+    assert digest.hexdigest() == ALL_FORMS_N6_SHA256
+
+
+def test_held_verdicts_render_as_a_fresh_poset_does():
+    """Distributivity-forms-equivalent reads whether each form holds and
+    renders no detail; rendering them later gives the same verdicts."""
+    for p in iter_posets(6):
+        q = Poset(p.labels, p._up)
+        assert _forms_equivalent(q) is None
+        assert q._distributivity_verdicts == {}
+        assert q.distributivity_all_forms() == \
+            Poset(p.labels, p._up).distributivity_all_forms()
+
+
+def test_forms_disagreement_binding_renders_the_failing_details():
+    """No enumerated poset makes the forms disagree (the claim is
+    Confirmed), so a disagreement is made by marking LU as holding on
+    fig2 before anything is rendered."""
+    fig2 = base_of(figure("fig2"))
+    p = Poset(fig2.labels, fig2._up)
+    p._distributivity(DISTRIBUTIVITY_FORMS)
+    p._distributivity_failures["LU"] = None
+    assert _forms_equivalent(p) == {
+        "forms": {"LU": True, "ULU": False, "UL": False, "LUL": False},
+        "details": {form: FAILING_DETAILS["fig2", form] for form in ("ULU", "UL", "LUL")},
+    }
 
 
 # -- isomorphism ------------------------------------------------------------
