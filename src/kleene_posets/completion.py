@@ -17,15 +17,15 @@ and the canonical embedding ``x -> L(x)`` commutes with the involutions.
 from __future__ import annotations
 
 from .errors import UsageError
-from .involution import InvolutivePoset, _image
+from .involution import InvolutivePoset
 from .poset import Poset, Subset, _bits
 
 
 class CompletionLattice:
     """The lattice of cut ideals of a finite poset."""
 
-    __slots__ = ("base", "ideals", "labels", "_index", "_embed", "_poset",
-                 "_involutive")
+    __slots__ = ("base", "ideals", "labels", "_index", "_embed", "_elements",
+                 "_poset", "_involutive")
 
     def __init__(self, base):
         ip = None
@@ -39,26 +39,69 @@ class CompletionLattice:
         found = {base._full}
         for down in base._down:
             found |= {m & down for m in found}
-        ideals = sorted(found, key=lambda m: (m.bit_count(), tuple(_bits(m))))
+        # Each ideal with its elements in ascending order, sorted by size
+        # and then by those elements.
+        keyed = sorted((m.bit_count(), tuple(_bits(m)), m) for m in found)
+        ideals = tuple(m for _, _, m in keyed)
+        elements = tuple(elems for _, elems, _ in keyed)
         index = {m: i for i, m in enumerate(ideals)}
-        object.__setattr__(self, "ideals", tuple(ideals))
+        object.__setattr__(self, "ideals", ideals)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_elements", elements)
         lab = base.labels
         object.__setattr__(
             self, "labels",
-            tuple("{" + ",".join(lab[x] for x in _bits(m)) + "}" for m in ideals))
+            tuple("{" + ",".join([lab[x] for x in elems]) + "}" for elems in elements))
         # L({x}) is the down-set of x.
         object.__setattr__(self, "_embed", tuple(index[d] for d in base._down))
 
-        up = [sum(1 << j for j, other in enumerate(ideals) if m & ~other == 0)
-              for m in ideals]
-        poset = Poset(self.labels, up, _validated=True)
-        object.__setattr__(self, "_poset", poset)
-        involutive = None
-        if ip is not None:
-            star = [index[base._lower(_image(ip.inv, m))] for m in ideals]
-            involutive = InvolutivePoset(poset, star)
-        object.__setattr__(self, "_involutive", involutive)
+        # The ideals above ideals[i] are those holding each of its elements.
+        holders = [0] * base.n
+        for i, elems in enumerate(elements):
+            for x in elems:
+                holders[x] |= 1 << i
+        up = []
+        for elems in elements:
+            above = (1 << len(ideals)) - 1
+            for x in elems:
+                above &= holders[x]
+            up.append(above)
+        object.__setattr__(self, "_poset", Poset(self.labels, up, _validated=True))
+        object.__setattr__(self, "_involutive",
+                           None if ip is None else self._star_poset(ip))
+
+    def _with_involution(self, ip):
+        """The completion of ``ip``, an involutive poset over this
+        completion's base: the same ideals and order poset, with the
+        star of ``ip``.  Equal to ``dedekind_macneille(ip)``; the
+        involutions of one poset can share its ideals this way, since
+        only the star depends on the map."""
+        if not isinstance(ip, InvolutivePoset) or ip.base is not self.base:
+            raise UsageError("involutive poset must be over this completion's base")
+        ip._require_involution()
+        twin = object.__new__(CompletionLattice)
+        for name in ("base", "ideals", "labels", "_index", "_embed", "_elements",
+                     "_poset"):
+            object.__setattr__(twin, name, getattr(self, name))
+        object.__setattr__(twin, "_involutive", self._star_poset(ip))
+        return twin
+
+    def _star_poset(self, ip):
+        """The order poset with star(I) = L(I'), the meet of the down-sets
+        of the x' for x in I.  The star is an antitone involution whenever
+        the base map is one: I <= J gives J' <= I' elementwise, so
+        L(J') <= L(I'); and L(I')' = U(I), so star(star(I)) = L(U(I)) = I
+        on a cut ideal.  Its verdict is therefore recorded, not checked."""
+        base, index = self.base, self._index
+        down, inv = base._down, ip.inv
+        below_image = [down[inv[x]] for x in range(base.n)]
+        star = []
+        for elems in self._elements:
+            low = base._full
+            for x in elems:
+                low &= below_image[x]
+            star.append(index[low])
+        return InvolutivePoset._antitone(self._poset, star)
 
     def __setattr__(self, name, value):
         raise AttributeError("CompletionLattice is immutable")
@@ -126,15 +169,5 @@ class CompletionLattice:
 
 
 def dedekind_macneille(base):
-    """Build the completion of a poset or involutive poset.
-
-    An :class:`InvolutivePoset` keeps its completion, and every later
-    call returns that object.  The completion is a function of the order
-    and the map alone and both objects are immutable, so sharing it
-    cannot change a result.  Only a completion that was built is kept:
-    a map that is not an antitone involution raises on every call."""
-    if not isinstance(base, InvolutivePoset):
-        return CompletionLattice(base)
-    if base._completion is None:
-        object.__setattr__(base, "_completion", CompletionLattice(base))
-    return base._completion
+    """Build the completion of a poset or involutive poset."""
+    return CompletionLattice(base)

@@ -212,11 +212,11 @@ def _involutive_representatives(n):
     involutive space.  Sharing them changes no result: each space yields
     the same instances in the same order as building them per claim did,
     and all an instance carries from one claim to the next are memoised
-    results (its involution and (K) verdicts, its completion, its
-    poset's lattice and distributivity verdicts), each shared for the
-    reason its own docstring gives.  The involution verdict is recorded
-    as valid when the representative is built, since every map comes
-    from ``enumerate_involutions``; so no claim pays for checking it,
+    verdicts (its involution and (K) verdicts, its poset's lattice and
+    distributivity verdicts), each shared for the reason its own
+    docstring gives.  The involution verdict is recorded as valid when
+    the representative is built, since every map comes from
+    ``enumerate_involutions``; so no claim pays for checking it,
     whatever claim runs first."""
     return tuple(InvolutivePoset._antitone(p, inv) for p in enumerate_posets(n)
                  for inv in enumerate_involutions(p))
@@ -579,10 +579,22 @@ def _lem22(ip):
 
 
 def _completion_agreement(predicate_name):
-    """Thm-3.1 and Thm-3.2 read one completion per instance and share its
-    verdicts: ``dedekind_macneille`` and the predicates memoise them."""
+    """Thm-3.1 and Thm-3.2 compare a predicate on an instance and on its
+    cut completion.  Instances come poset by poset, each poset with all
+    its involutions, and only the star of a completion depends on the
+    map; so each evaluator keeps the plain completion of the last base
+    poset it saw and adds each instance's star to it
+    (``CompletionLattice._with_involution``), and the lattice and
+    distributivity verdicts memoised on that completion's order are
+    shared by the poset's involutions.  The cache belongs to one
+    evaluator, so no claim's cost depends on another claim having run."""
+    last = None
+
     def evaluate(ip):
-        dm = dedekind_macneille(ip)
+        nonlocal last
+        if last is None or last.base is not ip.base:
+            last = dedekind_macneille(ip.base)
+        dm = last._with_involution(ip)
         dm_ip = dm.as_involutive_poset()
         side_p = getattr(ip, predicate_name)().ok
         side_dm = getattr(dm_ip, predicate_name)().ok and dm_ip.is_lattice().ok

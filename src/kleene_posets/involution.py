@@ -50,8 +50,7 @@ class InvolutivePoset:
     it, and the classification predicates insist on validity.
     """
 
-    __slots__ = ("base", "inv", "_involution_verdict", "_pseudo_kleene_verdict",
-                 "_completion")
+    __slots__ = ("base", "inv", "_involution_verdict", "_pseudo_kleene_verdict")
 
     def __init__(self, base, inv):
         if not isinstance(base, Poset):
@@ -66,7 +65,6 @@ class InvolutivePoset:
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "_involution_verdict", None)
         object.__setattr__(self, "_pseudo_kleene_verdict", None)
-        object.__setattr__(self, "_completion", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("InvolutivePoset is immutable")
@@ -74,8 +72,9 @@ class InvolutivePoset:
     @classmethod
     def _antitone(cls, base, inv):
         """``cls(base, inv)`` for a map already known to be an antitone
-        involution of ``base`` (one of :func:`enumerate_involutions`): its
-        verdict is recorded rather than checked again."""
+        involution of ``base`` (one of :func:`enumerate_involutions`, or
+        the star of a cut completion): its verdict is recorded rather
+        than checked again."""
         ip = cls(base, inv)
         object.__setattr__(ip, "_involution_verdict", Verdict(True))
         return ip

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from kleene_posets import (CompletionLattice, UsageError, audit, classify,
+from kleene_posets import (CompletionLattice, UsageError, classify,
                            dedekind_macneille, figure, find_isomorphism)
 from kleene_posets.enumeration import (_involutive_representatives,
                                        enumerate_posets, iter_involutive)
@@ -180,7 +180,6 @@ def _assert_matches_oracle(obj):
     if inv is None:
         assert not dm.has_involution
         return
-    assert dedekind_macneille(obj) is dm
     prime = {p.labels[x]: p.labels[inv[x]] for x in range(p.n)}
     star = dm.as_involutive_poset()
     for i in range(dm.n):
@@ -210,16 +209,35 @@ def test_views_are_built_once(name):
         assert dm.as_poset() is ip.base
 
 
-def test_audits_share_one_completion_per_instance():
-    """Thm-3.1 and Thm-3.2 read the completion each instance keeps, and
-    that completion is the oracle's, star included."""
-    audit("Thm-3.1", n_bound=6)
+def test_star_added_to_a_plain_completion():
+    """On every n <= 6 instance and every involutive figure, adding the
+    star to the base's plain completion gives the completion of the
+    involutive poset (same ideals, labels, order and star), and the
+    star, recorded as an antitone involution, passes the full check."""
     instances = list(iter_involutive(6))
     assert len(instances) == 272
-    for ip in instances:
-        dm = ip._completion
-        assert dm is not None and dedekind_macneille(ip) is dm
-        _assert_matches_oracle(ip)
+    figures = [figure(name) for name in ALL_FIGS]
+    for ip in instances + [f for f in figures if isinstance(f, InvolutivePoset)]:
+        plain = dedekind_macneille(ip.base)
+        shared, direct = plain._with_involution(ip), dedekind_macneille(ip)
+        assert shared.as_poset() is plain.as_poset()
+        assert (shared.ideals, shared.labels) == (direct.ideals, direct.labels)
+        assert shared.as_poset()._up == direct.as_poset()._up
+        assert [shared.embed(x) for x in ip.labels] == [direct.embed(x) for x in ip.labels]
+        star = shared.as_involutive_poset()
+        assert star.inv == direct.as_involutive_poset().inv
+        assert InvolutivePoset(star.base, star.inv).check_antitone_involution().ok
+
+
+def test_completion_with_involution_refuses_a_foreign_or_invalid_map():
+    ip = figure("fig1")
+    plain = dedekind_macneille(ip.base)
+    with pytest.raises(UsageError, match="over this completion's base"):
+        dedekind_macneille(figure("fig2").base)._with_involution(ip)
+    bad = InvolutivePoset(ip.base, (0,) * ip.n)
+    for _ in range(2):
+        with pytest.raises(UsageError, match="valid antitone involution"):
+            plain._with_involution(bad)
 
 
 SHARED_CLAIMS = ("Thm-3.1", "Thm-3.2", "Lem-2.2", "Distributivity-forms-equivalent")
