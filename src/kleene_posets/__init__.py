@@ -16,7 +16,7 @@ antitone involution.  On top of those the package provides:
 
 from .errors import DomainError, FixtureParseError, UsageError
 from .poset import (DISTRIBUTIVITY_FORMS, Poset, Subset, Verdict,
-                    are_isomorphic, find_isomorphism)
+                    find_isomorphism)
 from .involution import (Classification, InvolutivePoset, classify,
                          involution_from_pairs)
 from .completion import CompletionLattice, dedekind_macneille
@@ -54,7 +54,6 @@ __all__ = [
     "Verdict",
     "__version__",
     "all_assignments",
-    "are_isomorphic",
     "assign_directoid",
     "assignment_choices",
     "assignment_count",

@@ -40,7 +40,8 @@ from .directoid import (assignment_choices, assignment_count,
                         directoid_from_choices, iter_assignments)
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, involution_from_pairs
-from .poset import DISTRIBUTIVITY_FORMS, Poset, _bits, _isomorphism
+from .poset import (DISTRIBUTIVITY_FORMS, Poset, _bits, _canonical,
+                    _least_labelling)
 from .residuation import AXIOMS, ResiduatedStructure, check_condition7
 from .twist import (_part_i, _twist_kleene, check_embedding,
                     check_product_cones, twist)
@@ -64,53 +65,6 @@ def _poset_from_strict_downs(n, downs):
     return Poset(_labels(n), up, _validated=True)
 
 
-def _is_least(downs):
-    """Is ``downs`` the least strict-down-mask sequence over all natural
-    labellings (linear extensions) of the order it describes?
-
-    The least sequence is built greedily: each position takes the least
-    mask any placeable element gives, and ties branch.  A branch whose
-    prefix falls below ``downs`` proves it is not least; one whose prefix
-    rises above it is dropped.  Of tied elements with equal strict up-
-    and down-sets (twins) only the first is tried: swapping two twins is
-    an automorphism that fixes every placed element, so both branches
-    give the same sequences."""
-    n = len(downs)
-    ups = [0] * n
-    for k, d in enumerate(downs):
-        for j in _bits(d):
-            ups[j] |= 1 << k
-    position = [0] * n      # bit of the position each placed element holds
-
-    def no_smaller(k, placed):
-        if k == n:
-            return True
-        least, ties = None, []
-        for v in range(n):
-            if (placed >> v) & 1 or downs[v] & ~placed:
-                continue
-            mask = 0
-            for j in _bits(downs[v]):
-                mask |= position[j]
-            if least is None or mask < least:
-                least, ties = mask, [v]
-            elif mask == least:
-                ties.append(v)
-        if least != downs[k]:
-            return least > downs[k]
-        tried = set()
-        for v in ties:
-            if (downs[v], ups[v]) in tried:
-                continue
-            tried.add((downs[v], ups[v]))
-            position[v] = 1 << k
-            if not no_smaller(k + 1, placed | 1 << v):
-                return False
-        return True
-
-    return no_smaller(0, 0)
-
-
 @functools.cache
 def _representatives(n):
     """One poset per isomorphism class on n elements, computed once per
@@ -123,7 +77,8 @@ def _representatives(n):
     "Isomorph-free exhaustive generation", J. Algorithms 26, 1998): each
     (n - 1)-element representative is extended by every down-set of it
     as a new last element, in increasing mask order, and a child is kept
-    iff its sequence is least (``_is_least``).
+    iff its sequence is least: ``_least_labelling`` started from the
+    child's own sequence finds no labelling below it.
 
     - The first n - 1 entries of the least sequence of P are the least
       sequence of P minus its last element, which is maximal: a smaller
@@ -134,8 +89,8 @@ def _representatives(n):
       the children come in increasing order too.  That is the order, and
       the set, of keeping the first poset of each class while walking
       every natural labelling in lexicographic order.
-    - Skipping twins in ``_is_least`` cannot change its answer, since
-      swapping two twins is an automorphism."""
+    - Skipping tied twins in that search cannot change its answer; its
+      docstring says why."""
     if n == 0:
         return (Poset((), (), _validated=True),)
     reps = []
@@ -145,7 +100,7 @@ def _representatives(n):
             if any(downs[j] & ~d for j in _bits(d)):
                 continue
             child = downs + [d]
-            if _is_least(child):
+            if _least_labelling(child, _stop_below=True) is not None:
                 reps.append(_poset_from_strict_downs(n, child))
     return tuple(reps)
 
@@ -861,7 +816,7 @@ ALIASES.update((cid.replace("Lem-", "Lemma-").replace("Thm-", "Theorem-"), cid)
 
 def isomorphic_with_pin(p, pin_p, q, pin_q):
     """Is there an order isomorphism p -> q sending pin_p to pin_q?"""
-    return _isomorphism(p, q, pins=(p.index(pin_p), q.index(pin_q))) is not None
+    return _canonical(p, pin=p.index(pin_p))[0] == _canonical(q, pin=q.index(pin_q))[0]
 
 
 def claim_ids():

@@ -563,89 +563,124 @@ def _validate_order(up, n):
                 raise UsageError(f"relation is not transitive at ({x}, {y})")
 
 
-def _refine_colors(sides):
-    """Iteratively refined isomorphism-invariant colourings of several
-    ``(poset, inv, pin)`` sides at once.  A colour is a rank among the
-    signatures of all sides, so equal colours on two sides mean equal
-    signatures, and an element's colour determines its initial one:
-    its degrees, whether the involution fixes it, whether it is the pin."""
-    colors = [
-        [(p._down[x].bit_count(), p._up[x].bit_count(),
-          -1 if inv is None else (0 if inv[x] == x else 1), x == pin)
-         for x in range(p.n)]
-        for p, inv, pin in sides
-    ]
-    while True:
-        sigs = []
-        for (p, inv, _), side in zip(sides, colors):
-            sigs.append([])
-            for x in range(p.n):
-                below = tuple(sorted(side[y] for y in _bits(p._down[x] & ~(1 << x))))
-                above = tuple(sorted(side[y] for y in _bits(p._up[x] & ~(1 << x))))
-                mate = side[inv[x]] if inv is not None else 0
-                sigs[-1].append((side[x], below, above, mate))
-        ranks = {s: i for i, s in enumerate(sorted(set().union(*sigs)))}
-        new = [[ranks[s] for s in side] for side in sigs]
-        if len(ranks) == len(set().union(*colors)):
-            return new
-        colors = new
+def _least_labelling(downs, inv=None, pin=None, _stop_below=False):
+    """The least key of the order whose strict down-masks are ``downs``
+    (bit j of ``downs[i]`` set when j is below i), with an optional map
+    tuple ``inv`` and ``pin`` index, and a labelling (the elements by
+    position, a linear extension) that reaches it.
+
+    A labelling's key is the strict down-mask sequence it gives (bit k of
+    entry i set when the element at position k is below the one at i),
+    then the position of each position's image under ``inv``, then the
+    pin's position (``None`` for a part not given).  Isomorphisms
+    preserve keys, so two structures are isomorphic exactly when their
+    least keys are equal, and one labelling composed with the inverse of
+    the other is then an isomorphism.  The least sequence alone is the
+    canonical form of ``enumerate_posets``.
+
+    Each position takes the least mask a placeable element gives, as any
+    other makes the sequence larger there; ties branch, and a branch whose
+    sequence rises above the best key's is dropped.  With ``_stop_below``
+    (the canonicity test of ``_representatives``: no map, no pin) the best
+    key starts as ``downs`` itself, which must be naturally labelled, and
+    the search returns ``None`` at the first branch that falls below it.
+
+    A tie w is skipped when a tie v already tried has its class: v and w
+    are twins (equal strict up- and down-sets); with a map, so are their
+    mates v' and w', which are fixed exactly when v is and are not
+    placed; and none of the four is the pin, lies outside the map's
+    2-cycles and fixed points or is hit twice (no element of an
+    involution is).  Then swapping v with w and v' with w' (one swap if
+    v' is w or v is fixed) preserves the order and commutes with the map:
+    an automorphism of order, map and pin that fixes every placed
+    element.  It sends each labelling in w's branch to one in v's with
+    the same key, so skipping w cannot change the least key."""
+    n = len(downs)
+    ups = [0] * n
+    for k, d in enumerate(downs):
+        while d:
+            low = d & -d
+            ups[low.bit_length() - 1] |= 1 << k
+            d ^= low
+    # besides the placed elements, those the swap behind a skipped tie may not move
+    frozen = sum(1 << x for x in range(n) if x == pin or inv is not None
+                 and (inv[inv[x]] != x or inv.count(x) != 1))
+    position = [0] * n      # bit of the position each placed element holds
+    seq, labelling = [0] * n, [0] * n
+    best_seq, best_rest, best_labelling = (
+        (downs, (None, None), tuple(range(n))) if _stop_below else (None, None, None))
+
+    def descend(k, placed, below):
+        # ``below``: the sequence so far is below the best key's (or
+        # there is none yet).  True ends the search under _stop_below.
+        nonlocal best_seq, best_rest, best_labelling
+        if k == n:
+            if not _stop_below:     # else the key reached is ``downs``'s own
+                rest = (None if inv is None else
+                        tuple(position[inv[v]].bit_length() - 1 for v in labelling),
+                        None if pin is None else position[pin].bit_length() - 1)
+                if below or rest < best_rest:
+                    best_seq, best_rest = tuple(seq), rest
+                    best_labelling = tuple(labelling)
+            return False
+        least, ties, unplaced = 1 << n, [], ~placed
+        for v in range(n):
+            if (placed >> v) & 1 or downs[v] & unplaced:
+                continue
+            mask, d = 0, downs[v]
+            while d:
+                low = d & -d
+                mask |= position[low.bit_length() - 1]
+                d ^= low
+            if mask < least:
+                least, ties = mask, [v]
+            elif mask == least:
+                ties.append(v)
+        if not below and least != best_seq[k]:
+            if least > best_seq[k]:
+                return False
+            if _stop_below:
+                return True
+            below = True
+        seq[k] = least
+        tried = set()
+        for v in ties:
+            if len(ties) > 1:
+                m = v if inv is None else inv[v]
+                tie_class = (v if ((placed | frozen) >> m | frozen >> v) & 1
+                             else (downs[v], ups[v], downs[m], ups[m], m == v))
+                if tie_class in tried:
+                    continue
+                tried.add(tie_class)
+            position[v] = 1 << k
+            labelling[k] = v
+            if descend(k + 1, placed | 1 << v, below):
+                return True
+            below = False
+        return False
+
+    if descend(0, 0, not _stop_below):
+        return None
+    return (tuple(best_seq),) + best_rest, best_labelling
+
+
+def _canonical(p, inv=None, pin=None):
+    """:func:`_least_labelling` of p's order."""
+    return _least_labelling([d & ~(1 << i) for i, d in enumerate(p._down)], inv, pin)
 
 
 def find_isomorphism(p, q, p_inv=None, q_inv=None):
     """Return a mapping tuple f with f[x] in q for x in p preserving the
-    order both ways (and commuting with the involutions when given), or
-    ``None`` when no isomorphism exists."""
+    order both ways (and commuting with the maps when given), or
+    ``None`` when no isomorphism exists: q's least labelling composed
+    with the inverse of p's (:func:`_least_labelling`)."""
     if (p_inv is None) != (q_inv is None):
         raise UsageError("either both involutions or neither must be given")
-    return _isomorphism(p, q, p_inv, q_inv)
-
-
-def _isomorphism(p, q, p_inv=None, q_inv=None, pins=(None, None)):
-    """The backtracking search behind :func:`find_isomorphism`.  With
-    ``pins = (x, y)`` only isomorphisms sending x to y are searched: the
-    pins get their own initial colour, so x's only candidate is y."""
-    if p.n != q.n:
+    if p_inv is not None:       # its constructor's length, integer and range checks
+        from .involution import InvolutivePoset     # here: it imports this module
+        p_inv, q_inv = InvolutivePoset(p, p_inv).inv, InvolutivePoset(q, q_inv).inv
+    (p_key, p_labelling), (q_key, q_labelling) = (_canonical(p, p_inv),
+                                                  _canonical(q, q_inv))
+    if p_key != q_key:
         return None
-    pc, qc = _refine_colors([(p, p_inv, pins[0]), (q, q_inv, pins[1])])
-    if sorted(pc) != sorted(qc):
-        return None
-    cands = [[y for y in range(q.n) if qc[y] == pc[x]] for x in range(p.n)]
-    order = sorted(range(p.n), key=lambda x: len(cands[x]))
-    mapping = [None] * p.n
-    used = [False] * q.n
-
-    def extend(pos):
-        if pos == p.n:
-            return True
-        x = order[pos]
-        for y in cands[x]:
-            if used[y]:
-                continue
-            ok = True
-            for z in range(p.n):
-                fz = mapping[z]
-                if fz is None:
-                    continue
-                if p.leq(x, z) != q.leq(y, fz) or p.leq(z, x) != q.leq(fz, y):
-                    ok = False
-                    break
-            if ok and p_inv is not None:
-                mx = mapping[p_inv[x]]
-                if mx is not None and mx != q_inv[y]:
-                    ok = False
-            if ok:
-                mapping[x] = y
-                used[y] = True
-                if extend(pos + 1):
-                    return True
-                mapping[x] = None
-                used[y] = False
-        return False
-
-    if extend(0):
-        return tuple(mapping)
-    return None
-
-
-def are_isomorphic(p, q, p_inv=None, q_inv=None):
-    return find_isomorphism(p, q, p_inv=p_inv, q_inv=q_inv) is not None
+    return tuple(y for _, y in sorted(zip(p_labelling, q_labelling)))

@@ -526,14 +526,19 @@ def ref_least_natural_labelling(p):
     return best
 
 
-def ref_isomorphic_with_pin(p, pin_p, q, pin_q):
-    """Is there an order isomorphism p -> q sending pin_p to pin_q?  Every
-    bijection between the two RefPosets' elements is tried."""
+def ref_isomorphic_with_pin(p, pin_p, q, pin_q, p_map=None, q_map=None):
+    """Is there an order isomorphism p -> q sending pin_p to pin_q and,
+    when the maps are given (dicts on the elements), carrying p_map to
+    q_map?  A pin of ``None`` pins nothing.  Every bijection between the
+    two RefPosets' elements is tried."""
     if len(p.elements) != len(q.elements):
         return False
     for image in itertools.permutations(q.elements):
         f = dict(zip(p.elements, image))
-        if f[pin_p] != pin_q:
+        if pin_p is not None and f[pin_p] != pin_q:
+            continue
+        if p_map is not None and any(f[p_map[x]] != q_map[f[x]]
+                                     for x in p.elements):
             continue
         if all(p.leq(x, y) == q.leq(f[x], f[y])
                for x in p.elements for y in p.elements):

@@ -55,7 +55,9 @@ def test_fig1_completion_isomorphic_to_fig5():
     dm = dedekind_macneille(figure("fig1")).as_involutive_poset()
     f5 = figure("fig5")
     iso = dm.isomorphic_to(f5)
-    assert iso is not None
+    # the mapping demo 02 prints; fig5 has a second automorphism that
+    # respects the involution, so this pins which one the search returns
+    assert iso == (0, 1, 2, 3, 4, 5, 6)
     # the unique fixed ideal must land on the unique fixed point of fig5
     fixed_idx = dm.labels.index("{0,a,b}")
     assert f5.labels[iso[fixed_idx]] == "c"

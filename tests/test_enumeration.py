@@ -8,6 +8,7 @@ the pinned isomorphism test are checked against brute force over all
 n! orders.
 """
 
+import hashlib
 import importlib
 import io
 import itertools
@@ -20,19 +21,21 @@ import pytest
 
 from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            UsageError, enumerate_involutions, enumerate_posets,
-                           figure, iter_assignments, run_cli)
+                           figure, find_isomorphism, iter_assignments, run_cli)
 from kleene_posets import audit, claim_ids, replay_report, replay_witness
 from kleene_posets.directoid import assignment_choices, assignment_count
+from kleene_posets.poset import _bits, _least_labelling
 from kleene_posets.enumeration import (ALIASES, BOUNDED, BOUNDED_LU, CLAIMS,
                                        CONDITION7, DIRECTED_INVOLUTIVE_ASSIGNED,
                                        INVOLUTIVE, UNARY_MAPS, ANTITONE_MAPS,
                                        Claim, _RUNGS, _bounded, _bounded_lu,
                                        _condition7, _directoid_characterization,
                                        _involutions, _involutive_representatives,
-                                       _is_least, _representatives,
+                                       _representatives,
                                        involutive_from_witness,
                                        isomorphic_with_pin, iter_directed,
-                                       iter_posets, poset_from_witness,
+                                       iter_involutive, iter_posets,
+                                       poset_from_witness,
                                        resolve_claim, serialize_involutive,
                                        serialize_poset)
 
@@ -610,8 +613,10 @@ def _moved(p, perm):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_least_labelling_matches_oracle_on_every_labelled_poset(n):
     """The oracle's least natural labelling of every labelled poset is a
-    representative's sequence, every representative's is reached, and
-    ``_is_least`` agrees with the oracle on each naturally labelled one."""
+    representative's sequence, every representative's is reached, the
+    least labelling search finds it from every labelling, and its
+    canonicity test agrees with the oracle on each naturally labelled
+    one."""
     reps = {_strict_downs(p) for p in enumerate_posets(n)}
     least = set()
     for p in _labelled(n):
@@ -619,8 +624,13 @@ def test_least_labelling_matches_oracle_on_every_labelled_poset(n):
         assert ref in reps
         least.add(ref)
         downs = _strict_downs(p)
+        (seq, _, _), labelling = _least_labelling(downs)
+        assert seq == ref
+        assert tuple(sum(1 << labelling.index(j) for j in _bits(downs[v]))
+                     for v in labelling) == ref
         if all(d >> k == 0 for k, d in enumerate(downs)):
-            assert _is_least(downs) == (ref == downs)
+            assert ((_least_labelling(downs, _stop_below=True) is not None)
+                    == (ref == downs))
     assert least == reps
 
 
@@ -658,3 +668,126 @@ def test_isomorphic_with_pin_matches_oracle():
                             == ref_isomorphic_with_pin(rp, p.labels[a],
                                                        rq, q.labels[b]))
     assert not isomorphic_with_pin(reps[0], 0, enumerate_posets(3)[0], 0)
+
+
+def _shuffled_involutive(ip, rng):
+    """ip with its elements moved to random indices, the map moved along."""
+    perm = list(range(ip.n))
+    rng.shuffle(perm)
+    return _moved_involutive(ip, perm)
+
+
+def _moved_involutive(ip, perm):
+    """ip with element i moved to index perm[i], the map moved along."""
+    inv = [0] * ip.n
+    for i in range(ip.n):
+        inv[perm[i]] = perm[ip.inv[i]]
+    return InvolutivePoset(_moved(ip.base, perm), inv)
+
+
+def _assert_isomorphism(f, ip, iq):
+    """f is a bijection ip -> iq preserving the order both ways and
+    commuting with the maps."""
+    assert sorted(f) == list(range(iq.n))
+    for x, y in itertools.product(range(ip.n), repeat=2):
+        assert ip.leq(x, y) == iq.leq(f[x], f[y])
+    assert all(f[ip.inv[x]] == iq.inv[f[x]] for x in range(ip.n))
+
+
+def _ref_isomorphic(ip, iq):
+    maps = [{r.labels[i]: r.labels[r.inv[i]] for i in range(r.n)} for r in (ip, iq)]
+    return ref_isomorphic_with_pin(_ref(ip.base), None, _ref(iq.base), None, *maps)
+
+
+def test_find_isomorphism_with_maps_matches_oracle():
+    """Every pair of involutive instances up to n = 4, each also against a
+    seeded shuffle of every instance, and at n = 5 each instance against
+    its own shuffle: an isomorphism is found exactly when brute force
+    finds one, and each one returned is an isomorphism."""
+    rng = random.Random(17)
+
+    def check(ip, iq):
+        f = find_isomorphism(ip.base, iq.base, ip.inv, iq.inv)
+        assert (f is not None) == _ref_isomorphic(ip, iq)
+        if f is not None:
+            _assert_isomorphism(f, ip, iq)
+
+    small = list(iter_involutive(4))
+    shuffled = [_shuffled_involutive(ip, rng) for ip in small]
+    for ip in small:
+        for iq in small + shuffled:
+            check(ip, iq)
+    for ip in _involutive_representatives(5):
+        check(ip, _shuffled_involutive(ip, rng))
+
+
+def test_find_isomorphism_with_any_total_map():
+    """Maps that are not involutions too: each poset up to n = 4 with each
+    total map is isomorphic to a seeded shuffle of itself, and up to n = 3
+    the shuffled poset with every map agrees with brute force."""
+    rng = random.Random(5)
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            for unary in itertools.product(range(n), repeat=n):
+                ip = InvolutivePoset(p, unary)
+                iq = _shuffled_involutive(ip, rng)
+                f = find_isomorphism(ip.base, iq.base, ip.inv, iq.inv)
+                assert f is not None
+                _assert_isomorphism(f, ip, iq)
+                if n > 3:
+                    continue
+                for other in itertools.product(range(n), repeat=n):
+                    ir = InvolutivePoset(iq.base, other)
+                    f = find_isomorphism(ip.base, ir.base, ip.inv, ir.inv)
+                    assert (f is not None) == _ref_isomorphic(ip, ir)
+
+
+@pytest.mark.parametrize("covers, unary", [
+    ((), (1, 0, 0, 4, 3)),
+    (((0, 3), (0, 4), (1, 3), (1, 4)), (4, 3, 3, 1, 0)),
+], ids=["antichain", "two-levels"])
+def test_find_isomorphism_when_a_map_hits_an_element_twice(covers, unary):
+    """Two twin ties with twin mates are not exchanged by an automorphism
+    when a third element maps onto one of the four, so neither may be
+    skipped for the other: every relabelling is still found isomorphic."""
+    ip = InvolutivePoset(Poset.from_covers(tuple(f"e{i}" for i in range(5)), covers),
+                         unary)
+    for perm in itertools.permutations(range(5)):
+        iq = _moved_involutive(ip, perm)
+        f = find_isomorphism(ip.base, iq.base, ip.inv, iq.inv)
+        assert f is not None
+        _assert_isomorphism(f, ip, iq)
+
+
+@pytest.mark.parametrize("covers", [(), tuple((2 * i, 2 * i + 1) for i in range(6))],
+                         ids=["antichain", "chains"])
+def test_find_isomorphism_on_symmetric_inputs(covers):
+    """A 12-element antichain with a fixed-point-free involution (46,080
+    automorphisms) and six 2-element chains with the map swapping each
+    chain's ends (720), each against a shuffled copy.  The search stays
+    small only while it skips ties that an automorphism exchanges."""
+    p = Poset.from_covers(tuple(f"e{i}" for i in range(12)), covers)
+    ip = InvolutivePoset(p, tuple(i ^ 1 for i in range(12)))
+    iq = _shuffled_involutive(ip, random.Random(12))
+    f = find_isomorphism(ip.base, iq.base, ip.inv, iq.inv)
+    assert f is not None
+    _assert_isomorphism(f, ip, iq)
+
+
+# sha256 of the JSON list of strict down-mask sequences of
+# ``_representatives(n)``; the n = 8 digest is checked in CI.
+REPRESENTATIVE_DIGESTS = {
+    1: "db407f11d7ede59abaab0e98e097ff2dae10a048207b801745d7199ef19c2387",
+    2: "a6cea289ce74ee858317f8c04a3f46f86555fc02fdb98b80ae216ec10789e825",
+    3: "91ef6551ddab534fe458987e7fba50bfcdf9c39ae435145022da6db14a80d8a4",
+    4: "a67805e288d995fc938404d1b8e95258157696986087fcc2cb3efafbb0ba5e8d",
+    5: "683fa9848f867e9c7f9c5d777c700250a89a55ba1efc83894897aec4d24b2790",
+    6: "c11146788b1c45d6cea2273b97442c6d89fea0bad59b5cb6b01b2279cb38a4c3",
+    7: "1b36f826e190eca34ac281ca9680422e195c7e98444376596a7041f346363ca6",
+}
+
+
+@pytest.mark.parametrize("n", sorted(REPRESENTATIVE_DIGESTS))
+def test_representatives_are_pinned(n):
+    seqs = json.dumps([_strict_downs(p) for p in _representatives(n)])
+    assert hashlib.sha256(seqs.encode()).hexdigest() == REPRESENTATIVE_DIGESTS[n]

@@ -442,6 +442,16 @@ def test_isomorphism_absent():
     assert find_isomorphism(p, q) is None
 
 
+@pytest.mark.parametrize("bad", [(0,), (0, 1, 5), ("a", "b", "c")])
+def test_isomorphism_rejects_malformed_maps(bad):
+    """A map of the wrong length, with an index outside the carrier or
+    with a non-integer entry is a usage error on either side."""
+    p = Poset.from_covers(["x", "y", "z"], [("x", "y"), ("x", "z")])
+    for p_inv, q_inv in ((bad, (0, 2, 1)), ((0, 2, 1), bad)):
+        with pytest.raises(UsageError):
+            find_isomorphism(p, p, p_inv, q_inv)
+
+
 def test_equality_is_labeled():
     p = Poset.from_covers(["x", "y"], [("x", "y")])
     q = Poset.from_covers(["y", "x"], [("y", "x")])
