@@ -23,7 +23,9 @@ as one side of the equivalence audits:
 where ``<=`` always means the induced order (read off the table).
 Every checker reads it from one cached order view of the meet table
 (:func:`_order_masks`): the bitmasks of which entries equal their row or
-column index, built in one pass.  Witnesses are deterministic: the
+column index, and of each column's values, built in one pass.  Identity
+(2) depends on a table only through two parts of that view
+(:func:`_identity_2`).  Witnesses are deterministic: the
 checkers scan in a fixed order and report the first violation they
 encounter.
 """
@@ -52,21 +54,64 @@ def _split_source(source):
 
 
 def _order_masks(table):
-    """The order view of a table in one pass, as ``(above, below, lower)``:
-    ``above[x] = {y | x∘y = x}``, ``below[y] = {x | x∘y = x}`` and
-    ``lower[x] = {y | x∘y = y}``, each a bitmask."""
+    """The order view of a table in one pass, as ``(above, below, lower,
+    cols)``: ``above[x] = {y | x∘y = x}``, ``below[y] = {x | x∘y = x}``,
+    ``lower[x] = {y | x∘y = y}`` and ``cols[y] = {x∘y | x}``, the value
+    mask of column y, each a bitmask."""
     n = len(table)
-    above, below, lower = [0] * n, [0] * n, [0] * n
-    for x in range(n):
-        row = table[x]
-        for y in range(n):
-            v = row[y]
+    below, cols = [0] * n, [0] * n
+    above, lower = [], []
+    for x, row in enumerate(table):
+        bx = 1 << x
+        a = low = 0
+        for y, v in enumerate(row):
+            cols[y] |= 1 << v
             if v == x:
-                above[x] |= 1 << y
-                below[y] |= 1 << x
-            if v == y:
-                lower[x] |= 1 << y
-    return above, below, lower
+                a |= 1 << y
+                below[y] |= bx
+            elif v == y:
+                low |= 1 << y
+        above.append(a)
+        lower.append(low | (a & bx))    # the elif skips y == x: x∘x = x counts here
+    return above, below, lower, cols
+
+
+def _identity_2_groups(tables):
+    """The distinct (2) signatures ``(cols, lower)`` of the order views
+    of ``tables``, in order of first appearance, and each table's
+    position among them."""
+    keys, index = {}, []
+    for t in tables:
+        _, _, lower, cols = t._order()
+        index.append(keys.setdefault((tuple(cols), tuple(lower)), len(keys)))
+    return list(keys), index
+
+
+def _identity_2(signature, inv):
+    """Identity (2) under the map ``inv`` on any table whose order view
+    has the signature ``(cols, lower)`` (see :func:`_identity_2_groups`).
+
+    (2) reads (x ⊓ y)' ⊓ y' = y'.  For a fixed y, m = x ⊓ y runs over
+    exactly the values of column y, ``cols[y]``, as x runs over the
+    carrier, and a ⊓ b = b iff b is in ``lower[a]``.  So (2) holds iff
+    y' is in ``lower[m']`` for every y and every m in ``cols[y]``; neither
+    commutativity nor x'' = x enters.  Tables with the same (cols, lower)
+    therefore agree on (2) under every map, and the map audits decide it
+    once per group of such tables.  When (1) holds too, the table's
+    (1)/(2) verdict is ``Verdict(True)``, which carries no witness, so
+    seeding it (:meth:`MeetDirectoid._with_map`) leaves the directoid
+    exactly as :meth:`MeetDirectoid.check_identities_1_2` would; when (2)
+    fails, every audit rung's table side, which requires (1)/(2), is
+    False on each table of the group without reading it."""
+    cols, lower = signature
+    for y, col in enumerate(cols):
+        iy = inv[y]
+        while col:
+            low = col & -col
+            if not lower[inv[low.bit_length() - 1]] >> iy & 1:
+                return False
+            col ^= low
+    return True
 
 
 def _common(masks, sel, memo):
@@ -79,14 +124,6 @@ def _common(masks, sel, memo):
             acc &= masks[i]
         memo[sel] = acc
     return acc
-
-
-def _mask(values):
-    """The bitmask of an iterable of indices."""
-    out = 0
-    for v in values:
-        out |= 1 << v
-    return out
 
 
 def _base_table(p):
@@ -146,26 +183,27 @@ class MeetDirectoid:
             inv = tuple(inv)
             if len(inv) != n or not _all_ints(inv) or not carrier.issuperset(inv):
                 raise UsageError("unary map is not total on the carrier")
-        self._fill(meet, inv, labels, None)
+        self._fill(meet, inv, labels, None, None)
 
-    def _fill(self, meet, inv, labels, masks):
+    def _fill(self, meet, inv, labels, masks, i12):
         object.__setattr__(self, "n", len(meet))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "meet", meet)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "_join", None)
-        object.__setattr__(self, "_i12", None)
+        object.__setattr__(self, "_i12", i12)
         object.__setattr__(self, "_masks", masks)
 
-    def _with_map(self, inv):
+    def _with_map(self, inv, i12=None):
         """This table with the unary map ``inv``, sharing its cached
-        :meth:`_order` view; nothing is validated again.  The table was
-        validated when ``self`` was built.  ``inv`` must be a tuple that
+        :meth:`_order` view, and ``i12`` as its (1)/(2) verdict when
+        given; nothing is validated again.  The table was validated when
+        ``self`` was built.  ``inv`` must be a tuple that
         ``InvolutivePoset`` has accepted on a poset of this table's
         size, which runs the constructor's length, integer and range
         checks on it."""
         d = object.__new__(MeetDirectoid)
-        d._fill(self.meet, inv, self.labels, self._order())
+        d._fill(self.meet, inv, self.labels, self._order(), i12)
         return d
 
     def __setattr__(self, name, value):
@@ -188,9 +226,9 @@ class MeetDirectoid:
         (x ⊓ (y ⊓ z)) ⊓ z = x ⊓ (y ⊓ z).
 
         x ⊓ (y ⊓ z) ranges over the column v = y ⊓ z, so weak
-        associativity holds at (y, z) iff that column's values all lie
-        in ``below[z]``; the (x, y, z) scan runs only to find the first
-        witness of a failure."""
+        associativity holds at (y, z) iff that column's value mask
+        ``cols[v]`` lies in ``below[z]``; the (x, y, z) scan runs only to
+        find the first witness of a failure."""
         meet = self.meet
         lab = self.labels
         rng = range(self.n)
@@ -205,8 +243,7 @@ class MeetDirectoid:
                         return Verdict(False, ("commutativity", x, y),
                                        f"{lab[x]} meet {lab[y]} = {lab[meet[x][y]]} but "
                                        f"{lab[y]} meet {lab[x]} = {lab[meet[y][x]]}")
-        below = self._order()[1]
-        cols = [_mask(col) for col in meet]    # a column is its row once commutative
+        _, below, _, cols = self._order()
         if any(cols[v] & ~below[z] for row in meet for z, v in enumerate(row)):
             for x in rng:
                 row_x = meet[x]
@@ -354,7 +391,7 @@ class MeetDirectoid:
         self._require_identities_1_2()
         meet, inv = self.meet, self.inv
         n = self.n
-        above, below, _ = self._order()
+        above, below = self._order()[:2]
         symmetric = meet == tuple(zip(*meet))
         rng = range(n)
         lset = [[0] * n for _ in rng]
@@ -438,7 +475,7 @@ class MeetDirectoid:
         induced order."""
         self._require_inv()
         bottom, top = self._element(bottom), self._element(top)
-        above, below, _ = self._order()
+        above, below = self._order()[:2]
         full = (1 << self.n) - 1
         if above[bottom] != full or below[top] != full:
             raise UsageError("designated bounds do not bound the induced order")
@@ -495,6 +532,13 @@ def _assignments(p, inv, table, pairs):
         for (x, y), pick in zip(keys, picks):
             table[x][y] = table[y][x] = pick
         yield MeetDirectoid(table, inv=inv, labels=p.labels)
+
+
+def _capped_assignments(p, cap):
+    """``assignment_count(p)`` and the first ``cap`` tables of
+    ``iter_assignments(p)``, both from one base table."""
+    table, pairs = _base_table(p)
+    return _count(pairs), list(itertools.islice(_assignments(p, None, table, pairs), cap))
 
 
 def all_assignments(source, cap=1000):

@@ -18,12 +18,10 @@ Instance spaces are combinations of
   - all meet-operation assignments, capped per poset (deterministic
     first-k sampling in canonical order; reports carry a sampled flag).
 
-The map spaces build only some maps (every involution for Lem-4.1, the
-antitone involutions for the four characterisations) and count every
-other map in runs without evaluating it (``_map_space`` gives the
-argument); verdicts, witnesses and instance counts are those of the full
-n^n sweep, and the five directoid claims default to n =
-``ENUMERATION_BOUND``.
+The map spaces evaluate only some maps (every involution for Lem-4.1,
+the antitone involutions for the four characterisations) and count the
+others in runs, with the verdicts, witnesses and instance counts of the
+full n^n sweep (``_map_space`` says why).
 """
 
 from __future__ import annotations
@@ -35,12 +33,13 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .completion import dedekind_macneille
-from .directoid import (assignment_choices, assignment_count,
+from .directoid import (_capped_assignments, _identity_2, _identity_2_groups,
+                        assignment_choices, assignment_count,
                         check_derived_set_laws, check_printed_u_pair_law,
                         directoid_from_choices, iter_assignments)
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, involution_from_pairs
-from .poset import (DISTRIBUTIVITY_FORMS, Poset, _bits, _canonical,
+from .poset import (DISTRIBUTIVITY_FORMS, Poset, Verdict, _bits, _canonical,
                     _least_labelling)
 from .residuation import AXIOMS, ResiduatedStructure, check_condition7
 from .twist import (_part_i, _twist_kleene, check_embedding,
@@ -314,34 +313,30 @@ def _map_space(maps):
 
     A skipped map cannot change a verdict if it is not an antitone
     involution of p: then (1)/(2) fail in every table, so both sides of
-    every rung are False.  Every table ``_base_table`` fills is
-    symmetric, has a ⊓ b = a whenever a <= b, and holds a common lower
-    bound of x and y at (x, y).  Write x' for u(x).  Without x'' = x, (1)
-    fails.  For an involution u and a <= b, (a ⊓ b)' ⊓ b' = a' ⊓ b' is a
-    lower bound of a', so it equals b' only if b' <= a': (2) fails unless
-    u is antitone.  If u is antitone, each m = x ⊓ y is <= y, so
-    y' <= m' and m' ⊓ y' = y': (2) holds.  So (1)/(2) hold in a table
-    exactly when u is an antitone involution of p.  That is Lemma 4.1
-    itself, so ``UNARY_MAPS`` (Lem-4.1) evaluates every involution of
-    ``range(n)`` on every table, and ``ANTITONE_MAPS`` (the four
-    characterisations) only the antitone ones, at the bounds Lem-4.1
-    confirms.
-
-    The tables are the map-free ``MeetDirectoid``s that
-    ``iter_assignments(p)`` built, each validated once by its own
-    constructor; the evaluator attaches a map through
-    ``MeetDirectoid._with_map`` (see ``_directoid_characterization``)."""
+    every rung are False.  Without x'' = x, (1) fails.  In every table
+    ``_base_table`` fills, a ⊓ b is min(a, b) for comparable a, b and
+    another common lower bound otherwise, so ``lower[a]`` and ``cols[a]``
+    are both the down-set L(a).  By ``directoid._identity_2``, (2) then
+    holds iff m <= y implies y' <= m', that is, iff the map is antitone.
+    So p's tables form one (2) group, and (1)/(2) hold exactly when the
+    map is an antitone involution of p.  That is Lemma 4.1 itself, so
+    ``UNARY_MAPS`` (Lem-4.1) evaluates every involution of ``range(n)`` on
+    every table, and ``ANTITONE_MAPS`` (the four characterisations) only
+    the antitone ones, at the bounds Lem-4.1 confirms.  The tables are
+    the map-free ``MeetDirectoid``s that ``iter_assignments(p)`` built,
+    each validated once by its own constructor."""
     def sweep(n_bound, cap):
         for p in iter_directed(n_bound):
-            n, sampled = p.n, assignment_count(p) > cap
             chosen = maps(p)
-            tables = list(itertools.islice(iter_assignments(p), cap)) if chosen else []
+            count, tables = _capped_assignments(p, cap if chosen else 0)
+            n, sampled = p.n, count > cap
+            groups = _identity_2_groups(tables)
             next_rank = 0
             for unary in chosen:
                 rank = functools.reduce(lambda r, v: r * n + v, unary, 0)
                 if rank > next_rank:
                     yield None, rank - next_rank, sampled
-                yield (p, unary, tables), 1, sampled
+                yield (p, unary, tables, groups), 1, sampled
                 next_rank = rank + 1
             if n ** n > next_rank:
                 yield None, n ** n - next_rank, sampled
@@ -351,7 +346,7 @@ def _map_space(maps):
 
 
 def _map_serialize(instance):
-    p, unary, _ = instance
+    p, unary = instance[:2]
     doc = serialize_poset(p)
     doc["unary_map"] = {p.labels[i]: p.labels[unary[i]] for i in range(p.n)}
     return doc
@@ -364,7 +359,8 @@ def _map_rebuild(witness):
     if missing:
         raise UsageError(f"unary map does not cover: {', '.join(missing)}")
     unary = tuple(p.index(unary_map[lab]) for lab in p.labels)
-    return p, unary, [directoid_from_choices(p, witness["binding"]["choices"])]
+    tables = [directoid_from_choices(p, witness["binding"]["choices"])]
+    return p, unary, tables, _identity_2_groups(tables)
 
 
 UNARY_MAPS = _map_space(lambda p: _involutions(p.n))
@@ -589,18 +585,19 @@ def _directoid_characterization(*rungs):
     every involution, the rest only on antitone ones (``_map_space``
     says why skipping the others is exact).
 
-    Every check runs once per object it covers.  The tables are
-    directoids on p's labels that the public constructor validated
-    (``iter_assignments`` in the sweep, ``directoid_from_choices`` in a
-    replay), and ``InvolutivePoset(p, unary)`` validates the map against
-    p's size with the constructor's length, integer and range checks.
-    ``_with_map`` joins the two without repeating either, so each
-    directoid has the table, map and labels the constructor would have
-    stored, and every checker reads the same values."""
+    Every check runs once per object it covers.  The public constructor
+    validated the tables (``iter_assignments`` in the sweep,
+    ``directoid_from_choices`` in a replay) and ``InvolutivePoset(p,
+    unary)`` the map; ``_with_map`` joins the two without repeating
+    either.  (1) is checked once per map and (2) once per (map, group of
+    tables), exactly (``directoid._identity_2``).  A table failing (2)
+    has every directoid side False, with no directoid built; the others
+    get one with (1)/(2) seeded.  Tables are walked in order, so the
+    first mismatch and its ``choices`` (read off the map-free table) are
+    unchanged."""
     def evaluate(instance):
-        p, unary, tables = instance
-        # A replayed witness can carry any map; without x'' = x both
-        # sides are False (see ``_map_space``).
+        p, unary, tables, (signatures, index) = instance
+        # (1): a replayed map need not be involutive; then both sides are False
         if any(unary[unary[x]] != x for x in range(p.n)):
             return None
         ip = InvolutivePoset(p, unary)
@@ -608,17 +605,20 @@ def _directoid_characterization(*rungs):
         # A finite directed order has a bottom; a valid map sends it to a top.
         bounds = p.bounds() if valid else (0, 0)   # read only if (2) holds
         order_sides = [valid and _RUNGS[r][0](ip) for r in rungs]
-        for table in tables:
-            d = table._with_map(ip.inv)
-            holds = d.check_identities_1_2().ok
-            directoid_sides = [holds and _RUNGS[r][1](d, bounds) for r in rungs]
+        holds = [_identity_2(signature, ip.inv) for signature in signatures]
+        if not any(holds + order_sides):
+            return None    # every side of every table is False
+        for table, group in zip(tables, index):
+            held = holds[group]
+            d = table._with_map(ip.inv, Verdict(True)) if held else None
+            directoid_sides = [held and _RUNGS[r][1](d, bounds) for r in rungs]
             for part, order_side, directoid_side in zip(
                     ("i", "ii"), order_sides, directoid_sides):
                 if order_side != directoid_side:
                     binding = {"part": part} if len(rungs) > 1 else {}
                     binding.update(order_side=order_side,
                                    directoid_side=directoid_side,
-                                   choices=assignment_choices(d, p))
+                                   choices=assignment_choices(table, p))
                     return binding
         return None
     return evaluate

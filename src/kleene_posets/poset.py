@@ -674,6 +674,9 @@ def find_isomorphism(p, q, p_inv=None, q_inv=None):
     order both ways (and commuting with the maps when given), or
     ``None`` when no isomorphism exists: q's least labelling composed
     with the inverse of p's (:func:`_least_labelling`)."""
+    if not (isinstance(p, Poset) and isinstance(q, Poset)):
+        raise UsageError("find_isomorphism compares Posets; for an "
+                         "InvolutivePoset pass its .base and its .inv as the map")
     if (p_inv is None) != (q_inv is None):
         raise UsageError("either both involutions or neither must be given")
     if p_inv is not None:       # its constructor's length, integer and range checks

@@ -20,6 +20,8 @@ from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            directoid_from_choices, enumerate_involutions,
                            enumerate_posets, figure, iter_assignments)
 
+from kleene_posets.directoid import _identity_2, _order_masks
+
 from oracles import (ref_derived_set_laws, ref_directoid_axioms, ref_identity_3,
                      ref_implication_4, ref_implication_5, ref_implication_6)
 
@@ -544,3 +546,61 @@ def test_implication_4_reports_the_first_failing_w():
     inv = [0, 3, 2, 1]
     v = MeetDirectoid(table, inv=inv).check_implication_4()
     assert v.witness == ref_implication_4(table, inv) == (1, 3, 0, 3, 1)
+
+
+def _kernel_identities_1_2(d, u):
+    """(1) as the map audits guard it, per map, and (2) as they decide
+    it, from the table's order view (``_identity_2``)."""
+    _, _, lower, cols = d._order()
+    involutive = all(u[u[x]] == x for x in range(len(u)))
+    return involutive and _identity_2((cols, lower), u)
+
+
+def test_identity_2_kernel_on_every_map_of_every_directed_table():
+    """Every directed poset with n <= 4, every one of its tables and every
+    one of the n^n maps of the carrier, involutions or not."""
+    held = checked = 0
+    for n in range(1, 5):
+        for p in filter(Poset.is_downward_directed, enumerate_posets(n)):
+            for d in iter_assignments(p):
+                for u in itertools.product(range(n), repeat=n):
+                    want = MeetDirectoid(d.meet, inv=u).check_identities_1_2().ok
+                    assert _kernel_identities_1_2(d, u) == want
+                    held += want
+                    checked += 1
+    assert (held, checked) == (6, 1595)
+
+
+def _ref_order_masks(table):
+    n = len(table)
+    return [[sum(1 << y for y in range(n) if table[x][y] == x) for x in range(n)],
+            [sum(1 << x for x in range(n) if table[x][y] == x) for y in range(n)],
+            [sum(1 << y for y in range(n) if table[x][y] == y) for x in range(n)],
+            [sum(1 << v for v in {table[x][y] for x in range(n)}) for y in range(n)]]
+
+
+@pytest.mark.parametrize("name, held, failed", [("fig1", 318, 40722),
+                                                ("fig4", 224, 27136)])
+def test_identity_2_kernel_on_single_entry_edits(name, held, failed):
+    """Every single-entry edit of every assignment table of the figure,
+    most of them not commutative, not idempotent or failing the axioms,
+    under every involution of the carrier: the order view matches its
+    brute-force transcription, and the kernel matches
+    ``check_identities_1_2``."""
+    n = figure(name).n
+    maps = [u for u in itertools.product(range(n), repeat=n)
+            if all(u[u[x]] == x for x in range(n))]
+    outcomes = collections.Counter()
+    for d in iter_assignments(figure(name)):
+        for x, y, v in itertools.product(range(n), repeat=3):
+            if v == d.meet[x][y]:
+                continue
+            table = [list(row) for row in d.meet]
+            table[x][y] = v
+            assert list(_order_masks(table)) == _ref_order_masks(table)
+            edited = MeetDirectoid(table)
+            for u in maps:
+                want = edited._with_map(u).check_identities_1_2().ok
+                assert _kernel_identities_1_2(edited, u) == want
+                outcomes[want] += 1
+    assert outcomes == {True: held, False: failed}

@@ -23,7 +23,8 @@ from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            UsageError, enumerate_involutions, enumerate_posets,
                            figure, find_isomorphism, iter_assignments, run_cli)
 from kleene_posets import audit, claim_ids, replay_report, replay_witness
-from kleene_posets.directoid import assignment_choices, assignment_count
+from kleene_posets.directoid import (_identity_2_groups, assignment_choices,
+                                     assignment_count)
 from kleene_posets.poset import _bits, _least_labelling
 from kleene_posets.enumeration import (ALIASES, BOUNDED, BOUNDED_LU, CLAIMS,
                                        CONDITION7, DIRECTED_INVOLUTIVE_ASSIGNED,
@@ -440,11 +441,14 @@ def _evaluated_maps(space, n_bound, cap):
     position, maps = 0, {p: [] for p in offsets}
     for instance, count, sampled in space.sweep(n_bound, cap):
         if instance is not None:
-            p, unary, tables = instance
+            p, unary, tables, (signatures, index) = instance
             assert count == 1
             assert position == offsets[p] + _rank(unary)
             assert [d.meet for d in tables] == [
                 d.meet for d in itertools.islice(iter_assignments(p), cap)]
+            assert sorted(set(index)) == list(range(len(signatures)))
+            assert [signatures[g] for g in index] == [
+                (tuple(d._order()[3]), tuple(d._order()[2])) for d in tables]
             assert sampled == (assignment_count(p) > cap)
             maps[p].append(unary)
         position += count
@@ -520,7 +524,7 @@ def test_refuted_map_claim_counts_every_map_up_to_the_witness():
 
 def _check_one_map_refutation(space, target, evaluated):
     def evaluate(instance):
-        p, unary, tables = instance
+        p, unary, tables = instance[:3]
         if unary != target:
             return None
         return {"choices": assignment_choices(tables[0], p)}
@@ -542,6 +546,86 @@ def _check_one_map_refutation(space, target, evaluated):
     assert claim.replay(witness)
     edited = dict(witness, unary_map=dict(witness["unary_map"], x1="x0"))
     assert not claim.replay(edited)
+
+
+def test_map_witness_is_the_first_table_failing_2_across_groups():
+    """Tables in two (2) groups: the assigned tables of a bounded poset
+    with an antitone involution, where (2) holds, and the same tables
+    with the top's row edited at one entry, where it fails though the
+    order side holds.  The binding names the first failing table in
+    table order, and it replays."""
+    p = Poset.from_covers([f"x{i}" for i in range(6)], [
+        ("x0", "x1"), ("x1", "x2"), ("x1", "x3"), ("x2", "x4"), ("x3", "x4"),
+        ("x4", "x5")])
+    unary = (5, 4, 2, 3, 1, 0)
+    genuine = list(iter_assignments(p))
+    edited = []
+    for d in genuine:
+        table = [list(row) for row in d.meet]
+        table[5][4] = 0    # same column masks, x4 leaves lower[x5]
+        edited.append(MeetDirectoid(table, labels=p.labels))
+    tables = [genuine[0], edited[1], edited[0], genuine[1]]
+    signatures, index = _identity_2_groups(tables)
+    assert len(signatures) == 2 and index == [0, 1, 1, 0]
+    assert signatures[0][0] == signatures[1][0]
+    choices = [assignment_choices(d, p) for d in tables]
+    assert choices[1] != choices[2]
+
+    def rebuild(witness):
+        kept = [d for d, c in zip(tables, choices)
+                if c == witness["binding"]["choices"]]
+        return p, unary, kept, _identity_2_groups(kept)
+
+    space = replace(UNARY_MAPS, sweep=lambda n_bound, cap: iter(
+        [((p, unary, tables, (signatures, index)), 1, False)]), rebuild=rebuild)
+    claim = replace(CLAIMS["Lem-4.1"], instance_space=space)
+    report = claim.run(6)
+    binding = {"order_side": True, "directoid_side": False, "choices": choices[1]}
+    assert [w["binding"] for w in report.witnesses] == [binding]
+    witness = report.witnesses[0]
+    assert claim.replay(witness)
+    assert not claim.replay(dict(witness, binding=dict(binding, directoid_side=True)))
+    # with every table failing (2), the first one is the witness
+    failing = edited[::-1]
+    assert claim.evaluate((p, unary, failing, _identity_2_groups(failing))) == dict(
+        binding, choices=assignment_choices(failing[0], p))
+
+
+# sha256 over the reports of the five map claims at n <= 6, cap 1,000,
+# with collect_all False then True, each with its witnesses' replays,
+# and over those of a deliberately mismatched rung (Kleene order side,
+# pseudo-Kleene table side) in both map spaces at caps 1,000 and 2;
+# frozen from the per-table (1)/(2) scan the grouped kernel replaced.
+MAP_REPORT_DIGESTS = {
+    "claims": "90fb2a83bc46496af2b2bca918663ed3a39e52786aece15e277029160a04bfe3",
+    "mismatched": "2ca0a50be6d8fa52a1051bc2f74634577b832cb56d3078c847c2f88e0fe45687",
+}
+
+
+def _report_digest(runs):
+    docs = []
+    for claim, cap, collect_all in runs:
+        report = claim.run(6, cap, collect_all)
+        doc = report.to_dict()
+        doc["replays"] = [claim.replay(w) for w in report.witnesses]
+        docs.append(doc)
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
+def test_map_claim_reports_pinned(monkeypatch):
+    claims = [CLAIMS[cid] for cid in ("Lem-4.1",) + MAP_CHARACTERISATIONS]
+    assert _report_digest([(claim, 1000, collect_all) for claim in claims
+                           for collect_all in (False, True)]
+                          ) == MAP_REPORT_DIGESTS["claims"]
+    monkeypatch.setitem(_RUNGS, "mismatched",
+                        (_RUNGS["kleene"][0], _RUNGS["pk"][1]))
+    mismatched = Claim("Mismatched", "refuted", ANTITONE_MAPS,
+                       _directoid_characterization("mismatched"))
+    assert _report_digest([
+        (claim, cap, collect_all)
+        for claim in (mismatched, replace(mismatched, instance_space=UNARY_MAPS))
+        for cap in (1000, 2) for collect_all in (False, True)]
+    ) == MAP_REPORT_DIGESTS["mismatched"]
 
 
 def test_twist_audits_never_check_product_cones(monkeypatch):

@@ -452,6 +452,18 @@ def test_isomorphism_rejects_malformed_maps(bad):
             find_isomorphism(p, p, p_inv, q_inv)
 
 
+@pytest.mark.parametrize("with_maps", [False, True])
+def test_isomorphism_rejects_involutive_posets(with_maps):
+    """An InvolutivePoset in place of a Poset, on either side, with or
+    without the maps, is one usage error saying to pass its base and map."""
+    ip = figure("fig1")
+    maps = (ip.inv, ip.inv) if with_maps else ()
+    for pair in ((ip, ip.base), (ip.base, ip), (ip, ip)):
+        with pytest.raises(UsageError, match=r"pass its \.base and its \.inv"):
+            find_isomorphism(*pair, *maps)
+    assert find_isomorphism(ip.base, ip.base, *maps) is not None
+
+
 def test_equality_is_labeled():
     p = Poset.from_covers(["x", "y"], [("x", "y")])
     q = Poset.from_covers(["y", "x"], [("y", "x")])
