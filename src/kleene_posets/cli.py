@@ -1,7 +1,9 @@
 """Command-line surface.
 
-Subcommands: check, complete, twist, residuate, directoid, audit.  Every
-subcommand accepts ``--json`` for a stable machine-readable report.
+Subcommands: check, complete, twist, residuate, directoid, audit.  Each
+builds one report, the payload that ``--json`` prints with sorted keys,
+and prints its text form from that same payload; so every subcommand
+answers ``--json`` with JSON, on failure too.
 
 Exit codes: 0 when the command ran and every asserted check passed, 1
 when an asserted check failed (witnesses are printed), 2 for usage or
@@ -12,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
 from . import enumeration
-from .directoid import _assignments, _base_table, _choices, _count
+from .directoid import ASSIGNMENT_CAP, _capped_assignments, _choices
 from .dot import to_dot
 from .completion import dedekind_macneille
 from .errors import DomainError, FixtureParseError, UsageError
@@ -27,6 +28,11 @@ from .poset import DISTRIBUTIVITY_FORMS
 from .residuation import AXIOMS, ResiduatedStructure
 from .twist import audit_theorem61
 
+# The classification ladder: payload key and text label.
+_LADDER = (("pseudo_kleene", "pseudo-Kleene"), ("kleene", "Kleene"),
+           ("strong", "strong"), ("strict", "strict"), ("boolean", "Boolean"))
+_NO_MAP = "not applicable: no unary map"
+
 
 def _verdict_json(v):
     if v is None:
@@ -35,12 +41,18 @@ def _verdict_json(v):
 
 
 def _verdict_text(v, reason=""):
+    """The text of a verdict's JSON form; ``None`` is not applicable."""
     if v is None:
         reason = reason.removeprefix("not applicable: ")
         return f"not applicable ({reason})" if reason else "not applicable"
-    if v.ok:
+    if v["ok"]:
         return "yes"
-    return f"no — {v.detail}" if v.detail else "no"
+    return f"no — {v['detail']}" if v["detail"] else "no"
+
+
+def _fails(v):
+    """A verdict's JSON form is present and false."""
+    return v is not None and not v["ok"]
 
 
 def _load(path):
@@ -52,44 +64,32 @@ def _load(path):
     return build(parse(text))
 
 
-def _classification_json(c):
-    return {
-        "summary": c.summary,
-        "involution": _verdict_json(c.involution),
-        "bounds": {"bottom": c.bounded[0], "top": c.bounded[1]},
-        "lattice": _verdict_json(c.lattice),
-        "distributive": {form: _verdict_json(c.distributive[form])
-                         for form in DISTRIBUTIVITY_FORMS},
-        "distributive_forms_agree": c.distributive_forms_agree,
-        "pseudo_kleene": _verdict_json(c.pseudo_kleene),
-        "kleene": _verdict_json(c.kleene),
-        "strong": _verdict_json(c.strong),
-        "strict": _verdict_json(c.strict),
-        "strict_reason": c.strict_reason,
-        "boolean": _verdict_json(c.boolean),
-        "boolean_reason": c.boolean_reason,
-        "fixed_points": list(c.fixed_points),
-    }
-
-
-def _poset_only_json(p):
+def _classification_json(obj):
+    """The classification of a ``Poset`` or an ``InvolutivePoset``.  A
+    plain poset has no unary map: its ladder entries are null and both
+    reasons say so."""
+    if isinstance(obj, InvolutivePoset):
+        c = classify(obj)
+        p = obj.base
+        data = {"summary": c.summary, "involution": _verdict_json(c.involution),
+                "strict_reason": c.strict_reason, "boolean_reason": c.boolean_reason,
+                "fixed_points": list(c.fixed_points)}
+        data.update((key, _verdict_json(getattr(c, key))) for key, _ in _LADDER)
+    else:
+        p = obj
+        data = {"summary": "lattice" if p.is_lattice().ok else "not a lattice",
+                "involution": None, "strict_reason": _NO_MAP,
+                "boolean_reason": _NO_MAP, "fixed_points": []}
+        data.update((key, None) for key, _ in _LADDER)
     bottom, top = p.bounds()
-    lattice = p.is_lattice()
     forms = p.distributivity_all_forms()
-    return {
-        "summary": ("lattice" if lattice.ok else "not a lattice"),
-        "involution": None,
-        "bounds": {"bottom": p.labels[bottom] if bottom is not None else None,
-                   "top": p.labels[top] if top is not None else None},
-        "lattice": _verdict_json(lattice),
-        "distributive": {form: _verdict_json(forms[form])
-                         for form in DISTRIBUTIVITY_FORMS},
-        "distributive_forms_agree": len({v.ok for v in forms.values()}) == 1,
-        "pseudo_kleene": None, "kleene": None, "strong": None,
-        "strict": None, "strict_reason": "not applicable: no unary map",
-        "boolean": None, "boolean_reason": "not applicable: no unary map",
-        "fixed_points": [],
-    }
+    data.update(
+        bounds={"bottom": None if bottom is None else p.labels[bottom],
+                "top": None if top is None else p.labels[top]},
+        lattice=_verdict_json(p.is_lattice()),
+        distributive={form: _verdict_json(forms[form]) for form in DISTRIBUTIVITY_FORMS},
+        distributive_forms_agree=len({v.ok for v in forms.values()}) == 1)
+    return data
 
 
 def _print_classification(out, data):
@@ -100,32 +100,15 @@ def _print_classification(out, data):
                                     else f"invalid — {inv['detail']}") + "\n")
     b = data["bounds"]
     out.write(f"bounds: bottom={b['bottom']} top={b['top']}\n")
-    lat = data["lattice"]
-    out.write("lattice: " + ("yes" if lat["ok"] else f"no — {lat['detail']}") + "\n")
+    out.write(f"lattice: {_verdict_text(data['lattice'])}\n")
     forms = " ".join(f"{form}={'yes' if data['distributive'][form]['ok'] else 'no'}"
                      for form in DISTRIBUTIVITY_FORMS)
     agree = "agree" if data["distributive_forms_agree"] else "DISAGREE"
     out.write(f"distributive: {forms} (forms {agree})\n")
-    for key, label in (("pseudo_kleene", "pseudo-Kleene"), ("kleene", "Kleene"),
-                       ("strong", "strong"), ("strict", "strict"),
-                       ("boolean", "Boolean")):
-        v = data[key]
-        if v is None:
-            reason = {"strict": data["strict_reason"],
-                      "boolean": data["boolean_reason"]}.get(key, "")
-            out.write(f"{label}: {_verdict_text(None, reason)}\n")
-        else:
-            out.write(f"{label}: {_verdict_text_from_json(v)}\n")
-    if data["fixed_points"]:
-        out.write("fixed points: " + " ".join(data["fixed_points"]) + "\n")
-    else:
-        out.write("fixed points: none\n")
-
-
-def _verdict_text_from_json(v):
-    if v["ok"]:
-        return "yes"
-    return f"no — {v['detail']}" if v["detail"] else "no"
+    for key, label in _LADDER:
+        reason = data.get(f"{key}_reason", "")
+        out.write(f"{label}: {_verdict_text(data[key], reason)}\n")
+    out.write("fixed points: " + (" ".join(data["fixed_points"]) or "none") + "\n")
 
 
 def _emit(args, out, data, text_fn):
@@ -139,66 +122,51 @@ def _emit(args, out, data, text_fn):
 
 def _cmd_check(args, out):
     obj = _load(args.file)
-    if isinstance(obj, InvolutivePoset):
-        c = classify(obj)
-        data = _classification_json(c)
-        failed = not c.involution.ok
-        labels = obj.labels
-    else:
-        data = _poset_only_json(obj)
-        failed = False
-        labels = obj.labels
     payload = {"command": "check", "file": args.file,
-               "elements": list(labels), "classification": data}
+               "elements": list(obj.labels),
+               "classification": _classification_json(obj)}
 
     def text():
+        elements = payload["elements"]
         out.write(f"file: {args.file}\n")
-        out.write(f"elements ({len(labels)}): " + " ".join(labels) + "\n")
-        _print_classification(out, data)
+        out.write(f"elements ({len(elements)}): " + " ".join(elements) + "\n")
+        _print_classification(out, payload["classification"])
     _emit(args, out, payload, text)
-    return 1 if failed else 0
+    return 1 if _fails(payload["classification"]["involution"]) else 0
 
 
 def _cmd_complete(args, out):
     obj = _load(args.file)
-    failed = False
+    payload = {"command": "complete", "file": args.file}
     if isinstance(obj, InvolutivePoset):
         verdict = obj.check_antitone_involution()
         if not verdict.ok:
-            out.write(f"involution invalid — {verdict.detail}\n")
+            payload["involution"] = _verdict_json(verdict)
+            _emit(args, out, payload,
+                  lambda: out.write(f"involution invalid — {verdict.detail}\n"))
             return 1
-        dm = dedekind_macneille(obj)
-        dm_obj = dm.as_involutive_poset()
-        c = classify(dm_obj)
-        cls_data = _classification_json(c)
-        failed = not c.involution.ok or not c.lattice.ok
-    else:
-        dm = dedekind_macneille(obj)
-        dm_obj = dm.as_poset()
-        cls_data = _poset_only_json(dm_obj)
-        failed = not dm_obj.is_lattice().ok
-    payload = {
-        "command": "complete", "file": args.file,
-        "ideals": list(dm.labels), "count": dm.n,
-        "embedding": {obj.labels[x]: dm.labels[dm.embed(x)]
-                      for x in range(obj.n)},
-        "fixed_ideals": list(dm.fixed_ideals()) if dm.has_involution else None,
-        "classification": cls_data,
-    }
+    dm = dedekind_macneille(obj)
+    cls = _classification_json(dm.as_involutive_poset() if dm.has_involution
+                               else dm.as_poset())
+    payload.update(
+        ideals=list(dm.labels), count=dm.n,
+        embedding={obj.labels[x]: dm.labels[dm.embed(x)] for x in range(obj.n)},
+        fixed_ideals=list(dm.fixed_ideals()) if dm.has_involution else None,
+        classification=cls)
     if args.dot:
         payload["dot"] = to_dot(dm, graph_name="completion")
 
     def text():
-        out.write(f"completion of {args.file}: {dm.n} ideals\n")
-        out.write("ideals: " + " ".join(dm.labels) + "\n")
-        if dm.has_involution:
+        out.write(f"completion of {args.file}: {payload['count']} ideals\n")
+        out.write("ideals: " + " ".join(payload["ideals"]) + "\n")
+        if payload["fixed_ideals"] is not None:
             out.write("fixed ideals: " +
-                      (" ".join(dm.fixed_ideals()) or "none") + "\n")
-        _print_classification(out, cls_data)
+                      (" ".join(payload["fixed_ideals"]) or "none") + "\n")
+        _print_classification(out, cls)
         if args.dot:
             out.write(payload["dot"])
     _emit(args, out, payload, text)
-    return 1 if failed else 0
+    return 1 if _fails(cls["involution"]) or _fails(cls["lattice"]) else 0
 
 
 def _cmd_twist(args, out):
@@ -224,20 +192,21 @@ def _cmd_twist(args, out):
     }
 
     def text():
-        out.write(f"twist of {args.file} at {args.at}: {t.n} elements\n")
-        out.write("elements: " + " ".join(t.result.labels) + "\n")
+        agreement, cones = payload["agreement"], payload["product_cones"]
+        out.write(f"twist of {args.file} at {args.at}: {payload['count']} elements\n")
+        out.write("elements: " + " ".join(payload["elements"]) + "\n")
         out.write("pseudo-Kleene with pivot fixed point: "
-                  + _verdict_text(report.part_i) + "\n")
-        out.write("embedding x -> (x, pivot): " + _verdict_text(report.part_ii) + "\n")
-        agree = "AGREE" if report.part_iii_agree else "DISAGREE"
-        out.write(f"source distributive: {report.q_distributive.ok}; "
-                  f"twist Kleene: {report.twist_kleene.ok} -> {agree}\n")
-        if report.twist_kleene.detail:
-            out.write(f"  twist Kleene detail: {report.twist_kleene.detail}\n")
+                  + _verdict_text(payload["part_i"]) + "\n")
+        out.write("embedding x -> (x, pivot): " + _verdict_text(payload["part_ii"]) + "\n")
+        agree = "AGREE" if agreement["agree"] else "DISAGREE"
+        out.write(f"source distributive: {agreement['source_distributive']}; "
+                  f"twist Kleene: {agreement['twist_kleene']} -> {agree}\n")
+        if agreement["twist_kleene_detail"]:
+            out.write(f"  twist Kleene detail: {agreement['twist_kleene_detail']}\n")
         out.write("product cones (restricted to carrier): "
-                  + _verdict_text(report.product_cones_restricted) + "\n")
+                  + _verdict_text(cones["restricted"]) + "\n")
         out.write("product cones (unrestricted): "
-                  + _verdict_text(report.product_cones_unrestricted) + "\n")
+                  + _verdict_text(cones["unrestricted"]) + "\n")
     _emit(args, out, payload, text)
     return 0 if report.asserted_ok else 1
 
@@ -250,39 +219,40 @@ def _cmd_residuate(args, out):
     report = r.verify_kleene_residuated()
     t54 = r.theorem54_checks()
     labels = obj.labels
-    odot_table = {f"{labels[x]},{labels[y]}": r.odot(x, y).labels
-                  for x in range(obj.n) for y in range(obj.n)}
-    arrow_table = {f"{labels[x]},{labels[y]}": r.arrow(x, y).labels
-                   for x in range(obj.n) for y in range(obj.n)}
-    axioms = {name: _verdict_json(getattr(report, name)) for name in AXIOMS}
     payload = {
         "command": "residuate", "file": args.file,
         "condition7": _verdict_json(t54.condition7),
-        "axioms": axioms,
+        "axioms": {name: _verdict_json(getattr(report, name)) for name in AXIOMS},
         "adjointness_case_counts": {str(k): v
                                     for k, v in report.case_counts.items()},
         "tiered": {k: {"status": item.status, "tier": item.tier,
                        "detail": item.verdict.detail if item.verdict else ""}
                    for k, item in t54.items.items()},
-        "odot": {k: list(v) for k, v in odot_table.items()},
-        "arrow": {k: list(v) for k, v in arrow_table.items()},
+        "odot": {f"{labels[x]},{labels[y]}": list(r.odot(x, y).labels)
+                 for x in range(obj.n) for y in range(obj.n)},
+        "arrow": {f"{labels[x]},{labels[y]}": list(r.arrow(x, y).labels)
+                  for x in range(obj.n) for y in range(obj.n)},
     }
 
     def text():
-        out.write(f"residuation on {args.file} ({obj.n} elements)\n")
-        out.write("condition (7): " + _verdict_text(t54.condition7) + "\n")
+        out.write(f"residuation on {args.file} ({len(labels)} elements)\n")
+        out.write("condition (7): " + _verdict_text(payload["condition7"]) + "\n")
         for name in AXIOMS:
             out.write(f"{name.replace('_', ' ')}: "
-                      + _verdict_text_from_json(axioms[name]) + "\n")
+                      + _verdict_text(payload["axioms"][name]) + "\n")
         out.write("adjointness case counts: "
-                  + " ".join(f"{k}:{v}" for k, v in sorted(report.case_counts.items()))
+                  + " ".join(f"{k}:{v}" for k, v
+                             in sorted(payload["adjointness_case_counts"].items()))
                   + "\n")
-        for k, item in t54.items.items():
-            line = f"duality ({k}): {item.status} [{item.tier}]"
-            if item.status == "fail":
-                line += f" — {item.verdict.detail}"
+        for k, item in payload["tiered"].items():
+            line = f"duality ({k}): {item['status']} [{item['tier']}]"
+            if item["status"] == "fail":
+                line += f" — {item['detail']}"
             out.write(line + "\n")
-        for name, table in (("odot", odot_table), ("arrow", arrow_table)):
+        # The rows follow the element order, which the "x,y" keys alone
+        # do not give back: labels may contain commas.
+        for name in ("odot", "arrow"):
+            table = payload[name]
             out.write(f"{name} table:\n")
             for x in labels:
                 row = " ".join(
@@ -311,66 +281,55 @@ def _identity_block(d, bounds):
 def _cmd_directoid(args, out):
     obj = _load(args.file)
     has_map = isinstance(obj, InvolutivePoset)
-    p, inv = (obj.base, obj.inv) if has_map else (obj, None)
-    # One base table serves the count, the assignments and every
-    # assignment's choices; without --all-assignments the first
-    # assignment is the canonical one.
-    table, pairs = _base_table(p)
-    total = _count(pairs)
+    p = obj.base if has_map else obj
+    # Without --all-assignments the first assignment, the canonical one,
+    # is checked.
     cap = 1 if args.all_assignments is None else args.all_assignments
     if cap < 1:
         raise UsageError("assignment cap must be at least 1")
-    chosen = list(itertools.islice(_assignments(p, inv, table, pairs), cap))
-    sampled = total > cap
+    total, pairs, tables = _capped_assignments(p, cap)
     bounds = p.bounds()
-    failed = False
     entries = []
-    for d in chosen:
-        axioms = d.check_directoid_axioms()
-        roundtrip = d._induces(p)
-        if not axioms.ok or not roundtrip:
-            failed = True
-        entry = {
+    for table in tables:
+        d = table._with_map(obj.inv) if has_map else table
+        entries.append({
             "choices": _choices(d, p, pairs),
-            "directoid_axioms": _verdict_json(axioms),
-            "induces_original_order": roundtrip,
+            "directoid_axioms": _verdict_json(d.check_directoid_axioms()),
+            "induces_original_order": d._induces(p),
             "identities": _identity_block(d, bounds) if has_map else None,
-        }
-        entries.append(entry)
+        })
     payload = {
         "command": "directoid", "file": args.file,
         "assignment_count": total,
-        "assignments_checked": len(chosen),
-        "sampled": sampled,
+        "assignments_checked": len(entries),
+        "sampled": total > cap,
         "assignments": entries,
     }
 
     def text():
-        out.write(f"meet assignments of {args.file}: {total} total, "
-                  f"{len(chosen)} checked"
-                  + (" (sampled)" if sampled else "") + "\n")
-        for i, entry in enumerate(entries, start=1):
+        out.write(f"meet assignments of {args.file}: "
+                  f"{payload['assignment_count']} total, "
+                  f"{payload['assignments_checked']} checked"
+                  + (" (sampled)" if payload["sampled"] else "") + "\n")
+        for i, entry in enumerate(payload["assignments"], start=1):
             choices = entry["choices"]
             rendered = " ".join(f"{{{k}}}->{v}" for k, v in sorted(choices.items()))
             out.write(f"assignment {i}: {rendered or '(no incomparable pairs)'}\n")
             out.write("  directoid axioms: "
-                      + _verdict_text_from_json(entry["directoid_axioms"]) + "\n")
+                      + _verdict_text(entry["directoid_axioms"]) + "\n")
             out.write(f"  induces original order: "
                       f"{'yes' if entry['induces_original_order'] else 'no'}\n")
             idents = entry["identities"]
             if idents is None:
                 out.write("  identities: not applicable (no unary map)\n")
                 continue
+            reason = "requires (1)(2)" if not idents["1_2"]["ok"] else "requires bounds"
             for key, label in (("1_2", "(1)(2)"), ("3", "(3)"), ("4", "(4)"),
                                ("5", "(5)"), ("6", "(6)")):
-                v = idents[key]
-                if v is None:
-                    reason = ("requires (1)(2)" if not idents["1_2"]["ok"]
-                              else "requires bounds")
-                    out.write(f"  {label}: not applicable ({reason})\n")
-                else:
-                    out.write(f"  {label}: " + _verdict_text_from_json(v) + "\n")
+                out.write(f"  {label}: {_verdict_text(idents[key], reason)}\n")
     _emit(args, out, payload, text)
+    failed = any(_fails(e["directoid_axioms"]) or not e["induces_original_order"]
+                 for e in entries)
     return 1 if failed else 0
 
 
@@ -378,20 +337,20 @@ def _cmd_audit(args, out):
     report = enumeration.audit(args.claim, n_bound=args.max_n,
                                assignment_cap=args.cap,
                                collect_all=args.all_witnesses)
-    payload = dict(report.to_dict())
+    payload = report.to_dict()
     payload["command"] = "audit"
     if not report.confirmed:
         payload["replay"] = enumeration.replay_report(report)
 
     def text():
-        out.write(f"claim {report.claim}: {report.statement}\n")
-        out.write(f"space: {report.space} (n <= {report.n_bound}"
-                  + (f", assignments capped at {report.assignment_cap}"
-                     if report.assignment_cap else "") + ")\n")
-        out.write(f"instances: {report.instances}\n")
-        out.write(f"sampled: {'yes' if report.sampled else 'no'}\n")
-        out.write(f"verdict: {report.verdict}\n")
-        for i, w in enumerate(report.witnesses, start=1):
+        cap = payload["assignment_cap"]
+        out.write(f"claim {payload['claim']}: {payload['statement']}\n")
+        out.write(f"space: {payload['space']} (n <= {payload['n_bound']}"
+                  + (f", assignments capped at {cap}" if cap else "") + ")\n")
+        out.write(f"instances: {payload['instances']}\n")
+        out.write(f"sampled: {'yes' if payload['sampled'] else 'no'}\n")
+        out.write(f"verdict: {payload['verdict']}\n")
+        for i, w in enumerate(payload["witnesses"], start=1):
             out.write(f"witness {i}: elements=" + " ".join(w["elements"]) + "\n")
             out.write("  covers: "
                       + (" ".join(f"{a}<{b}" for a, b in w["covers"]) or "(none)")
@@ -404,7 +363,7 @@ def _cmd_audit(args, out):
             if "pivot" in w:
                 out.write(f"  pivot: {w['pivot']}\n")
             out.write(f"  binding: {json.dumps(w.get('binding', {}), sort_keys=True)}\n")
-        if not report.confirmed:
+        if "replay" in payload:
             out.write("replay: "
                       + ("violations reproduce" if payload["replay"]
                          else "REPLAY FAILED") + "\n")
@@ -453,7 +412,7 @@ def _build_parser():
     sp.add_argument("claim")
     sp.add_argument("--max-n", type=int, default=None,
                     help="largest carrier size to enumerate")
-    sp.add_argument("--cap", type=int, default=1000,
+    sp.add_argument("--cap", type=int, default=ASSIGNMENT_CAP,
                     help="assignment cap per poset")
     sp.add_argument("--all-witnesses", action="store_true",
                     help="collect every witness instead of stopping at the first")

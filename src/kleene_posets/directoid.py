@@ -488,6 +488,12 @@ class MeetDirectoid:
 
 # -- assignments ------------------------------------------------------------
 
+# The default number of assignments built per poset: by audits, where a
+# poset with more is ``sampled``, by the CLI's ``audit --cap``, and by
+# :func:`all_assignments`, which refuses a larger space.
+ASSIGNMENT_CAP = 1000
+
+
 def assignment_count(source):
     p, _ = _split_source(source)
     return _count(_base_table(p)[1])
@@ -535,13 +541,15 @@ def _assignments(p, inv, table, pairs):
 
 
 def _capped_assignments(p, cap):
-    """``assignment_count(p)`` and the first ``cap`` tables of
-    ``iter_assignments(p)``, both from one base table."""
+    """``assignment_count(p)``, the incomparable pairs with their
+    candidate meets, and the first ``cap`` map-free tables of
+    ``iter_assignments(p)``, all from one base table."""
     table, pairs = _base_table(p)
-    return _count(pairs), list(itertools.islice(_assignments(p, None, table, pairs), cap))
+    return (_count(pairs), pairs,
+            list(itertools.islice(_assignments(p, None, table, pairs), cap)))
 
 
-def all_assignments(source, cap=1000):
+def all_assignments(source, cap=ASSIGNMENT_CAP):
     """Materialize every assignment; domain error when the space exceeds
     the cap (the count is reported in the message)."""
     count = assignment_count(source)

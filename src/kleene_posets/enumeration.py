@@ -33,8 +33,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .completion import dedekind_macneille
-from .directoid import (_capped_assignments, _identity_2, _identity_2_groups,
-                        assignment_choices, assignment_count,
+from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _identity_2,
+                        _identity_2_groups, assignment_choices, assignment_count,
                         check_derived_set_laws, check_printed_u_pair_law,
                         directoid_from_choices, iter_assignments)
 from .errors import DomainError, UsageError
@@ -288,9 +288,11 @@ def _assigned(description, sources, serialize, source_from_witness):
 DIRECTED_ASSIGNED = _assigned(
     "downward directed posets x assignments (capped)",
     iter_directed, serialize_poset, poset_from_witness)
+# An antitone involution sends a least element to a greatest one, so an
+# involutive poset is downward directed (has a bottom) iff it is bounded.
 DIRECTED_INVOLUTIVE_ASSIGNED = _assigned(
     "downward directed posets with antitone involution x assignments (capped)",
-    lambda n: (ip for ip in iter_involutive(n) if ip.base.is_downward_directed()),
+    lambda n: filter(_bounded, iter_involutive(n)),
     serialize_involutive, involutive_from_witness)
 
 
@@ -328,7 +330,7 @@ def _map_space(maps):
     def sweep(n_bound, cap):
         for p in iter_directed(n_bound):
             chosen = maps(p)
-            count, tables = _capped_assignments(p, cap if chosen else 0)
+            count, _, tables = _capped_assignments(p, cap if chosen else 0)
             n, sampled = p.n, count > cap
             groups = _identity_2_groups(tables)
             next_rank = 0
@@ -434,7 +436,7 @@ class Claim:
     def space(self):
         return self.instance_space.description
 
-    def run(self, n_bound=None, assignment_cap=1000, collect_all=False):
+    def run(self, n_bound=None, assignment_cap=ASSIGNMENT_CAP, collect_all=False):
         n_bound = self.default_n if n_bound is None else n_bound
         if n_bound < 1:
             raise UsageError("size bound must be at least 1")
@@ -832,7 +834,7 @@ def resolve_claim(claim_id):
     return claim
 
 
-def audit(claim_id, n_bound=None, assignment_cap=1000, collect_all=False):
+def audit(claim_id, n_bound=None, assignment_cap=ASSIGNMENT_CAP, collect_all=False):
     """Run one registered claim's audit over its bounded instance space."""
     return resolve_claim(claim_id).run(n_bound=n_bound,
                                        assignment_cap=assignment_cap,

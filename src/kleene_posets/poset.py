@@ -283,11 +283,13 @@ class Poset:
 
     # -- structure predicates ----------------------------------------------
     def is_downward_directed(self):
-        for x in range(self.n):
-            for y in range(x + 1, self.n):
-                if not (self._down[x] & self._down[y]):
-                    return False
-        return True
+        """Every pair of elements has a common lower bound.  A finite
+        nonempty poset has this property exactly when it has a least
+        element.  A bottom bounds every pair.  Conversely, if z lies below
+        x1..xk, a common lower bound of z and x(k+1) lies below all k + 1
+        elements; by induction some element lies below the whole carrier,
+        and it is the bottom.  The empty poset is vacuously directed."""
+        return self.n == 0 or self._full in self._up
 
     def bounds(self):
         """Return (bottom, top) element indices, each ``None`` if absent."""

@@ -48,6 +48,22 @@ def test_readme_check_example_matches(monkeypatch):
     assert run("check", "fixtures/fig1.poset") == (0, block, "")
 
 
+def test_readme_cli_lines_parse(monkeypatch):
+    """Every ``kleene-posets`` line of the README's CLI block is accepted
+    by the parser and runs from the repository root."""
+    root = FIXTURES.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line interface", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()
+             if line.startswith("kleene-posets ")]
+    assert lines
+    monkeypatch.chdir(root)
+    for argv in lines:
+        code, _, err = run(*argv[1:])
+        assert code != 2, (argv, err)
+
+
 def test_check_plain_poset():
     code, out, _ = run("check", fx("fig8"))
     assert code == 0
@@ -87,6 +103,20 @@ def test_complete_fig1():
     assert "completion of" in out and "7 ideals" in out
     assert "fixed ideals: {0,a,b}" in out
     assert "summary: Kleene algebra; lattice" in out
+
+
+def test_complete_invalid_involution_exits_1_in_both_forms(tmp_path):
+    bad = tmp_path / "bad.poset"
+    bad.write_text("elements a b c\ncovers a<b b<c\n"
+                   "involution a:a b:b c:c\n")
+    code, out, err = run("complete", str(bad), "--json")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert data == {"command": "complete", "file": str(bad),
+                    "involution": {"ok": False, "detail": data["involution"]["detail"]}}
+    assert data["involution"]["detail"].startswith("not antitone")
+    assert run("complete", str(bad)) == (
+        1, f"involution invalid — {data['involution']['detail']}\n", "")
 
 
 def test_complete_dot_flag():

@@ -238,6 +238,19 @@ def test_bounds(name):
     assert got == BOUNDS[name] == ref_of(obj).bounds()
 
 
+def test_downward_directed_is_having_a_bottom():
+    """Differential: ``is_downward_directed`` (a bottom test) against the
+    pairwise definition, on every poset with n <= 6 and the empty one."""
+    posets = [Poset((), [])] + list(iter_posets(6))
+    verdicts = set()
+    for p in posets:
+        ref = ref_of(p)
+        pairwise = all(ref.lower([x, y]) for x in ref.elements for y in ref.elements)
+        assert p.is_downward_directed() is pairwise
+        verdicts.add(pairwise)
+    assert verdicts == {True, False}
+
+
 # -- distributivity --------------------------------------------------------
 
 DISTRIBUTIVE = {"fig1": True, "fig2": False, "fig3": False, "fig4": True,
