@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
 from . import enumeration
-from .directoid import ASSIGNMENT_CAP, _capped_assignments, _choices
+from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _choices,
+                        _identity_verdicts, _pair_keys)
 from .dot import to_dot
 from .completion import dedekind_macneille
 from .errors import DomainError, FixtureParseError, UsageError
@@ -32,6 +34,10 @@ from .twist import audit_theorem61
 _LADDER = (("pseudo_kleene", "pseudo-Kleene"), ("kleene", "Kleene"),
            ("strong", "strong"), ("strict", "strict"), ("boolean", "Boolean"))
 _NO_MAP = "not applicable: no unary map"
+# The directoid identity block: payload key and text label, in the order
+# of _identity_verdicts.
+_IDENTITIES = (("1_2", "(1)(2)"), ("3", "(3)"), ("4", "(4)"), ("5", "(5)"),
+               ("6", "(6)"))
 
 
 def _verdict_json(v):
@@ -219,6 +225,8 @@ def _cmd_residuate(args, out):
     report = r.verify_kleene_residuated()
     t54 = r.theorem54_checks()
     labels = obj.labels
+    pairs = list(itertools.product(range(obj.n), repeat=2))
+    cells = list(zip(_pair_keys(labels, pairs), pairs))
     payload = {
         "command": "residuate", "file": args.file,
         "condition7": _verdict_json(t54.condition7),
@@ -228,10 +236,8 @@ def _cmd_residuate(args, out):
         "tiered": {k: {"status": item.status, "tier": item.tier,
                        "detail": item.verdict.detail if item.verdict else ""}
                    for k, item in t54.items.items()},
-        "odot": {f"{labels[x]},{labels[y]}": list(r.odot(x, y).labels)
-                 for x in range(obj.n) for y in range(obj.n)},
-        "arrow": {f"{labels[x]},{labels[y]}": list(r.arrow(x, y).labels)
-                  for x in range(obj.n) for y in range(obj.n)},
+        "odot": {key: list(r.odot(x, y).labels) for key, (x, y) in cells},
+        "arrow": {key: list(r.arrow(x, y).labels) for key, (x, y) in cells},
     }
 
     def text():
@@ -262,22 +268,6 @@ def _cmd_residuate(args, out):
     return 0 if report.all_ok else 1
 
 
-def _identity_block(d, bounds):
-    i12 = d.check_identities_1_2()
-    block = {"1_2": _verdict_json(i12)}
-    if i12.ok:
-        block["3"] = _verdict_json(d.check_identity_3())
-        block["4"] = _verdict_json(d.check_implication_4())
-        block["5"] = _verdict_json(d.check_implication_5())
-        if bounds[0] is not None and bounds[1] is not None:
-            block["6"] = _verdict_json(d.check_implication_6(*bounds))
-        else:
-            block["6"] = None
-    else:
-        block["3"] = block["4"] = block["5"] = block["6"] = None
-    return block
-
-
 def _cmd_directoid(args, out):
     obj = _load(args.file)
     has_map = isinstance(obj, InvolutivePoset)
@@ -288,15 +278,18 @@ def _cmd_directoid(args, out):
     if cap < 1:
         raise UsageError("assignment cap must be at least 1")
     total, pairs, tables = _capped_assignments(p, cap)
-    bounds = p.bounds()
+    tables = list(tables)
+    # (1)-(6) are decided once per table signature, in this walk only
+    identities = (_identity_verdicts(tables, obj.inv, p.bounds()) if has_map
+                  else itertools.repeat(None))
     entries = []
-    for table in tables:
-        d = table._with_map(obj.inv) if has_map else table
+    for table, verdicts in zip(tables, identities):
         entries.append({
-            "choices": _choices(d, p, pairs),
-            "directoid_axioms": _verdict_json(d.check_directoid_axioms()),
-            "induces_original_order": d._induces(p),
-            "identities": _identity_block(d, bounds) if has_map else None,
+            "choices": _choices(table, p, pairs),
+            "directoid_axioms": _verdict_json(table.check_directoid_axioms()),
+            "induces_original_order": table._induces(p),
+            "identities": None if verdicts is None else dict(
+                zip((key for key, _ in _IDENTITIES), map(_verdict_json, verdicts))),
         })
     payload = {
         "command": "directoid", "file": args.file,
@@ -324,8 +317,7 @@ def _cmd_directoid(args, out):
                 out.write("  identities: not applicable (no unary map)\n")
                 continue
             reason = "requires (1)(2)" if not idents["1_2"]["ok"] else "requires bounds"
-            for key, label in (("1_2", "(1)(2)"), ("3", "(3)"), ("4", "(4)"),
-                               ("5", "(5)"), ("6", "(6)")):
+            for key, label in _IDENTITIES:
                 out.write(f"  {label}: {_verdict_text(idents[key], reason)}\n")
     _emit(args, out, payload, text)
     failed = any(_fails(e["directoid_axioms"]) or not e["induces_original_order"]

@@ -344,12 +344,32 @@ class MeetDirectoid:
         self._require_identities_1_2()
         meet, inv = self.meet, self.inv
         rng = range(self.n)
-        above = self._order()[0]
         lmask = [0] * self.n    # lmask[x] = {(z ⊓ x) ⊓ (z ⊓ x') | z}
         for x in rng:
             ix = inv[x]
             for mz in meet:
                 lmask[x] |= 1 << meet[mz[x]][mz[ix]]
+        for x, y in self._identity_3_failures(lmask):
+            # (x, y) is the first failing pair: scan its (z, w)
+            join = self.join_table()
+            for z, w in itertools.product(rng, rng):
+                lhs = meet[meet[z][x]][meet[z][inv[x]]]
+                rhs = join[join[w][y]][join[w][inv[y]]]
+                if meet[lhs][rhs] != lhs:
+                    lab = self.labels
+                    return Verdict(
+                        False, (x, y, z, w),
+                        f"(3) fails at (x,y,z,w) = ({lab[x]}, {lab[y]}, "
+                        f"{lab[z]}, {lab[w]}): {lab[lhs]} !<= {lab[rhs]}")
+        return Verdict(True)
+
+    def _identity_3_failures(self, lmask):
+        """The (x, y) at which (3) fails, in scan order, read off
+        ``lmask[x] = {(z ⊓ x) ⊓ (z ⊓ x') | z}``, the induced order and
+        the map alone."""
+        inv = self.inv
+        rng = range(self.n)
+        above = self._order()[0]
         # By (1), (w ⊔ y) ⊔ (w ⊔ y') = ((w' ⊓ y') ⊓ (w' ⊓ y))', so
         # rmask[y] = {(w ⊔ y) ⊔ (w ⊔ y') | w} is the image of lmask[y'].
         rmask = [_image(inv, lmask[inv[y]]) for y in rng]
@@ -357,20 +377,8 @@ class MeetDirectoid:
         for x in rng:
             common = _common(above, lmask[x], memo)    # above every lhs value
             for y in rng:
-                if not rmask[y] & ~common:
-                    continue
-                # (x, y) is the first failing pair: scan its (z, w)
-                join = self.join_table()
-                for z, w in itertools.product(rng, rng):
-                    lhs = meet[meet[z][x]][meet[z][inv[x]]]
-                    rhs = join[join[w][y]][join[w][inv[y]]]
-                    if meet[lhs][rhs] != lhs:
-                        lab = self.labels
-                        return Verdict(
-                            False, (x, y, z, w),
-                            f"(3) fails at (x,y,z,w) = ({lab[x]}, {lab[y]}, "
-                            f"{lab[z]}, {lab[w]}): {lab[lhs]} !<= {lab[rhs]}")
-        return Verdict(True)
+                if rmask[y] & ~common:
+                    yield x, y
 
     def check_implication_4(self):
         """The distributivity implication; witness is the first violating
@@ -384,18 +392,23 @@ class MeetDirectoid:
         (x, z) are the images of ``low(lset[x][z])``; each distinct mask
         is reduced once.  (x, y, z) fails iff some s of both (x, z) and
         (y, z) is not above every w of (x, y) with w <= z; the z of one
-        (x, y) are tested at once, on n-bit blocks, one block per z.  On a
-        commutative table ``lset`` is symmetric, so (x, y, z) fails
-        exactly when (y, x, z) does, with the same w and s; the first
-        failure then has x <= y, and both loops skip y < x."""
+        (x, y) are tested at once, on n-bit blocks, one block per z.
+        Whenever ``lset`` is symmetric, (x, y, z) fails exactly when
+        (y, x, z) does, with the same w and s, so the full scan's first
+        failure has x <= y.  On a commutative table ``lset`` is
+        symmetric, and both loops skip y < x."""
         self._require_identities_1_2()
-        meet, inv = self.meet, self.inv
+        symmetric = self.meet == tuple(zip(*self.meet))
+        return self._implication_4(self._premise_table(symmetric), symmetric)
+
+    def _premise_table(self, symmetric):
+        """(4)'s premise table ``lset[x][y] = {(t ⊓ x) ⊓ (t ⊓ y) | t}``;
+        on a commutative table (``symmetric``) it is symmetric, and only
+        y >= x is scanned."""
+        meet = self.meet
         n = self.n
-        above, below = self._order()[:2]
-        symmetric = meet == tuple(zip(*meet))
-        rng = range(n)
-        lset = [[0] * n for _ in rng]
-        for x in rng:
+        lset = [[0] * n for _ in range(n)]
+        for x in range(n):
             row = lset[x]
             for y in range(x if symmetric else 0, n):
                 m = 0
@@ -404,6 +417,15 @@ class MeetDirectoid:
                 row[y] = m
                 if symmetric:
                     lset[y][x] = m
+        return lset
+
+    def _implication_4(self, lset, symmetric):
+        """(4)'s verdict from its premise table (:meth:`_premise_table`),
+        the induced order and the map alone."""
+        inv = self.inv
+        n = self.n
+        above, below = self._order()[:2]
+        rng = range(n)
         low = [below[inv[v]] for v in rng]    # low[v] = {u | u <= v'}
         wred = {}    # wred[m] = low(m), the memo _common fills
         sred = {m: _image(inv, _common(low, m, wred))
@@ -445,13 +467,17 @@ class MeetDirectoid:
 
     def _shared_lower_body(self, name, xs, require_incomparable):
         """The first (x, y, z) over x, y in ``xs`` with z <= x, x' but not
-        z <= y, y'; z is the least such element."""
-        meet, inv, lab = self.meet, self.inv, self.labels
-        lower = self._order()[2]
+        z <= y, y'; z is the least such element.  With
+        ``require_incomparable`` it skips the y with x ⊓ y in {x, y},
+        that is, y in ``above[x] | lower[x]``: it reads the order view
+        and the map only."""
+        inv, lab = self.inv, self.labels
+        above, _, lower, _ = self._order()
         for x in xs:
             shared = lower[x] & lower[inv[x]]
+            skip = above[x] | lower[x] if require_incomparable else 0
             for y in xs:
-                if require_incomparable and meet[x][y] in (x, y):
+                if skip >> y & 1:
                     continue
                 bad = shared & ~(lower[y] & lower[inv[y]])
                 if bad:
@@ -486,12 +512,84 @@ class MeetDirectoid:
         return f"MeetDirectoid({self.n} elements)"
 
 
+def _identity_verdicts(tables, inv, bounds):
+    """The verdicts of (1)/(2), (3), (4), (5) and (6) on each of
+    ``tables``, in order: the map-free assignment tables of one poset,
+    read under its map ``inv`` with its ``bounds`` (index pairs).  (3)–(6)
+    are None where (1)/(2) fail, and (6) where a bound is None.  Each
+    verdict, witness and detail included, is the one the public checker
+    returns on ``table._with_map(inv)``.
+
+    Each condition is decided once per distinct exact signature, read off
+    the tables, never off the poset, and remembered for this one walk
+    only.  The map, the bounds and the labels (which every detail names)
+    are fixed for the walk.
+
+    - (1) x'' = x reads the map alone: it is decided once, and a failing
+      verdict names only the map and the labels, so it is shared.
+    - (2) is decided once per order-view signature ``(cols, lower)`` by
+      :func:`_identity_2`, which is exact.  A passing table gets
+      ``Verdict(True)`` seeded through :meth:`MeetDirectoid._with_map`;
+      a failing one runs its own ``check_identities_1_2`` for its
+      witness, which reads the meet table.
+    - (3)–(6) are keyed on ``(lset, above, lower)``, with ``lset`` (4)'s
+      premise table (:meth:`MeetDirectoid._premise_table`), built once
+      per table.  Past its premise table, (4) reads only ``lset``,
+      ``above``, ``below`` and the commutativity flag.  ``below`` is the
+      transpose of ``above`` (both mark x ⊓ y = x), so ``above`` fixes
+      it.  The flag only narrows the scan to y >= x, which finds the
+      full scan's first failure whenever ``lset`` is symmetric
+      (:meth:`MeetDirectoid.check_implication_4`), and ``lset`` is the
+      whole table either way, so tables with equal keys agree on (4)
+      whatever their flags.  (3)'s failing pairs read only ``lmask[x] =
+      lset[x][x']`` and ``above``.  (5) reads ``lower``, and x ⊓ y in
+      {x, y} only as y in ``above[x] | lower[x]``.  (6) reads ``above``
+      and ``below`` for its bounds test, then ``lower``.  So the (4), (5)
+      and (6) verdicts are functions of the key and are shared whole.
+      (3)'s witness scan reads the meet and join tables, which the key
+      does not fix, so only whether (3) holds is shared; a table on
+      which it fails rescans for its own witness."""
+    involutive = all(inv[inv[x]] == x for x in range(len(inv)))
+    passed, failed_1 = Verdict(True), None
+    holds_2, shared = {}, {}
+    for table in tables:
+        if not involutive:
+            if failed_1 is None:
+                failed_1 = table._with_map(inv).check_identities_1_2()
+            yield failed_1, None, None, None, None
+            continue
+        above, _, lower, cols = table._order()
+        signature = (tuple(cols), tuple(lower))
+        held = holds_2.get(signature)
+        if held is None:
+            held = holds_2[signature] = _identity_2(signature, inv)
+        if not held:
+            yield table._with_map(inv).check_identities_1_2(), None, None, None, None
+            continue
+        d = table._with_map(inv, passed)
+        symmetric = d.meet == tuple(zip(*d.meet))
+        lset = d._premise_table(symmetric)
+        key = tuple(map(tuple, lset)), tuple(above), signature[1]
+        verdicts = shared.get(key)
+        if verdicts is None:
+            lmask = [row[inv[x]] for x, row in enumerate(lset)]
+            verdicts = shared[key] = (
+                next(d._identity_3_failures(lmask), None) is None,
+                d._implication_4(lset, symmetric),
+                d.check_implication_5(),
+                None if None in bounds else d.check_implication_6(*bounds))
+        holds_3, v4, v5, v6 = verdicts
+        yield passed, passed if holds_3 else d.check_identity_3(), v4, v5, v6
+
+
 # -- assignments ------------------------------------------------------------
 
 # The default number of assignments built per poset: by audits, where a
 # poset with more is ``sampled``, by the CLI's ``audit --cap``, and by
-# :func:`all_assignments`, which refuses a larger space.
-ASSIGNMENT_CAP = 1000
+# :func:`all_assignments`, which refuses a larger space.  1,024 is the
+# most tables any directed poset with n <= 7 has (one at n = 7; 64 at
+# n <= 6), so a map audit up to n = 7 is exhaustive at the default.
+ASSIGNMENT_CAP = 1024
 
 
 def assignment_count(source):
@@ -540,13 +638,14 @@ def _assignments(p, inv, table, pairs):
         yield MeetDirectoid(table, inv=inv, labels=p.labels)
 
 
-def _capped_assignments(p, cap):
-    """``assignment_count(p)``, the incomparable pairs with their
-    candidate meets, and the first ``cap`` map-free tables of
-    ``iter_assignments(p)``, all from one base table."""
+def _capped_assignments(source, cap):
+    """``assignment_count(source)``, the incomparable pairs with their
+    candidate meets, and a lazy iterator over the first ``cap`` tables of
+    ``iter_assignments(source)``, all from one base table."""
+    p, inv = _split_source(source)
     table, pairs = _base_table(p)
     return (_count(pairs), pairs,
-            list(itertools.islice(_assignments(p, None, table, pairs), cap)))
+            itertools.islice(_assignments(p, inv, table, pairs), cap))
 
 
 def all_assignments(source, cap=ASSIGNMENT_CAP):
@@ -566,16 +665,32 @@ def assignment_choices(directoid, source):
 
 
 def _choices(directoid, p, pairs):
-    return {f"{p.labels[x]},{p.labels[y]}": p.labels[directoid.meet[x][y]]
-            for (x, y), _ in pairs}
+    meet, labels = directoid.meet, p.labels
+    keys = _pair_keys(labels, [pair for pair, _ in pairs])
+    return {key: labels[meet[x][y]] for key, ((x, y), _) in zip(keys, pairs)}
+
+
+def _pair_keys(labels, pairs):
+    """The ``"x,y"`` key of each pair of indices, in order.  Labels may
+    hold commas, so two pairs can render to one key; that is a usage
+    error naming both, not a silently dropped entry."""
+    seen = {}
+    for x, y in pairs:
+        key = f"{labels[x]},{labels[y]}"
+        a, b = seen.setdefault(key, (x, y))
+        if (a, b) != (x, y):
+            raise UsageError(
+                f"pairs ({labels[a]!r}, {labels[b]!r}) and "
+                f"({labels[x]!r}, {labels[y]!r}) both render as {key!r}")
+    return list(seen)
 
 
 def directoid_from_choices(source, choices):
     """Rebuild an assignment from :func:`assignment_choices` output."""
     p, inv = _split_source(source)
     table, pairs = _base_table(p)
-    for (x, y), cands in pairs:
-        key = f"{p.labels[x]},{p.labels[y]}"
+    keys = _pair_keys(p.labels, [pair for pair, _ in pairs])
+    for key, ((x, y), cands) in zip(keys, pairs):
         try:
             pick = p.index(choices[key])
         except KeyError:

@@ -34,9 +34,9 @@ from typing import Callable, Optional
 
 from .completion import dedekind_macneille
 from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _identity_2,
-                        _identity_2_groups, assignment_choices, assignment_count,
+                        _identity_2_groups, assignment_choices,
                         check_derived_set_laws, check_printed_u_pair_law,
-                        directoid_from_choices, iter_assignments)
+                        directoid_from_choices)
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, involution_from_pairs
 from .poset import (DISTRIBUTIVITY_FORMS, Poset, Verdict, _bits, _canonical,
@@ -270,11 +270,12 @@ CONDITION7 = _involutive(
 
 
 def _assigned(description, sources, serialize, source_from_witness):
-    """Each source with a lazy iterator over its first ``cap`` assignments."""
+    """Each source with a lazy iterator over its first ``cap`` assignments;
+    the iterator and the count behind ``sampled`` share one base table."""
     def sweep(n_bound, cap):
         for source in sources(n_bound):
-            yield ((source, itertools.islice(iter_assignments(source), cap)),
-                   1, assignment_count(source) > cap)
+            count, _, tables = _capped_assignments(source, cap)
+            yield (source, tables), 1, count > cap
 
     def rebuild(witness):
         source = source_from_witness(witness)
@@ -331,6 +332,7 @@ def _map_space(maps):
         for p in iter_directed(n_bound):
             chosen = maps(p)
             count, _, tables = _capped_assignments(p, cap if chosen else 0)
+            tables = list(tables)
             n, sampled = p.n, count > cap
             groups = _identity_2_groups(tables)
             next_rank = 0

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, text reports, JSON stability."""
 
+import hashlib
 import io
 import json
 import os
@@ -246,6 +247,111 @@ def test_directoid_json():
     assert entry["induces_original_order"] is True
     assert entry["identities"]["4"]["ok"] is True
     assert entry["identities"]["5"]["ok"] is False
+
+
+# sha256 of stdout + stderr, with the exit code, of ``directoid
+# fixtures/NAME.poset --all-assignments 50`` (text, then ``--json``), run
+# from the repository root; captured before the identities were decided
+# once per table signature.  fig9 is not downward directed.
+DIRECTOID_50_DIGESTS = {
+    ("fig1", False): (0, "a2f0e7922004a4de43ab7a3dd0f947e89cfc015b35040a16f4afd014de7627bf"),
+    ("fig1", True): (0, "e6469e15e65dcabb40cbbe93848dd9758ddab95437ad82fcb3a872b21030f1fb"),
+    ("fig2", False): (0, "e6ee269a7f81755c4860e5e8b711c421d20f934ab14fe9ce365150257a955ec8"),
+    ("fig2", True): (0, "5b591545d6ab5ea48d91530bf17115985fc51457d89f5b1952f15b6cd6662e06"),
+    ("fig3", False): (0, "4ab178b953f9408928e34df62b6f630f38ba9bc5e34ea3783447420a4cbe5689"),
+    ("fig3", True): (0, "58d720a8d9800d8fe615971a53320d120d13102adf1653bc74a1edcf555f3b59"),
+    ("fig4", False): (0, "78921b44d919cceef663a5f716d1896cebefcfb2b71ad0077a11ac5a5dd67352"),
+    ("fig4", True): (0, "6fed157bb7672e8ea75badcc7300cc6bff7cddf8fd14003070dfc2c6de3ae87a"),
+    ("fig5", False): (0, "4e5dce6f4ead6ebb88c0b8bc225dd82ed34c5b57f565cef64c55fe49cbf19649"),
+    ("fig5", True): (0, "50feb7b15fe4aa7bb9ed9668b6e9a9d29b0b60ec822a1045d89c5ddd6c71d840"),
+    ("fig6", False): (0, "f486ae9e7f46c054465c199be949e93821f2f6dc92d5fa7b1e0e845c5638d8a6"),
+    ("fig6", True): (0, "2be66df49d73010b9dbe251680ffcd02434342a768ed0a89bdc7502a4b25a948"),
+    ("fig7", False): (0, "f556c9e3ff77c8d219197360b004456ae8483e91a28f22696c70a894cbc97466"),
+    ("fig7", True): (0, "d1faebe6d8a7c8faf0105b18ea1a525661f87c93d3a0d00a1e3ffe411353b3c6"),
+    ("fig8", False): (0, "1db392eab7610bd736982487c6280d527b119d446eb1029274c51d26d8fb3135"),
+    ("fig8", True): (0, "459cf6c7738542d2aa759caac3c4cb546ebc997069b2f2faf6728ad90b3ec6d7"),
+    ("fig9", False): (2, "0851e498c79a957aac83ae2f8ebe08583627b53e041e27e77e60241f5d8d444d"),
+    ("fig9", True): (2, "0851e498c79a957aac83ae2f8ebe08583627b53e041e27e77e60241f5d8d444d"),
+}
+
+
+@pytest.mark.parametrize("name, as_json", sorted(DIRECTOID_50_DIGESTS))
+def test_directoid_all_assignments_pinned(monkeypatch, name, as_json):
+    monkeypatch.chdir(FIXTURES.parent)
+    argv = ("directoid", f"fixtures/{name}.poset", "--all-assignments", "50")
+    code, out, err = run(*argv, *(("--json",) if as_json else ()))
+    digest = hashlib.sha256((out + err).encode()).hexdigest()
+    assert (code, digest) == DIRECTOID_50_DIGESTS[name, as_json]
+
+
+def test_commands_in_one_process_print_their_lone_bytes(tmp_path):
+    """The identity verdicts are shared within one command's walk only:
+    commands run one after another in one process print exactly what
+    each prints in a process of its own.  fig1 with renamed elements has
+    the same table signatures as fig1, but other witness details."""
+    renamed = tmp_path / "renamed.poset"
+    renamed.write_text((FIXTURES / "fig1.poset").read_text()
+                       .replace("a", "p").replace("b", "q"))
+    commands = [("directoid", "fixtures/fig6.poset", "--all-assignments", "20", "--json"),
+                ("directoid", "fixtures/fig6.poset", "--all-assignments", "20"),
+                ("directoid", "fixtures/fig7.poset", "--all-assignments", "20"),
+                ("directoid", "fixtures/fig1.poset", "--all-assignments", "3"),
+                ("directoid", str(renamed), "--all-assignments", "3"),
+                ("directoid", "fixtures/fig6.poset", "--all-assignments", "5")]
+    root = FIXTURES.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = ("import io, json, sys\n"
+              "from kleene_posets import run_cli\n"
+              "outs = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out = io.StringIO()\n"
+              "    outs.append([run_cli(argv, out, io.StringIO()), out.getvalue()])\n"
+              "print(json.dumps(outs))\n")
+
+    def in_one_process(argvs):
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, cwd=root,
+                              check=True)
+        return json.loads(proc.stdout)
+
+    together = in_one_process(commands + commands[::-1])
+    alone = [in_one_process([argv])[0] for argv in commands]
+    assert together == alone + alone[::-1]
+    assert len({out for _, out in alone}) == len(commands)
+
+
+# Labels holding commas: a ⊙ "b,c" and "a,b" ⊙ c both key as "a,b,c".
+COMMA_LABELS = ("elements 0 a c a,b b,c 1\n"
+                "covers 0<a 0<c 0<a,b 0<b,c a<1 c<1 a,b<1 b,c<1\n"
+                "involution 0:1 a:c a,b:b,c\n")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_residuate_rejects_colliding_cell_keys(tmp_path, as_json):
+    path = tmp_path / "commas.poset"
+    path.write_text(COMMA_LABELS)
+    code, out, err = run("residuate", str(path), *(("--json",) if as_json else ()))
+    assert (code, out) == (2, "")
+    assert err == ("error: pairs ('a', 'b,c') and ('a,b', 'c') both render "
+                   "as 'a,b,c'\n")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_directoid_rejects_colliding_pair_keys(tmp_path, as_json):
+    """Only incomparable pairs x < y (in element order) are keyed, so the
+    fixture above has six distinct keys; listing "a,b" before a makes
+    ("a,b", c) and (a, "b,c") both such pairs."""
+    flag = ("--json",) if as_json else ()
+    path = tmp_path / "commas.poset"
+    path.write_text(COMMA_LABELS)
+    code, out, err = run("directoid", str(path), "--json")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["assignments"][0]["choices"]) == 6
+    path.write_text(COMMA_LABELS.replace("0 a c a,b", "0 a,b c a"))
+    code, out, err = run("directoid", str(path), "--all-assignments", "3", *flag)
+    assert (code, out) == (2, "")
+    assert err == ("error: pairs ('a,b', 'c') and ('a', 'b,c') both render "
+                   "as 'a,b,c'\n")
 
 
 # -- audit -------------------------------------------------------------------------

@@ -10,6 +10,7 @@ with the brute-force transcriptions in ``oracles.py``.
 import collections
 import itertools
 import random
+import re
 
 import pytest
 
@@ -20,7 +21,7 @@ from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            directoid_from_choices, enumerate_involutions,
                            enumerate_posets, figure, iter_assignments)
 
-from kleene_posets.directoid import _identity_2, _order_masks
+from kleene_posets.directoid import _identity_2, _identity_verdicts, _order_masks
 
 from oracles import (ref_derived_set_laws, ref_directoid_axioms, ref_identity_3,
                      ref_implication_4, ref_implication_5, ref_implication_6)
@@ -604,3 +605,119 @@ def test_identity_2_kernel_on_single_entry_edits(name, held, failed):
                 assert _kernel_identities_1_2(edited, u) == want
                 outcomes[want] += 1
     assert outcomes == {True: held, False: failed}
+
+
+def _fresh_identity_verdicts(table, inv, bounds):
+    """(1)/(2), (3), (4), (5) and (6) by fresh public checker calls on a
+    newly constructed directoid, as the CLI ``directoid`` block reads them."""
+    d = MeetDirectoid(table.meet, inv=inv, labels=table.labels)
+    i12 = d.check_identities_1_2()
+    if not i12.ok:
+        return i12, None, None, None, None
+    return (i12, d.check_identity_3(), d.check_implication_4(),
+            d.check_implication_5(),
+            None if None in bounds else d.check_implication_6(*bounds))
+
+
+def _assert_walk_matches_fresh_calls(tables, inv, bounds):
+    """The walk over ``tables`` and over them reversed matches fresh calls
+    per table.  Whether (3) holds is shared, so a key too coarse for (3)
+    shows only when a table where it holds is walked first."""
+    fresh = [_fresh_identity_verdicts(t, inv, bounds) for t in tables]
+    assert list(_identity_verdicts(tables, inv, bounds)) == fresh
+    assert list(_identity_verdicts(tables[::-1], inv, bounds)) == fresh[::-1]
+    return fresh
+
+
+def test_identity_walk_matches_fresh_checks_on_figure_assignments(monkeypatch):
+    """The first 200 assignment tables of every fixture figure that has a
+    map and a bottom, under the figure's map, and their first 20 under
+    seeded other maps of the carrier (most failing (1) or (2)) and under
+    the constant map onto the top.  Under the figure's own map all its
+    tables share one key, so (4) is decided once per walk."""
+    decisions = []
+    decide_4 = MeetDirectoid._implication_4
+    monkeypatch.setattr(MeetDirectoid, "_implication_4",
+                        lambda d, *a: decisions.append(d) or decide_4(d, *a))
+    rng = random.Random(20)
+    walked = []
+    for name in [f"fig{i}" for i in range(1, 10)]:
+        ip = figure(name)
+        if not isinstance(ip, InvolutivePoset) or None in ip.bounds():
+            continue
+        walked.append(name)
+        p = ip.base
+        tables = list(itertools.islice(iter_assignments(p), 200))
+        del decisions[:]
+        got = list(_identity_verdicts(tables, ip.inv, p.bounds()))
+        assert len(decisions) == 1
+        assert got == [_fresh_identity_verdicts(t, ip.inv, p.bounds())
+                       for t in tables]
+        for _ in range(5):
+            u = tuple(_random_involution(rng, p.n) if rng.random() < 0.5
+                      else [rng.randrange(p.n) for _ in range(p.n)])
+            _assert_walk_matches_fresh_calls(tables[:20], u, p.bounds())
+        # antitone, so (2) holds on every assigned table, but not (1)
+        _assert_walk_matches_fresh_calls(tables[:20], (p.bounds()[1],) * p.n,
+                                         p.bounds())
+    assert walked == ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7"]
+
+
+def _single_entry_edits(tables):
+    """Every table one entry away from one of ``tables`` and not among
+    them, each once, in scan order."""
+    seen = {d.meet for d in tables}
+    for d in tables:
+        n = d.n
+        for x, y, v in itertools.product(range(n), repeat=3):
+            table = [list(row) for row in d.meet]
+            table[x][y] = v
+            edited = MeetDirectoid(table, labels=d.labels)
+            if edited.meet not in seen:
+                seen.add(edited.meet)
+                yield edited
+
+
+@pytest.mark.parametrize("name, depth, passing, bounded", [
+    ("fig1", 1, 153, 54), ("fig2", 1, 309, 132), ("fig3", 1, 464, 216),
+    ("fig4", 1, 106, 38), ("fig5", 1, 344, 148), ("fig4", 2, 2727, 353)])
+def test_identity_walk_matches_fresh_checks_on_edits(name, depth, passing, bounded):
+    """The figure's assignment tables and their single-entry edits (with
+    depth 2, the single-entry edits of those edits that pass (1)/(2)),
+    walked under the figure's map.  Edits that still pass (1)/(2) break
+    commutativity and change ``lset``, ``above`` and ``lower`` apart, so
+    a key missing one of them shares a wrong verdict: without ``lset``
+    on fig2 and fig3, without ``lower`` only at depth 2.  The other edits
+    change (2)'s signature.  (6) rejects bounds that no longer bound an
+    edited table's order, so the walk with the figure's bounds takes only
+    the passing edits that keep them, and the walks before leave (6) out."""
+    ip = figure(name)
+    p, n = ip.base, ip.n
+    tables = level = list(iter_assignments(p))
+    for _ in range(depth - 1):
+        level = [d for d in _single_entry_edits(level)
+                 if d._with_map(ip.inv).check_identities_1_2().ok]
+    edits = list(_single_entry_edits(level))
+    got = _assert_walk_matches_fresh_calls(tables + edits, ip.inv, (None, None))
+    kept = [d for d, verdicts in zip(edits, got[len(tables):]) if verdicts[0].ok]
+    assert len({tuple(v.ok for v in verdicts[1:4])
+                for verdicts in got if verdicts[0].ok}) >= 2
+    bottom, top = p.bounds()
+    within = [d for d in kept if d._order()[0][bottom] == (1 << n) - 1
+              and d._order()[1][top] == (1 << n) - 1]
+    _assert_walk_matches_fresh_calls(tables + within, ip.inv, (bottom, top))
+    assert (len(kept), len(within)) == (passing, bounded)
+
+
+def test_colliding_pair_keys_are_usage_errors():
+    """Labels holding commas can render two incomparable pairs as one
+    "x,y" key; reading or rebuilding choices then names both pairs."""
+    p = Poset.from_covers(["0", "a,b", "c", "a", "b,c", "1"],
+                          [("0", "a,b"), ("0", "c"), ("0", "a"), ("0", "b,c"),
+                           ("a,b", "1"), ("c", "1"), ("a", "1"), ("b,c", "1")])
+    d = assign_directoid(p)
+    message = "pairs ('a,b', 'c') and ('a', 'b,c') both render as 'a,b,c'"
+    with pytest.raises(UsageError, match=re.escape(message)):
+        assignment_choices(d, p)
+    with pytest.raises(UsageError, match=re.escape(message)):
+        directoid_from_choices(p, {"a,b,c": "0"})

@@ -875,3 +875,30 @@ REPRESENTATIVE_DIGESTS = {
 def test_representatives_are_pinned(n):
     seqs = json.dumps([_strict_downs(p) for p in _representatives(n)])
     assert hashlib.sha256(seqs.encode()).hexdigest() == REPRESENTATIVE_DIGESTS[n]
+
+
+def test_assigned_sweeps_build_one_base_table_per_source(monkeypatch):
+    """The count behind ``sampled`` and the lazy slice of tables come from
+    one base table per source, and the slice builds only the tables the
+    evaluator reads: all of them when Confirmed, up to the first witness
+    otherwise."""
+    from kleene_posets import directoid
+    built = {"base": 0, "table": 0}
+    base_table, init = directoid._base_table, MeetDirectoid.__init__
+
+    def count_base(p):
+        built["base"] += 1
+        return base_table(p)
+
+    def count_table(self, *args, **kwargs):
+        built["table"] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(directoid, "_base_table", count_base)
+    monkeypatch.setattr(MeetDirectoid, "__init__", count_table)
+    directed = sum(1 for _ in iter_directed(6))
+    for claim, want in (("Directoid-roundtrip", {"base": directed, "table": 435}),
+                        # two sources, and the witness's choices read one more
+                        ("U-pair-law-printed", {"base": 3, "table": 2})):
+        built.update(base=0, table=0)
+        audit(claim, n_bound=6)
+        assert built == want
