@@ -6,8 +6,8 @@ and prints its text form from that same payload; so every subcommand
 answers ``--json`` with JSON, on failure too.
 
 Exit codes: 0 when the command ran and every asserted check passed, 1
-when an asserted check failed (witnesses are printed), 2 for usage or
-parse errors.
+when an asserted check failed (witnesses are printed) or the reader of
+standard output went away, 2 for usage or parse errors.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 
 from . import enumeration
 from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _choices,
-                        _identity_verdicts, _pair_keys)
+                        _IdentityWalk, _pair_keys)
 from .dot import to_dot
 from .completion import dedekind_macneille
 from .errors import DomainError, FixtureParseError, UsageError
@@ -35,7 +36,7 @@ _LADDER = (("pseudo_kleene", "pseudo-Kleene"), ("kleene", "Kleene"),
            ("strong", "strong"), ("strict", "strict"), ("boolean", "Boolean"))
 _NO_MAP = "not applicable: no unary map"
 # The directoid identity block: payload key and text label, in the order
-# of _identity_verdicts.
+# of _IdentityWalk.verdicts.
 _IDENTITIES = (("1_2", "(1)(2)"), ("3", "(3)"), ("4", "(4)"), ("5", "(5)"),
                ("6", "(6)"))
 
@@ -279,11 +280,10 @@ def _cmd_directoid(args, out):
         raise UsageError("assignment cap must be at least 1")
     total, pairs, tables = _capped_assignments(p, cap)
     tables = list(tables)
-    # (1)-(6) are decided once per table signature, in this walk only
-    identities = (_identity_verdicts(tables, obj.inv, p.bounds()) if has_map
-                  else itertools.repeat(None))
+    walk = _IdentityWalk(tables).under(obj.inv, p.bounds()) if has_map else None
     entries = []
-    for table, verdicts in zip(tables, identities):
+    for i, table in enumerate(tables):
+        verdicts = None if walk is None else walk.verdicts(i)
         entries.append({
             "choices": _choices(table, p, pairs),
             "directoid_axioms": _verdict_json(table.check_directoid_axioms()),
@@ -430,7 +430,18 @@ def run_cli(argv, out=None, err=None):
 
 
 def main(argv=None):
-    return run_cli(sys.argv[1:] if argv is None else argv)
+    """The console entry point.  When the reader of standard output
+    closes it early (``| head``), exit 1 without a traceback; stdout is
+    pointed at the null device so that the flush at exit cannot fail
+    again (the recipe of the Python documentation's note on SIGPIPE)."""
+    try:
+        code = run_cli(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

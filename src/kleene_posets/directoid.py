@@ -23,11 +23,11 @@ as one side of the equivalence audits:
 where ``<=`` always means the induced order (read off the table).
 Every checker reads it from one cached order view of the meet table
 (:func:`_order_masks`): the bitmasks of which entries equal their row or
-column index, and of each column's values, built in one pass.  Identity
-(2) depends on a table only through two parts of that view
-(:func:`_identity_2`).  Witnesses are deterministic: the
-checkers scan in a fixed order and report the first violation they
-encounter.
+column index, and of each column's values, built in one pass.  The map
+audits and the CLI decide (1)–(6) on one poset's tables through one walk
+(:class:`_IdentityWalk`), once per signature each condition reads.
+Witnesses are deterministic: the checkers scan in a fixed order and
+report the first violation they encounter.
 """
 
 from __future__ import annotations
@@ -76,33 +76,10 @@ def _order_masks(table):
     return above, below, lower, cols
 
 
-def _identity_2_groups(tables):
-    """The distinct (2) signatures ``(cols, lower)`` of the order views
-    of ``tables``, in order of first appearance, and each table's
-    position among them."""
-    keys, index = {}, []
-    for t in tables:
-        _, _, lower, cols = t._order()
-        index.append(keys.setdefault((tuple(cols), tuple(lower)), len(keys)))
-    return list(keys), index
-
-
 def _identity_2(signature, inv):
     """Identity (2) under the map ``inv`` on any table whose order view
-    has the signature ``(cols, lower)`` (see :func:`_identity_2_groups`).
-
-    (2) reads (x ⊓ y)' ⊓ y' = y'.  For a fixed y, m = x ⊓ y runs over
-    exactly the values of column y, ``cols[y]``, as x runs over the
-    carrier, and a ⊓ b = b iff b is in ``lower[a]``.  So (2) holds iff
-    y' is in ``lower[m']`` for every y and every m in ``cols[y]``; neither
-    commutativity nor x'' = x enters.  Tables with the same (cols, lower)
-    therefore agree on (2) under every map, and the map audits decide it
-    once per group of such tables.  When (1) holds too, the table's
-    (1)/(2) verdict is ``Verdict(True)``, which carries no witness, so
-    seeding it (:meth:`MeetDirectoid._with_map`) leaves the directoid
-    exactly as :meth:`MeetDirectoid.check_identities_1_2` would; when (2)
-    fails, every audit rung's table side, which requires (1)/(2), is
-    False on each table of the group without reading it."""
+    has the signature ``(cols, lower)``; :class:`_IdentityWalk` says why
+    this is exact."""
     cols, lower = signature
     for y, col in enumerate(cols):
         iy = inv[y]
@@ -112,6 +89,30 @@ def _identity_2(signature, inv):
                 return False
             col ^= low
     return True
+
+
+def _lmask(meet, inv):
+    """(3)'s left side per x: ``lmask[x] = {(z ⊓ x) ⊓ (z ⊓ x') | z}``."""
+    lmask = [0] * len(meet)
+    for x, ix in enumerate(inv):
+        for mz in meet:
+            lmask[x] |= 1 << meet[mz[x]][mz[ix]]
+    return lmask
+
+
+def _identity_3_failures(lmask, above, inv):
+    """The (x, y) at which (3) fails, in scan order, read off
+    :func:`_lmask`, the induced order ``above`` and the map alone."""
+    rng = range(len(inv))
+    # By (1), (w ⊔ y) ⊔ (w ⊔ y') = ((w' ⊓ y') ⊓ (w' ⊓ y))', so
+    # rmask[y] = {(w ⊔ y) ⊔ (w ⊔ y') | w} is the image of lmask[y'].
+    rmask = [_image(inv, lmask[inv[y]]) for y in rng]
+    memo = {}
+    for x in rng:
+        common = _common(above, lmask[x], memo)    # above every lhs value
+        for y in rng:
+            if rmask[y] & ~common:
+                yield x, y
 
 
 def _common(masks, sel, memo):
@@ -162,7 +163,7 @@ def _all_ints(values):
 class MeetDirectoid:
     """A groupoid table, optionally with a unary map, on named elements."""
 
-    __slots__ = ("n", "labels", "meet", "inv", "_join", "_i12", "_masks")
+    __slots__ = ("n", "labels", "meet", "inv", "_join", "_masks")
 
     def __init__(self, meet, inv=None, labels=None):
         meet = tuple(tuple(row) for row in meet)
@@ -183,27 +184,25 @@ class MeetDirectoid:
             inv = tuple(inv)
             if len(inv) != n or not _all_ints(inv) or not carrier.issuperset(inv):
                 raise UsageError("unary map is not total on the carrier")
-        self._fill(meet, inv, labels, None, None)
+        self._fill(meet, inv, labels, None)
 
-    def _fill(self, meet, inv, labels, masks, i12):
+    def _fill(self, meet, inv, labels, masks):
         object.__setattr__(self, "n", len(meet))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "meet", meet)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "_join", None)
-        object.__setattr__(self, "_i12", i12)
         object.__setattr__(self, "_masks", masks)
 
-    def _with_map(self, inv, i12=None):
+    def _with_map(self, inv):
         """This table with the unary map ``inv``, sharing its cached
-        :meth:`_order` view, and ``i12`` as its (1)/(2) verdict when
-        given; nothing is validated again.  The table was validated when
-        ``self`` was built.  ``inv`` must be a tuple that
+        :meth:`_order` view; nothing is validated again.  The table was
+        validated when ``self`` was built.  ``inv`` must be a tuple that
         ``InvolutivePoset`` has accepted on a poset of this table's
         size, which runs the constructor's length, integer and range
         checks on it."""
         d = object.__new__(MeetDirectoid)
-        d._fill(self.meet, inv, self.labels, self._order(), i12)
+        d._fill(self.meet, inv, self.labels, self._order())
         return d
 
     def __setattr__(self, name, value):
@@ -305,33 +304,21 @@ class MeetDirectoid:
     def check_identities_1_2(self):
         """(1) x'' = x and (2) (x ⊓ y)' ⊓ y' = y'."""
         self._require_inv()
-        cached = self._i12
-        if cached is not None:
-            return cached
         meet, inv, lab = self.meet, self.inv, self.labels
-        verdict = Verdict(True)
         for x in range(self.n):
             if inv[inv[x]] != x:
-                verdict = Verdict(False, ("(1)", x),
-                                  f"(1) fails: {lab[x]}'' = {lab[inv[inv[x]]]}")
-                break
-        else:
-            for x in range(self.n):
-                row = meet[x]
-                for y in range(self.n):
-                    iy = inv[y]
-                    if meet[inv[row[y]]][iy] != iy:
-                        verdict = Verdict(
-                            False, ("(2)", x, y),
-                            f"(2) fails at ({lab[x]}, {lab[y]}): "
-                            f"({lab[x]} meet {lab[y]})' meet {lab[y]}' = "
-                            f"{lab[meet[inv[row[y]]][iy]]} != {lab[iy]}")
-                        break
-                else:
-                    continue
-                break
-        object.__setattr__(self, "_i12", verdict)
-        return verdict
+                return Verdict(False, ("(1)", x),
+                               f"(1) fails: {lab[x]}'' = {lab[inv[inv[x]]]}")
+        for x in range(self.n):
+            row = meet[x]
+            for y in range(self.n):
+                iy = inv[y]
+                if meet[inv[row[y]]][iy] != iy:
+                    return Verdict(False, ("(2)", x, y),
+                                   f"(2) fails at ({lab[x]}, {lab[y]}): "
+                                   f"({lab[x]} meet {lab[y]})' meet {lab[y]}' = "
+                                   f"{lab[meet[inv[row[y]]][iy]]} != {lab[iy]}")
+        return Verdict(True)
 
     def _require_identities_1_2(self):
         verdict = self.check_identities_1_2()
@@ -344,12 +331,8 @@ class MeetDirectoid:
         self._require_identities_1_2()
         meet, inv = self.meet, self.inv
         rng = range(self.n)
-        lmask = [0] * self.n    # lmask[x] = {(z ⊓ x) ⊓ (z ⊓ x') | z}
-        for x in rng:
-            ix = inv[x]
-            for mz in meet:
-                lmask[x] |= 1 << meet[mz[x]][mz[ix]]
-        for x, y in self._identity_3_failures(lmask):
+        lmask = _lmask(meet, inv)
+        for x, y in _identity_3_failures(lmask, self._order()[0], inv):
             # (x, y) is the first failing pair: scan its (z, w)
             join = self.join_table()
             for z, w in itertools.product(rng, rng):
@@ -362,23 +345,6 @@ class MeetDirectoid:
                         f"(3) fails at (x,y,z,w) = ({lab[x]}, {lab[y]}, "
                         f"{lab[z]}, {lab[w]}): {lab[lhs]} !<= {lab[rhs]}")
         return Verdict(True)
-
-    def _identity_3_failures(self, lmask):
-        """The (x, y) at which (3) fails, in scan order, read off
-        ``lmask[x] = {(z ⊓ x) ⊓ (z ⊓ x') | z}``, the induced order and
-        the map alone."""
-        inv = self.inv
-        rng = range(self.n)
-        above = self._order()[0]
-        # By (1), (w ⊔ y) ⊔ (w ⊔ y') = ((w' ⊓ y') ⊓ (w' ⊓ y))', so
-        # rmask[y] = {(w ⊔ y) ⊔ (w ⊔ y') | w} is the image of lmask[y'].
-        rmask = [_image(inv, lmask[inv[y]]) for y in rng]
-        memo = {}
-        for x in rng:
-            common = _common(above, lmask[x], memo)    # above every lhs value
-            for y in rng:
-                if rmask[y] & ~common:
-                    yield x, y
 
     def check_implication_4(self):
         """The distributivity implication; witness is the first violating
@@ -398,15 +364,15 @@ class MeetDirectoid:
         failure has x <= y.  On a commutative table ``lset`` is
         symmetric, and both loops skip y < x."""
         self._require_identities_1_2()
-        symmetric = self.meet == tuple(zip(*self.meet))
-        return self._implication_4(self._premise_table(symmetric), symmetric)
+        return self._implication_4(*self._premise_table())
 
-    def _premise_table(self, symmetric):
-        """(4)'s premise table ``lset[x][y] = {(t ⊓ x) ⊓ (t ⊓ y) | t}``;
-        on a commutative table (``symmetric``) it is symmetric, and only
-        y >= x is scanned."""
+    def _premise_table(self):
+        """(4)'s premise table ``lset[x][y] = {(t ⊓ x) ⊓ (t ⊓ y) | t}`` and
+        whether the table is commutative (``symmetric``); then so is
+        ``lset``, and only y >= x is scanned."""
         meet = self.meet
         n = self.n
+        symmetric = meet == tuple(zip(*meet))
         lset = [[0] * n for _ in range(n)]
         for x in range(n):
             row = lset[x]
@@ -417,7 +383,7 @@ class MeetDirectoid:
                 row[y] = m
                 if symmetric:
                     lset[y][x] = m
-        return lset
+        return lset, symmetric
 
     def _implication_4(self, lset, symmetric):
         """(4)'s verdict from its premise table (:meth:`_premise_table`),
@@ -512,74 +478,134 @@ class MeetDirectoid:
         return f"MeetDirectoid({self.n} elements)"
 
 
-def _identity_verdicts(tables, inv, bounds):
-    """The verdicts of (1)/(2), (3), (4), (5) and (6) on each of
-    ``tables``, in order: the map-free assignment tables of one poset,
-    read under its map ``inv`` with its ``bounds`` (index pairs).  (3)–(6)
-    are None where (1)/(2) fail, and (6) where a bound is None.  Each
-    verdict, witness and detail included, is the one the public checker
-    returns on ``table._with_map(inv)``.
+class _IdentityWalk:
+    """Identities (1)–(6) on the map-free assignment tables of one poset,
+    read under one map and its bounds at a time (:meth:`under`).  Built
+    once per poset: by the map spaces' sweep, by a map witness's rebuild
+    and by the CLI ``directoid``.  Each verdict :meth:`verdicts` returns,
+    witness and detail included, is the one the public checker returns
+    on ``tables[i]._with_map(inv)``.
 
-    Each condition is decided once per distinct exact signature, read off
-    the tables, never off the poset, and remembered for this one walk
-    only.  The map, the bounds and the labels (which every detail names)
-    are fixed for the walk.
+    Each condition is decided lazily, once per (map, key), the key being
+    what of a table its checker reads, read off the table, never off the
+    poset.  Each table's map-free keys are computed at most once per walk
+    and interned to small integers, so no map rehashes them; :meth:`under`
+    starts each map with an empty memo.  The map, the bounds and the
+    labels (one poset's tables share them; every detail names them) are
+    fixed while a memo lives.  The constructor validated the tables (in
+    the assignment generator for the sweep and the CLI, in
+    ``directoid_from_choices`` for a replay) and ``InvolutivePoset`` the
+    map; ``_with_map`` joins the two without repeating either.
 
-    - (1) x'' = x reads the map alone: it is decided once, and a failing
-      verdict names only the map and the labels, so it is shared.
-    - (2) is decided once per order-view signature ``(cols, lower)`` by
-      :func:`_identity_2`, which is exact.  A passing table gets
-      ``Verdict(True)`` seeded through :meth:`MeetDirectoid._with_map`;
-      a failing one runs its own ``check_identities_1_2`` for its
-      witness, which reads the meet table.
-    - (3)–(6) are keyed on ``(lset, above, lower)``, with ``lset`` (4)'s
-      premise table (:meth:`MeetDirectoid._premise_table`), built once
-      per table.  Past its premise table, (4) reads only ``lset``,
-      ``above``, ``below`` and the commutativity flag.  ``below`` is the
-      transpose of ``above`` (both mark x ⊓ y = x), so ``above`` fixes
-      it.  The flag only narrows the scan to y >= x, which finds the
-      full scan's first failure whenever ``lset`` is symmetric
+    - (1) x'' = x reads the map alone.
+    - (2) (x ⊓ y)' ⊓ y' = y' by ``(cols, lower)``, grouped eagerly, so a
+      caller sees at once whether any table passes.  For a fixed y,
+      m = x ⊓ y runs over exactly ``cols[y]`` as x runs over the carrier,
+      and a ⊓ b = b iff b is in ``lower[a]``.  So (2) holds iff y' is in
+      ``lower[m']`` for every y and every m in ``cols[y]``
+      (:func:`_identity_2`); neither commutativity nor x'' = x enters.
+      Where (1)/(2) fail, (3)–(6) are None, and every map claim's table
+      side is False without reading the table; only the CLI runs the
+      table's own check, for its witness.
+    - (4) by ``(lset, above)``, ``lset`` being its premise table
+      (:meth:`MeetDirectoid._premise_table`), which reads no map and is
+      built once per table, for every map; one copy is kept per key.
+      Past it, (4) reads only
+      ``lset``, ``above``, ``below`` and the commutativity flag.
+      ``below`` is the transpose of ``above`` (both mark x ⊓ y = x).  The
+      flag only narrows the scan to y >= x, which finds the full scan's
+      first failure whenever ``lset`` is symmetric
       (:meth:`MeetDirectoid.check_implication_4`), and ``lset`` is the
       whole table either way, so tables with equal keys agree on (4)
-      whatever their flags.  (3)'s failing pairs read only ``lmask[x] =
-      lset[x][x']`` and ``above``.  (5) reads ``lower``, and x ⊓ y in
-      {x, y} only as y in ``above[x] | lower[x]``.  (6) reads ``above``
-      and ``below`` for its bounds test, then ``lower``.  So the (4), (5)
-      and (6) verdicts are functions of the key and are shared whole.
-      (3)'s witness scan reads the meet and join tables, which the key
-      does not fix, so only whether (3) holds is shared; a table on
-      which it fails rescans for its own witness."""
-    involutive = all(inv[inv[x]] == x for x in range(len(inv)))
-    passed, failed_1 = Verdict(True), None
-    holds_2, shared = {}, {}
-    for table in tables:
-        if not involutive:
-            if failed_1 is None:
-                failed_1 = table._with_map(inv).check_identities_1_2()
-            yield failed_1, None, None, None, None
-            continue
-        above, _, lower, cols = table._order()
-        signature = (tuple(cols), tuple(lower))
-        held = holds_2.get(signature)
-        if held is None:
-            held = holds_2[signature] = _identity_2(signature, inv)
-        if not held:
-            yield table._with_map(inv).check_identities_1_2(), None, None, None, None
-            continue
-        d = table._with_map(inv, passed)
-        symmetric = d.meet == tuple(zip(*d.meet))
-        lset = d._premise_table(symmetric)
-        key = tuple(map(tuple, lset)), tuple(above), signature[1]
-        verdicts = shared.get(key)
-        if verdicts is None:
-            lmask = [row[inv[x]] for x, row in enumerate(lset)]
-            verdicts = shared[key] = (
-                next(d._identity_3_failures(lmask), None) is None,
-                d._implication_4(lset, symmetric),
-                d.check_implication_5(),
-                None if None in bounds else d.check_implication_6(*bounds))
-        holds_3, v4, v5, v6 = verdicts
-        yield passed, passed if holds_3 else d.check_identity_3(), v4, v5, v6
+      whatever their flags.
+    - Whether (3) holds by ``(lmask, above)``: its failing pairs read only
+      ``lmask[x] = lset[x][x']`` (:func:`_lmask`), ``above`` and the map.
+      ``lmask`` is read off ``lset`` once that is built, and from the n²
+      build otherwise, so a claim that needs only (3) never pays for the
+      n³ ``lset``.  (3)'s witness scan reads the meet and join tables,
+      which the key does not fix, so only whether (3) holds is shared; a
+      table on which it fails rescans for its own witness.
+    - (5) and (6) by ``(above, lower)``.  (5) reads ``lower``, and
+      x ⊓ y in {x, y} only as y in ``above[x] | lower[x]``.  (6) reads
+      ``above`` and ``below`` for its bounds test, then ``lower``.
+
+    An assigned table (``_base_table``) meets comparable a, b at min(a, b)
+    and incomparable ones at another common lower bound, so ``above[a]``
+    is the up-set of a, and ``lower[a]`` and ``cols[a]`` are its down-set
+    L(a).  So one poset's assigned tables form one (2) group and share
+    one (5)/(6) key."""
+
+    def __init__(self, tables):
+        self.tables = tables = list(tables)
+        signatures, self._ids, self._premises = {}, {}, {}
+        self.group, self._above, self._key56 = [], [], []
+        self._lsets = [None] * len(tables)
+        for t in tables:
+            above, _, lower, cols = t._order()
+            lower = tuple(lower)
+            self.group.append(signatures.setdefault((tuple(cols), lower), len(signatures)))
+            self._above.append(self._id(tuple(above)))
+            self._key56.append(self._id((self._above[-1], lower)))
+        self._signatures = list(signatures)
+
+    def _id(self, key):
+        return self._ids.setdefault(key, len(self._ids))
+
+    def under(self, inv, bounds):
+        """The walk read under the map ``inv`` with its ``bounds`` (index
+        pairs, None where absent), with an empty memo.  ``passing[g]``
+        is whether (1)/(2) hold on the tables of group g."""
+        self.inv, self.bounds = inv, bounds
+        involutive = all(inv[inv[x]] == x for x in range(len(inv)))
+        self.passing = [involutive and _identity_2(s, inv) for s in self._signatures]
+        self._memo = {}
+        return self
+
+    def verdict(self, condition, i):
+        """(3), (4), (5) or (6) on table i, where (1)/(2) hold; a failing
+        (3) carries no witness."""
+        table, inv = self.tables[i], self.inv
+        if condition == 3:
+            lmask = (_lmask(table.meet, inv) if self._lsets[i] is None
+                     else [row[inv[x]] for x, row in enumerate(self._lsets[i][0])])
+            key = 3, tuple(lmask), self._above[i]
+        elif condition == 4:
+            if self._lsets[i] is None:
+                lset, symmetric = table._premise_table()
+                key = 4, self._id((tuple(map(tuple, lset)), self._above[i]))
+                self._lsets[i] = self._premises.setdefault(key, lset), symmetric, key
+            lset, symmetric, key = self._lsets[i]
+        else:
+            key = condition, self._key56[i]
+        verdict = self._memo.get(key)
+        if verdict is None:
+            if condition == 3:
+                failures = _identity_3_failures(lmask, table._order()[0], inv)
+                verdict = Verdict(next(failures, None) is None)
+            else:
+                d = table._with_map(inv)
+                verdict = (d._implication_4(lset, symmetric) if condition == 4
+                           else d.check_implication_5() if condition == 5
+                           else d.check_implication_6(*self.bounds))
+            self._memo[key] = verdict
+        return verdict
+
+    def holds(self, i, *conditions):
+        """Whether (1)/(2) and each of ``conditions`` (3 to 6) hold on
+        table i."""
+        return self.passing[self.group[i]] and all(
+            self.verdict(c, i).ok for c in conditions)
+
+    def verdicts(self, i):
+        """The (1)/(2), (3), (4), (5) and (6) verdicts on table i: (3)–(6)
+        None where (1)/(2) fail, and (6) where a bound is None."""
+        d = self.tables[i]._with_map(self.inv)
+        if not self.holds(i):
+            return d.check_identities_1_2(), None, None, None, None
+        v4 = self.verdict(4, i)    # builds lset first, which (3) reads
+        v3 = self.verdict(3, i)
+        return (Verdict(True), v3 if v3.ok else d.check_identity_3(), v4,
+                self.verdict(5, i), None if None in self.bounds else self.verdict(6, i))
 
 
 # -- assignments ------------------------------------------------------------
@@ -723,35 +749,28 @@ def check_derived_set_laws(directoid, poset):
     if poset.n != n:
         raise UsageError("poset and directoid sizes differ")
     down, up = poset._down, poset._up
+    # {z ⊓ x | z} is column x's value mask, and {(z ⊓ x) ⊓ (z ⊓ y) | z}
+    # (4)'s premise table at (x, y).  By (1), z ⊔ x = (z' ⊓ x')' and
+    # (t ⊔ x) ⊔ (t ⊔ y) = ((t' ⊓ x') ⊓ (t' ⊓ y'))', so the join sets are
+    # the images of the meet sets at x' and at (x', y').
+    inv, cols = directoid.inv, directoid._order()[3]
     for x in range(n):
-        got = 0
-        for row in meet:
-            got |= 1 << row[x]
-        if got != down[x]:
+        if cols[x] != down[x]:
             return Verdict(False, ("L(x)", x),
                            f"{{z meet {lab[x]}}} != L({lab[x]})")
-        got = 0
-        for row in join:
-            got |= 1 << row[x]
-        if got != up[x]:
+        if _image(inv, cols[inv[x]]) != up[x]:
             return Verdict(False, ("U(x)", x),
                            f"{{z join {lab[x]}}} != U({lab[x]})")
     # In a commutative table both pair laws give the same set at (x, y)
     # and (y, x), and the first failing pair in row order has x <= y.
-    symmetric = meet == tuple(zip(*meet))
+    lset, symmetric = directoid._premise_table()
     for x in range(n):
         for y in range(x if symmetric else 0, n):
-            got = 0
-            for mz in meet:
-                got |= 1 << meet[mz[x]][mz[y]]
-            if got != down[x] & down[y]:
+            if lset[x][y] != down[x] & down[y]:
                 return Verdict(False, ("L(x,y)", x, y),
                                f"{{(z meet {lab[x]}) meet (z meet {lab[y]})}} != "
                                f"L({lab[x]},{lab[y]})")
-            got = 0
-            for jt in join:
-                got |= 1 << join[jt[x]][jt[y]]
-            if got != up[x] & up[y]:
+            if _image(inv, lset[inv[x]][inv[y]]) != up[x] & up[y]:
                 return Verdict(False, ("U(x,y)", x, y),
                                f"{{(t join {lab[x]}) join (t join {lab[y]})}} != "
                                f"U({lab[x]},{lab[y]})")

@@ -33,13 +33,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .completion import dedekind_macneille
-from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _identity_2,
-                        _identity_2_groups, assignment_choices,
-                        check_derived_set_laws, check_printed_u_pair_law,
-                        directoid_from_choices)
+from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _IdentityWalk,
+                        assignment_choices, check_derived_set_laws,
+                        check_printed_u_pair_law, directoid_from_choices)
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, involution_from_pairs
-from .poset import (DISTRIBUTIVITY_FORMS, Poset, Verdict, _bits, _canonical,
+from .poset import (DISTRIBUTIVITY_FORMS, Poset, _bits, _canonical,
                     _least_labelling)
 from .residuation import AXIOMS, ResiduatedStructure, check_condition7
 from .twist import (_part_i, _twist_kleene, check_embedding,
@@ -316,31 +315,29 @@ def _map_space(maps):
 
     A skipped map cannot change a verdict if it is not an antitone
     involution of p: then (1)/(2) fail in every table, so both sides of
-    every rung are False.  Without x'' = x, (1) fails.  In every table
-    ``_base_table`` fills, a ⊓ b is min(a, b) for comparable a, b and
-    another common lower bound otherwise, so ``lower[a]`` and ``cols[a]``
-    are both the down-set L(a).  By ``directoid._identity_2``, (2) then
-    holds iff m <= y implies y' <= m', that is, iff the map is antitone.
-    So p's tables form one (2) group, and (1)/(2) hold exactly when the
+    every rung are False.  Without x'' = x, (1) fails.  In p's tables,
+    ``lower[a]`` and ``cols[a]`` are the down-set L(a), and (2) holds iff
+    y' is in ``lower[m']`` for every y and m in ``cols[y]``
+    (``directoid._IdentityWalk`` says why), that is, iff m <= y implies
+    y' <= m': iff the map is antitone.  So (1)/(2) hold exactly when the
     map is an antitone involution of p.  That is Lemma 4.1 itself, so
     ``UNARY_MAPS`` (Lem-4.1) evaluates every involution of ``range(n)`` on
     every table, and ``ANTITONE_MAPS`` (the four characterisations) only
-    the antitone ones, at the bounds Lem-4.1 confirms.  The tables are
-    the map-free ``MeetDirectoid``s that ``iter_assignments(p)`` built,
-    each validated once by its own constructor."""
+    the antitone ones, at the bounds Lem-4.1 confirms.  Each item
+    carries one identity walk over p's map-free tables, built once per
+    poset and shared by its maps."""
     def sweep(n_bound, cap):
         for p in iter_directed(n_bound):
             chosen = maps(p)
             count, _, tables = _capped_assignments(p, cap if chosen else 0)
-            tables = list(tables)
             n, sampled = p.n, count > cap
-            groups = _identity_2_groups(tables)
+            walk = _IdentityWalk(tables)
             next_rank = 0
             for unary in chosen:
                 rank = functools.reduce(lambda r, v: r * n + v, unary, 0)
                 if rank > next_rank:
                     yield None, rank - next_rank, sampled
-                yield (p, unary, tables, groups), 1, sampled
+                yield (p, unary, walk), 1, sampled
                 next_rank = rank + 1
             if n ** n > next_rank:
                 yield None, n ** n - next_rank, sampled
@@ -363,8 +360,7 @@ def _map_rebuild(witness):
     if missing:
         raise UsageError(f"unary map does not cover: {', '.join(missing)}")
     unary = tuple(p.index(unary_map[lab]) for lab in p.labels)
-    tables = [directoid_from_choices(p, witness["binding"]["choices"])]
-    return p, unary, tables, _identity_2_groups(tables)
+    return p, unary, _IdentityWalk([directoid_from_choices(p, witness["binding"]["choices"])])
 
 
 UNARY_MAPS = _map_space(lambda p: _involutions(p.n))
@@ -564,22 +560,15 @@ def _completion_agreement(predicate_name):
 
 
 # Directoid characterisations: rung -> (order property, read on a valid
-# antitone involution; directoid condition, read once (1)/(2) hold).
+# antitone involution; the conditions past (1)/(2) its table side needs).
 _RUNGS = {
-    "involution": (lambda ip: True, lambda d, bounds: True),
-    "pk": (lambda ip: ip.is_pseudo_kleene().ok,
-           lambda d, bounds: d.check_identity_3().ok),
-    "kleene": (lambda ip: ip.is_kleene().ok,
-               lambda d, bounds: (d.check_identity_3().ok
-                                  and d.check_implication_4().ok)),
-    "strong": (lambda ip: ip.is_strong().ok,
-               lambda d, bounds: d.check_implication_5().ok),
-    "strict": (lambda ip: ip.is_strict().ok,
-               lambda d, bounds: d.check_implication_6(*bounds).ok),
+    "involution": (lambda ip: True, ()),
+    "pk": (lambda ip: ip.is_pseudo_kleene().ok, (3,)),
+    "kleene": (lambda ip: ip.is_kleene().ok, (3, 4)),
+    "strong": (lambda ip: ip.is_strong().ok, (5,)),
+    "strict": (lambda ip: ip.is_strict().ok, (6,)),
     "strict-kleene": (lambda ip: (ip.is_strict().ok
-                                  and ip.base.is_distributive("LU").ok),
-                      lambda d, bounds: (d.check_implication_4().ok
-                                         and d.check_implication_6(*bounds).ok)),
+                                  and ip.base.is_distributive("LU").ok), (4, 6)),
 }
 
 
@@ -587,37 +576,24 @@ def _directoid_characterization(*rungs):
     """Each rung's two sides must agree on every table; with two rungs the
     binding names the failing one as ``part`` i or ii.  Lem-4.1 runs on
     every involution, the rest only on antitone ones (``_map_space``
-    says why skipping the others is exact).
-
-    Every check runs once per object it covers.  The public constructor
-    validated the tables (``iter_assignments`` in the sweep,
-    ``directoid_from_choices`` in a replay) and ``InvolutivePoset(p,
-    unary)`` the map; ``_with_map`` joins the two without repeating
-    either.  (1) is checked once per map and (2) once per (map, group of
-    tables), exactly (``directoid._identity_2``).  A table failing (2)
-    has every directoid side False, with no directoid built; the others
-    get one with (1)/(2) seeded.  Tables are walked in order, so the
-    first mismatch and its ``choices`` (read off the map-free table) are
-    unchanged."""
+    says why skipping the others is exact).  The table sides are read
+    through the instance's identity walk; tables are walked in order, so
+    the first mismatch and its ``choices`` (read off the map-free table)
+    are those of a per-table scan."""
     def evaluate(instance):
-        p, unary, tables, (signatures, index) = instance
-        # (1): a replayed map need not be involutive; then both sides are False
-        if any(unary[unary[x]] != x for x in range(p.n)):
-            return None
+        p, unary, walk = instance
         ip = InvolutivePoset(p, unary)
         valid = ip.check_antitone_involution().ok
         # A finite directed order has a bottom; a valid map sends it to a top.
-        bounds = p.bounds() if valid else (0, 0)   # read only if (2) holds
+        bounds = p.bounds() if valid else (0, 0)   # read only if (1)/(2) hold
         order_sides = [valid and _RUNGS[r][0](ip) for r in rungs]
-        holds = [_identity_2(signature, ip.inv) for signature in signatures]
-        if not any(holds + order_sides):
+        # a replayed map need not be involutive; then (1) fails on every table
+        walk.under(ip.inv, bounds)
+        if not any(walk.passing + order_sides):
             return None    # every side of every table is False
-        for table, group in zip(tables, index):
-            held = holds[group]
-            d = table._with_map(ip.inv, Verdict(True)) if held else None
-            directoid_sides = [held and _RUNGS[r][1](d, bounds) for r in rungs]
-            for part, order_side, directoid_side in zip(
-                    ("i", "ii"), order_sides, directoid_sides):
+        for i, table in enumerate(walk.tables):
+            for part, order_side, rung in zip(("i", "ii"), order_sides, rungs):
+                directoid_side = walk.holds(i, *_RUNGS[rung][1])
                 if order_side != directoid_side:
                     binding = {"part": part} if len(rungs) > 1 else {}
                     binding.update(order_side=order_side,

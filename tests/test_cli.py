@@ -488,3 +488,24 @@ def test_python_m_runs_the_cli(name, exit_code):
                           capture_output=True, text=True, env=env)
     code, out, _ = run("residuate", fx(name))
     assert (proc.returncode, proc.stdout) == (exit_code, out) == (code, out)
+
+
+@pytest.mark.parametrize("flags, exit_code", [([], 1), (["--json"], None)])
+def test_closed_pipe_ends_the_command_without_a_traceback(flags, exit_code):
+    """A reader that closes stdout after one line (``| head -1``) leaves
+    nothing on stderr.  The text form, ~150 KB written line by line and
+    more than a pipe holds, meets the closed pipe and exits 1.  The JSON
+    form is one write, which CPython's buffered writer may cut short
+    without raising, so its exit code is not asserted."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kleene_posets", "directoid", fx("fig6"),
+         "--all-assignments", "300", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    code = proc.wait()
+    assert err == b""
+    assert exit_code is None or code == exit_code

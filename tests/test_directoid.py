@@ -21,7 +21,8 @@ from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            directoid_from_choices, enumerate_involutions,
                            enumerate_posets, figure, iter_assignments)
 
-from kleene_posets.directoid import _identity_2, _identity_verdicts, _order_masks
+from kleene_posets.directoid import _identity_2, _IdentityWalk, _order_masks
+from kleene_posets.enumeration import _RUNGS
 
 from oracles import (ref_derived_set_laws, ref_directoid_axioms, ref_identity_3,
                      ref_implication_4, ref_implication_5, ref_implication_6)
@@ -619,14 +620,66 @@ def _fresh_identity_verdicts(table, inv, bounds):
             None if None in bounds else d.check_implication_6(*bounds))
 
 
+# Each map claim rung's table side past (1)/(2), as fresh public checks.
+FRESH_RUNGS = {
+    "involution": lambda d, bounds: True,
+    "pk": lambda d, bounds: d.check_identity_3().ok,
+    "kleene": lambda d, bounds: (d.check_identity_3().ok
+                                 and d.check_implication_4().ok),
+    "strong": lambda d, bounds: d.check_implication_5().ok,
+    "strict": lambda d, bounds: d.check_implication_6(*bounds).ok,
+    "strict-kleene": lambda d, bounds: (d.check_implication_4().ok
+                                        and d.check_implication_6(*bounds).ok),
+}
+
+
+def _rungs(bounds):
+    """The rungs readable under ``bounds``: those reading (6) need both."""
+    return [rung for rung in FRESH_RUNGS
+            if None not in bounds or 6 not in _RUNGS[rung][1]]
+
+
+def _fresh_rung_sides(table, inv, bounds):
+    """Each rung's table side on a newly constructed directoid."""
+    d = MeetDirectoid(table.meet, inv=inv, labels=table.labels)
+    held = d.check_identities_1_2().ok
+    return {rung: held and FRESH_RUNGS[rung](d, bounds) for rung in _rungs(bounds)}
+
+
+def _walk_reads(walk, inv, bounds):
+    """The walk's verdicts and rung sides on each of its tables under one
+    map.  On every other table the rung sides are read first, so both
+    orders of filling the memo, and of building ``lset``, are exercised."""
+    walk.under(inv, bounds)
+    got = []
+    for i in range(len(walk.tables)):
+        def sides():
+            return {rung: walk.holds(i, *_RUNGS[rung][1]) for rung in _rungs(bounds)}
+        if i % 2:
+            rung_sides = sides()
+            verdicts = walk.verdicts(i)
+        else:
+            verdicts = walk.verdicts(i)
+            rung_sides = sides()
+        got.append((verdicts, rung_sides))
+    return got
+
+
+def _fresh_reads(tables, inv, bounds):
+    return [(_fresh_identity_verdicts(t, inv, bounds), _fresh_rung_sides(t, inv, bounds))
+            for t in tables]
+
+
 def _assert_walk_matches_fresh_calls(tables, inv, bounds):
     """The walk over ``tables`` and over them reversed matches fresh calls
-    per table.  Whether (3) holds is shared, so a key too coarse for (3)
-    shows only when a table where it holds is walked first."""
-    fresh = [_fresh_identity_verdicts(t, inv, bounds) for t in tables]
-    assert list(_identity_verdicts(tables, inv, bounds)) == fresh
-    assert list(_identity_verdicts(tables[::-1], inv, bounds)) == fresh[::-1]
-    return fresh
+    per table, verdicts and rung sides alike.  Whether (3) holds is
+    shared, so a key too coarse for (3) shows only when a table where it
+    holds is walked first."""
+    assert set(FRESH_RUNGS) == set(_RUNGS)
+    fresh = _fresh_reads(tables, inv, bounds)
+    assert _walk_reads(_IdentityWalk(tables), inv, bounds) == fresh
+    assert _walk_reads(_IdentityWalk(tables[::-1]), inv, bounds) == fresh[::-1]
+    return [verdicts for verdicts, _ in fresh]
 
 
 def test_identity_walk_matches_fresh_checks_on_figure_assignments(monkeypatch):
@@ -649,10 +702,9 @@ def test_identity_walk_matches_fresh_checks_on_figure_assignments(monkeypatch):
         p = ip.base
         tables = list(itertools.islice(iter_assignments(p), 200))
         del decisions[:]
-        got = list(_identity_verdicts(tables, ip.inv, p.bounds()))
+        got = _walk_reads(_IdentityWalk(tables), ip.inv, p.bounds())
         assert len(decisions) == 1
-        assert got == [_fresh_identity_verdicts(t, ip.inv, p.bounds())
-                       for t in tables]
+        assert got == _fresh_reads(tables, ip.inv, p.bounds())
         for _ in range(5):
             u = tuple(_random_involution(rng, p.n) if rng.random() < 0.5
                       else [rng.randrange(p.n) for _ in range(p.n)])
@@ -661,6 +713,25 @@ def test_identity_walk_matches_fresh_checks_on_figure_assignments(monkeypatch):
         _assert_walk_matches_fresh_calls(tables[:20], (p.bounds()[1],) * p.n,
                                          p.bounds())
     assert walked == ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7"]
+
+
+def test_one_walk_reads_each_map_afresh():
+    """One walk over a figure's tables, read under its antitone
+    involutions in turn and then under the first again, matches fresh
+    checks under each.  fig4's two maps differ on (3), (5) and (6) with
+    the same (5)/(6) key, so a walk that kept one map's memo for the
+    next would answer with the first map's verdicts."""
+    for name in ("fig2", "fig4"):
+        ip = figure(name)
+        p = ip.base
+        tables = list(iter_assignments(p))
+        walk = _IdentityWalk(tables)
+        maps = enumerate_involutions(p)
+        reads = []
+        for u in maps + maps[:1]:
+            reads.append(_walk_reads(walk, u, p.bounds()))
+            assert reads[-1] == _fresh_reads(tables, u, p.bounds())
+        assert reads[0] != reads[1]
 
 
 def _single_entry_edits(tables):

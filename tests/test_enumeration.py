@@ -23,7 +23,7 @@ from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            UsageError, enumerate_involutions, enumerate_posets,
                            figure, find_isomorphism, iter_assignments, run_cli)
 from kleene_posets import audit, claim_ids, replay_report, replay_witness
-from kleene_posets.directoid import (_identity_2_groups, assignment_choices,
+from kleene_posets.directoid import (_IdentityWalk, assignment_choices,
                                      assignment_count)
 from kleene_posets.poset import _bits, _least_labelling
 from kleene_posets.enumeration import (ALIASES, BOUNDED, BOUNDED_LU, CLAIMS,
@@ -441,14 +441,15 @@ def _evaluated_maps(space, n_bound, cap):
     position, maps = 0, {p: [] for p in offsets}
     for instance, count, sampled in space.sweep(n_bound, cap):
         if instance is not None:
-            p, unary, tables, (signatures, index) = instance
+            p, unary, walk = instance
             assert count == 1
             assert position == offsets[p] + _rank(unary)
-            assert [d.meet for d in tables] == [
+            assert [d.meet for d in walk.tables] == [
                 d.meet for d in itertools.islice(iter_assignments(p), cap)]
-            assert sorted(set(index)) == list(range(len(signatures)))
-            assert [signatures[g] for g in index] == [
-                (tuple(d._order()[3]), tuple(d._order()[2])) for d in tables]
+            signatures = [(tuple(d._order()[3]), tuple(d._order()[2]))
+                          for d in walk.tables]
+            first = list(dict.fromkeys(signatures))
+            assert walk.group == [first.index(s) for s in signatures]
             assert sampled == (assignment_count(p) > cap)
             maps[p].append(unary)
         position += count
@@ -524,10 +525,10 @@ def test_refuted_map_claim_counts_every_map_up_to_the_witness():
 
 def _check_one_map_refutation(space, target, evaluated):
     def evaluate(instance):
-        p, unary, tables = instance[:3]
+        p, unary, walk = instance
         if unary != target:
             return None
-        return {"choices": assignment_choices(tables[0], p)}
+        return {"choices": assignment_choices(walk.tables[0], p)}
 
     claim = Claim("Synthetic", "refuted at one map", space, evaluate, 3)
     loop = [(p, u) for p in iter_directed(3)
@@ -565,19 +566,19 @@ def test_map_witness_is_the_first_table_failing_2_across_groups():
         table[5][4] = 0    # same column masks, x4 leaves lower[x5]
         edited.append(MeetDirectoid(table, labels=p.labels))
     tables = [genuine[0], edited[1], edited[0], genuine[1]]
-    signatures, index = _identity_2_groups(tables)
-    assert len(signatures) == 2 and index == [0, 1, 1, 0]
-    assert signatures[0][0] == signatures[1][0]
+    walk = _IdentityWalk(tables)
+    assert walk.group == [0, 1, 1, 0]
+    assert tables[0]._order()[3] == tables[1]._order()[3]
     choices = [assignment_choices(d, p) for d in tables]
     assert choices[1] != choices[2]
 
     def rebuild(witness):
         kept = [d for d, c in zip(tables, choices)
                 if c == witness["binding"]["choices"]]
-        return p, unary, kept, _identity_2_groups(kept)
+        return p, unary, _IdentityWalk(kept)
 
     space = replace(UNARY_MAPS, sweep=lambda n_bound, cap: iter(
-        [((p, unary, tables, (signatures, index)), 1, False)]), rebuild=rebuild)
+        [((p, unary, walk), 1, False)]), rebuild=rebuild)
     claim = replace(CLAIMS["Lem-4.1"], instance_space=space)
     report = claim.run(6)
     binding = {"order_side": True, "directoid_side": False, "choices": choices[1]}
@@ -587,7 +588,7 @@ def test_map_witness_is_the_first_table_failing_2_across_groups():
     assert not claim.replay(dict(witness, binding=dict(binding, directoid_side=True)))
     # with every table failing (2), the first one is the witness
     failing = edited[::-1]
-    assert claim.evaluate((p, unary, failing, _identity_2_groups(failing))) == dict(
+    assert claim.evaluate((p, unary, _IdentityWalk(failing))) == dict(
         binding, choices=assignment_choices(failing[0], p))
 
 
@@ -652,6 +653,35 @@ def test_roundtrips_never_build_the_induced_poset(monkeypatch):
         assert run_cli(argv, out, err) == 0, err.getvalue()
         assert "induces original order: yes" in out.getvalue()
         assert "induces original order: no" not in out.getvalue()
+
+
+def test_map_claims_read_one_walk_per_poset(monkeypatch):
+    """The four characterisations at n <= 6 (33 maps evaluated) read
+    (3)-(6) through one identity walk per poset: the public (1)/(2), (3)
+    and (4) checkers never run, each table's premise table is built at
+    most once, and (5) and (6) run once per map, since one poset's
+    assigned tables share their (5)/(6) key."""
+    def forbidden(self, *args):
+        raise AssertionError("per-table checker ran")
+    for name in ("check_identities_1_2", "check_identity_3", "check_implication_4"):
+        monkeypatch.setattr(MeetDirectoid, name, forbidden)
+    built, ran = [], []
+
+    def counting(name, log):
+        method = getattr(MeetDirectoid, name)
+        monkeypatch.setattr(MeetDirectoid, name,
+                            lambda self, *args: log.append(self) or method(self, *args))
+    counting("_premise_table", built)
+    counting("check_implication_5", ran)
+    counting("check_implication_6", ran)
+    counts = {}
+    for cid in MAP_CHARACTERISATIONS:
+        del built[:], ran[:]
+        assert audit(cid, n_bound=6).confirmed
+        assert len(built) == len(set(map(id, built)))
+        counts[cid] = len(built), len(ran)
+    assert counts == {"Thm-4.2": (0, 0), "Thm-4.3": (18, 0), "Thm-4.8": (0, 33),
+                      "Thm-4.11": (20, 33)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
