@@ -13,6 +13,7 @@ standard output went away, 2 for usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
 import json
@@ -429,13 +430,27 @@ def run_cli(argv, out=None, err=None):
         return 2
 
 
+class _Stdout:
+    """Standard output as :func:`main` writes it: each piece, encoded,
+    straight to the binary buffer, where a count short of the piece
+    means the reader went away.  A reader that leaves during one write
+    larger than the pipe (a ``--json`` report is one write) makes the
+    buffered writer return a short count without raising, and the text
+    layer would drop that count."""
+
+    def write(self, text):
+        data = text.encode(sys.stdout.encoding, sys.stdout.errors)
+        if sys.stdout.buffer.write(data) != len(data):
+            raise BrokenPipeError(errno.EPIPE, "standard output closed during a write")
+
+
 def main(argv=None):
     """The console entry point.  When the reader of standard output
     closes it early (``| head``), exit 1 without a traceback; stdout is
     pointed at the null device so that the flush at exit cannot fail
     again (the recipe of the Python documentation's note on SIGPIPE)."""
     try:
-        code = run_cli(sys.argv[1:] if argv is None else argv)
+        code = run_cli(sys.argv[1:] if argv is None else argv, _Stdout())
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -91,6 +91,90 @@ def _identity_2(signature, inv):
     return True
 
 
+def _identity_2_maps(signature):
+    """Every involution u of ``range(n)`` under which (2) holds on any
+    table whose order view has the signature ``(cols, lower)``, in
+    lexicographic order: by :func:`_identity_2`, those with u[y] in
+    ``lower[u[m]]`` for every y and every m in ``cols[y]``.
+
+    A pairing search, the way ``enumerate_involutions`` searches for
+    antitone involutions.  The least unpaired x is paired with each
+    unpaired v >= x in increasing order (v == x makes x a fixed point),
+    so the maps come out in lexicographic order.  A pairing stands when
+    x and v each meet every constraint whose other end is mapped: for y
+    in {x, v}, u[y] in ``lower[u[m]]`` for each mapped m in ``cols[y]``,
+    and u[m] in ``lower[u[y]]`` for each mapped m with y in ``cols[m]``.
+    x and v count as mapped, so the constraints between them, and of
+    each with itself, are checked too.  So each constraint is checked
+    when the later of its two ends is mapped, and one that fails there
+    fails in every completion: a map is output exactly when it meets
+    them all.
+
+    The candidates are pruned first, as ``enumerate_involutions``
+    prunes on cone sizes.  u maps ``cols[z]`` one-to-one into
+    ``upper[u[z]] = {b | u[z] in lower[b]}``, and ``into[z] = {y | z in
+    cols[y]}`` one-to-one into ``lower[u[z]]``.  So u[z] is only ever a
+    v whose two sets are at least as large (``cand[z]``), and x and v
+    pair only if each is a candidate for the other."""
+    cols, lower = signature
+    n = len(cols)
+    rng = range(n)
+    upper, into = [0] * n, [0] * n
+    for y in rng:
+        by, low, col = 1 << y, lower[y], cols[y]
+        while low:
+            b = low & -low
+            upper[b.bit_length() - 1] |= by
+            low ^= b
+        while col:
+            b = col & -col
+            into[b.bit_length() - 1] |= by
+            col ^= b
+    sizes = [(up.bit_count(), low.bit_count()) for up, low in zip(upper, lower)]
+    cand = []
+    for c, i in zip(cols, into):
+        c, i = c.bit_count(), i.bit_count()
+        cand.append(sum(1 << v for v, (su, sl) in enumerate(sizes)
+                        if su >= c and sl >= i))
+    out, u = [], [0] * n
+
+    def fits(y, mapped):
+        ends, up = cols[y] & mapped, upper[u[y]]
+        while ends:
+            b = ends & -ends
+            if not up >> u[b.bit_length() - 1] & 1:
+                return False
+            ends ^= b
+        ends, low = into[y] & mapped, lower[u[y]]
+        while ends:
+            b = ends & -ends
+            if not low >> u[b.bit_length() - 1] & 1:
+                return False
+            ends ^= b
+        return True
+
+    def extend(free):
+        if not free:
+            out.append(tuple(u))
+            return
+        bx = free & -free
+        x = bx.bit_length() - 1
+        pairs = cand[x] & free
+        while pairs:
+            bv = pairs & -pairs
+            pairs ^= bv
+            v = bv.bit_length() - 1
+            if not cand[v] >> x & 1:
+                continue
+            u[x], u[v] = v, x
+            rest = free & ~(bx | bv)
+            if fits(x, ~rest) and (v == x or fits(v, ~rest)):
+                extend(rest)
+
+    extend((1 << n) - 1)
+    return out
+
+
 def _lmask(meet, inv):
     """(3)'s left side per x: ``lmask[x] = {(z ⊓ x) ⊓ (z ⊓ x') | z}``."""
     lmask = [0] * len(meet)
@@ -504,6 +588,8 @@ class _IdentityWalk:
       and a ⊓ b = b iff b is in ``lower[a]``.  So (2) holds iff y' is in
       ``lower[m']`` for every y and every m in ``cols[y]``
       (:func:`_identity_2`); neither commutativity nor x'' = x enters.
+      The maps under which some group passes are searched for on the
+      signatures alone (:meth:`maps_passing`).
       Where (1)/(2) fail, (3)–(6) are None, and every map claim's table
       side is False without reading the table; only the CLI runs the
       table's own check, for its witness.
@@ -550,6 +636,12 @@ class _IdentityWalk:
 
     def _id(self, key):
         return self._ids.setdefault(key, len(self._ids))
+
+    def maps_passing(self):
+        """The maps under which (1)/(2) hold on some table, in
+        lexicographic order: the union over the (2) groups of
+        :func:`_identity_2_maps`, since (1) holds under every involution."""
+        return sorted(set().union(*map(_identity_2_maps, self._signatures)))
 
     def under(self, inv, bounds):
         """The walk read under the map ``inv`` with its ``bounds`` (index

@@ -18,10 +18,11 @@ Instance spaces are combinations of
   - all meet-operation assignments, capped per poset (deterministic
     first-k sampling in canonical order; reports carry a sampled flag).
 
-The map spaces evaluate only some maps (every involution for Lem-4.1,
-the antitone involutions for the four characterisations) and count the
-others in runs, with the verdicts, witnesses and instance counts of the
-full n^n sweep (``_map_space`` says why).
+The map spaces evaluate only some maps and count the others in runs,
+with the verdicts, witnesses and instance counts of the full n^n sweep
+(``_map_space`` says why): for Lem-4.1 the antitone involutions and the
+maps under which (1)/(2) hold on some table, each set found by its own
+search; for the four characterisations the antitone involutions.
 """
 
 from __future__ import annotations
@@ -88,13 +89,21 @@ def _representatives(n):
       the set, of keeping the first poset of each class while walking
       every natural labelling in lexicographic order.
     - Skipping tied twins in that search cannot change its answer; its
-      docstring says why."""
+      docstring says why.
+    - Least sequences are nondecreasing, so the masks start at the
+      parent's last.  The least labelling places at each position the
+      least mask any placeable element gives.  An element placeable then
+      but not placed keeps its mask, which is no smaller; an element that
+      the placement at position k makes placeable is above that element,
+      so its mask has bit k and exceeds the mask placed at k, which has
+      bits below k only.  A child whose last mask is below its parent's
+      last is not least, and would be tested only to be dropped."""
     if n == 0:
         return (Poset((), (), _validated=True),)
     reps = []
     for parent in _representatives(n - 1):
         downs = [parent._down[i] & ~(1 << i) for i in range(n - 1)]
-        for d in range(1 << (n - 1)):
+        for d in range(downs[-1] if downs else 0, 1 << (n - 1)):
             if any(downs[j] & ~d for j in _bits(d)):
                 continue
             child = downs + [d]
@@ -296,42 +305,44 @@ DIRECTED_INVOLUTIVE_ASSIGNED = _assigned(
     serialize_involutive, involutive_from_witness)
 
 
-@functools.cache
-def _involutions(n):
-    """Every involution of ``range(n)`` in lexicographic order: the
-    antitone involutions of the n-element antichain, where every map is
-    antitone."""
-    return enumerate_involutions(Poset(_labels(n), [1 << i for i in range(n)],
-                                       _validated=True))
-
-
-def _map_space(maps):
+def _map_space(maps, table_side=False):
     """Every unary map on each directed poset p, of which only ``maps(p)``
-    (in lexicographic order) are built and evaluated, on p's capped
-    tables.  Each such map is one item with count 1; each gap before,
-    between and after them is one ``(None, gap)`` run, a map's position
-    being its rank sum(u[i] * n^(n-1-i)).  So ``instances`` counts exactly
-    the n^n maps per poset that a full product loop would visit.
+    are built and evaluated, on p's capped tables, in lexicographic
+    order; with ``table_side``, so are the maps under which (1)/(2) hold
+    on some of those tables (``_IdentityWalk.maps_passing``).  Each such
+    map is one item with count 1; each gap before, between and after
+    them is one ``(None, gap)`` run, a map's position being its rank
+    sum(u[i] * n^(n-1-i)).  So ``instances`` counts exactly the n^n maps
+    per poset that a full product loop would visit.  Each item carries
+    one identity walk over p's map-free tables, built once per poset and
+    shared by its maps.
 
-    A skipped map cannot change a verdict if it is not an antitone
-    involution of p: then (1)/(2) fail in every table, so both sides of
-    every rung are False.  Without x'' = x, (1) fails.  In p's tables,
-    ``lower[a]`` and ``cols[a]`` are the down-set L(a), and (2) holds iff
-    y' is in ``lower[m']`` for every y and m in ``cols[y]``
-    (``directoid._IdentityWalk`` says why), that is, iff m <= y implies
-    y' <= m': iff the map is antitone.  So (1)/(2) hold exactly when the
-    map is an antitone involution of p.  That is Lemma 4.1 itself, so
-    ``UNARY_MAPS`` (Lem-4.1) evaluates every involution of ``range(n)`` on
-    every table, and ``ANTITONE_MAPS`` (the four characterisations) only
-    the antitone ones, at the bounds Lem-4.1 confirms.  Each item
-    carries one identity walk over p's map-free tables, built once per
-    poset and shared by its maps."""
+    A skipped map cannot change a verdict if both sides of every rung are
+    False on every table.  Its order side is False if it is not an
+    antitone involution of p: every rung's order side requires one.
+      - ``UNARY_MAPS`` (Lem-4.1) evaluates the antitone involutions
+        (``enumerate_involutions``, the order side) and, as its table
+        side, the maps under which (1)/(2) hold on some table.  Outside
+        both, (1)/(2) fail on every table, so every table side is False
+        as well.
+      - ``ANTITONE_MAPS`` (the four characterisations) evaluates the
+        antitone involutions alone, and builds no table on a poset
+        without one.  The skip rests on Lemma 4.1, at the bounds Lem-4.1
+        confirms.  In p's assigned tables ``lower[a]`` and ``cols[a]``
+        are the down-set L(a), and (2) holds iff y' is in ``lower[m']``
+        for every y and m in ``cols[y]`` (``directoid._IdentityWalk``
+        says why), that is, iff m <= y implies y' <= m': iff the map is
+        antitone.  Without x'' = x, (1) fails.  So (1)/(2) hold exactly
+        when the map is an antitone involution of p."""
     def sweep(n_bound, cap):
         for p in iter_directed(n_bound):
             chosen = maps(p)
-            count, _, tables = _capped_assignments(p, cap if chosen else 0)
+            count, _, tables = _capped_assignments(
+                p, cap if chosen or table_side else 0)
             n, sampled = p.n, count > cap
             walk = _IdentityWalk(tables)
+            if table_side:
+                chosen = sorted(set(chosen).union(walk.maps_passing()))
             next_rank = 0
             for unary in chosen:
                 rank = functools.reduce(lambda r, v: r * n + v, unary, 0)
@@ -363,7 +374,7 @@ def _map_rebuild(witness):
     return p, unary, _IdentityWalk([directoid_from_choices(p, witness["binding"]["choices"])])
 
 
-UNARY_MAPS = _map_space(lambda p: _involutions(p.n))
+UNARY_MAPS = _map_space(enumerate_involutions, table_side=True)
 ANTITONE_MAPS = _map_space(enumerate_involutions)
 
 
@@ -575,11 +586,12 @@ _RUNGS = {
 def _directoid_characterization(*rungs):
     """Each rung's two sides must agree on every table; with two rungs the
     binding names the failing one as ``part`` i or ii.  Lem-4.1 runs on
-    every involution, the rest only on antitone ones (``_map_space``
-    says why skipping the others is exact).  The table sides are read
-    through the instance's identity walk; tables are walked in order, so
-    the first mismatch and its ``choices`` (read off the map-free table)
-    are those of a per-table scan."""
+    the maps either side can satisfy, the rest only on antitone
+    involutions (``_map_space`` says why skipping the others is exact).
+    The table sides are read through the instance's identity walk;
+    tables are walked in order, so the first mismatch and its
+    ``choices`` (read off the map-free table) are those of a per-table
+    scan."""
     def evaluate(instance):
         p, unary, walk = instance
         ip = InvolutivePoset(p, unary)

@@ -21,7 +21,8 @@ from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            directoid_from_choices, enumerate_involutions,
                            enumerate_posets, figure, iter_assignments)
 
-from kleene_posets.directoid import _identity_2, _IdentityWalk, _order_masks
+from kleene_posets.directoid import (_identity_2, _identity_2_maps, _IdentityWalk,
+                                     _order_masks)
 from kleene_posets.enumeration import _RUNGS
 
 from oracles import (ref_derived_set_laws, ref_directoid_axioms, ref_identity_3,
@@ -606,6 +607,97 @@ def test_identity_2_kernel_on_single_entry_edits(name, held, failed):
                 assert _kernel_identities_1_2(edited, u) == want
                 outcomes[want] += 1
     assert outcomes == {True: held, False: failed}
+
+
+def _brute_identity_2_maps(signature):
+    """Every involution of the carrier, filtered by ``_identity_2``."""
+    return [u for u in _involutions(len(signature[0])) if _identity_2(signature, u)]
+
+
+def _signature(d):
+    _, _, lower, cols = d._order()
+    return tuple(cols), tuple(lower)
+
+
+def test_identity_2_search_on_every_directed_poset():
+    """The search equals the brute filter on every (2) group of every
+    directed poset with n <= 6, where it finds the antitone
+    involutions: 33 maps in all, fixed points among them."""
+    found = 0
+    for n in range(1, 7):
+        for p in filter(Poset.is_downward_directed, enumerate_posets(n)):
+            walk = _IdentityWalk(itertools.islice(iter_assignments(p), 1000))
+            for signature in walk._signatures:
+                got = _identity_2_maps(signature)
+                assert got == _brute_identity_2_maps(signature)
+                assert tuple(got) == enumerate_involutions(p)
+                found += len(got)
+    assert found == 33
+
+
+@pytest.mark.parametrize("name, groups, found", [("fig1", 141, 68),
+                                                 ("fig4", 143, 70)])
+def test_identity_2_search_on_single_entry_edits(name, groups, found):
+    """The search equals the brute filter on the (2) group of every
+    single-entry edit of the figure's assignment tables; the edits'
+    signatures differ from the assigned ones, so the maps found need
+    not be antitone involutions of the figure."""
+    tables = list(iter_assignments(figure(name)))
+    signatures = set(map(_signature, _single_entry_edits(tables)))
+    signatures -= set(map(_signature, tables))
+    total = 0
+    for signature in signatures:
+        got = _identity_2_maps(signature)
+        assert got == _brute_identity_2_maps(signature)
+        total += len(got)
+    assert (len(signatures), total) == (groups, found)
+
+
+def _maps_passing_some_table(tables):
+    """The involutions under which the public checker finds (1)/(2) on
+    one of ``tables``."""
+    return [u for u in _involutions(tables[0].n)
+            if any(d._with_map(u).check_identities_1_2().ok for d in tables)]
+
+
+def test_walk_maps_passing_span_its_groups():
+    """The walk's maps under which (1)/(2) hold on some table, against the
+    public checker: on each of fig1's and fig4's assigned tables alone
+    (one group, the figure's two maps), on the first table of each (two
+    groups, three maps), and on both figures' tables and their
+    single-entry edits (286 groups, five maps, more than any one group
+    finds), each walked forward and reversed."""
+    firsts, every = [], []
+    for name in ("fig1", "fig4"):
+        tables = list(iter_assignments(figure(name)))
+        walk = _IdentityWalk(tables)
+        assert walk.maps_passing() == _maps_passing_some_table(tables)
+        assert walk.maps_passing() == list(enumerate_involutions(figure(name).base))
+        firsts.append(tables[0])
+        every += tables + list(_single_entry_edits(tables))
+    for tables, groups, found in ((firsts, 2, 3), (every, 286, 5)):
+        want = _maps_passing_some_table(tables)
+        for walk in (_IdentityWalk(tables), _IdentityWalk(tables[::-1])):
+            assert walk.maps_passing() == want
+        assert (len(walk._signatures), len(want)) == (groups, found)
+    assert found > max(len(_identity_2_maps(s)) for s in walk._signatures)
+
+
+def test_identity_2_search_on_arbitrary_signatures():
+    """The search's argument holds for any two lists of masks, so seeded
+    arbitrary ``(cols, lower)`` with n <= 5 are checked against the brute
+    filter as well.  Table signatures rarely need the constraints checked
+    from the end mapped last through ``cols[m]``; these often do."""
+    rng = random.Random(3)
+    found = 0
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        signature = tuple(tuple(rng.randrange(1 << n) for _ in range(n))
+                          for _ in range(2))
+        got = _identity_2_maps(signature)
+        assert got == _brute_identity_2_maps(signature)
+        found += len(got)
+    assert found == 703
 
 
 def _fresh_identity_verdicts(table, inv, bounds):

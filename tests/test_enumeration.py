@@ -31,8 +31,8 @@ from kleene_posets.enumeration import (ALIASES, BOUNDED, BOUNDED_LU, CLAIMS,
                                        INVOLUTIVE, UNARY_MAPS, ANTITONE_MAPS,
                                        Claim, _RUNGS, _bounded, _bounded_lu,
                                        _condition7, _directoid_characterization,
-                                       _involutions, _involutive_representatives,
-                                       _representatives,
+                                       _involutive_representatives,
+                                       _map_space, _representatives,
                                        involutive_from_witness,
                                        isomorphic_with_pin, iter_directed,
                                        iter_involutive, iter_posets,
@@ -457,28 +457,63 @@ def _evaluated_maps(space, n_bound, cap):
     return maps
 
 
+def _involutions(n):
+    """Every involution of ``range(n)``, in product order."""
+    return [u for u in itertools.product(range(n), repeat=n)
+            if all(u[u[x]] == x for x in range(n))]
+
+
+def _antitone_involution(p, u):
+    return InvolutivePoset(p, u).check_antitone_involution().ok
+
+
+def _passes_1_2(tables, u):
+    """Whether the public checker finds (1)/(2) on one of ``tables``."""
+    return any(MeetDirectoid(d.meet, inv=u).check_identities_1_2().ok
+               for d in tables)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_unary_map_runs_are_the_involutions_in_product_order(n):
-    """Lem-4.1's space evaluates every involution of ``range(n)`` (the
-    antitone involutions of the antichain) on each directed poset, in
-    product order, and its runs bring each poset to n^n maps."""
-    assert _involutions(n) == tuple(
-        u for u in itertools.product(range(n), repeat=n)
-        if all(u[u[x]] == x for x in range(n)))
+    """Lem-4.1's space evaluates, on each directed poset and in product
+    order, the involutions that are antitone or pass (1)/(2) on one of
+    the poset's tables, as filtering every map finds them, and its runs
+    bring each poset to n^n maps.  On assigned tables the two sets
+    agree: 12 maps at n <= 5 and 33 at n <= 6, of the 477 and 5,265
+    involutions."""
     maps = _evaluated_maps(UNARY_MAPS, n, 3)
-    assert all(found == list(_involutions(p.n)) for p, found in maps.items())
+    for p, found in maps.items():
+        tables = list(itertools.islice(iter_assignments(p), 3))
+        assert found == [u for u in _involutions(p.n)
+                         if _antitone_involution(p, u) or _passes_1_2(tables, u)]
+    evaluated = sum(map(len, maps.values()))
+    assert evaluated == {5: 12, 6: 33}.get(n, evaluated)
+
+
+def test_unary_maps_evaluate_the_union_of_both_sides(monkeypatch):
+    """Lem-4.1's space evaluates the antitone involutions and the walk's
+    maps passing (1)/(2).  On assigned tables these agree, so with a
+    stand-in table side that yields each poset's identity map, the space
+    must evaluate the identity besides the antitone involutions."""
+    order = _evaluated_maps(ANTITONE_MAPS, 5, 3)
+    assert _evaluated_maps(UNARY_MAPS, 5, 3) == order
+    monkeypatch.setattr(_IdentityWalk, "maps_passing",
+                        lambda walk: [tuple(range(walk.tables[0].n))])
+    assert _evaluated_maps(UNARY_MAPS, 5, 3) == {
+        p: sorted(set(maps) | {tuple(range(p.n))}) for p, maps in order.items()}
 
 
 def test_antitone_space_evaluates_exactly_the_antitone_involutions():
     maps = _evaluated_maps(ANTITONE_MAPS, 5, 3)
     assert sum(map(len, maps.values())) == 12
     for p, found in maps.items():
-        assert found == [u for u in itertools.product(range(p.n), repeat=p.n)
-                         if all(u[u[x]] == x for x in range(p.n))
-                         and InvolutivePoset(p, u).check_antitone_involution().ok]
+        assert found == [u for u in _involutions(p.n) if _antitone_involution(p, u)]
 
 
 MAP_CHARACTERISATIONS = ("Thm-4.2", "Thm-4.3", "Thm-4.8", "Thm-4.11")
+
+# Every involution of range(n) on every directed poset, evaluated.
+EVERY_INVOLUTION = _map_space(lambda p: _involutions(p.n))
 
 
 def _characterisations():
@@ -490,7 +525,7 @@ def _characterisations():
                        _directoid_characterization("mismatched"))
     for claim in [CLAIMS[cid] for cid in MAP_CHARACTERISATIONS] + [mismatched]:
         assert claim.instance_space is ANTITONE_MAPS
-        yield claim, replace(claim, instance_space=UNARY_MAPS)
+        yield claim, replace(claim, instance_space=EVERY_INVOLUTION)
 
 
 @pytest.mark.parametrize("cap", [1000, 2])
@@ -514,13 +549,13 @@ def test_characterisations_match_their_sweep_over_every_involution(
 def test_refuted_map_claim_counts_every_map_up_to_the_witness():
     """A claim refuted at one evaluated map counts the maps a plain
     product loop visits, up to and including the witness, in both map
-    spaces."""
+    spaces.  At n <= 3 the only 3-element map either evaluates is the
+    chain's reversal."""
     _check_one_map_refutation(
-        UNARY_MAPS, (0, 2, 1),
-        lambda p, u: all(u[u[x]] == x for x in range(p.n)))
-    _check_one_map_refutation(
-        ANTITONE_MAPS, (2, 1, 0),
-        lambda p, u: InvolutivePoset(p, u).check_antitone_involution().ok)
+        UNARY_MAPS, (2, 1, 0),
+        lambda p, u: (_antitone_involution(p, u)
+                      or _passes_1_2(iter_assignments(p), u)))
+    _check_one_map_refutation(ANTITONE_MAPS, (2, 1, 0), _antitone_involution)
 
 
 def _check_one_map_refutation(space, target, evaluated):
@@ -761,6 +796,45 @@ def test_representatives_strictly_increase(n):
     seqs = [_strict_downs(p) for p in enumerate_posets(n)]
     assert len(set(seqs)) == len(seqs)
     assert all(a < b for a, b in zip(seqs, seqs[1:]))
+
+
+def _down_set_children(parent):
+    """The parent's strict down-masks and each down-set of it as the mask
+    of a new last element, in increasing mask order."""
+    downs = list(_strict_downs(parent))
+    for d in range(1 << parent.n):
+        if not any(downs[j] & ~d for j in _bits(d)):
+            yield downs + [d]
+
+
+def test_generation_tests_no_child_below_its_parents_last_mask(monkeypatch):
+    """Every child whose last mask is below its parent's last fails the
+    canonicity test, up to n = 7, so skipping them keeps the
+    representatives; the generator tests only the others, 453 children
+    at n = 6 and 2,860 at n = 7 (766 and 5,439 with the skipped ones)."""
+    counts = {}
+    for n in range(2, 8):
+        children = [child for parent in _representatives(n - 1)
+                    for child in _down_set_children(parent)]
+        skipped = [child for child in children if child[-1] < child[-2]]
+        assert all(_least_labelling(child, _stop_below=True) is None
+                   for child in skipped)
+        counts[n] = len(children), len(children) - len(skipped)
+    assert (counts[6], counts[7]) == ((766, 453), (5439, 2860))
+
+    want = {n: list(map(_strict_downs, _representatives(n))) for n in (6, 7)}
+    tested = []
+
+    def record(downs, *args, **kwargs):
+        tested.append(list(downs))
+        return _least_labelling(downs, *args, **kwargs)
+
+    monkeypatch.setattr("kleene_posets.enumeration._least_labelling", record)
+    for n in (6, 7):
+        del tested[:]
+        assert list(map(_strict_downs, _representatives.__wrapped__(n))) == want[n]
+        assert len(tested) == counts[n][1]
+        assert all(child[-1] >= child[-2] for child in tested)
 
 
 def test_generator_runs_past_the_public_bound():
