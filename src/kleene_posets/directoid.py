@@ -36,8 +36,8 @@ import functools
 import itertools
 
 from .errors import DomainError, UsageError
-from .involution import InvolutivePoset, _image
-from .poset import Poset, Subset, Verdict, _bits
+from .involution import InvolutivePoset, _constrained_involutions, _image
+from .poset import Poset, Subset, Verdict, _bits, _transpose
 
 
 def default_chooser(x, y, candidates):
@@ -95,84 +95,11 @@ def _identity_2_maps(signature):
     """Every involution u of ``range(n)`` under which (2) holds on any
     table whose order view has the signature ``(cols, lower)``, in
     lexicographic order: by :func:`_identity_2`, those with u[y] in
-    ``lower[u[m]]`` for every y and every m in ``cols[y]``.
-
-    A pairing search, the way ``enumerate_involutions`` searches for
-    antitone involutions.  The least unpaired x is paired with each
-    unpaired v >= x in increasing order (v == x makes x a fixed point),
-    so the maps come out in lexicographic order.  A pairing stands when
-    x and v each meet every constraint whose other end is mapped: for y
-    in {x, v}, u[y] in ``lower[u[m]]`` for each mapped m in ``cols[y]``,
-    and u[m] in ``lower[u[y]]`` for each mapped m with y in ``cols[m]``.
-    x and v count as mapped, so the constraints between them, and of
-    each with itself, are checked too.  So each constraint is checked
-    when the later of its two ends is mapped, and one that fails there
-    fails in every completion: a map is output exactly when it meets
-    them all.
-
-    The candidates are pruned first, as ``enumerate_involutions``
-    prunes on cone sizes.  u maps ``cols[z]`` one-to-one into
-    ``upper[u[z]] = {b | u[z] in lower[b]}``, and ``into[z] = {y | z in
-    cols[y]}`` one-to-one into ``lower[u[z]]``.  So u[z] is only ever a
-    v whose two sets are at least as large (``cand[z]``), and x and v
-    pair only if each is a candidate for the other."""
+    ``lower[u[m]]`` for every y and every m in ``cols[y]``, which
+    ``_constrained_involutions`` finds from the two masks and their
+    transposes."""
     cols, lower = signature
-    n = len(cols)
-    rng = range(n)
-    upper, into = [0] * n, [0] * n
-    for y in rng:
-        by, low, col = 1 << y, lower[y], cols[y]
-        while low:
-            b = low & -low
-            upper[b.bit_length() - 1] |= by
-            low ^= b
-        while col:
-            b = col & -col
-            into[b.bit_length() - 1] |= by
-            col ^= b
-    sizes = [(up.bit_count(), low.bit_count()) for up, low in zip(upper, lower)]
-    cand = []
-    for c, i in zip(cols, into):
-        c, i = c.bit_count(), i.bit_count()
-        cand.append(sum(1 << v for v, (su, sl) in enumerate(sizes)
-                        if su >= c and sl >= i))
-    out, u = [], [0] * n
-
-    def fits(y, mapped):
-        ends, up = cols[y] & mapped, upper[u[y]]
-        while ends:
-            b = ends & -ends
-            if not up >> u[b.bit_length() - 1] & 1:
-                return False
-            ends ^= b
-        ends, low = into[y] & mapped, lower[u[y]]
-        while ends:
-            b = ends & -ends
-            if not low >> u[b.bit_length() - 1] & 1:
-                return False
-            ends ^= b
-        return True
-
-    def extend(free):
-        if not free:
-            out.append(tuple(u))
-            return
-        bx = free & -free
-        x = bx.bit_length() - 1
-        pairs = cand[x] & free
-        while pairs:
-            bv = pairs & -pairs
-            pairs ^= bv
-            v = bv.bit_length() - 1
-            if not cand[v] >> x & 1:
-                continue
-            u[x], u[v] = v, x
-            rest = free & ~(bx | bv)
-            if fits(x, ~rest) and (v == x or fits(v, ~rest)):
-                extend(rest)
-
-    extend((1 << n) - 1)
-    return out
+    return _constrained_involutions(cols, _transpose(cols), lower, _transpose(lower))
 
 
 def _lmask(meet, inv):
@@ -264,6 +191,8 @@ class MeetDirectoid:
             labels = tuple(labels)
             if len(labels) != n:
                 raise UsageError("label count does not match table size")
+            if len(set(labels)) != n:
+                raise UsageError("duplicate element names")
         if inv is not None:
             inv = tuple(inv)
             if len(inv) != n or not _all_ints(inv) or not carrier.issuperset(inv):
@@ -640,7 +569,11 @@ class _IdentityWalk:
     def maps_passing(self):
         """The maps under which (1)/(2) hold on some table, in
         lexicographic order: the union over the (2) groups of
-        :func:`_identity_2_maps`, since (1) holds under every involution."""
+        :func:`_identity_2_maps`, since (1) holds under every involution.
+        On a poset's assigned tables, whose ``cols`` and ``lower`` are
+        its down-sets, the search is the one that finds its antitone
+        involutions, and the maps are the same (``enumeration._map_space``
+        says why)."""
         return sorted(set().union(*map(_identity_2_maps, self._signatures)))
 
     def under(self, inv, bounds):

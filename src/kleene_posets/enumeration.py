@@ -21,8 +21,9 @@ Instance spaces are combinations of
 The map spaces evaluate only some maps and count the others in runs,
 with the verdicts, witnesses and instance counts of the full n^n sweep
 (``_map_space`` says why): for Lem-4.1 the antitone involutions and the
-maps under which (1)/(2) hold on some table, each set found by its own
-search; for the four characterisations the antitone involutions.
+maps under which (1)/(2) hold on some table, both sets found by one
+pairing search (``involution._constrained_involutions``) on different
+masks; for the four characterisations the antitone involutions.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _IdentityWalk,
                         assignment_choices, check_derived_set_laws,
                         check_printed_u_pair_law, directoid_from_choices)
 from .errors import DomainError, UsageError
-from .involution import InvolutivePoset, involution_from_pairs
+from .involution import (InvolutivePoset, _constrained_involutions,
+                         involution_from_pairs)
 from .poset import (DISTRIBUTIVITY_FORMS, Poset, _bits, _canonical,
-                    _least_labelling)
+                    _least_labelling, _transpose)
 from .residuation import AXIOMS, ResiduatedStructure, check_condition7
 from .twist import (_part_i, _twist_kleene, check_embedding,
                     check_product_cones, twist)
@@ -57,10 +59,7 @@ def _labels(n):
 
 
 def _poset_from_strict_downs(n, downs):
-    up = [1 << i for i in range(n)]
-    for k in range(n):
-        for j in _bits(downs[k]):
-            up[j] |= 1 << k
+    up = [t | 1 << i for i, t in enumerate(_transpose(downs))]
     return Poset(_labels(n), up, _validated=True)
 
 
@@ -124,47 +123,10 @@ def enumerate_posets(n):
 
 
 def enumerate_involutions(p):
-    """All antitone involutions of p, lexicographic by the map tuple."""
-    n = p.n
-    down, up = p._down, p._up
-    out = []
-    mapping = [-1] * n
-
-    def antitone_ok(x, y):
-        # against each assigned u -> v: u <= x needs y <= v, x <= u needs v <= y
-        for u in range(n):
-            v = mapping[u]
-            if v < 0:
-                continue
-            if (down[x] >> u) & 1 and not (up[y] >> v) & 1:
-                return False
-            if (up[x] >> u) & 1 and not (down[y] >> v) & 1:
-                return False
-        return True
-
-    def extend():
-        x = next((i for i in range(n) if mapping[i] < 0), -1)
-        if x < 0:
-            out.append(tuple(mapping))
-            return
-        for y in range(n):
-            if y != x and mapping[y] >= 0:
-                continue
-            # pair x <-> y
-            if (down[x].bit_count() != up[y].bit_count()
-                    or up[x].bit_count() != down[y].bit_count()):
-                continue
-            if not (antitone_ok(x, y) and (x == y or antitone_ok(y, x))):
-                continue
-            mapping[x] = y
-            mapping[y] = x
-            extend()
-            mapping[x] = -1
-            if y != x:
-                mapping[y] = -1
-
-    extend()
-    return tuple(sorted(out))
+    """All antitone involutions of p, lexicographic by the map tuple: the
+    involutions u with m <= y implying u[y] <= u[m]
+    (``involution._constrained_involutions`` on p's own masks)."""
+    return tuple(_constrained_involutions(p._down, p._up, p._down, p._up))
 
 
 @functools.cache
@@ -305,11 +267,14 @@ DIRECTED_INVOLUTIVE_ASSIGNED = _assigned(
     serialize_involutive, involutive_from_witness)
 
 
-def _map_space(maps, table_side=False):
-    """Every unary map on each directed poset p, of which only ``maps(p)``
-    are built and evaluated, on p's capped tables, in lexicographic
-    order; with ``table_side``, so are the maps under which (1)/(2) hold
-    on some of those tables (``_IdentityWalk.maps_passing``).  Each such
+def _map_space(table_side=False):
+    """Every unary map on each directed poset p, of which only p's
+    antitone involutions are built and evaluated, on p's capped tables,
+    in lexicographic order; with ``table_side``, so are the maps under
+    which (1)/(2) hold on some of those tables
+    (``_IdentityWalk.maps_passing``).  The antitone involutions are read
+    off ``_involutive_representatives``, so the search behind them runs
+    once per poset and process, whichever claims run.  Each evaluated
     map is one item with count 1; each gap before, between and after
     them is one ``(None, gap)`` run, a map's position being its rank
     sum(u[i] * n^(n-1-i)).  So ``instances`` counts exactly the n^n maps
@@ -320,11 +285,10 @@ def _map_space(maps, table_side=False):
     A skipped map cannot change a verdict if both sides of every rung are
     False on every table.  Its order side is False if it is not an
     antitone involution of p: every rung's order side requires one.
-      - ``UNARY_MAPS`` (Lem-4.1) evaluates the antitone involutions
-        (``enumerate_involutions``, the order side) and, as its table
-        side, the maps under which (1)/(2) hold on some table.  Outside
-        both, (1)/(2) fail on every table, so every table side is False
-        as well.
+      - ``UNARY_MAPS`` (Lem-4.1) evaluates the antitone involutions (the
+        order side) and, as its table side, the maps under which (1)/(2)
+        hold on some table.  Outside both, (1)/(2) fail on every table,
+        so every table side is False as well.
       - ``ANTITONE_MAPS`` (the four characterisations) evaluates the
         antitone involutions alone, and builds no table on a poset
         without one.  The skip rests on Lemma 4.1, at the bounds Lem-4.1
@@ -335,23 +299,27 @@ def _map_space(maps, table_side=False):
         antitone.  Without x'' = x, (1) fails.  So (1)/(2) hold exactly
         when the map is an antitone involution of p."""
     def sweep(n_bound, cap):
-        for p in iter_directed(n_bound):
-            chosen = maps(p)
-            count, _, tables = _capped_assignments(
-                p, cap if chosen or table_side else 0)
-            n, sampled = p.n, count > cap
-            walk = _IdentityWalk(tables)
-            if table_side:
-                chosen = sorted(set(chosen).union(walk.maps_passing()))
-            next_rank = 0
-            for unary in chosen:
-                rank = functools.reduce(lambda r, v: r * n + v, unary, 0)
-                if rank > next_rank:
-                    yield None, rank - next_rank, sampled
-                yield (p, unary, walk), 1, sampled
-                next_rank = rank + 1
-            if n ** n > next_rank:
-                yield None, n ** n - next_rank, sampled
+        for n in range(1, n_bound + 1):
+            antitone = {}
+            for ip in _involutive_representatives(n):
+                antitone.setdefault(ip.base, []).append(ip.inv)
+            for p in filter(Poset.is_downward_directed, enumerate_posets(n)):
+                chosen = antitone.get(p, [])
+                count, _, tables = _capped_assignments(
+                    p, cap if chosen or table_side else 0)
+                sampled = count > cap
+                walk = _IdentityWalk(tables)
+                if table_side:
+                    chosen = sorted(set(chosen).union(walk.maps_passing()))
+                next_rank = 0
+                for unary in chosen:
+                    rank = functools.reduce(lambda r, v: r * n + v, unary, 0)
+                    if rank > next_rank:
+                        yield None, rank - next_rank, sampled
+                    yield (p, unary, walk), 1, sampled
+                    next_rank = rank + 1
+                if n ** n > next_rank:
+                    yield None, n ** n - next_rank, sampled
     return InstanceSpace(
         "downward directed posets x all unary maps x assignments (capped)",
         sweep, _map_serialize, _map_rebuild, capped=True)
@@ -374,8 +342,8 @@ def _map_rebuild(witness):
     return p, unary, _IdentityWalk([directoid_from_choices(p, witness["binding"]["choices"])])
 
 
-UNARY_MAPS = _map_space(enumerate_involutions, table_side=True)
-ANTITONE_MAPS = _map_space(enumerate_involutions)
+UNARY_MAPS = _map_space(table_side=True)
+ANTITONE_MAPS = _map_space()
 
 
 def _pivot_serialize(instance):

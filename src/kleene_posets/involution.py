@@ -8,6 +8,8 @@ The ladder: Boolean poset -> strict -> strong -> pseudo-Kleene, with
 returns a :class:`Verdict`; structural falsity never raises.  Operations
 that are meaningless without a valid antitone involution raise
 :class:`UsageError`, and ones that need bounds raise :class:`DomainError`.
+The one search for such maps (:func:`_constrained_involutions`) also
+finds the maps under which a meet-directoid satisfies identity (2).
 """
 
 from __future__ import annotations
@@ -40,6 +42,80 @@ def _image(inv, mask):
         low = mask & -mask
         out |= 1 << inv[low.bit_length() - 1]
         mask ^= low
+    return out
+
+
+def _constrained_involutions(cols, into, lower, upper):
+    """Every involution u of ``range(n)`` with u[y] in ``lower[u[m]]``
+    for every y and every m in ``cols[y]``, in lexicographic order.
+    ``into`` and ``upper`` are the transposes of ``cols`` and ``lower``
+    (``into[m] = {y | m in cols[y]}``, ``upper[b] = {a | b in
+    lower[a]}``), so the constraint also reads u[m] in ``upper[u[y]]``.
+    On a poset's own masks, ``(down, up, down, up)``, it says m <= y
+    implies u[y] <= u[m]: the maps are the antitone involutions
+    (``enumeration.enumerate_involutions``).  On the masks of a table's
+    order view it is identity (2) (``directoid._identity_2_maps``).
+
+    A pairing search.  The least unpaired x is paired with each unpaired
+    v >= x in increasing order (v == x makes x a fixed point), so the
+    maps come out in lexicographic order.  A pairing stands when x and v
+    each meet every constraint whose other end is mapped: for y in
+    {x, v}, u[m] in ``upper[u[y]]`` for each mapped m in ``cols[y]``,
+    and u[m] in ``lower[u[y]]`` for each mapped m in ``into[y]``.  x and
+    v count as mapped, so the constraints between them, and of each with
+    itself, are checked too.  So each constraint is checked when the
+    later of its two ends is mapped, and one that fails there fails in
+    every completion: a map is output exactly when it meets them all.
+
+    Each pairing is tested on sizes before its constraints, which skips
+    only pairings that no output holds.  u maps ``cols[z]`` one-to-one
+    into ``upper[u[z]]``, and ``into[z]`` one-to-one into
+    ``lower[u[z]]``.  So u[z] is only ever a v whose two sets are at
+    least as large, and x and v pair only if each is such a candidate
+    for the other.  On a poset this says the pair swaps cone sizes:
+    |L(x)| = |U(v)| and |U(x)| = |L(v)|."""
+    n = len(cols)
+    need_up = [m.bit_count() for m in cols]
+    need_low = [m.bit_count() for m in into]
+    has_up = [m.bit_count() for m in upper]
+    has_low = [m.bit_count() for m in lower]
+    out, u = [], [0] * n
+
+    def fits(y, mapped):
+        ends, up = cols[y] & mapped, upper[u[y]]
+        while ends:
+            b = ends & -ends
+            if not up >> u[b.bit_length() - 1] & 1:
+                return False
+            ends ^= b
+        ends, low = into[y] & mapped, lower[u[y]]
+        while ends:
+            b = ends & -ends
+            if not low >> u[b.bit_length() - 1] & 1:
+                return False
+            ends ^= b
+        return True
+
+    def extend(free):
+        if not free:
+            out.append(tuple(u))
+            return
+        bx = free & -free
+        x = bx.bit_length() - 1
+        pairs = free
+        while pairs:
+            bv = pairs & -pairs
+            pairs ^= bv
+            v = bv.bit_length() - 1
+            if (has_up[v] < need_up[x] or has_low[v] < need_low[x]
+                    or has_up[x] < need_up[v] or has_low[x] < need_low[v]):
+                continue
+            u[x], u[v] = v, x
+            rest = free & ~(bx | bv)
+            if fits(x, ~rest) and (v == x or fits(v, ~rest)):
+                extend(rest)
+
+    extend((1 << n) - 1)
     return out
 
 

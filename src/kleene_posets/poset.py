@@ -52,6 +52,19 @@ def _bits(mask):
         mask ^= low
 
 
+def _transpose(masks):
+    """The transpose of a relation given by rows of bitmasks:
+    ``out[b] = {a | b in masks[a]}``."""
+    out = [0] * len(masks)
+    for a, mask in enumerate(masks):
+        bit = 1 << a
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= bit
+            mask ^= low
+    return out
+
+
 class Subset:
     """An immutable subset of a poset's carrier, tied to its owner."""
 
@@ -140,14 +153,7 @@ class Poset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_up", up)
-        down = [0] * n
-        for x in range(n):
-            m = up[x]
-            while m:
-                low = m & -m
-                down[low.bit_length() - 1] |= 1 << x
-                m ^= low
-        object.__setattr__(self, "_down", tuple(down))
+        object.__setattr__(self, "_down", tuple(_transpose(up)))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(labels)})
         object.__setattr__(self, "_full", full)
         object.__setattr__(self, "_lattice_verdict", None)
@@ -598,12 +604,7 @@ def _least_labelling(downs, inv=None, pin=None, _stop_below=False):
     element.  It sends each labelling in w's branch to one in v's with
     the same key, so skipping w cannot change the least key."""
     n = len(downs)
-    ups = [0] * n
-    for k, d in enumerate(downs):
-        while d:
-            low = d & -d
-            ups[low.bit_length() - 1] |= 1 << k
-            d ^= low
+    ups = _transpose(downs)
     # besides the placed elements, those the swap behind a skipped tie may not move
     frozen = sum(1 << x for x in range(n) if x == pin or inv is not None
                  and (inv[inv[x]] != x or inv.count(x) != 1))

@@ -254,6 +254,15 @@ def test_malformed_tables_rejected():
         MeetDirectoid([[0, 0], [0, 1]], inv=[0])
 
 
+def test_duplicate_labels_rejected():
+    """As ``Poset`` does: a repeated name would resolve to its first
+    element only."""
+    with pytest.raises(UsageError, match="duplicate element names"):
+        MeetDirectoid([[0, 0], [0, 1]], labels=("a", "a"))
+    d = MeetDirectoid([[0, 0], [0, 1]], labels=("a", "b"))
+    assert (d._element("a"), d._element("b")) == (0, 1)
+
+
 @pytest.mark.parametrize("meet, inv", [
     ([[0, 0], [0, 1.5]], None),
     ([[0, 0], [0, 1]], [1, 0.5]),
