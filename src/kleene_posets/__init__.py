@@ -74,6 +74,7 @@ __all__ = [
     "find_isomorphism",
     "involution_from_pairs",
     "isomorphic_with_pin",
+    "iter_assignments",
     "main",
     "parse",
     "render",

@@ -21,7 +21,7 @@ as one side of the equivalence audits:
   (6)  the same implication restricted to x, y outside the bounds
 
 where ``<=`` always means the induced order (read off the table).
-Every checker reads it from one cached order view of the meet table
+Every checker reads it from one memoised order view of the meet table
 (:func:`_order_masks`): the bitmasks of which entries equal their row or
 column index, and of each column's values, built in one pass.  The map
 audits and the CLI decide (1)–(6) on one poset's tables through one walk
@@ -37,7 +37,7 @@ import itertools
 
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, _constrained_involutions, _image
-from .poset import Poset, Subset, Verdict, _bits, _transpose
+from .poset import Poset, Subset, Verdict, _bits, _memoised, _transpose
 
 
 def default_chooser(x, y, candidates):
@@ -174,7 +174,7 @@ def _all_ints(values):
 class MeetDirectoid:
     """A groupoid table, optionally with a unary map, on named elements."""
 
-    __slots__ = ("n", "labels", "meet", "inv", "_join", "_masks")
+    __slots__ = ("n", "labels", "meet", "inv", "_memo")
 
     def __init__(self, meet, inv=None, labels=None):
         meet = tuple(tuple(row) for row in meet)
@@ -197,25 +197,23 @@ class MeetDirectoid:
             inv = tuple(inv)
             if len(inv) != n or not _all_ints(inv) or not carrier.issuperset(inv):
                 raise UsageError("unary map is not total on the carrier")
-        self._fill(meet, inv, labels, None)
+        self._fill(meet, inv, labels)
 
-    def _fill(self, meet, inv, labels, masks):
+    def _fill(self, meet, inv, labels):
         object.__setattr__(self, "n", len(meet))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "meet", meet)
         object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "_join", None)
-        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_memo", {})
 
     def _with_map(self, inv):
-        """This table with the unary map ``inv``, sharing its cached
-        :meth:`_order` view; nothing is validated again.  The table was
-        validated when ``self`` was built.  ``inv`` must be a tuple that
-        ``InvolutivePoset`` has accepted on a poset of this table's
-        size, which runs the constructor's length, integer and range
-        checks on it."""
+        """This table with the unary map ``inv``, sharing its map-free
+        :meth:`_order` view and validating nothing again: the table was
+        validated when ``self`` was built, and ``inv`` must be a tuple
+        that ``InvolutivePoset`` has accepted on a poset of this size."""
         d = object.__new__(MeetDirectoid)
-        d._fill(self.meet, inv, self.labels, self._order())
+        d._fill(self.meet, inv, self.labels)
+        MeetDirectoid._order.seed(d, self._order())
         return d
 
     def __setattr__(self, name, value):
@@ -233,6 +231,7 @@ class MeetDirectoid:
         return item
 
     # -- directoid axioms -------------------------------------------------
+    @_memoised
     def check_directoid_axioms(self):
         """Idempotency, commutativity and the weak associativity
         (x ⊓ (y ⊓ z)) ⊓ z = x ⊓ (y ⊓ z).
@@ -270,14 +269,12 @@ class MeetDirectoid:
                                 f"= {lab[meet[m][z]]} != {lab[m]}")
         return Verdict(True)
 
+    @_memoised
     def _order(self):
-        """The cached :func:`_order_masks` of the meet table."""
-        masks = self._masks
-        if masks is None:
-            masks = _order_masks(self.meet)
-            object.__setattr__(self, "_masks", masks)
-        return masks
+        """The :func:`_order_masks` of the meet table."""
+        return _order_masks(self.meet)
 
+    @_memoised
     def induced_poset(self):
         """The order x <= y iff x ⊓ y = x; domain error when the table
         does not induce a partial order."""
@@ -287,7 +284,7 @@ class MeetDirectoid:
             raise DomainError(f"induced relation is not a partial order: {exc}") from None
 
     def _induces(self, p):
-        """``induced_poset() == p``, read off the cached order view without
+        """``induced_poset() == p``, read off the memoised order view without
         building a poset.  A relation that is no partial order differs
         from ``p._up`` and reads False where ``induced_poset`` raises."""
         return self.labels == p.labels and self._order()[0] == list(p._up)
@@ -297,23 +294,20 @@ class MeetDirectoid:
         if self.inv is None:
             raise UsageError("operation requires the unary map")
 
+    @_memoised
     def join_table(self):
         """x ⊔ y = (x' ⊓ y')'; requires an involutive unary map."""
         self._require_inv()
-        cached = self._join
-        if cached is not None:
-            return cached
         inv = self.inv
         for x in range(self.n):
             if inv[inv[x]] != x:
                 raise UsageError("join requires an involutive unary map (x'' = x)")
         meet = self.meet
-        join = tuple(tuple(inv[meet[inv[x]][inv[y]]] for y in range(self.n))
+        return tuple(tuple(inv[meet[inv[x]][inv[y]]] for y in range(self.n))
                      for x in range(self.n))
-        object.__setattr__(self, "_join", join)
-        return join
 
     # -- identities ---------------------------------------------------------
+    @_memoised
     def check_identities_1_2(self):
         """(1) x'' = x and (2) (x ⊓ y)' ⊓ y' = y'."""
         self._require_inv()
@@ -338,6 +332,7 @@ class MeetDirectoid:
         if not verdict.ok:
             raise UsageError(f"operation requires identities (1) and (2); {verdict.detail}")
 
+    @_memoised
     def check_identity_3(self):
         """(z ⊓ x) ⊓ (z ⊓ x') <= (w ⊔ y) ⊔ (w ⊔ y') for all
         x, y, z, w; witness is the first failing (x, y, z, w)."""
@@ -359,6 +354,7 @@ class MeetDirectoid:
                         f"{lab[z]}, {lab[w]}): {lab[lhs]} !<= {lab[rhs]}")
         return Verdict(True)
 
+    @_memoised
     def check_implication_4(self):
         """The distributivity implication; witness is the first violating
         (w, s, x, y, z) in the checker's scan order.
@@ -467,6 +463,7 @@ class MeetDirectoid:
                         f"z <= x and z <= x' but not (z <= y and z <= y')")
         return Verdict(True)
 
+    @_memoised
     def check_implication_5(self):
         """x != x ⊓ y != y and x ⊓ z = x' ⊓ z = z imply
         y ⊓ z = y' ⊓ z = z."""

@@ -126,22 +126,20 @@ def enumerate_involutions(p):
     """All antitone involutions of p, lexicographic by the map tuple: the
     involutions u with m <= y implying u[y] <= u[m]
     (``involution._constrained_involutions`` on p's own masks)."""
+    if not isinstance(p, Poset):
+        raise UsageError("enumerate_involutions takes a plain Poset; pass ip.base")
     return tuple(_constrained_involutions(p._down, p._up, p._down, p._up))
 
 
 @functools.cache
 def _involutive_representatives(n):
     """Each representative on n elements with each of its antitone
-    involutions, in that nested order, built once per size for every
-    involutive space.  Sharing them changes no result: each space yields
-    the same instances in the same order as building them per claim did,
-    and all an instance carries from one claim to the next are memoised
-    verdicts (its involution and (K) verdicts, its poset's lattice and
-    distributivity verdicts), each shared for the reason its own
-    docstring gives.  The involution verdict is recorded as valid when
-    the representative is built, since every map comes from
-    ``enumerate_involutions``; so no claim pays for checking it,
-    whatever claim runs first."""
+    involutions, in that nested order, built once per size and shared by
+    every involutive space and the map spaces: all an instance carries
+    between claims are memoised verdicts (``poset._memoised`` says why
+    that changes no result).  Each map comes from
+    ``enumerate_involutions``, so its involution verdict is recorded as
+    valid when built, and no claim pays for checking it."""
     return tuple(InvolutivePoset._antitone(p, inv) for p in enumerate_posets(n)
                  for inv in enumerate_involutions(p))
 
@@ -278,9 +276,11 @@ def _map_space(table_side=False):
     map is one item with count 1; each gap before, between and after
     them is one ``(None, gap)`` run, a map's position being its rank
     sum(u[i] * n^(n-1-i)).  So ``instances`` counts exactly the n^n maps
-    per poset that a full product loop would visit.  Each item carries
-    one identity walk over p's map-free tables, built once per poset and
-    shared by its maps.
+    per poset that a full product loop would visit.  An item is
+    ``(ip, walk)``: ``ip`` is the shared ``_involutive_representatives``
+    instance (``poset._memoised``), fresh only for a map found on the
+    table side alone, and ``walk`` one identity walk over p's map-free
+    tables, built once per poset and shared by its maps.
 
     A skipped map cannot change a verdict if both sides of every rung are
     False on every table.  Its order side is False if it is not an
@@ -302,21 +302,23 @@ def _map_space(table_side=False):
         for n in range(1, n_bound + 1):
             antitone = {}
             for ip in _involutive_representatives(n):
-                antitone.setdefault(ip.base, []).append(ip.inv)
+                antitone.setdefault(ip.base, {})[ip.inv] = ip
             for p in filter(Poset.is_downward_directed, enumerate_posets(n)):
-                chosen = antitone.get(p, [])
+                chosen = antitone.get(p, {})
                 count, _, tables = _capped_assignments(
                     p, cap if chosen or table_side else 0)
                 sampled = count > cap
                 walk = _IdentityWalk(tables)
                 if table_side:
-                    chosen = sorted(set(chosen).union(walk.maps_passing()))
+                    for unary in walk.maps_passing():
+                        if unary not in chosen:
+                            chosen[unary] = InvolutivePoset(p, unary)
                 next_rank = 0
-                for unary in chosen:
+                for unary in sorted(chosen):
                     rank = functools.reduce(lambda r, v: r * n + v, unary, 0)
                     if rank > next_rank:
                         yield None, rank - next_rank, sampled
-                    yield (p, unary, walk), 1, sampled
+                    yield (chosen[unary], walk), 1, sampled
                     next_rank = rank + 1
                 if n ** n > next_rank:
                     yield None, n ** n - next_rank, sampled
@@ -326,9 +328,9 @@ def _map_space(table_side=False):
 
 
 def _map_serialize(instance):
-    p, unary = instance[:2]
-    doc = serialize_poset(p)
-    doc["unary_map"] = {p.labels[i]: p.labels[unary[i]] for i in range(p.n)}
+    ip = instance[0]
+    doc = serialize_poset(ip.base)
+    doc["unary_map"] = {ip.labels[i]: ip.labels[ip.inv[i]] for i in range(ip.n)}
     return doc
 
 
@@ -339,7 +341,8 @@ def _map_rebuild(witness):
     if missing:
         raise UsageError(f"unary map does not cover: {', '.join(missing)}")
     unary = tuple(p.index(unary_map[lab]) for lab in p.labels)
-    return p, unary, _IdentityWalk([directoid_from_choices(p, witness["binding"]["choices"])])
+    return (InvolutivePoset(p, unary),
+            _IdentityWalk([directoid_from_choices(p, witness["binding"]["choices"])]))
 
 
 UNARY_MAPS = _map_space(table_side=True)
@@ -556,16 +559,15 @@ def _directoid_characterization(*rungs):
     binding names the failing one as ``part`` i or ii.  Lem-4.1 runs on
     the maps either side can satisfy, the rest only on antitone
     involutions (``_map_space`` says why skipping the others is exact).
-    The table sides are read through the instance's identity walk;
-    tables are walked in order, so the first mismatch and its
-    ``choices`` (read off the map-free table) are those of a per-table
-    scan."""
+    The order sides read the item's shared instance (``poset._memoised``),
+    the table sides its identity walk; tables are walked in order, so
+    the first mismatch and its ``choices`` (read off the map-free table)
+    are those of a per-table scan."""
     def evaluate(instance):
-        p, unary, walk = instance
-        ip = InvolutivePoset(p, unary)
+        ip, walk = instance
         valid = ip.check_antitone_involution().ok
         # A finite directed order has a bottom; a valid map sends it to a top.
-        bounds = p.bounds() if valid else (0, 0)   # read only if (1)/(2) hold
+        bounds = ip.bounds() if valid else (0, 0)   # read only if (1)/(2) hold
         order_sides = [valid and _RUNGS[r][0](ip) for r in rungs]
         # a replayed map need not be involutive; then (1) fails on every table
         walk.under(ip.inv, bounds)
@@ -578,7 +580,7 @@ def _directoid_characterization(*rungs):
                     binding = {"part": part} if len(rungs) > 1 else {}
                     binding.update(order_side=order_side,
                                    directoid_side=directoid_side,
-                                   choices=assignment_choices(table, p))
+                                   choices=assignment_choices(table, ip))
                     return binding
         return None
     return evaluate
@@ -776,6 +778,8 @@ ALIASES.update((cid.replace("Lem-", "Lemma-").replace("Thm-", "Theorem-"), cid)
 
 def isomorphic_with_pin(p, pin_p, q, pin_q):
     """Is there an order isomorphism p -> q sending pin_p to pin_q?"""
+    if not (isinstance(p, Poset) and isinstance(q, Poset)):
+        raise UsageError("isomorphic_with_pin compares plain Posets; pass ip.base")
     return _canonical(p, pin=p.index(pin_p))[0] == _canonical(q, pin=q.index(pin_q))[0]
 
 

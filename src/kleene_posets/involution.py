@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
-from .poset import Poset, Subset, Verdict, _resolve_pairs, find_isomorphism
+from .poset import (Poset, Subset, Verdict, _memoised, _resolve_pairs,
+                    find_isomorphism)
 
 
 def involution_from_pairs(labels, pairs):
@@ -123,10 +124,11 @@ class InvolutivePoset:
     """A finite poset together with a total unary map ``inv``.
 
     The map is stored as given; :meth:`check_antitone_involution` validates
-    it, and the classification predicates insist on validity.
+    it, and the classification predicates insist on validity.  Each
+    verdict that takes no argument is memoised (``poset._memoised``).
     """
 
-    __slots__ = ("base", "inv", "_involution_verdict", "_pseudo_kleene_verdict")
+    __slots__ = ("base", "inv", "_memo")
 
     def __init__(self, base, inv):
         if not isinstance(base, Poset):
@@ -139,8 +141,7 @@ class InvolutivePoset:
                 raise UsageError("involution maps outside the carrier")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "_involution_verdict", None)
-        object.__setattr__(self, "_pseudo_kleene_verdict", None)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("InvolutivePoset is immutable")
@@ -152,7 +153,7 @@ class InvolutivePoset:
         the star of a cut completion): its verdict is recorded rather
         than checked again."""
         ip = cls(base, inv)
-        object.__setattr__(ip, "_involution_verdict", Verdict(True))
+        cls.check_antitone_involution.seed(ip, Verdict(True))
         return ip
 
     @classmethod
@@ -222,35 +223,28 @@ class InvolutivePoset:
         """Elementwise image A' of a subset."""
         return Subset(self.base, _image(self.inv, self.base._mask_of(items)))
 
+    @_memoised
     def check_antitone_involution(self):
         """x'' = x for all x, and x <= y implies y' <= x'."""
-        cached = self._involution_verdict
-        if cached is not None:
-            return cached
-        lab = self.labels
-        verdict = Verdict(True)
+        lab, inv = self.labels, self.inv
         for x in range(self.n):
-            if self.inv[self.inv[x]] != x:
-                verdict = Verdict(
+            if inv[inv[x]] != x:
+                return Verdict(
                     False, (x,),
-                    f"not involutive: {lab[x]}'' = {lab[self.inv[self.inv[x]]]} != {lab[x]}")
-                break
-        else:
-            # The map is an involution here, so {y | y' <= x'} is the
-            # image of the down-set of x'; y fails when it lies above x
-            # and outside that image (x itself, x'' = x, lies inside).
-            inv, up, down = self.inv, self.base._up, self.base._down
-            for x in range(self.n):
-                bad = up[x] & ~_image(inv, down[inv[x]])
-                if bad:
-                    y = (bad & -bad).bit_length() - 1
-                    verdict = Verdict(
-                        False, (x, y),
-                        f"not antitone: {lab[x]} <= {lab[y]} but "
-                        f"{lab[y]}' = {lab[inv[y]]} !<= {lab[inv[x]]} = {lab[x]}'")
-                    break
-        object.__setattr__(self, "_involution_verdict", verdict)
-        return verdict
+                    f"not involutive: {lab[x]}'' = {lab[inv[inv[x]]]} != {lab[x]}")
+        # The map is an involution here, so {y | y' <= x'} is the image
+        # of the down-set of x'; y fails when it lies above x and outside
+        # that image (x itself, x'' = x, lies inside).
+        up, down = self.base._up, self.base._down
+        for x in range(self.n):
+            bad = up[x] & ~_image(inv, down[inv[x]])
+            if bad:
+                y = (bad & -bad).bit_length() - 1
+                return Verdict(
+                    False, (x, y),
+                    f"not antitone: {lab[x]} <= {lab[y]} but "
+                    f"{lab[y]}' = {lab[inv[y]]} !<= {lab[inv[x]]} = {lab[x]}'")
+        return Verdict(True)
 
     def _require_involution(self):
         verdict = self.check_antitone_involution()
@@ -258,40 +252,26 @@ class InvolutivePoset:
             raise UsageError(f"operation requires a valid antitone involution ({verdict.detail})")
 
     def fixed_points(self):
-        mask = 0
-        for x in range(self.n):
-            if self.inv[x] == x:
-                mask |= 1 << x
-        return Subset(self.base, mask)
+        return Subset(self.base, sum(1 << x for x, v in enumerate(self.inv) if v == x))
 
     # -- cone shorthands ---------------------------------------------------
+    @_memoised
     def _self_cone_masks(self):
         """Masks of L(x, x') and U(x, x') for every x."""
         down, up, inv = self.base._down, self.base._up, self.inv
-        lows = [down[x] & down[inv[x]] for x in range(self.n)]
-        ups = [up[x] & up[inv[x]] for x in range(self.n)]
+        lows = tuple(down[x] & down[inv[x]] for x in range(self.n))
+        ups = tuple(up[x] & up[inv[x]] for x in range(self.n))
         return lows, ups
 
     # -- classification ladder -----------------------------------------------
+    @_memoised
     def is_pseudo_kleene(self):
         """Condition (K): L(x,x') <= U(y,y') for all pairs x, y.  A set
         lies above L(x,x') in the set order iff it lies inside
         U(L(x,x')), so each distinct L(x,x') takes one upper cone and
-        one scan for the first y whose U(y,y') leaves it.
-
-        The involution is checked on every call.  The verdict is a
-        function of the order and the map alone and the object is
-        immutable, so it is memoised and every caller shares it."""
+        one scan for the first y whose U(y,y') leaves it."""
         self._require_involution()
-        verdict = self._pseudo_kleene_verdict
-        if verdict is None:
-            verdict = self._pseudo_kleene_scan()
-            object.__setattr__(self, "_pseudo_kleene_verdict", verdict)
-        return verdict
-
-    def _pseudo_kleene_scan(self):
-        p = self.base
-        lab = self.labels
+        p, lab = self.base, self.labels
         lows, ups = self._self_cone_masks()
         first_bad = {}
         for x in range(self.n):
@@ -306,6 +286,7 @@ class InvolutivePoset:
                 return Verdict(False, (x, y), detail)
         return Verdict(True)
 
+    @_memoised
     def is_kleene(self):
         """Pseudo-Kleene plus the distributivity identity (form LU)."""
         pk = self.is_pseudo_kleene()
@@ -316,11 +297,11 @@ class InvolutivePoset:
             return Verdict(False, dist.witness, f"not distributive: {dist.detail}")
         return Verdict(True)
 
+    @_memoised
     def is_strong(self):
         """x || y implies L(x,x') = L(y,y')."""
         self._require_involution()
-        p = self.base
-        lab = self.labels
+        p, lab = self.base, self.labels
         lows, _ = self._self_cone_masks()
         for x in range(self.n):
             for y in range(x + 1, self.n):
@@ -331,6 +312,7 @@ class InvolutivePoset:
                     return Verdict(False, (x, y), detail)
         return Verdict(True)
 
+    @_memoised
     def is_strict(self):
         """Bounded, and all non-extremal x, y share the same L(x,x') and
         U(x,x')."""
@@ -338,8 +320,7 @@ class InvolutivePoset:
         bottom, top = self.base.bounds()
         if bottom is None or top is None:
             raise DomainError("strictness requires bounds")
-        p = self.base
-        lab = self.labels
+        p, lab = self.base, self.labels
         lows, ups = self._self_cone_masks()
         inner = [x for x in range(self.n) if x not in (bottom, top)]
         for i, x in enumerate(inner):
@@ -354,6 +335,7 @@ class InvolutivePoset:
                     return Verdict(False, (x, y), detail)
         return Verdict(True)
 
+    @_memoised
     def is_boolean_poset(self):
         """Bounded distributive poset where the involution complements:
         L(x,x') = {0} and U(x,x') = {1} for every x."""
@@ -363,8 +345,7 @@ class InvolutivePoset:
             raise DomainError("Boolean poset check requires bounds")
         if not self.base.is_distributive("LU").ok:
             raise DomainError("Boolean poset check requires distributivity")
-        p = self.base
-        lab = self.labels
+        p, lab = self.base, self.labels
         lows, ups = self._self_cone_masks()
         for x in range(self.n):
             if lows[x] != 1 << bottom:
@@ -396,24 +377,22 @@ class InvolutivePoset:
         U(a,a') = U(b,b') = {1}.  Precondition violations raise
         :class:`DomainError`."""
         bottom, top = self._lemma11_bounds()
-        a, b = self.base.index(a), self.base.index(b)
-        if not self.base.leq(a, b):
-            raise DomainError(f"requires {self.labels[a]} <= {self.labels[b]}")
-        p = self.base
-        if p._lower((1 << b) | (1 << self.inv[a])) != 1 << bottom:
-            raise DomainError(
-                f"requires L({self.labels[b]}, {self.labels[a]}') = {{{self.labels[bottom]}}}; "
-                f"got {Subset(p, p._lower((1 << b) | (1 << self.inv[a]))).render()}")
+        p, lab = self.base, self.labels
+        a, b = p.index(a), p.index(b)
+        if not p.leq(a, b):
+            raise DomainError(f"requires {lab[a]} <= {lab[b]}")
+        low = p._lower((1 << b) | (1 << self.inv[a]))
+        if low != 1 << bottom:
+            raise DomainError(f"requires L({lab[b]}, {lab[a]}') = {{{lab[bottom]}}}; "
+                              f"got {Subset(p, low).render()}")
         lows, ups = self._self_cone_masks()
         for x in (a, b):
             if lows[x] != 1 << bottom:
                 return Verdict(False, (a, b),
-                               f"L({self.labels[x]},{self.labels[x]}') = "
-                               f"{Subset(p, lows[x]).render()}")
+                               f"L({lab[x]},{lab[x]}') = {Subset(p, lows[x]).render()}")
             if ups[x] != 1 << top:
                 return Verdict(False, (a, b),
-                               f"U({self.labels[x]},{self.labels[x]}') = "
-                               f"{Subset(p, ups[x]).render()}")
+                               f"U({lab[x]},{lab[x]}') = {Subset(p, ups[x]).render()}")
         return Verdict(True)
 
     def isomorphic_to(self, other):
@@ -472,6 +451,9 @@ def _summary(involution, lattice_ok, pk, kleene, strong, strict, boolean):
 def classify(ip):
     """Classify without throwing on structural falsity; only malformed
     input raises."""
+    if not isinstance(ip, InvolutivePoset):
+        raise UsageError("classify takes an InvolutivePoset; for a plain Poset p "
+                         "pass InvolutivePoset(p, inv)")
     involution = ip.check_antitone_involution()
     bottom, top = ip.base.bounds()
     lab = ip.labels
@@ -489,15 +471,13 @@ def classify(ip):
         kleene = ip.is_kleene()
         strong = ip.is_strong()
         if bottom is None or top is None:
-            strict_reason = "not applicable: poset is unbounded"
+            strict_reason = boolean_reason = "not applicable: poset is unbounded"
         else:
             strict = ip.is_strict()
-        if bottom is None or top is None:
-            boolean_reason = "not applicable: poset is unbounded"
-        elif not distributive["LU"].ok:
-            boolean_reason = "not applicable: poset is not distributive"
-        else:
-            boolean = ip.is_boolean_poset()
+            if distributive["LU"].ok:
+                boolean = ip.is_boolean_poset()
+            else:
+                boolean_reason = "not applicable: poset is not distributive"
         fixed = ip.fixed_points().labels
 
     summary = _summary(involution, lattice.ok, pk, kleene, strong, strict, boolean) \

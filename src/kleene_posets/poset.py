@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from operator import and_
 
@@ -50,6 +51,39 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_UNSET = object()
+
+
+def _memoised(method):
+    """Run ``method`` once per object and argument tuple, keep the result
+    in the object's one ``_memo`` dict (under the method's name, or
+    ``(name, args)`` given arguments) and return that same object on
+    every later call.  Sharing is exact: ``Poset``, ``InvolutivePoset``
+    and ``MeetDirectoid`` are immutable, and a memoised result is a
+    function of the arguments and of the order, map or table alone, so
+    no caller, in any order, could compute another value.  An exception
+    is never kept, so a precondition check raises on every call.
+    ``seed(obj, value, *args)`` records a value known when ``obj`` is
+    built, under the key that call would use.  Arguments are dict keys,
+    so a method is memoised only where its arguments are validated first
+    (``Poset._distributivity_verdict``)."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def memoised(self, *args):
+        key = (name, args) if args else name
+        value = self._memo.get(key, _UNSET)
+        if value is _UNSET:
+            value = self._memo[key] = method(self, *args)
+        return value
+
+    def seed(obj, value, *args):
+        obj._memo[(name, args) if args else name] = value
+
+    memoised.seed = seed
+    return memoised
 
 
 def _transpose(masks):
@@ -135,9 +169,7 @@ class Subset:
 class Poset:
     """A finite partially ordered set with named elements."""
 
-    __slots__ = ("labels", "n", "_up", "_down", "_index", "_full",
-                 "_lattice_verdict", "_distributivity_failures",
-                 "_distributivity_verdicts")
+    __slots__ = ("labels", "n", "_up", "_down", "_index", "_full", "_memo")
 
     def __init__(self, labels, up_masks, *, _validated=False):
         labels = tuple(labels)
@@ -156,9 +188,7 @@ class Poset:
         object.__setattr__(self, "_down", tuple(_transpose(up)))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(labels)})
         object.__setattr__(self, "_full", full)
-        object.__setattr__(self, "_lattice_verdict", None)
-        object.__setattr__(self, "_distributivity_failures", {})
-        object.__setattr__(self, "_distributivity_verdicts", {})
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Poset is immutable")
@@ -297,15 +327,12 @@ class Poset:
         and it is the bottom.  The empty poset is vacuously directed."""
         return self.n == 0 or self._full in self._up
 
+    @_memoised
     def bounds(self):
         """Return (bottom, top) element indices, each ``None`` if absent."""
-        bottom = top = None
-        for x in range(self.n):
-            if self._up[x] == self._full:
-                bottom = x
-            if self._down[x] == self._full:
-                top = x
-        return bottom, top
+        full = self._full
+        return (next((x for x, up in enumerate(self._up) if up == full), None),
+                next((x for x, down in enumerate(self._down) if down == full), None))
 
     def covers(self):
         """Cover pairs (x, y) with x covered by y, in index order."""
@@ -352,6 +379,7 @@ class Poset:
     def meet(self, x, y):
         return self._greatest_of(self._down[self.index(x)] & self._down[self.index(y)])
 
+    @_memoised
     def is_lattice(self):
         """Every pair has a least upper and greatest lower bound; the
         witness is the first failing pair in index order, its upper
@@ -361,16 +389,7 @@ class Poset:
         U(x,y) puts U(l) inside U(x,y), and l below every element of
         U(x,y) puts U(x,y) inside U(l).  Dually L(x,y) has a greatest
         element exactly when it is some L(g).  So each pair is two
-        membership tests in the sets of principal cones.  The verdict is
-        a function of the order alone and the poset is immutable, so it
-        is memoised and every caller shares it."""
-        verdict = self._lattice_verdict
-        if verdict is None:
-            verdict = self._lattice_scan()
-            object.__setattr__(self, "_lattice_verdict", verdict)
-        return verdict
-
-    def _lattice_scan(self):
+        membership tests in the sets of principal cones."""
         up, down = self._up, self._down
         ups, downs = set(up), set(down)
         lab = self.labels
@@ -446,30 +465,26 @@ class Poset:
         return {form: self._distributivity_verdict(form)
                 for form in DISTRIBUTIVITY_FORMS}
 
+    @_memoised
     def _distributivity_verdict(self, form):
         """The :class:`Verdict` of ``form``.  Its detail is rendered from
-        the failing masks the scan kept, on the first request for it,
-        and memoised, so every request returns the same object."""
-        verdicts = self._distributivity_verdicts
-        if form not in verdicts:
-            failure = self._distributivity((form,))[form]
-            if failure is None:
-                verdicts[form] = Verdict(True)
-            else:
-                x, y, z, lhs, rhs = failure
-                lab = self.labels
-                detail = (f"form {form} fails at ({lab[x]}, {lab[y]}, {lab[z]}): "
-                          f"lhs = {Subset(self, lhs).render()}, "
-                          f"rhs = {Subset(self, rhs).render()}")
-                verdicts[form] = Verdict(False, (x, y, z), detail)
-        return verdicts[form]
+        the failing masks the scan kept, on the first request for it."""
+        failure = self._distributivity((form,))[form]
+        if failure is None:
+            return Verdict(True)
+        x, y, z, lhs, rhs = failure
+        lab = self.labels
+        detail = (f"form {form} fails at ({lab[x]}, {lab[y]}, {lab[z]}): "
+                  f"lhs = {Subset(self, lhs).render()}, "
+                  f"rhs = {Subset(self, rhs).render()}")
+        return Verdict(False, (x, y, z), detail)
 
     def _distributivity(self, forms):
         """The kernel of :meth:`is_distributive`: for each of ``forms``,
         ``None`` where it holds, else its first failing triple with the
-        two sides at z as ``(x, y, z, lhs, rhs)`` masks.  A result is a
-        function of the order alone and the poset is immutable, so each
-        form's result is memoised on it and scanned at most once.
+        two sides at z as ``(x, y, z, lhs, rhs)`` masks, each scanned at
+        most once and kept in ``_memo`` under ``("_distributivity", form)``
+        (:func:`_memoised` says why that is exact).
 
         Each dual (LU and ULU, UL and LUL) shares one set of tables, and
         nothing is closed before the scan asks for it: ``back[x]`` when
@@ -478,19 +493,20 @@ class Poset:
         table entry is a function of the order alone, so when it is
         built cannot change its value, and the scan order is that of
         :meth:`is_distributive`; the first failure is the same."""
-        memo = self._distributivity_failures
+        memo = self._memo
         duals = ((("LU", "ULU"), self._upper, self._lower, self._up, self._down),
                  (("UL", "LUL"), self._lower, self._upper, self._down, self._up))
         for dual, inner, outer, inner_cone, cone in duals:
-            wanted = [form for form in dual if form in forms and form not in memo]
+            wanted = [form for form in dual
+                      if form in forms and ("_distributivity", form) not in memo]
             if not wanted:
                 continue
             close_inner, close_outer = _Memo(inner), _Memo(outer)
             back = _rows(cone, close_inner)
             for form in wanted:
-                memo[form] = self._distributivity_scan(
+                memo["_distributivity", form] = self._distributivity_scan(
                     form, inner_cone, cone, back, close_inner, close_outer)
-        return {form: memo[form] for form in forms}
+        return {form: memo["_distributivity", form] for form in forms}
 
     def _distributivity_scan(self, form, inner_cone, cone, back, close_inner,
                              close_outer):

@@ -168,8 +168,9 @@ def test_involutive_representatives_carry_their_verdict(n):
     recorded, so no claim pays for the check; the recorded verdict is the
     one the check computes on a fresh instance."""
     for ip in _involutive_representatives.__wrapped__(n):
-        recorded = ip._involution_verdict
+        recorded = ip._memo.get("check_antitone_involution")
         assert recorded is not None and recorded.ok
+        assert ip.check_antitone_involution() is recorded
         assert InvolutivePoset(ip.base, ip.inv).check_antitone_involution() == recorded
 
 
@@ -202,6 +203,37 @@ def test_map_spaces_search_each_poset_once(monkeypatch):
     finally:
         _involutive_representatives.cache_clear()
     assert calls == collections.Counter(iter_posets(5))
+
+
+
+@pytest.mark.parametrize("space", [UNARY_MAPS, ANTITONE_MAPS], ids=["unary", "antitone"])
+def test_map_items_are_the_shared_representatives(space):
+    """Each map item of an antitone involution carries the
+    ``_involutive_representatives`` instance itself, so the map claims
+    share its memoised verdicts with the involutive spaces.  At n <= 6
+    both spaces evaluate exactly the 33 antitone involutions of the
+    directed posets, in the representatives' order."""
+    shared = [ip for n in range(1, 7) for ip in _involutive_representatives(n)
+              if ip.base.is_downward_directed()]
+    items = [inst for inst, _, _ in space.sweep(6, 3) if inst is not None]
+    assert len(items) == len(shared) == 33
+    for (ip, walk), rep in zip(items, shared):
+        assert ip is rep
+        assert walk.tables[0].labels == ip.labels
+
+
+def test_map_claims_build_no_involutive_poset(monkeypatch):
+    """With the representatives built, the five map claims at n <= 6
+    construct no ``InvolutivePoset``: neither the spaces nor the
+    evaluator build one for an antitone involution."""
+    for n in range(1, 7):
+        _involutive_representatives(n)
+
+    def forbidden(self, *args):
+        raise AssertionError("InvolutivePoset built")
+    monkeypatch.setattr(InvolutivePoset, "__init__", forbidden)
+    for cid in ("Lem-4.1",) + MAP_CHARACTERISATIONS:
+        assert audit(cid, n_bound=6).confirmed
 
 
 def _nested_involutive(posets):
@@ -473,7 +505,8 @@ def _evaluated_maps(space, n_bound, cap):
     position, maps = 0, {p: [] for p in offsets}
     for instance, count, sampled in space.sweep(n_bound, cap):
         if instance is not None:
-            p, unary, walk = instance
+            ip, walk = instance
+            p, unary = ip.base, ip.inv
             assert count == 1
             assert position == offsets[p] + _rank(unary)
             assert [d.meet for d in walk.tables] == [
@@ -595,10 +628,10 @@ def test_refuted_map_claim_counts_every_map_up_to_the_witness():
 
 def _check_one_map_refutation(space, target, evaluated):
     def evaluate(instance):
-        p, unary, walk = instance
-        if unary != target:
+        ip, walk = instance
+        if ip.inv != target:
             return None
-        return {"choices": assignment_choices(walk.tables[0], p)}
+        return {"choices": assignment_choices(walk.tables[0], ip.base)}
 
     claim = Claim("Synthetic", "refuted at one map", space, evaluate, 3)
     loop = [(p, u) for p in iter_directed(3)
@@ -645,10 +678,10 @@ def test_map_witness_is_the_first_table_failing_2_across_groups():
     def rebuild(witness):
         kept = [d for d, c in zip(tables, choices)
                 if c == witness["binding"]["choices"]]
-        return p, unary, _IdentityWalk(kept)
+        return InvolutivePoset(p, unary), _IdentityWalk(kept)
 
     space = replace(UNARY_MAPS, sweep=lambda n_bound, cap: iter(
-        [((p, unary, walk), 1, False)]), rebuild=rebuild)
+        [((InvolutivePoset(p, unary), walk), 1, False)]), rebuild=rebuild)
     claim = replace(CLAIMS["Lem-4.1"], instance_space=space)
     report = claim.run(6)
     binding = {"order_side": True, "directoid_side": False, "choices": choices[1]}
@@ -658,7 +691,7 @@ def test_map_witness_is_the_first_table_failing_2_across_groups():
     assert not claim.replay(dict(witness, binding=dict(binding, directoid_side=True)))
     # with every table failing (2), the first one is the witness
     failing = edited[::-1]
-    assert claim.evaluate((p, unary, _IdentityWalk(failing))) == dict(
+    assert claim.evaluate((InvolutivePoset(p, unary), _IdentityWalk(failing))) == dict(
         binding, choices=assignment_choices(failing[0], p))
 
 
@@ -760,6 +793,16 @@ def test_representatives_are_computed_once_per_size(n):
     assert enumerate_posets(n) is first
     assert len(_labelled(n)) == LABELED_COUNTS[n]
     assert enumerate_posets(n) is first
+
+
+def test_enumerate_involutions_rejects_an_involutive_poset():
+    with pytest.raises(UsageError, match="pass ip.base"):
+        enumerate_involutions(figure("fig1"))
+
+
+def test_isomorphic_with_pin_rejects_an_involutive_poset():
+    with pytest.raises(UsageError, match="pass ip.base"):
+        isomorphic_with_pin(figure("fig1"), "a", figure("fig1"), "a")
 
 
 def test_isomorphic_with_pin():

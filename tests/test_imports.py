@@ -1,13 +1,17 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the
+package's ``__all__`` lists every name it re-exports.
 
-Parses the source with :mod:`ast` only.  ``__init__.py`` is skipped:
-its imports are the package's re-exports.
+Parses the module sources with :mod:`ast` only.  ``__init__.py`` is
+skipped there: its imports are the package's re-exports.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import kleene_posets
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kleene_posets"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -35,3 +39,11 @@ def test_no_unused_imports(module):
 def test_unused_import_is_reported():
     source = "import os\nfrom a.b import c, d as e\nfrom __future__ import annotations\ne()\n"
     assert _unused_imports(source) == [(1, "os"), (2, "c")]
+
+
+def test_all_lists_every_public_name():
+    """``from kleene_posets import *`` brings every public name the
+    package binds, submodules aside, and no other."""
+    public = {name for name, value in vars(kleene_posets).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(kleene_posets.__all__) - {"__version__"}

@@ -162,6 +162,12 @@ def test_memos_never_hide_a_failed_involution_check(inv, reason):
                 call()
 
 
+
+def test_classify_rejects_a_plain_poset():
+    with pytest.raises(UsageError, match=r"pass InvolutivePoset\(p, inv\)"):
+        classify(figure("fig8"))
+
+
 def test_not_an_involution():
     p = Poset.from_covers(["a", "b", "c"], [])
     with pytest.raises(UsageError):

@@ -10,7 +10,8 @@ import itertools
 
 import pytest
 
-from kleene_posets import (DISTRIBUTIVITY_FORMS, Poset, UsageError,
+from kleene_posets import (DISTRIBUTIVITY_FORMS, DomainError, MeetDirectoid,
+                           Poset, UsageError, Verdict, assign_directoid,
                            dedekind_macneille, enumerate_posets, figure,
                            find_isomorphism)
 from kleene_posets.enumeration import _forms_equivalent, iter_involutive, iter_posets
@@ -420,7 +421,7 @@ def test_held_verdicts_render_as_a_fresh_poset_does():
     for p in iter_posets(6):
         q = Poset(p.labels, p._up)
         assert _forms_equivalent(q) is None
-        assert q._distributivity_verdicts == {}
+        assert [key for key in q._memo if key[0] == "_distributivity_verdict"] == []
         assert q.distributivity_all_forms() == \
             Poset(p.labels, p._up).distributivity_all_forms()
 
@@ -432,11 +433,105 @@ def test_forms_disagreement_binding_renders_the_failing_details():
     fig2 = base_of(figure("fig2"))
     p = Poset(fig2.labels, fig2._up)
     p._distributivity(DISTRIBUTIVITY_FORMS)
-    p._distributivity_failures["LU"] = None
+    p._memo["_distributivity", "LU"] = None
     assert _forms_equivalent(p) == {
         "forms": {"LU": True, "ULU": False, "UL": False, "LUL": False},
         "details": {form: FAILING_DETAILS["fig2", form] for form in ("ULU", "UL", "LUL")},
     }
+
+
+# -- memoised verdicts and views ---------------------------------------------
+
+def _table(name, inv=None):
+    """A fresh assigned table of a figure, with ``inv`` as its map (the
+    figure's own map by default)."""
+    d = assign_directoid(figure(name))
+    return MeetDirectoid(d.meet, inv=d.inv if inv is None else inv, labels=d.labels)
+
+
+def _chain_with(inv):
+    return InvolutivePoset(Poset.from_covers(["0", "1"], [("0", "1")]), inv)
+
+
+# (fresh structure, method, arguments): every memoised method of Poset,
+# InvolutivePoset and MeetDirectoid, on structures where its scan fails
+# and, for the ladder, where it holds
+MEMOISED = [
+    (lambda: figure("fig8"), "is_lattice", ()),
+    (lambda: figure("fig4").base, "is_lattice", ()),
+    (lambda: figure("fig8"), "bounds", ()),
+    *[(lambda: figure("fig2").base, "_distributivity_verdict", (form,))
+      for form in DISTRIBUTIVITY_FORMS],
+    *[(lambda name=name: figure(name), method, ())
+      for name in ("fig1", "fig2", "fig4", "fig6", "fig7")
+      for method in ("check_antitone_involution", "is_pseudo_kleene", "is_kleene",
+                     "is_strong", "is_strict", "is_boolean_poset", "_self_cone_masks")
+      if method != "is_boolean_poset" or figure(name).is_distributive().ok],
+    (lambda: _chain_with((0, 1)), "check_antitone_involution", ()),
+    *[(lambda name=name: _table(name), method, ())
+      for name in ("fig1", "fig2")
+      for method in ("_order", "join_table", "induced_poset", "check_directoid_axioms",
+                     "check_identities_1_2", "check_identity_3", "check_implication_4",
+                     "check_implication_5")],
+    (lambda: _table("fig1", inv=tuple(range(6))), "check_identities_1_2", ()),
+    (lambda: MeetDirectoid([[0, 0], [1, 1]]), "check_directoid_axioms", ()),
+]
+
+
+@pytest.mark.parametrize("make, method, args", MEMOISED,
+                         ids=[f"{m}{a}-{i}" for i, (_, m, a) in enumerate(MEMOISED)])
+def test_memoised_method_scans_once(monkeypatch, make, method, args):
+    """A second call returns the identical object and builds no verdict,
+    so it scans nothing again; the value is the one an unshared copy of
+    the structure computes."""
+    built = []
+    init = Verdict.__init__
+    monkeypatch.setattr(Verdict, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    obj = make()
+    first = getattr(obj, method)(*args)
+    after_first = len(built)
+    assert getattr(obj, method)(*args) is first
+    assert len(built) == after_first
+    assert getattr(make(), method)(*args) == first
+
+
+def test_memo_keys_carry_the_arguments():
+    """fig2 fails all four forms, each with its own detail, so a key
+    without its argument would hand one form's verdict to another."""
+    p = figure("fig2").base
+    got = [p.is_distributive(form).detail for form in DISTRIBUTIVITY_FORMS]
+    assert got == [FAILING_DETAILS["fig2", form] for form in DISTRIBUTIVITY_FORMS]
+
+
+# (fresh structure, method, arguments, error): preconditions that raise
+RAISING = [
+    *[(lambda: _chain_with((0, 1)), method, (), UsageError)
+      for method in ("is_pseudo_kleene", "is_kleene", "is_strong", "is_strict",
+                     "is_boolean_poset")],
+    *[(lambda: InvolutivePoset(Poset.from_covers(["a", "b"], []), (1, 0)), method, (),
+       DomainError) for method in ("is_strict", "is_boolean_poset")],
+    (lambda: figure("fig2"), "is_boolean_poset", (), DomainError),
+    (lambda: _table("fig1", inv=(1, 2, 0, 3, 4, 5)), "join_table", (), UsageError),
+    (lambda: MeetDirectoid(_table("fig1").meet), "check_identities_1_2", (), UsageError),
+    (lambda: _table("fig1", inv=tuple(range(6))), "check_identity_3", (), UsageError),
+    (lambda: _table("fig1", inv=tuple(range(6))), "check_implication_4", (), UsageError),
+    (lambda: MeetDirectoid([[0, 0], [1, 1]]), "induced_poset", (), DomainError),
+]
+
+
+@pytest.mark.parametrize("make, method, args, error", RAISING,
+                         ids=[f"{m}-{i}" for i, (_, m, _a, _e) in enumerate(RAISING)])
+def test_memoised_method_raises_on_every_call(make, method, args, error):
+    """An exception is never kept: the memo holds nothing for the call,
+    and the second call raises a new exception of its own."""
+    obj = make()
+    with pytest.raises(error) as first:
+        getattr(obj, method)(*args)
+    assert method not in obj._memo and (method, args) not in obj._memo
+    with pytest.raises(error) as second:
+        getattr(obj, method)(*args)
+    assert second.value is not first.value
 
 
 # -- isomorphism ------------------------------------------------------------
