@@ -31,8 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .completion import dedekind_macneille
 from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _IdentityWalk,
@@ -187,8 +186,7 @@ def involutive_from_witness(doc):
     return InvolutivePoset(p, inv)
 
 
-@dataclass(frozen=True)
-class InstanceSpace:
+class InstanceSpace(NamedTuple):
     """``sweep(n_bound, cap)`` yields ``(instance, count, sampled)`` in
     canonical order: one instance with count 1, or ``None`` for a run of
     ``count`` instances settled without evaluation (see ``_map_space``).
@@ -371,8 +369,7 @@ PIVOTS = InstanceSpace(
 # the claim registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     claim: str
     statement: str
     n_bound: int
@@ -401,16 +398,23 @@ class AuditReport:
         }
 
 
-@dataclass(frozen=True)
 class Claim:
     """A statement checked over ``instance_space``: ``evaluate(instance)``
     returns ``None`` where the statement holds and otherwise the
-    violation's binding."""
-    claim_id: str
-    statement: str
-    instance_space: InstanceSpace
-    evaluate: Callable
-    default_n: int = 5
+    violation's binding.  Immutable, with its fields in the instance
+    ``__dict__``: ``benchmarks/tracing.py`` finds the evaluators'
+    closures through ``vars(claim)``."""
+
+    def __init__(self, claim_id, statement, instance_space, evaluate, default_n=5):
+        vars(self).update(claim_id=claim_id, statement=statement,
+                          instance_space=instance_space, evaluate=evaluate,
+                          default_n=default_n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Claim is immutable")
+
+    def _replace(self, **changes):
+        return Claim(**{**vars(self), **changes})
 
     @property
     def space(self):
@@ -686,8 +690,8 @@ CLAIMS = {claim_id: Claim(claim_id, *spec) for claim_id, spec in {
     "Lem-1.1": (
         "in a bounded distributive order with antitone involution, a <= b with "
         "L(b,a') = {0} forces L(a,a') = L(b,b') = {0} and U(a,a') = U(b,b') = {1}",
-        replace(BOUNDED_LU, description=BOUNDED_LU.description
-                + ", all valid pairs"), _lem11),
+        BOUNDED_LU._replace(description=BOUNDED_LU.description
+                            + ", all valid pairs"), _lem11),
     "Lem-2.2": (
         "a pseudo-Kleene order has at most one fixed point",
         INVOLUTIVE, _lem22),

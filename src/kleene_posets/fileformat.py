@@ -14,16 +14,14 @@ symmetrically.  All parse failures carry the offending line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import FixtureParseError, UsageError
 from .involution import InvolutivePoset, involution_from_pairs
 from .poset import Poset
 
 
-@dataclass(frozen=True)
-class PosetDocument:
+class PosetDocument(NamedTuple):
     elements: tuple
     covers: tuple                      # ((low, high), ...)
     involution: Optional[tuple]        # ((a, b), ...) with a-index <= b-index

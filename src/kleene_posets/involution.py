@@ -14,7 +14,7 @@ finds the maps under which a meet-directoid satisfies identity (2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, UsageError
 from .poset import (Poset, Subset, Verdict, _memoised, _resolve_pairs,
@@ -403,8 +403,7 @@ class InvolutivePoset:
         return classify(self)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Full classification report for an involutive poset."""
 
     involution: Verdict

@@ -20,16 +20,15 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import and_
+from typing import NamedTuple
 
 from .errors import UsageError
 
 DISTRIBUTIVITY_FORMS = ("LU", "ULU", "UL", "LUL")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Boolean check outcome plus a reproducible witness when it fails."""
 
     ok: bool

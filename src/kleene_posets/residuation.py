@@ -14,11 +14,10 @@ every member of B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
 from operator import and_
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .involution import InvolutivePoset, _image
@@ -53,8 +52,7 @@ def check_condition7(ip):
                   lambda x, y: f"L({lab[x]}, {lab[y]}) = {{{lab[bottom]}}}")
 
 
-@dataclass(frozen=True)
-class ResiduationReport:
+class ResiduationReport(NamedTuple):
     """Outcome of the residuated-poset axiom check."""
     zero_absorbing: Verdict
     commutativity: Verdict
@@ -68,8 +66,7 @@ class ResiduationReport:
         return all(getattr(self, name).ok for name in AXIOMS)
 
 
-@dataclass(frozen=True)
-class Theorem54Item:
+class Theorem54Item(NamedTuple):
     tier: str                         # precondition tier gating the item
     verdict: Optional[Verdict] = None  # None when the tier does not hold
 
@@ -80,8 +77,7 @@ class Theorem54Item:
         return "pass" if self.verdict.ok else "fail"
 
 
-@dataclass(frozen=True)
-class Theorem54Report:
+class Theorem54Report(NamedTuple):
     items: dict                       # keys "i".."v" -> Theorem54Item
     condition7: Verdict
     strict_kleene: bool

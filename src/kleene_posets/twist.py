@@ -18,7 +18,7 @@ fixture is a documented disagreement case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset
@@ -214,8 +214,7 @@ def _outside(t, xs, ys, inside):
                 return (x, y)
 
 
-@dataclass(frozen=True)
-class TwistAuditReport:
+class TwistAuditReport(NamedTuple):
     """Three-part audit of one (Q, pivot) instance.  Parts (i) and (ii)
     carry pass/fail verdicts; part (iii) is recorded as agreement data
     because the bundled corpus contains a genuine disagreement."""

@@ -696,17 +696,21 @@ def test_identity_2_search_on_arbitrary_signatures():
     """The search's argument holds for any two lists of masks, so seeded
     arbitrary ``(cols, lower)`` with n <= 5 are checked against the brute
     filter as well.  Table signatures rarely need the constraints checked
-    from the end mapped last through ``cols[m]``; these often do."""
+    from the end mapped last through ``cols[m]``; these often do.  Two
+    pinned signatures come first: without the ``into`` check of the
+    search's ``fits`` it also returns (0, 2, 1, 3) on the first, and
+    without the ``cols`` check it returns (2, 1, 0) on the second, where
+    no map holds."""
     rng = random.Random(3)
+    seeded = (tuple(tuple(rng.randrange(1 << n) for _ in range(n)) for _ in range(2))
+              for n in (rng.randint(1, 5) for _ in range(2000)))
+    pinned = [((9, 15, 12, 1), (15, 7, 12, 13)), ((0, 3, 7), (7, 3, 5))]
     found = 0
-    for _ in range(2000):
-        n = rng.randint(1, 5)
-        signature = tuple(tuple(rng.randrange(1 << n) for _ in range(n))
-                          for _ in range(2))
+    for signature in itertools.chain(pinned, seeded):
         got = _identity_2_maps(signature)
         assert got == _brute_identity_2_maps(signature)
         found += len(got)
-    assert found == 703
+    assert found == 703 + 1
 
 
 def _fresh_identity_verdicts(table, inv, bounds):

@@ -16,7 +16,6 @@ import itertools
 import json
 import pathlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -588,7 +587,7 @@ def _characterisations():
                        _directoid_characterization("mismatched"))
     for claim in [CLAIMS[cid] for cid in MAP_CHARACTERISATIONS] + [mismatched]:
         assert claim.instance_space is ANTITONE_MAPS
-        yield claim, replace(claim, instance_space=UNARY_MAPS)
+        yield claim, claim._replace(instance_space=UNARY_MAPS)
 
 
 @pytest.mark.parametrize("cap", [1000, 2])
@@ -680,9 +679,9 @@ def test_map_witness_is_the_first_table_failing_2_across_groups():
                 if c == witness["binding"]["choices"]]
         return InvolutivePoset(p, unary), _IdentityWalk(kept)
 
-    space = replace(UNARY_MAPS, sweep=lambda n_bound, cap: iter(
+    space = UNARY_MAPS._replace(sweep=lambda n_bound, cap: iter(
         [((InvolutivePoset(p, unary), walk), 1, False)]), rebuild=rebuild)
-    claim = replace(CLAIMS["Lem-4.1"], instance_space=space)
+    claim = CLAIMS["Lem-4.1"]._replace(instance_space=space)
     report = claim.run(6)
     binding = {"order_side": True, "directoid_side": False, "choices": choices[1]}
     assert [w["binding"] for w in report.witnesses] == [binding]
@@ -727,7 +726,7 @@ def test_map_claim_reports_pinned(monkeypatch):
                        _directoid_characterization("mismatched"))
     assert _report_digest([
         (claim, cap, collect_all)
-        for claim in (mismatched, replace(mismatched, instance_space=UNARY_MAPS))
+        for claim in (mismatched, mismatched._replace(instance_space=UNARY_MAPS))
         for cap in (1000, 2) for collect_all in (False, True)]
     ) == MAP_REPORT_DIGESTS["mismatched"]
 

@@ -485,9 +485,9 @@ def test_memoised_method_scans_once(monkeypatch, make, method, args):
     so it scans nothing again; the value is the one an unshared copy of
     the structure computes."""
     built = []
-    init = Verdict.__init__
-    monkeypatch.setattr(Verdict, "__init__",
-                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    new = Verdict.__new__
+    monkeypatch.setattr(Verdict, "__new__",
+                        lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
     obj = make()
     first = getattr(obj, method)(*args)
     after_first = len(built)
