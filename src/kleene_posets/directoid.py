@@ -37,7 +37,7 @@ import itertools
 
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, _constrained_involutions, _image
-from .poset import Poset, Subset, Verdict, _bits, _memoised, _transpose
+from .poset import Poset, Subset, Verdict, _bits, _meet_rows, _memoised, _transpose
 
 
 def default_chooser(x, y, candidates):
@@ -127,14 +127,11 @@ def _identity_3_failures(lmask, above, inv):
 
 
 def _common(masks, sel, memo):
-    """The intersection of ``masks[i]`` over the bits i of ``sel``,
-    memoised by ``sel``."""
+    """The intersection of ``masks[i]`` over the bits i of ``sel``
+    (:func:`poset._meet_rows`), memoised by ``sel``."""
     acc = memo.get(sel)
     if acc is None:
-        acc = -1
-        for i in _bits(sel):
-            acc &= masks[i]
-        memo[sel] = acc
+        acc = memo[sel] = _meet_rows(masks, -1, sel)
     return acc
 
 
@@ -541,11 +538,9 @@ class _IdentityWalk:
       x ⊓ y in {x, y} only as y in ``above[x] | lower[x]``.  (6) reads
       ``above`` and ``below`` for its bounds test, then ``lower``.
 
-    An assigned table (``_base_table``) meets comparable a, b at min(a, b)
-    and incomparable ones at another common lower bound, so ``above[a]``
-    is the up-set of a, and ``lower[a]`` and ``cols[a]`` are its down-set
-    L(a).  So one poset's assigned tables form one (2) group and share
-    one (5)/(6) key."""
+    On one poset's assigned tables ``above``, ``lower`` and ``cols`` are
+    its up- and down-sets whatever the choices (``enumeration._map_space``
+    says why), so they form one (2) group and share one (5)/(6) key."""
 
     def __init__(self, tables):
         self.tables = tables = list(tables)
@@ -675,10 +670,7 @@ def iter_assignments(source):
 
 def _assignments(p, inv, table, pairs):
     """:func:`iter_assignments` from a built base table, which it fills
-    in place."""
-    if not pairs:
-        yield MeetDirectoid(table, inv=inv, labels=p.labels)
-        return
+    in place; with no incomparable pairs, the one table it holds."""
     keys = [pair for pair, _ in pairs]
     for picks in itertools.product(*(cands for _, cands in pairs)):
         for (x, y), pick in zip(keys, picks):
@@ -699,10 +691,10 @@ def _capped_assignments(source, cap):
 def all_assignments(source, cap=ASSIGNMENT_CAP):
     """Materialize every assignment; domain error when the space exceeds
     the cap (the count is reported in the message)."""
-    count = assignment_count(source)
+    count, _, tables = _capped_assignments(source, cap)
     if count > cap:
         raise DomainError(f"assignment space has {count} tables, over the cap {cap}")
-    return list(iter_assignments(source))
+    return list(tables)
 
 
 def assignment_choices(directoid, source):
@@ -799,14 +791,12 @@ def check_derived_set_laws(directoid, poset):
     for x in range(n):
         for y in range(n):
             m, j = meet[x][y], join[x][y]
-            if up[x] >> y & 1:
-                if m != x or j != y:
+            lo = x if up[x] >> y & 1 else y if up[y] >> x & 1 else None
+            if lo is not None:
+                hi = y if lo == x else x
+                if m != lo or j != hi:
                     return Verdict(False, ("comparable", x, y),
-                                   f"{lab[x]} <= {lab[y]} but meet/join differ from min/max")
-            elif up[y] >> x & 1:
-                if m != y or j != x:
-                    return Verdict(False, ("comparable", x, y),
-                                   f"{lab[y]} <= {lab[x]} but meet/join differ from min/max")
+                                   f"{lab[lo]} <= {lab[hi]} but meet/join differ from min/max")
             else:
                 if not (down[x] >> m & 1 and down[y] >> m & 1):
                     return Verdict(False, ("meet-cone", x, y),

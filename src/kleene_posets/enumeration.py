@@ -290,10 +290,13 @@ def _map_space(table_side=False):
       - ``ANTITONE_MAPS`` (the four characterisations) evaluates the
         antitone involutions alone, and builds no table on a poset
         without one.  The skip rests on Lemma 4.1, at the bounds Lem-4.1
-        confirms.  In p's assigned tables ``lower[a]`` and ``cols[a]``
-        are the down-set L(a), and (2) holds iff y' is in ``lower[m']``
-        for every y and m in ``cols[y]`` (``directoid._IdentityWalk``
-        says why), that is, iff m <= y implies y' <= m': iff the map is
+        confirms.  An assigned table (``directoid._base_table``) meets
+        comparable a, b at min(a, b) and an incomparable pair at a common
+        lower bound that is neither, so whatever the choices ``above[a]``
+        is the up-set of a, and ``lower[a]`` and ``cols[a]`` are the
+        down-set L(a).  Then (2) holds iff y' is in ``lower[m']`` for
+        every y and m in ``cols[y]`` (``directoid._IdentityWalk`` says
+        why), that is, iff m <= y implies y' <= m': iff the map is
         antitone.  Without x'' = x, (1) fails.  So (1)/(2) hold exactly
         when the map is an antitone involution of p."""
     def sweep(n_bound, cap):

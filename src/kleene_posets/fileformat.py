@@ -33,7 +33,6 @@ def parse(text):
     elements = None
     covers = []
     pairing = {}
-    pair_lines = {}
     bounds = None
     last_involution_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -50,25 +49,16 @@ def parse(text):
             if len(set(args)) != len(args):
                 dup = next(a for a in args if args.count(a) > 1)
                 raise FixtureParseError(f"duplicate element name {dup!r}", line=lineno)
-            elements = tuple(args)
+            elements, known = tuple(args), set(args)
             continue
         if elements is None:
             raise FixtureParseError(
                 f"{directive!r} before the elements line", line=lineno)
-        known = set(elements)
         if directive == "covers":
             if not args:
                 raise FixtureParseError("covers line lists no pairs", line=lineno)
             for token in args:
-                parts = token.split("<")
-                if len(parts) != 2 or not parts[0] or not parts[1]:
-                    raise FixtureParseError(
-                        f"malformed cover {token!r} (expected A<B)", line=lineno)
-                low, high = parts
-                for name in (low, high):
-                    if name not in known:
-                        raise FixtureParseError(f"unknown element {name!r}",
-                                                line=lineno)
+                low, high = _pair_token(token, "<", "cover", known, lineno)
                 if low == high:
                     raise FixtureParseError(f"cover {token!r} relates an element "
                                             "to itself", line=lineno)
@@ -78,15 +68,7 @@ def parse(text):
                 raise FixtureParseError("involution line lists no pairs", line=lineno)
             last_involution_line = lineno
             for token in args:
-                parts = token.split(":")
-                if len(parts) != 2 or not parts[0] or not parts[1]:
-                    raise FixtureParseError(
-                        f"malformed pair {token!r} (expected A:B)", line=lineno)
-                a, b = parts
-                for name in (a, b):
-                    if name not in known:
-                        raise FixtureParseError(f"unknown element {name!r}",
-                                                line=lineno)
+                a, b = _pair_token(token, ":", "pair", known, lineno)
                 for x, y in ((a, b), (b, a)):
                     if x in pairing and pairing[x] != y:
                         raise FixtureParseError(
@@ -94,17 +76,13 @@ def parse(text):
                             line=lineno)
                 pairing[a] = b
                 pairing[b] = a
-                pair_lines.setdefault(a, lineno)
-                pair_lines.setdefault(b, lineno)
         elif directive == "bounds":
             if bounds is not None:
                 raise FixtureParseError("duplicate bounds line", line=lineno)
             if len(args) != 2:
                 raise FixtureParseError("bounds line needs exactly two names",
                                         line=lineno)
-            for name in args:
-                if name not in known:
-                    raise FixtureParseError(f"unknown element {name!r}", line=lineno)
+            _require_known(args, known, lineno)
             bounds = (args[0], args[1])
         else:
             raise FixtureParseError(f"unknown directive {directive!r}", line=lineno)
@@ -122,6 +100,23 @@ def parse(text):
                            if index[a] <= index[pairing[a]])
     return PosetDocument(elements=elements, covers=tuple(covers),
                          involution=involution, bounds=bounds)
+
+
+def _pair_token(token, sep, kind, known, lineno):
+    """The two element names of an ``A<sep>B`` token on a line of pairs
+    of ``kind``."""
+    parts = token.split(sep)
+    if len(parts) != 2 or not parts[0] or not parts[1]:
+        raise FixtureParseError(
+            f"malformed {kind} {token!r} (expected A{sep}B)", line=lineno)
+    _require_known(parts, known, lineno)
+    return parts
+
+
+def _require_known(names, known, lineno):
+    for name in names:
+        if name not in known:
+            raise FixtureParseError(f"unknown element {name!r}", line=lineno)
 
 
 def render(doc):

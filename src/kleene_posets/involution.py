@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DomainError, UsageError
-from .poset import (Poset, Subset, Verdict, _memoised, _resolve_pairs,
+from .poset import (Poset, Subset, Verdict, _meet_rows, _memoised, _resolve_pairs,
                     find_isomorphism)
 
 
@@ -81,20 +81,16 @@ def _constrained_involutions(cols, into, lower, upper):
     has_up = [m.bit_count() for m in upper]
     has_low = [m.bit_count() for m in lower]
     out, u = [], [0] * n
+    directions = ((cols, upper), (into, lower))
 
     def fits(y, mapped):
-        ends, up = cols[y] & mapped, upper[u[y]]
-        while ends:
-            b = ends & -ends
-            if not up >> u[b.bit_length() - 1] & 1:
-                return False
-            ends ^= b
-        ends, low = into[y] & mapped, lower[u[y]]
-        while ends:
-            b = ends & -ends
-            if not low >> u[b.bit_length() - 1] & 1:
-                return False
-            ends ^= b
+        for ends_of, allowed_of in directions:
+            ends, allowed = ends_of[y] & mapped, allowed_of[u[y]]
+            while ends:
+                b = ends & -ends
+                if not allowed >> u[b.bit_length() - 1] & 1:
+                    return False
+                ends ^= b
         return True
 
     def extend(free):
@@ -277,7 +273,7 @@ class InvolutivePoset:
         for x in range(self.n):
             low = lows[x]
             if low not in first_bad:
-                cone = p._upper(low)
+                cone = _meet_rows(p._up, p._full, low)
                 first_bad[low] = next((y for y in range(self.n) if ups[y] & ~cone), None)
             y = first_bad[low]
             if y is not None:
@@ -321,18 +317,16 @@ class InvolutivePoset:
         if bottom is None or top is None:
             raise DomainError("strictness requires bounds")
         p, lab = self.base, self.labels
-        lows, ups = self._self_cone_masks()
+        sides = tuple(zip("LU", self._self_cone_masks()))
         inner = [x for x in range(self.n) if x not in (bottom, top)]
         for i, x in enumerate(inner):
             for y in inner[i + 1:]:
-                if lows[x] != lows[y]:
-                    detail = (f"L({lab[x]},{lab[x]}') = {Subset(p, lows[x]).render()} != "
-                              f"{Subset(p, lows[y]).render()} = L({lab[y]},{lab[y]}')")
-                    return Verdict(False, (x, y), detail)
-                if ups[x] != ups[y]:
-                    detail = (f"U({lab[x]},{lab[x]}') = {Subset(p, ups[x]).render()} != "
-                              f"{Subset(p, ups[y]).render()} = U({lab[y]},{lab[y]}')")
-                    return Verdict(False, (x, y), detail)
+                for cone, masks in sides:
+                    if masks[x] != masks[y]:
+                        detail = (f"{cone}({lab[x]},{lab[x]}') = {Subset(p, masks[x]).render()}"
+                                  f" != {Subset(p, masks[y]).render()} = "
+                                  f"{cone}({lab[y]},{lab[y]}')")
+                        return Verdict(False, (x, y), detail)
         return Verdict(True)
 
     @_memoised
@@ -346,16 +340,13 @@ class InvolutivePoset:
         if not self.base.is_distributive("LU").ok:
             raise DomainError("Boolean poset check requires distributivity")
         p, lab = self.base, self.labels
-        lows, ups = self._self_cone_masks()
+        sides = tuple(zip("LU", self._self_cone_masks(), (bottom, top)))
         for x in range(self.n):
-            if lows[x] != 1 << bottom:
-                detail = (f"L({lab[x]},{lab[x]}') = {Subset(p, lows[x]).render()} != "
-                          f"{{{lab[bottom]}}}")
-                return Verdict(False, (x,), detail)
-            if ups[x] != 1 << top:
-                detail = (f"U({lab[x]},{lab[x]}') = {Subset(p, ups[x]).render()} != "
-                          f"{{{lab[top]}}}")
-                return Verdict(False, (x,), detail)
+            for cone, masks, bound in sides:
+                if masks[x] != 1 << bound:
+                    detail = (f"{cone}({lab[x]},{lab[x]}') = {Subset(p, masks[x]).render()}"
+                              f" != {{{lab[bound]}}}")
+                    return Verdict(False, (x,), detail)
         return Verdict(True)
 
     def _lemma11_bounds(self):
@@ -385,14 +376,12 @@ class InvolutivePoset:
         if low != 1 << bottom:
             raise DomainError(f"requires L({lab[b]}, {lab[a]}') = {{{lab[bottom]}}}; "
                               f"got {Subset(p, low).render()}")
-        lows, ups = self._self_cone_masks()
+        sides = tuple(zip("LU", self._self_cone_masks(), (bottom, top)))
         for x in (a, b):
-            if lows[x] != 1 << bottom:
-                return Verdict(False, (a, b),
-                               f"L({lab[x]},{lab[x]}') = {Subset(p, lows[x]).render()}")
-            if ups[x] != 1 << top:
-                return Verdict(False, (a, b),
-                               f"U({lab[x]},{lab[x]}') = {Subset(p, ups[x]).render()}")
+            for cone, masks, bound in sides:
+                if masks[x] != 1 << bound:
+                    return Verdict(False, (a, b),
+                                   f"{cone}({lab[x]},{lab[x]}') = {Subset(p, masks[x]).render()}")
         return Verdict(True)
 
     def isomorphic_to(self, other):

@@ -277,22 +277,10 @@ class Poset:
 
     # -- cone calculus -----------------------------------------------------
     def _lower(self, mask):
-        res = self._full
-        down = self._down
-        while mask and res:
-            low = mask & -mask
-            res &= down[low.bit_length() - 1]
-            mask ^= low
-        return res if mask == 0 else 0
+        return _meet_rows(self._down, self._full, mask)
 
     def _upper(self, mask):
-        res = self._full
-        up = self._up
-        while mask and res:
-            low = mask & -mask
-            res &= up[low.bit_length() - 1]
-            mask ^= low
-        return res if mask == 0 else 0
+        return _meet_rows(self._up, self._full, mask)
 
     def lower_cone(self, items):
         """L(A): common lower bounds of A.  L({}) is the full carrier."""
@@ -345,38 +333,12 @@ class Poset:
                 out.append((x, y))
         return out
 
-    def _minimal_of(self, mask):
-        res = []
-        for x in _bits(mask):
-            if not (self._down[x] & ~(1 << x) & mask):
-                res.append(x)
-        return res
-
-    def _maximal_of(self, mask):
-        res = []
-        for x in _bits(mask):
-            if not (self._up[x] & ~(1 << x) & mask):
-                res.append(x)
-        return res
-
-    def _least_of(self, mask):
-        for x in _bits(mask):
-            if not (mask & ~self._up[x]):
-                return x
-        return None
-
-    def _greatest_of(self, mask):
-        for x in _bits(mask):
-            if not (mask & ~self._down[x]):
-                return x
-        return None
-
     def join(self, x, y):
         """Least upper bound index, or ``None`` if it does not exist."""
-        return self._least_of(self._up[self.index(x)] & self._up[self.index(y)])
+        return _bound_in(self._up, self._up[self.index(x)] & self._up[self.index(y)])
 
     def meet(self, x, y):
-        return self._greatest_of(self._down[self.index(x)] & self._down[self.index(y)])
+        return _bound_in(self._down, self._down[self.index(x)] & self._down[self.index(y)])
 
     @_memoised
     def is_lattice(self):
@@ -389,28 +351,23 @@ class Poset:
         U(x,y) puts U(x,y) inside U(l).  Dually L(x,y) has a greatest
         element exactly when it is some L(g).  So each pair is two
         membership tests in the sets of principal cones."""
-        up, down = self._up, self._down
-        ups, downs = set(up), set(down)
-        lab = self.labels
+        lab, up, down = self.labels, self._up, self._down
+        # per side: its cones, the principal ones, the rows that find its
+        # extremal bounds, and the words of its detail
+        sides = ((up, set(up), down, "least", "minimal", "upper"),
+                 (down, set(down), up, "greatest", "maximal", "lower"))
         for x in range(self.n):
             for y in range(x + 1, self.n):
-                um = up[x] & up[y]
-                if um not in ups:
-                    if um:
-                        cands = "{" + ", ".join(lab[m] for m in self._minimal_of(um)) + "}"
-                        detail = (f"{{{lab[x]}, {lab[y]}}} has no least upper bound "
-                                  f"(minimal upper bounds: {cands})")
+                for cones, principal, rows, least, minimal, kind in sides:
+                    common = cones[x] & cones[y]
+                    if common in principal:
+                        continue
+                    if common:
+                        cands = ", ".join(lab[m] for m in _extremes_in(rows, common))
+                        detail = (f"{{{lab[x]}, {lab[y]}}} has no {least} {kind} bound "
+                                  f"({minimal} {kind} bounds: {{{cands}}})")
                     else:
-                        detail = f"{{{lab[x]}, {lab[y]}}} has no common upper bound"
-                    return Verdict(False, (x, y), detail)
-                lm = down[x] & down[y]
-                if lm not in downs:
-                    if lm:
-                        cands = "{" + ", ".join(lab[m] for m in self._maximal_of(lm)) + "}"
-                        detail = (f"{{{lab[x]}, {lab[y]}}} has no greatest lower bound "
-                                  f"(maximal lower bounds: {cands})")
-                    else:
-                        detail = f"{{{lab[x]}, {lab[y]}}} has no common lower bound"
+                        detail = f"{{{lab[x]}, {lab[y]}}} has no common {kind} bound"
                     return Verdict(False, (x, y), detail)
         return Verdict(True)
 
@@ -493,14 +450,14 @@ class Poset:
         built cannot change its value, and the scan order is that of
         :meth:`is_distributive`; the first failure is the same."""
         memo = self._memo
-        duals = ((("LU", "ULU"), self._upper, self._lower, self._up, self._down),
-                 (("UL", "LUL"), self._lower, self._upper, self._down, self._up))
-        for dual, inner, outer, inner_cone, cone in duals:
+        duals = ((("LU", "ULU"), self._up, self._down), (("UL", "LUL"), self._down, self._up))
+        for dual, inner_cone, cone in duals:
             wanted = [form for form in dual
                       if form in forms and ("_distributivity", form) not in memo]
             if not wanted:
                 continue
-            close_inner, close_outer = _Memo(inner), _Memo(outer)
+            close_inner = _Memo(functools.partial(_meet_rows, inner_cone, self._full))
+            close_outer = _Memo(functools.partial(_meet_rows, cone, self._full))
             back = _rows(cone, close_inner)
             for form in wanted:
                 memo["_distributivity", form] = self._distributivity_scan(
@@ -548,6 +505,35 @@ def _resolve_pairs(labels, pairs, kind):
                 and 0 <= a < n and 0 <= b < n):
             raise UsageError(f"{kind} ({lo}, {hi}) out of range")
         yield a, b
+
+
+def _meet_rows(rows, full, mask):
+    """The intersection of ``rows[i]`` over the bits i of ``mask``,
+    starting from ``full`` (so ``full`` itself for an empty mask), and
+    stopping once it is empty.  With a poset's down-sets as rows it is
+    L(A) of the mask of A, with its up-sets U(A)."""
+    res = full
+    while mask and res:
+        low = mask & -mask
+        res &= rows[low.bit_length() - 1]
+        mask ^= low
+    return res
+
+
+def _extremes_in(rows, mask):
+    """The x in ``mask`` whose row meets ``mask`` in x alone: its minimal
+    elements when the rows are down-sets, its maximal ones when up-sets."""
+    return [x for x in _bits(mask) if not (rows[x] & ~(1 << x) & mask)]
+
+
+def _bound_in(rows, mask):
+    """The first x in ``mask`` whose row holds all of ``mask``, else
+    ``None``: its least element when the rows are up-sets, its greatest
+    when down-sets."""
+    for x in _bits(mask):
+        if not (mask & ~rows[x]):
+            return x
+    return None
 
 
 class _Memo(dict):

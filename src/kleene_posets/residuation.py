@@ -14,14 +14,12 @@ every member of B.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
-from operator import and_
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .involution import InvolutivePoset, _image
-from .poset import Subset, Verdict, _bits
+from .poset import Subset, Verdict, _bits, _meet_rows
 
 # The residuated-poset axioms of Theorem 5.2, in report order.
 AXIOMS = ("zero_absorbing", "commutativity", "unit", "associativity", "adjointness")
@@ -89,7 +87,8 @@ class Theorem54Report(NamedTuple):
 
 class ResiduatedStructure:
     """Both operator tables over a bounded carrier with validated
-    antitone involution; all checks read the precomputed tables."""
+    antitone involution; all checks read the precomputed tables, which
+    are fixed when it is built: the structure is immutable."""
 
     __slots__ = ("ip", "p", "bottom", "top", "_odot", "_arrow")
 
@@ -100,17 +99,18 @@ class ResiduatedStructure:
         bottom, top = ip.bounds()
         if bottom is None or top is None:
             raise DomainError("residuation requires bounds")
-        self.ip = ip
-        self.p = ip.base
-        self.bottom = bottom
-        self.top = top
-        p, inv = self.p, ip.inv
+        p, inv = ip.base, ip.inv
         n, up, down = p.n, p._up, p._down
         zero, one = 1 << bottom, 1 << top
-        self._odot = tuple(tuple([zero if (up[x] >> inv[y]) & 1 else down[x] & down[y]
-                                  for y in range(n)]) for x in range(n))
-        self._arrow = tuple(tuple([one if (up[x] >> y) & 1 else up[inv[x]] & up[y]
-                                   for y in range(n)]) for x in range(n))
+        odot = tuple(tuple([zero if (up[x] >> inv[y]) & 1 else down[x] & down[y]
+                            for y in range(n)]) for x in range(n))
+        arrow = tuple(tuple([one if (up[x] >> y) & 1 else up[inv[x]] & up[y]
+                             for y in range(n)]) for x in range(n))
+        for name, value in zip(self.__slots__, (ip, p, bottom, top, odot, arrow)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ResiduatedStructure is immutable")
 
     # -- operators ---------------------------------------------------------
     def odot(self, x, y):
@@ -131,9 +131,7 @@ class ResiduatedStructure:
             return Subset(p, p._full), True
         acc = p._full
         for x in _bits(am):
-            row = self._odot[x]
-            for y in _bits(bm):
-                acc &= row[y]
+            acc = _meet_rows(self._odot[x], acc, bm)
         return Subset(p, acc), False
 
     # -- condition (7) and the axiom checks ---------------------------------
@@ -205,6 +203,7 @@ class ResiduatedStructure:
         empty family intersects to the full carrier."""
         p, odot, lab = self.p, self._odot, self.p.labels
         n, full = p.n, p._full
+        by_column = list(zip(*odot))    # by_column[z][w] = w ⊙ z
         columns = {}
         for x in range(n):
             rows = {}
@@ -212,14 +211,13 @@ class ResiduatedStructure:
                 inner = odot[x][y]
                 lhs_row = columns.get(inner)
                 if lhs_row is None:
-                    lhs_row = columns[inner] = [
-                        reduce(and_, (odot[w][z] for w in _bits(inner)), full)
-                        for z in range(n)]
+                    lhs_row = columns[inner] = [_meet_rows(col, full, inner)
+                                                for col in by_column]
                 for z in range(n):
                     outer = odot[y][z]
                     rhs = rows.get(outer)
                     if rhs is None:
-                        rhs = rows[outer] = reduce(and_, (odot[x][w] for w in _bits(outer)), full)
+                        rhs = rows[outer] = _meet_rows(odot[x], full, outer)
                     if lhs_row[z] != rhs:
                         return Verdict(
                             False, (x, y, z),
@@ -238,18 +236,18 @@ class ResiduatedStructure:
         c = 0, so each (a, b) adds the size of each of those classes to
         the case of one of its members."""
         p, odot, arrow, lab = self.p, self._odot, self._arrow, self.p.labels
-        n, up, bottom = p.n, p._up, self.bottom
+        n, up, down, full, bottom = p.n, p._up, p._down, p._full, self.bottom
         adjoint = [[0] * n for _ in range(n)]    # adjoint[b][a] = {c | a <= b -> c}
         for b in range(n):
             for c in range(n):
-                for a in _bits(p._lower(arrow[b][c])):
+                for a in _bits(_meet_rows(down, full, arrow[b][c])):
                     adjoint[b][a] |= 1 << c
         verdict = Verdict(True)
         case_counts = {k: 0 for k in range(1, 8)}
         for a in range(n):
             for b in range(n):
                 oab = odot[a][b]
-                lefts = p._upper(oab)               # {c | a odot b <= c}
+                lefts = _meet_rows(up, full, oab)    # {c | a odot b <= c}
                 bad = lefts ^ adjoint[b][a]
                 if bad and verdict.ok:
                     c = (bad & -bad).bit_length() - 1
@@ -264,7 +262,7 @@ class ResiduatedStructure:
                 case_counts[self._case(a, b, b)] += up[b].bit_count()
                 if b != bottom:
                     case_counts[self._case(a, b, bottom)] += 1
-                others = p._full & ~up[b] & ~(1 << bottom)
+                others = full & ~up[b] & ~(1 << bottom)
                 if others:
                     c = (others & -others).bit_length() - 1
                     case_counts[self._case(a, b, c)] += others.bit_count()

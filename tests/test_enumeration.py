@@ -23,8 +23,8 @@ from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            UsageError, enumerate_involutions, enumerate_posets,
                            figure, find_isomorphism, iter_assignments, run_cli)
 from kleene_posets import audit, claim_ids, replay_report, replay_witness
-from kleene_posets.directoid import (_IdentityWalk, assignment_choices,
-                                     assignment_count)
+from kleene_posets.directoid import (_IdentityWalk, all_assignments,
+                                     assignment_choices, assignment_count)
 from kleene_posets.poset import _bits, _least_labelling
 from kleene_posets.enumeration import (ALIASES, BOUNDED, BOUNDED_LU, CLAIMS,
                                        CONDITION7, DIRECTED_INVOLUTIVE_ASSIGNED,
@@ -1083,3 +1083,10 @@ def test_assigned_sweeps_build_one_base_table_per_source(monkeypatch):
         built.update(base=0, table=0)
         audit(claim, n_bound=6)
         assert built == want
+    # all_assignments counts its space and builds it from one base table;
+    # a chain has no incomparable pair, and so exactly one table
+    for source, tables in ((figure("fig3"), 4),
+                           (Poset.from_covers("abc", [("a", "b"), ("b", "c")]), 1)):
+        built.update(base=0, table=0)
+        assert len(all_assignments(source)) == tables
+        assert built == {"base": 1, "table": tables}

@@ -6,7 +6,8 @@ skipped there: its imports are the package's re-exports.
 
 Importing the package loads neither :mod:`dataclasses` nor :mod:`inspect`
 (together about half of a cold import), and its result records stay
-immutable.
+immutable, as does a :class:`ResiduatedStructure`, whose verdicts read
+the tables it was built with.
 """
 
 import ast
@@ -20,8 +21,9 @@ import pytest
 
 import kleene_posets
 from kleene_posets.enumeration import CLAIMS, AuditReport, InstanceSpace
-from kleene_posets.residuation import (ResiduationReport, Theorem54Item,
-                                       Theorem54Report)
+from kleene_posets.figures import figure
+from kleene_posets.residuation import (ResiduatedStructure, ResiduationReport,
+                                       Theorem54Item, Theorem54Report)
 from kleene_posets.twist import TwistAuditReport
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kleene_posets"
@@ -75,11 +77,14 @@ RECORDS = (kleene_posets.Verdict, kleene_posets.Classification, ResiduationRepor
            kleene_posets.PosetDocument, InstanceSpace, AuditReport)
 
 
-@pytest.mark.parametrize("record", [*(cls._make([None] * len(cls._fields)) for cls in RECORDS),
-                                    CLAIMS["Lem-4.1"]],
-                         ids=[*(cls.__name__ for cls in RECORDS), "Claim"])
-def test_records_are_immutable(record):
-    field = getattr(record, "_fields", ("claim_id",))[0]
+@pytest.mark.parametrize("record, field",
+                         [*((cls._make([None] * len(cls._fields)), cls._fields[0])
+                            for cls in RECORDS),
+                          (CLAIMS["Lem-4.1"], "claim_id"),
+                          (ResiduatedStructure(figure("fig7")), "top")],
+                         ids=[*(cls.__name__ for cls in RECORDS), "Claim",
+                              "ResiduatedStructure"])
+def test_records_are_immutable(record, field):
     for name in (field, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)

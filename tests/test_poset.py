@@ -12,8 +12,8 @@ import pytest
 
 from kleene_posets import (DISTRIBUTIVITY_FORMS, DomainError, MeetDirectoid,
                            Poset, UsageError, Verdict, assign_directoid,
-                           dedekind_macneille, enumerate_posets, figure,
-                           find_isomorphism)
+                           dedekind_macneille, enumerate_involutions,
+                           enumerate_posets, figure, find_isomorphism)
 from kleene_posets.enumeration import _forms_equivalent, iter_involutive, iter_posets
 from kleene_posets.involution import InvolutivePoset
 from kleene_posets.twist import twist
@@ -210,10 +210,14 @@ def test_lattice_matches_oracle_on_every_small_completion():
 
 
 def test_lattice_witness_detail():
-    v = figure("fig1").base.is_lattice()
+    """Each side's detail, the lower one on fig1's order dual."""
+    p = figure("fig1").base
+    v = p.is_lattice()
     assert not v.ok
     assert v.detail == ("{a, b} has no least upper bound "
                         "(minimal upper bounds: {b', a'})")
+    assert Poset(p.labels, p._down).is_lattice().detail == (
+        "{a, b} has no greatest lower bound (maximal lower bounds: {b', a'})")
 
 
 def test_join_meet():
@@ -222,6 +226,30 @@ def test_join_meet():
     assert p.labels[p.meet("b", "b'")] == "a"
     q = figure("fig1").base
     assert q.join("a", "b") is None
+
+
+def test_order_dual_swaps_every_l_u_pair():
+    """On the order dual ``Poset(p.labels, p._down)`` of every poset with
+    n <= 5, L and U trade places on every mask and join and meet on
+    every pair.  A pair fails to have a join or a meet in p exactly when
+    it does in the dual, so ``is_lattice`` keeps its verdict and
+    witness.  An antitone involution of p is one of the dual, which
+    swaps L(x,x') and U(x,x'), so strictness agrees where p is bounded."""
+    posets = maps = 0
+    for p in iter_posets(5):
+        q = Poset(p.labels, p._down)
+        for mask in range(1 << p.n):
+            assert (q._lower(mask), q._upper(mask)) == (p._upper(mask), p._lower(mask))
+        for x, y in itertools.product(range(p.n), repeat=2):
+            assert (q.join(x, y), q.meet(x, y)) == (p.meet(x, y), p.join(x, y))
+        assert q.is_lattice()[:2] == p.is_lattice()[:2]
+        if None not in p.bounds():
+            for inv in enumerate_involutions(p):
+                assert (InvolutivePoset(q, inv).is_strict().ok
+                        == InvolutivePoset(p, inv).is_strict().ok)
+                maps += 1
+        posets += 1
+    assert (posets, maps) == (87, 12)    # 5 of the 12 maps are strict
 
 
 BOUNDS = {"fig1": ("0", "1"), "fig2": ("0", "1"), "fig3": ("0", "1"),

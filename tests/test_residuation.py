@@ -146,6 +146,13 @@ def test_odot_sets_and_empty_family_flag():
     got, flagged = r.odot_sets_flagged(["b"], ["b'"])
     assert not flagged
     assert set(got.labels) == set(r.odot(ip.index("b"), ip.index("b'")).labels)
+    # every pair of nonempty sets against the oracle's intersection
+    ref = ref_of(ip)
+    subsets = [s for k in range(1, ip.n + 1) for s in itertools.combinations(ip.labels, k)]
+    for a, b in itertools.product(subsets, repeat=2):
+        got, flagged = r.odot_sets_flagged(a, b)
+        want = set.intersection(*(ref.odot(x, y) for x in a for y in b))
+        assert (set(got.labels), flagged) == (want, False), (a, b)
 
 
 def test_requires_bounds():
@@ -231,7 +238,7 @@ def test_first_associativity_failure_on_an_edited_table(x, y, value, witness, de
     r = ResiduatedStructure(ip)
     odot = [list(row) for row in r._odot]
     odot[ip.index(x)][ip.index(y)] = 1 << ip.index(value)
-    r._odot = tuple(tuple(row) for row in odot)
+    object.__setattr__(r, "_odot", tuple(tuple(row) for row in odot))    # past immutability
     rep = r.verify_kleene_residuated()
     table = ref_of(ip).odot_table()
     table[(x, y)] = {value}
@@ -293,7 +300,7 @@ def test_pair_checks_match_oracle_on_edited_tables():
             if rows[ip.index(x)][ip.index(y)] == 1 << ip.index(value):
                 continue
             rows[ip.index(x)][ip.index(y)] = 1 << ip.index(value)
-            setattr(r, attr, tuple(tuple(row) for row in rows))
+            object.__setattr__(r, attr, tuple(tuple(row) for row in rows))
             edited = table_of()
             edited[(x, y)] = {value}
             tables = {"_odot": None, "_arrow": None, attr: edited}
