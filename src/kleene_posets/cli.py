@@ -281,12 +281,13 @@ def _cmd_directoid(args, out):
         raise UsageError("assignment cap must be at least 1")
     total, pairs, tables = _capped_assignments(p, cap)
     tables = list(tables)
+    keys = _pair_keys(p.labels, [pair for pair, _ in pairs])
     walk = _IdentityWalk(tables).under(obj.inv, p.bounds()) if has_map else None
     entries = []
     for i, table in enumerate(tables):
         verdicts = None if walk is None else walk.verdicts(i)
         entries.append({
-            "choices": _choices(table, p, pairs),
+            "choices": _choices(table, p.labels, keys, pairs),
             "directoid_axioms": _verdict_json(table.check_directoid_axioms()),
             "induces_original_order": table._induces(p),
             "identities": None if verdicts is None else dict(

@@ -357,14 +357,16 @@ class MeetDirectoid:
         (w, s, x, y, z) in the checker's scan order.
 
         One premise table serves both premises.  With ``lset[x][y] =
-        {(t ⊓ x) ⊓ (t ⊓ y) | t}``, identity (1) gives (t ⊔ x) ⊔ (t ⊔ y) =
-        ((t' ⊓ x') ⊓ (t' ⊓ y'))' and s ⊔ v = s iff s' <= v', without
-        commutativity.  So with ``low(m)`` the u with u <= v' for every v
-        in m, the w of (x, y) are ``low(lset[x'][y'])`` and the s of
-        (x, z) are the images of ``low(lset[x][z])``; each distinct mask
-        is reduced once.  (x, y, z) fails iff some s of both (x, z) and
-        (y, z) is not above every w of (x, y) with w <= z; the z of one
-        (x, y) are tested at once, on n-bit blocks, one block per z.
+        {(t ⊓ x) ⊓ (t ⊓ y) | t}`` (:meth:`_premise_table`, which says why
+        it is L(x) ∩ L(y) on a table passing the axioms), identity (1)
+        gives (t ⊔ x) ⊔ (t ⊔ y) = ((t' ⊓ x') ⊓ (t' ⊓ y'))' and s ⊔ v = s
+        iff s' <= v', without commutativity.  So with ``low(m)`` the u
+        with u <= v' for every v in m, the w of (x, y) are
+        ``low(lset[x'][y'])`` and the s of (x, z) are the images of
+        ``low(lset[x][z])``; each distinct mask is reduced once.
+        (x, y, z) fails iff some s of both (x, z) and (y, z) is not above
+        every w of (x, y) with w <= z; the z of one (x, y) are tested at
+        once, on n-bit blocks, one block per z.
         Whenever ``lset`` is symmetric, (x, y, z) fails exactly when
         (y, x, z) does, with the same w and s, so the full scan's first
         failure has x <= y.  On a commutative table ``lset`` is
@@ -375,7 +377,21 @@ class MeetDirectoid:
     def _premise_table(self):
         """(4)'s premise table ``lset[x][y] = {(t ⊓ x) ⊓ (t ⊓ y) | t}`` and
         whether the table is commutative (``symmetric``); then so is
-        ``lset``, and only y >= x is scanned."""
+        ``lset``, and only y >= x is scanned.
+
+        On a table that passes :meth:`check_directoid_axioms`, ``lset[x][y]``
+        is L(x) ∩ L(y) of the induced order, ``below[x] & below[y]``, the
+        pair law of commutative meet-directoids (Ježek & Quackenbush 1990):
+          - z in L(x) ∩ L(y) is in the set: z ⊓ x = z ⊓ y = z, and z ⊓ z = z
+            by idempotency, so the term for t = z is z.
+          - Every term is in L(x) ∩ L(y).  Let a = t ⊓ x and b = t ⊓ y.
+            Weak associativity at (b, t, x) gives (b ⊓ a) ⊓ x = b ⊓ a, and
+            commutativity turns that into a ⊓ b, so the term a ⊓ b is below
+            x; weak associativity at (a, t, y) puts it below y.
+        Only a table failing the axioms takes the n³ scan of the definition."""
+        if self.check_directoid_axioms().ok:
+            below = self._order()[1]
+            return [[bx & by for by in below] for bx in below], True
         meet = self.meet
         n = self.n
         symmetric = meet == tuple(zip(*meet))
@@ -517,8 +533,10 @@ class _IdentityWalk:
       side is False without reading the table; only the CLI runs the
       table's own check, for its witness.
     - (4) by ``(lset, above)``, ``lset`` being its premise table
-      (:meth:`MeetDirectoid._premise_table`), which reads no map and is
-      built once per table, for every map; one copy is kept per key.
+      (:meth:`MeetDirectoid._premise_table`, whose docstring argues that
+      it is L(x) ∩ L(y) of the induced order on a table passing the
+      axioms), which reads no map and is built once per table, for every
+      map; one copy is kept per key.
       Past it, (4) reads only
       ``lset``, ``above``, ``below`` and the commutativity flag.
       ``below`` is the transpose of ``above`` (both mark x ⊓ y = x).  The
@@ -530,8 +548,8 @@ class _IdentityWalk:
     - Whether (3) holds by ``(lmask, above)``: its failing pairs read only
       ``lmask[x] = lset[x][x']`` (:func:`_lmask`), ``above`` and the map.
       ``lmask`` is read off ``lset`` once that is built, and from the n²
-      build otherwise, so a claim that needs only (3) never pays for the
-      n³ ``lset``.  (3)'s witness scan reads the meet and join tables,
+      build otherwise, so a claim that needs only (3) never builds
+      ``lset``.  (3)'s witness scan reads the meet and join tables,
       which the key does not fix, so only whether (3) holds is shared; a
       table on which it fails rescans for its own witness.
     - (5) and (6) by ``(above, lower)``.  (5) reads ``lower``, and
@@ -681,11 +699,13 @@ def _assignments(p, inv, table, pairs):
 def _capped_assignments(source, cap):
     """``assignment_count(source)``, the incomparable pairs with their
     candidate meets, and a lazy iterator over the first ``cap`` tables of
-    ``iter_assignments(source)``, all from one base table."""
+    ``iter_assignments(source)``, all from one base table.  A cap at or
+    above the count is no cap, so one past ``sys.maxsize`` is accepted."""
     p, inv = _split_source(source)
     table, pairs = _base_table(p)
-    return (_count(pairs), pairs,
-            itertools.islice(_assignments(p, inv, table, pairs), cap))
+    count = _count(pairs)
+    return (count, pairs, itertools.islice(_assignments(p, inv, table, pairs),
+                                           None if cap >= count else cap))
 
 
 def all_assignments(source, cap=ASSIGNMENT_CAP):
@@ -701,12 +721,15 @@ def assignment_choices(directoid, source):
     """Recover the choice made for each incomparable pair as a label map
     (used to serialize audit witnesses)."""
     p, _ = _split_source(source)
-    return _choices(directoid, p, _base_table(p)[1])
+    pairs = _base_table(p)[1]
+    keys = _pair_keys(p.labels, [pair for pair, _ in pairs])
+    return _choices(directoid, p.labels, keys, pairs)
 
 
-def _choices(directoid, p, pairs):
-    meet, labels = directoid.meet, p.labels
-    keys = _pair_keys(labels, [pair for pair, _ in pairs])
+def _choices(directoid, labels, keys, pairs):
+    """The label chosen at each incomparable pair, under its ``"x,y"`` key
+    from :func:`_pair_keys`; every table of one poset shares the keys."""
+    meet = directoid.meet
     return {key: labels[meet[x][y]] for key, ((x, y), _) in zip(keys, pairs)}
 
 
@@ -775,8 +798,10 @@ def check_derived_set_laws(directoid, poset):
         if _image(inv, cols[inv[x]]) != up[x]:
             return Verdict(False, ("U(x)", x),
                            f"{{z join {lab[x]}}} != U({lab[x]})")
-    # In a commutative table both pair laws give the same set at (x, y)
-    # and (y, x), and the first failing pair in row order has x <= y.
+    # On a table passing the axioms the premise table is L(x) ∩ L(y) of
+    # the induced order (MeetDirectoid._premise_table says why).  In a
+    # commutative table both pair laws give the same set at (x, y) and
+    # (y, x), and the first failing pair in row order has x <= y.
     lset, symmetric = directoid._premise_table()
     for x in range(n):
         for y in range(x if symmetric else 0, n):

@@ -578,6 +578,14 @@ def ref_join(meet, inv):
     return [[inv[meet[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
 
 
+def _ref_premise_table(meet):
+    """(4)'s premise table by its definition: ``lset[x][y]`` is the
+    bitmask of {(t ⊓ x) ⊓ (t ⊓ y) | t}, for every (x, y)."""
+    elems = range(len(meet))
+    return [[sum(1 << v for v in {meet[meet[t][x]][meet[t][y]] for t in elems})
+             for y in elems] for x in elems]
+
+
 def ref_identity_3(meet, inv):
     """(z ⊓ x) ⊓ (z ⊓ x') <= (w ⊔ y) ⊔ (w ⊔ y'); first failing (x, y, z, w)."""
     join = ref_join(meet, inv)

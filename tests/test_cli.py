@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from kleene_posets import run_cli
+from kleene_posets import cli, directoid, run_cli
 from kleene_posets.cli import _build_parser
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -282,6 +282,34 @@ def test_directoid_all_assignments_pinned(monkeypatch, name, as_json):
     code, out, err = run(*argv, *(("--json",) if as_json else ()))
     digest = hashlib.sha256((out + err).encode()).hexdigest()
     assert (code, digest) == DIRECTOID_50_DIGESTS[name, as_json]
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_directoid_cap_above_maxsize_is_no_cap(monkeypatch, as_json):
+    """A cap past ``sys.maxsize`` is above fig4's two tables: no cap."""
+    monkeypatch.chdir(FIXTURES.parent)
+    flags = ("--json",) if as_json else ()
+    huge = run("directoid", "fixtures/fig4.poset", "--all-assignments", str(10**20), *flags)
+    assert huge == run("directoid", "fixtures/fig4.poset", "--all-assignments", "1000",
+                       *flags)
+    assert (huge[0], huge[2]) == (0, "")
+
+
+def test_directoid_renders_pair_keys_once(monkeypatch):
+    """Every table of one poset has the same incomparable pairs, so the
+    command renders their keys once, not once per table."""
+    calls, render = [], directoid._pair_keys
+
+    def counted(labels, pairs):
+        calls.append(pairs)
+        return render(labels, pairs)
+
+    for module in (cli, directoid):
+        monkeypatch.setattr(module, "_pair_keys", counted)
+    monkeypatch.chdir(FIXTURES.parent)
+    code, out, _ = run("directoid", "fixtures/fig7.poset", "--all-assignments", "50")
+    assert code == 0 and out.count("\nassignment ") == 50
+    assert len(calls) == 1
 
 
 def test_commands_in_one_process_print_their_lone_bytes(tmp_path):

@@ -25,8 +25,9 @@ from kleene_posets.directoid import (_identity_2, _identity_2_maps, _IdentityWal
                                      _order_masks)
 from kleene_posets.enumeration import _RUNGS
 
-from oracles import (ref_derived_set_laws, ref_directoid_axioms, ref_identity_3,
-                     ref_implication_4, ref_implication_5, ref_implication_6)
+from oracles import (_ref_premise_table, ref_derived_set_laws, ref_directoid_axioms,
+                     ref_identity_3, ref_implication_4, ref_implication_5,
+                     ref_implication_6)
 
 SMALL_FIGS = ["fig1", "fig2", "fig3", "fig4", "fig5"]
 
@@ -117,6 +118,12 @@ def test_cap_enforced():
     with pytest.raises(DomainError) as exc:
         all_assignments(figure("fig6"))
     assert "over the cap" in str(exc.value)
+
+
+def test_cap_above_maxsize_is_no_cap():
+    ip = figure("fig4")
+    assert [d.meet for d in all_assignments(ip, cap=10**20)] == \
+        [d.meet for d in all_assignments(ip)]
 
 
 def test_not_downward_directed():
@@ -883,6 +890,44 @@ def test_identity_walk_matches_fresh_checks_on_edits(name, depth, passing, bound
               and d._order()[1][top] == (1 << n) - 1]
     _assert_walk_matches_fresh_calls(tables + within, ip.inv, (bottom, top))
     assert (len(kept), len(within)) == (passing, bounded)
+
+
+def _symmetric_edits(tables):
+    """Every table that gives one pair of mirrored entries of one of
+    ``tables`` a common new value and is not among them, each once, in
+    scan order."""
+    seen = {d.meet for d in tables}
+    for d in tables:
+        for (x, y), v in itertools.product(itertools.combinations(range(d.n), 2),
+                                           range(d.n)):
+            table = [list(row) for row in d.meet]
+            table[x][y] = table[y][x] = v
+            edited = MeetDirectoid(table, labels=d.labels)
+            if edited.meet not in seen:
+                seen.add(edited.meet)
+                yield edited
+
+
+def test_premise_table_matches_its_definition():
+    """(4)'s premise table against its n³ definition
+    (``_ref_premise_table``), on (a) every assigned table of every
+    directed poset with n <= 6, (b) fig1-fig5's assigned tables and their
+    single-entry edits, none of which passes the axioms, so all take the
+    scan, and (c) every symmetric two-entry edit of those tables.  Set
+    (c) holds the only edits that pass the axioms without being assigned
+    tables, so it is what tells the axioms from a weaker certificate for
+    L(x) ∩ L(y), such as commutativity alone."""
+    assigned = [d for n in range(1, 7)
+                for p in filter(Poset.is_downward_directed, enumerate_posets(n))
+                for d in iter_assignments(p)]
+    figures = [d for name in SMALL_FIGS for d in iter_assignments(figure(name))]
+    sets = assigned, figures, list(_single_entry_edits(figures)), \
+        list(_symmetric_edits(figures))
+    for d in itertools.chain.from_iterable(sets):
+        assert d._premise_table()[0] == _ref_premise_table(d.meet)
+    counts = [(len(tables), sum(d.check_directoid_axioms().ok for d in tables))
+              for tables in sets]
+    assert counts == [(435, 435), (16, 16), (5178, 0), (2164, 265)]
 
 
 def test_colliding_pair_keys_are_usage_errors():

@@ -464,6 +464,17 @@ def test_audit_rejects_cap_below_1(cap):
         audit("Thm-4.2", n_bound=3, assignment_cap=cap)
 
 
+@pytest.mark.parametrize("claim_id", ["Directoid-roundtrip", "Lem-4.1"])
+def test_audit_cap_above_maxsize_is_no_cap(claim_id):
+    """A cap past ``sys.maxsize`` is above every space's count, so it acts
+    as no cap: the report is the cap-1,000 one but for the cap itself."""
+    huge = audit(claim_id, n_bound=3, assignment_cap=10**20).to_dict()
+    want = audit(claim_id, n_bound=3, assignment_cap=1000).to_dict()
+    assert huge.pop("assignment_cap") == 10**20
+    del want["assignment_cap"]
+    assert huge == want
+
+
 def test_non_involutive_maps_fail_both_sides_on_every_table():
     """The argument that lets the map spaces skip a map (``_map_space``):
     on every assigned table, (1)/(2) hold exactly when the map is an
