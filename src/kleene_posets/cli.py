@@ -280,10 +280,14 @@ def _cmd_directoid(args, out):
     if cap < 1:
         raise UsageError("assignment cap must be at least 1")
     total, pairs, tables = _capped_assignments(p, cap)
-    tables = list(tables)
     keys = _pair_keys(p.labels, [pair for pair, _ in pairs])
-    walk = _IdentityWalk(tables).under(obj.inv, p.bounds()) if has_map else None
+    walk = None
+    if has_map:
+        walk = _IdentityWalk(tables).under(obj.inv, p.bounds())
+        tables = walk.tables
     entries = []
+    # Pulled one at a time, each table's view read before the next is
+    # built, so the assignment generator seeds the next view from it.
     for i, table in enumerate(tables):
         verdicts = None if walk is None else walk.verdicts(i)
         entries.append({

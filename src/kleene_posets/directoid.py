@@ -23,7 +23,9 @@ as one side of the equivalence audits:
 where ``<=`` always means the induced order (read off the table).
 Every checker reads it from one memoised order view of the meet table
 (:func:`_order_masks`): the bitmasks of which entries equal their row or
-column index, and of each column's values, built in one pass.  The map
+column index, and of each column's values, built in one pass, or, for an
+assignment whose predecessor's view is known, updated from that view at
+the entries whose pick changed (:func:`_order_update`).  The map
 audits and the CLI decide (1)–(6) on one poset's tables through one walk
 (:class:`_IdentityWalk`), once per signature each condition reads.
 Witnesses are deterministic: the checkers scan in a fixed order and
@@ -37,7 +39,8 @@ import itertools
 
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, _constrained_involutions, _image
-from .poset import Poset, Subset, Verdict, _bits, _meet_rows, _memoised, _transpose
+from .poset import (Poset, Subset, Verdict, _bits, _join_rows, _meet_rows, _memoised,
+                    _transpose)
 
 
 def default_chooser(x, y, candidates):
@@ -57,7 +60,8 @@ def _order_masks(table):
     """The order view of a table in one pass, as ``(above, below, lower,
     cols)``: ``above[x] = {y | x∘y = x}``, ``below[y] = {x | x∘y = x}``,
     ``lower[x] = {y | x∘y = y}`` and ``cols[y] = {x∘y | x}``, the value
-    mask of column y, each a bitmask."""
+    mask of column y, each a bitmask.  The one full fold: a table next to
+    one whose view is known takes :func:`_order_update`."""
     n = len(table)
     below, cols = [0] * n, [0] * n
     above, lower = [], []
@@ -73,6 +77,32 @@ def _order_masks(table):
                 low |= 1 << y
         above.append(a)
         lower.append(low | (a & bx))    # the elif skips y == x: x∘x = x counts here
+    return above, below, lower, cols
+
+
+def _order_update(view, table, cells):
+    """The :func:`_order_masks` of ``table`` from ``view``, that of a table
+    equal to it outside ``cells``, a list of (x, y).  Exact: bit y of
+    ``above[x]``, bit x of ``below[y]`` and bit y of ``lower[x]`` read
+    entry (x, y) alone, and ``cols[y]`` column y alone, so resetting those
+    three bits at each cell from its new entry and refolding each touched
+    column gives the full fold.  ``view`` is left as it was."""
+    above, below, lower, cols = map(list, view)
+    for x, y in cells:
+        v = table[x][y]
+        bx, by = 1 << x, 1 << y
+        if v == x:
+            above[x] |= by
+            below[y] |= bx
+        else:
+            above[x] &= ~by
+            below[y] &= ~bx
+        lower[x] = lower[x] | by if v == y else lower[x] & ~by
+    for y in {y for _, y in cells}:
+        col = 0
+        for row in table:
+            col |= 1 << row[y]
+        cols[y] = col
     return above, below, lower, cols
 
 
@@ -203,13 +233,20 @@ class MeetDirectoid:
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "_memo", {})
 
+    @classmethod
+    def _unchecked(cls, meet, inv, labels):
+        """A table from a tuple of row tuples, a map and labels, checking
+        none of them; each caller says why they are valid."""
+        d = object.__new__(cls)
+        d._fill(meet, inv, labels)
+        return d
+
     def _with_map(self, inv):
         """This table with the unary map ``inv``, sharing its map-free
-        :meth:`_order` view and validating nothing again: the table was
-        validated when ``self`` was built, and ``inv`` must be a tuple
-        that ``InvolutivePoset`` has accepted on a poset of this size."""
-        d = object.__new__(MeetDirectoid)
-        d._fill(self.meet, inv, self.labels)
+        :meth:`_order` view and validating nothing again: the table is
+        valid since ``self`` is, and ``inv`` must be a tuple that
+        ``InvolutivePoset`` has accepted on a poset of this size."""
+        d = MeetDirectoid._unchecked(self.meet, inv, self.labels)
         MeetDirectoid._order.seed(d, self._order())
         return d
 
@@ -235,8 +272,11 @@ class MeetDirectoid:
 
         x ⊓ (y ⊓ z) ranges over the column v = y ⊓ z, so weak
         associativity holds at (y, z) iff that column's value mask
-        ``cols[v]`` lies in ``below[z]``; the (x, y, z) scan runs only to
-        find the first witness of a failure."""
+        ``cols[v]`` lies in ``below[z]``.  As y runs over the carrier, v
+        runs over exactly ``cols[z]``, so it holds at every (y, z) iff the
+        union of ``cols[v]`` over v in ``cols[z]`` lies in ``below[z]``
+        for every z.  The (x, y, z) scan runs only to find the first
+        witness of a failure."""
         meet = self.meet
         lab = self.labels
         rng = range(self.n)
@@ -252,7 +292,7 @@ class MeetDirectoid:
                                        f"{lab[x]} meet {lab[y]} = {lab[meet[x][y]]} but "
                                        f"{lab[y]} meet {lab[x]} = {lab[meet[y][x]]}")
         _, below, _, cols = self._order()
-        if any(cols[v] & ~below[z] for row in meet for z, v in enumerate(row)):
+        if any(_join_rows(cols, col) & ~below[z] for z, col in enumerate(cols)):
             for x in rng:
                 row_x = meet[x]
                 for y in rng:
@@ -433,10 +473,7 @@ class MeetDirectoid:
                 out = outside.get(wxy)
                 if out is None:
                     # block z: the s not above every w of (x, y) with w <= z
-                    out = 0
-                    for w in _bits(wxy):
-                        out |= spread[w]
-                    outside[wxy] = out
+                    out = outside[wxy] = _join_rows(spread, wxy)
                 fails = px & packed[y] & out
                 if fails:
                     z = ((fails & -fails).bit_length() - 1) // n
@@ -515,10 +552,11 @@ class _IdentityWalk:
     and interned to small integers, so no map rehashes them; :meth:`under`
     starts each map with an empty memo.  The map, the bounds and the
     labels (one poset's tables share them; every detail names them) are
-    fixed while a memo lives.  The constructor validated the tables (in
-    the assignment generator for the sweep and the CLI, in
-    ``directoid_from_choices`` for a replay) and ``InvolutivePoset`` the
-    map; ``_with_map`` joins the two without repeating either.
+    fixed while a memo lives.  The tables are valid by construction in
+    the assignment generator (the sweep and the CLI) and validated by
+    the constructor in ``directoid_from_choices`` (a replay), and
+    ``InvolutivePoset`` validated the map; ``_with_map`` joins the two
+    without checking either again.
 
     - (1) x'' = x reads the map alone.
     - (2) (x ⊓ y)' ⊓ y' = y' by ``(cols, lower)``, grouped eagerly, so a
@@ -532,19 +570,22 @@ class _IdentityWalk:
       Where (1)/(2) fail, (3)–(6) are None, and every map claim's table
       side is False without reading the table; only the CLI runs the
       table's own check, for its witness.
-    - (4) by ``(lset, above)``, ``lset`` being its premise table
-      (:meth:`MeetDirectoid._premise_table`, whose docstring argues that
-      it is L(x) ∩ L(y) of the induced order on a table passing the
-      axioms), which reads no map and is built once per table, for every
-      map; one copy is kept per key.
-      Past it, (4) reads only
-      ``lset``, ``above``, ``below`` and the commutativity flag.
-      ``below`` is the transpose of ``above`` (both mark x ⊓ y = x).  The
-      flag only narrows the scan to y >= x, which finds the full scan's
-      first failure whenever ``lset`` is symmetric
-      (:meth:`MeetDirectoid.check_implication_4`), and ``lset`` is the
-      whole table either way, so tables with equal keys agree on (4)
-      whatever their flags.
+    - (4) reads only its premise table ``lset``
+      (:meth:`MeetDirectoid._premise_table`), ``above``, ``below`` and
+      the commutativity flag.  ``below`` is the transpose of ``above``
+      (both mark x ⊓ y = x).  The flag only narrows the scan to y >= x,
+      which finds the full scan's first failure whenever ``lset`` is
+      symmetric (:meth:`MeetDirectoid.check_implication_4`), and ``lset``
+      is the whole table either way, so tables with equal ``(lset,
+      above)`` agree on (4) whatever their flags.  On a table passing the
+      axioms ``lset[x][y]`` is ``below[x] & below[y]`` (the premise
+      table's docstring argues it) and the flag is True, so there the key
+      is ``below`` alone, and the tables of one poset, which share it,
+      build and hash one premise table.  Any other table keys by
+      ``(lset, above)``, its premise table built by the n³ scan, once per
+      table.  No key reads the map, so a table's key and premise table
+      serve every map, and one copy of each premise table is kept per
+      key.
     - Whether (3) holds by ``(lmask, above)``: its failing pairs read only
       ``lmask[x] = lset[x][x']`` (:func:`_lmask`), ``above`` and the map.
       ``lmask`` is read off ``lset`` once that is built, and from the n²
@@ -561,17 +602,17 @@ class _IdentityWalk:
     says why), so they form one (2) group and share one (5)/(6) key."""
 
     def __init__(self, tables):
-        self.tables = tables = list(tables)
         signatures, self._ids, self._premises = {}, {}, {}
-        self.group, self._above, self._key56 = [], [], []
-        self._lsets = [None] * len(tables)
-        for t in tables:
+        self.tables, self.group, self._above, self._key56 = [], [], [], []
+        for t in tables:    # each view read as its table is pulled (_assignments)
+            self.tables.append(t)
             above, _, lower, cols = t._order()
             lower = tuple(lower)
             self.group.append(signatures.setdefault((tuple(cols), lower), len(signatures)))
             self._above.append(self._id(tuple(above)))
             self._key56.append(self._id((self._above[-1], lower)))
         self._signatures = list(signatures)
+        self._lsets = [None] * len(self.tables)
 
     def _id(self, key):
         return self._ids.setdefault(key, len(self._ids))
@@ -606,9 +647,17 @@ class _IdentityWalk:
             key = 3, tuple(lmask), self._above[i]
         elif condition == 4:
             if self._lsets[i] is None:
-                lset, symmetric = table._premise_table()
-                key = 4, self._id((tuple(map(tuple, lset)), self._above[i]))
-                self._lsets[i] = self._premises.setdefault(key, lset), symmetric, key
+                if table.check_directoid_axioms().ok:
+                    key = 4, self._id(tuple(table._order()[1]))
+                    lset = self._premises.get(key)
+                    if lset is None:
+                        lset = self._premises[key] = table._premise_table()[0]
+                    symmetric = True
+                else:
+                    lset, symmetric = table._premise_table()
+                    key = 4, self._id((tuple(map(tuple, lset)), self._above[i]))
+                    lset = self._premises.setdefault(key, lset)
+                self._lsets[i] = lset, symmetric, key
             lset, symmetric, key = self._lsets[i]
         else:
             key = condition, self._key56[i]
@@ -688,12 +737,29 @@ def iter_assignments(source):
 
 def _assignments(p, inv, table, pairs):
     """:func:`iter_assignments` from a built base table, which it fills
-    in place; with no incomparable pairs, the one table it holds."""
+    in place; with no incomparable pairs, the one table it holds.  The
+    tables are valid by construction, so none is checked: every entry is
+    an index of ``p``, a comparable pair's minimum or a candidate of
+    ``pairs``, and ``p`` and ``inv`` were validated when built.  When
+    the order view of the table last yielded is known by the time the
+    next is pulled (read, or seeded itself), the next one's view is
+    seeded from it by :func:`_order_update` at the two cells of each pair
+    whose pick changed; otherwise it is left to the full fold, if it is
+    read at all.  So a caller that reads no view pays for none."""
     keys = [pair for pair, _ in pairs]
+    last, prev = None, [None] * len(keys)
     for picks in itertools.product(*(cands for _, cands in pairs)):
-        for (x, y), pick in zip(keys, picks):
+        changed = [(x, y, pick) for (x, y), pick, old in zip(keys, picks, prev)
+                   if pick != old]
+        for x, y, pick in changed:
             table[x][y] = table[y][x] = pick
-        yield MeetDirectoid(table, inv=inv, labels=p.labels)
+        d = MeetDirectoid._unchecked(tuple(map(tuple, table)), inv, p.labels)
+        view = None if last is None else MeetDirectoid._order.known(last)
+        if view is not None:
+            cells = [cell for x, y, _ in changed for cell in ((x, y), (y, x))]
+            MeetDirectoid._order.seed(d, _order_update(view, d.meet, cells))
+        yield d
+        last, prev = d, picks
 
 
 def _capped_assignments(source, cap):

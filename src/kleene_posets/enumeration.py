@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
 
 from .completion import dedekind_macneille
 from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _IdentityWalk,
@@ -186,17 +186,16 @@ def involutive_from_witness(doc):
     return InvolutivePoset(p, inv)
 
 
-class InstanceSpace(NamedTuple):
+class InstanceSpace(namedtuple("InstanceSpace",
+                               "description sweep serialize rebuild capped",
+                               defaults=(False,))):
     """``sweep(n_bound, cap)`` yields ``(instance, count, sampled)`` in
     canonical order: one instance with count 1, or ``None`` for a run of
     ``count`` instances settled without evaluation (see ``_map_space``).
     ``capped`` if it cuts assignments at ``cap``; ``serialize`` and
     ``rebuild`` turn an instance into witness fields and back."""
-    description: str
-    sweep: Callable
-    serialize: Callable
-    rebuild: Callable
-    capped: bool = False
+
+    __slots__ = ()
 
 
 def _uncapped(iterate):
@@ -372,16 +371,12 @@ PIVOTS = InstanceSpace(
 # the claim registry
 # ---------------------------------------------------------------------------
 
-class AuditReport(NamedTuple):
-    claim: str
-    statement: str
-    n_bound: int
-    assignment_cap: Optional[int]
-    space: str
-    instances: int
-    confirmed: bool
-    witnesses: tuple
-    sampled: bool
+class AuditReport(namedtuple("AuditReport", (
+        "claim statement n_bound assignment_cap space instances confirmed "
+        "witnesses sampled"))):
+    """``assignment_cap`` is None on a space that cuts no assignments."""
+
+    __slots__ = ()
 
     @property
     def verdict(self):

@@ -14,18 +14,18 @@ symmetrically.  All parse failures carry the offending line number.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .errors import FixtureParseError, UsageError
 from .involution import InvolutivePoset, involution_from_pairs
 from .poset import Poset
 
 
-class PosetDocument(NamedTuple):
-    elements: tuple
-    covers: tuple                      # ((low, high), ...)
-    involution: Optional[tuple]        # ((a, b), ...) with a-index <= b-index
-    bounds: Optional[tuple]            # (bottom, top)
+class PosetDocument(namedtuple("PosetDocument", "elements covers involution bounds")):
+    """``covers`` is ((low, high), ...), ``involution`` ((a, b), ...) with
+    a-index <= b-index or None, and ``bounds`` (bottom, top) or None."""
+
+    __slots__ = ()
 
 
 def parse(text):

@@ -14,7 +14,7 @@ finds the maps under which a meet-directoid satisfies identity (2).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError, UsageError
 from .poset import (Poset, Subset, Verdict, _meet_rows, _memoised, _resolve_pairs,
@@ -392,23 +392,15 @@ class InvolutivePoset:
         return classify(self)
 
 
-class Classification(NamedTuple):
-    """Full classification report for an involutive poset."""
+class Classification(namedtuple("Classification", (
+        "involution bounded lattice distributive distributive_forms_agree "
+        "pseudo_kleene kleene strong strict strict_reason boolean "
+        "boolean_reason fixed_points summary"))):
+    """Full classification report for an involutive poset; the verdicts
+    from ``pseudo_kleene`` to ``boolean`` are None where they do not
+    apply."""
 
-    involution: Verdict
-    bounded: tuple
-    lattice: Verdict
-    distributive: dict
-    distributive_forms_agree: bool
-    pseudo_kleene: Verdict | None
-    kleene: Verdict | None
-    strong: Verdict | None
-    strict: Verdict | None
-    strict_reason: str
-    boolean: Verdict | None
-    boolean_reason: str
-    fixed_points: tuple
-    summary: str
+    __slots__ = ()
 
 
 def _summary(involution, lattice_ok, pk, kleene, strong, strict, boolean):

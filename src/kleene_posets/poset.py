@@ -20,20 +20,19 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from operator import and_
-from typing import NamedTuple
 
 from .errors import UsageError
 
 DISTRIBUTIVITY_FORMS = ("LU", "ULU", "UL", "LUL")
 
 
-class Verdict(NamedTuple):
-    """Boolean check outcome plus a reproducible witness when it fails."""
+class Verdict(namedtuple("Verdict", "ok witness detail", defaults=(None, ""))):
+    """Boolean check outcome plus a reproducible witness (a tuple, or None)
+    when it fails."""
 
-    ok: bool
-    witness: tuple | None = None
-    detail: str = ""
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -65,7 +64,8 @@ def _memoised(method):
     no caller, in any order, could compute another value.  An exception
     is never kept, so a precondition check raises on every call.
     ``seed(obj, value, *args)`` records a value known when ``obj`` is
-    built, under the key that call would use.  Arguments are dict keys,
+    built, under the key that call would use, and ``known(obj, *args)``
+    returns the value recorded so far, or None.  Arguments are dict keys,
     so a method is memoised only where its arguments are validated first
     (``Poset._distributivity_verdict``)."""
     name = method.__name__
@@ -81,7 +81,10 @@ def _memoised(method):
     def seed(obj, value, *args):
         obj._memo[(name, args) if args else name] = value
 
-    memoised.seed = seed
+    def known(obj, *args):
+        return obj._memo.get((name, args) if args else name)
+
+    memoised.seed, memoised.known = seed, known
     return memoised
 
 
@@ -516,6 +519,17 @@ def _meet_rows(rows, full, mask):
     while mask and res:
         low = mask & -mask
         res &= rows[low.bit_length() - 1]
+        mask ^= low
+    return res
+
+
+def _join_rows(rows, mask):
+    """The union of ``rows[i]`` over the bits i of ``mask``, the dual of
+    :func:`_meet_rows`."""
+    res = 0
+    while mask:
+        low = mask & -mask
+        res |= rows[low.bit_length() - 1]
         mask ^= low
     return res
 

@@ -15,7 +15,7 @@ every member of B.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .errors import DomainError
 from .involution import InvolutivePoset, _image
@@ -50,23 +50,21 @@ def check_condition7(ip):
                   lambda x, y: f"L({lab[x]}, {lab[y]}) = {{{lab[bottom]}}}")
 
 
-class ResiduationReport(NamedTuple):
-    """Outcome of the residuated-poset axiom check."""
-    zero_absorbing: Verdict
-    commutativity: Verdict
-    unit: Verdict
-    associativity: Verdict
-    adjointness: Verdict
-    case_counts: dict
+class ResiduationReport(namedtuple("ResiduationReport", (*AXIOMS, "case_counts"))):
+    """Outcome of the residuated-poset axiom check: one verdict per axiom."""
+
+    __slots__ = ()
 
     @property
     def all_ok(self):
         return all(getattr(self, name).ok for name in AXIOMS)
 
 
-class Theorem54Item(NamedTuple):
-    tier: str                         # precondition tier gating the item
-    verdict: Optional[Verdict] = None  # None when the tier does not hold
+class Theorem54Item(namedtuple("Theorem54Item", "tier verdict", defaults=(None,))):
+    """``tier`` is the precondition tier gating the item, ``verdict`` None
+    when the tier does not hold."""
+
+    __slots__ = ()
 
     @property
     def status(self):
@@ -75,10 +73,10 @@ class Theorem54Item(NamedTuple):
         return "pass" if self.verdict.ok else "fail"
 
 
-class Theorem54Report(NamedTuple):
-    items: dict                       # keys "i".."v" -> Theorem54Item
-    condition7: Verdict
-    strict_kleene: bool
+class Theorem54Report(namedtuple("Theorem54Report", "items condition7 strict_kleene")):
+    """``items`` maps "i".."v" to their :class:`Theorem54Item`."""
+
+    __slots__ = ()
 
     @property
     def violations(self):

@@ -18,11 +18,11 @@ fixture is a documented disagreement case.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset
-from .poset import Poset, Subset, Verdict, _bits
+from .poset import Poset, Subset, Verdict, _bits, _join_rows
 
 
 class TwistPoset:
@@ -194,13 +194,7 @@ def check_product_cones(t, restricted=True):
 def _lift(coordinate, cones):
     """Per element z of Q, the mask of carrier pairs whose coordinate (a
     ``_first`` or ``_second`` table) lies in ``cones[z]``."""
-    lifted = []
-    for cone in cones:
-        out = 0
-        for x in _bits(cone):
-            out |= coordinate[x]
-        lifted.append(out)
-    return lifted
+    return [_join_rows(coordinate, cone) for cone in cones]
 
 
 def _outside(t, xs, ys, inside):
@@ -214,17 +208,14 @@ def _outside(t, xs, ys, inside):
                 return (x, y)
 
 
-class TwistAuditReport(NamedTuple):
+class TwistAuditReport(namedtuple("TwistAuditReport", (
+        "part_i part_ii q_distributive twist_kleene part_iii_agree "
+        "product_cones_restricted product_cones_unrestricted"))):
     """Three-part audit of one (Q, pivot) instance.  Parts (i) and (ii)
     carry pass/fail verdicts; part (iii) is recorded as agreement data
     because the bundled corpus contains a genuine disagreement."""
-    part_i: Verdict
-    part_ii: Verdict
-    q_distributive: Verdict
-    twist_kleene: Verdict
-    part_iii_agree: bool
-    product_cones_restricted: Verdict
-    product_cones_unrestricted: Verdict
+
+    __slots__ = ()
 
     @property
     def asserted_ok(self):

@@ -22,7 +22,7 @@ from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            enumerate_posets, figure, iter_assignments)
 
 from kleene_posets.directoid import (_identity_2, _identity_2_maps, _IdentityWalk,
-                                     _order_masks)
+                                     _order_masks, _order_update)
 from kleene_posets.enumeration import _RUNGS
 
 from oracles import (_ref_premise_table, ref_derived_set_laws, ref_directoid_axioms,
@@ -928,6 +928,121 @@ def test_premise_table_matches_its_definition():
     counts = [(len(tables), sum(d.check_directoid_axioms().ok for d in tables))
               for tables in sets]
     assert counts == [(435, 435), (16, 16), (5178, 0), (2164, 265)]
+
+
+def _directed(n_bound):
+    return [p for n in range(1, n_bound + 1)
+            for p in filter(Poset.is_downward_directed, enumerate_posets(n))]
+
+
+def test_seeded_order_views_match_the_full_fold():
+    """Every assigned table of every directed poset with n <= 6, its
+    order view against the brute transcription (``_ref_order_masks``):
+    read in order, when every view after a poset's first is seeded from
+    its predecessor's; read from the third table on, when the tables
+    from the fourth on are seeded, each from a view seeded or read; and
+    read in reverse once all are built, when none is."""
+    seeded = tables = 0
+    for p in _directed(6):
+        for d in iter_assignments(p):
+            seeded += MeetDirectoid._order.known(d) is not None
+            tables += 1
+            assert list(d._order()) == _ref_order_masks(d.meet)
+        for k, d in enumerate(iter_assignments(p)):
+            assert (MeetDirectoid._order.known(d) is not None) == (k >= 3)
+            if k >= 2:
+                assert list(d._order()) == _ref_order_masks(d.meet)
+        built = list(iter_assignments(p))
+        assert not any(MeetDirectoid._order.known(d) for d in built)
+        for d in reversed(built):
+            assert list(d._order()) == _ref_order_masks(d.meet)
+    assert (tables, seeded) == (435, 347)
+
+
+@pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 8)])
+def test_seeded_order_views_on_the_figures(name):
+    """The first 1,000 assigned tables of each figure, read in order:
+    all but the first seeded, and each equal to the brute fold."""
+    for k, d in enumerate(itertools.islice(iter_assignments(figure(name)), 1000)):
+        assert (MeetDirectoid._order.known(d) is not None) == (k > 0)
+        assert list(d._order()) == _ref_order_masks(d.meet)
+        d.check_directoid_axioms()    # what the CLI reads before pulling on
+
+
+def _edit_sets():
+    figures = [d for name in SMALL_FIGS for d in iter_assignments(figure(name))]
+    return figures, list(_single_entry_edits(figures)), list(_symmetric_edits(figures))
+
+
+def test_order_update_on_edits():
+    """The view update from each of fig1-fig5's assigned tables to each
+    single-entry and symmetric two-entry edit one or two entries away
+    from it (``_single_entry_edits``, ``_symmetric_edits``), at exactly
+    the differing entries, against the brute fold.  The edits write
+    entries equal to their row or column index, which moves ``above``,
+    ``below`` and ``lower``; most fail the axioms.  An update also gives
+    back the full fold when it lists an unchanged entry, and leaves the
+    view it starts from as it was."""
+    figures, single, symmetric = _edit_sets()
+    updates = collections.Counter()
+    for kind, edits in (("single", single), ("symmetric", symmetric)):
+        for e in edits:
+            ref = _ref_order_masks(e.meet)
+            for d in figures:
+                if d.n != e.n:
+                    continue
+                cells = [(x, y) for x in range(d.n) for y in range(d.n)
+                         if d.meet[x][y] != e.meet[x][y]]
+                if len(cells) > 2:
+                    continue
+                before = list(d._order())
+                assert list(_order_update(d._order(), e.meet, cells)) == ref
+                assert list(_order_update(d._order(), e.meet, cells + [(0, 0)])) == ref
+                assert list(d._order()) == before
+                updates[kind, e.check_directoid_axioms().ok] += 1
+    assert updates == {("single", False): 5528, ("symmetric", False): 1934,
+                       ("symmetric", True): 283}
+
+
+def _n2_directoid_axioms(d):
+    """``check_directoid_axioms`` with weak associativity prefiltered per
+    entry, (y, z) failing when column y ⊓ z's value mask leaves
+    ``below[z]``, then the same witness scan."""
+    meet, lab, rng = d.meet, d.labels, range(d.n)
+    for x in rng:
+        if meet[x][x] != x:
+            return (False, ("idempotency", x),
+                    f"{lab[x]} meet {lab[x]} = {lab[meet[x][x]]}")
+    for x in rng:
+        for y in rng:
+            if meet[x][y] != meet[y][x]:
+                return (False, ("commutativity", x, y),
+                        f"{lab[x]} meet {lab[y]} = {lab[meet[x][y]]} but "
+                        f"{lab[y]} meet {lab[x]} = {lab[meet[y][x]]}")
+    _, below, _, cols = _ref_order_masks(meet)
+    if any(cols[v] & ~below[z] for row in meet for z, v in enumerate(row)):
+        for x, y, z in itertools.product(rng, repeat=3):
+            m = meet[x][meet[y][z]]
+            if meet[m][z] != m:
+                return (False, ("weak associativity", x, y, z),
+                        f"(({lab[x]} meet ({lab[y]} meet {lab[z]})) meet {lab[z]}) "
+                        f"= {lab[meet[m][z]]} != {lab[m]}")
+    return True, None, ""
+
+
+def test_weak_associativity_per_column_matches_per_entry():
+    """The axioms verdict, witness and detail included, with the
+    per-column test against the per-entry one, on fig1-fig5's assigned
+    tables and their single-entry and symmetric two-entry edits, and on
+    every assigned table of every directed poset with n <= 6."""
+    outcomes = collections.Counter()
+    for d in itertools.chain(*_edit_sets(), (d for p in _directed(6)
+                                             for d in iter_assignments(p))):
+        got = tuple(d.check_directoid_axioms())
+        assert got == _n2_directoid_axioms(d)
+        outcomes[got[1] and got[1][0]] += 1
+    assert outcomes == {None: 716, "idempotency": 710, "commutativity": 4468,
+                        "weak associativity": 1899}
 
 
 def test_colliding_pair_keys_are_usage_errors():

@@ -4,8 +4,8 @@ package's ``__all__`` lists every name it re-exports.
 Parses the module sources with :mod:`ast` only.  ``__init__.py`` is
 skipped there: its imports are the package's re-exports.
 
-Importing the package loads neither :mod:`dataclasses` nor :mod:`inspect`
-(together about half of a cold import), and its result records stay
+Importing the package loads none of :mod:`dataclasses`, :mod:`inspect`
+(together about half of a cold import) and :mod:`typing`, and its result records stay
 immutable, as does a :class:`ResiduatedStructure`, whose verdicts read
 the tables it was built with.
 """
@@ -63,10 +63,12 @@ def test_all_lists_every_public_name():
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    """A fresh interpreter without ``site``, so nothing else loads them."""
+    """A fresh interpreter without ``site``, so nothing else loads them;
+    nor ``typing``, which the records' ``collections.namedtuple`` bases
+    do without."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     code = ("import sys, kleene_posets; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
