@@ -27,7 +27,8 @@ column index, and of each column's values, built in one pass, or, for an
 assignment whose predecessor's view is known, updated from that view at
 the entries whose pick changed (:func:`_order_update`).  The map
 audits and the CLI decide (1)–(6) on one poset's tables through one walk
-(:class:`_IdentityWalk`), once per signature each condition reads.
+(:class:`_IdentityWalk`), once per (2) group on the tables that pass the
+directoid axioms.
 Witnesses are deterministic: the checkers scan in a fixed order and
 report the first violation they encounter.
 """
@@ -414,6 +415,7 @@ class MeetDirectoid:
         self._require_identities_1_2()
         return self._implication_4(*self._premise_table())
 
+    @_memoised
     def _premise_table(self):
         """(4)'s premise table ``lset[x][y] = {(t ⊓ x) ⊓ (t ⊓ y) | t}`` and
         whether the table is commutative (``symmetric``); then so is
@@ -428,7 +430,9 @@ class MeetDirectoid:
             Weak associativity at (b, t, x) gives (b ⊓ a) ⊓ x = b ⊓ a, and
             commutativity turns that into a ⊓ b, so the term a ⊓ b is below
             x; weak associativity at (a, t, y) puts it below y.
-        Only a table failing the axioms takes the n³ scan of the definition."""
+        Only a table failing the axioms takes the n³ scan of the definition.
+        Memoised, so a map-free table's premise table serves every map that
+        :class:`_IdentityWalk` reads it under."""
         if self.check_directoid_axioms().ok:
             below = self._order()[1]
             return [[bx & by for by in below] for bx in below], True
@@ -539,98 +543,85 @@ class MeetDirectoid:
 
 
 class _IdentityWalk:
-    """Identities (1)–(6) on the map-free assignment tables of one poset,
-    read under one map and its bounds at a time (:meth:`under`).  Built
-    once per poset: by the map spaces' sweep, by a map witness's rebuild
-    and by the CLI ``directoid``.  Each verdict :meth:`verdicts` returns,
+    """Identities (1)–(6) on the map-free tables of one poset, read under
+    one map and its bounds at a time (:meth:`under`).  Built once per
+    poset: by the map spaces' sweep, by a map witness's rebuild and by
+    the CLI ``directoid``.  Each verdict :meth:`verdicts` returns,
     witness and detail included, is the one the public checker returns
-    on ``tables[i]._with_map(inv)``.
+    on ``tables[i]._with_map(inv)``.  The tables are valid by
+    construction in the assignment generator (the sweep and the CLI) and
+    validated by the constructor in ``directoid_from_choices`` (a
+    replay), and ``InvolutivePoset`` validated the map; ``_with_map``
+    joins the two without checking either again.
 
-    Each condition is decided lazily, once per (map, key), the key being
-    what of a table its checker reads, read off the table, never off the
-    poset.  Each table's map-free keys are computed at most once per walk
-    and interned to small integers, so no map rehashes them; :meth:`under`
-    starts each map with an empty memo.  The map, the bounds and the
-    labels (one poset's tables share them; every detail names them) are
-    fixed while a memo lives.  The tables are valid by construction in
-    the assignment generator (the sweep and the CLI) and validated by
-    the constructor in ``directoid_from_choices`` (a replay), and
-    ``InvolutivePoset`` validated the map; ``_with_map`` joins the two
-    without checking either again.
+    (1) x'' = x reads the map alone.  (2) (x ⊓ y)' ⊓ y' = y' reads the
+    signature ``(cols, lower)`` of a table's order view alone, so the
+    tables are grouped by it, eagerly, and a caller sees at once whether
+    any passes.  For a fixed y, m = x ⊓ y runs over exactly ``cols[y]``
+    as x runs over the carrier, and a ⊓ b = b iff b is in ``lower[a]``,
+    so (2) holds iff y' is in ``lower[m']`` for every y and every m in
+    ``cols[y]`` (:func:`_identity_2`); neither commutativity nor x'' = x
+    enters.  The maps under which some group passes are searched for on
+    the signatures alone (:meth:`maps_passing`).  Where (1)/(2) fail,
+    (3)–(6) are None, and every map claim's table side is False without
+    reading the table; only the CLI runs the table's own check, for its
+    witness.
 
-    - (1) x'' = x reads the map alone.
-    - (2) (x ⊓ y)' ⊓ y' = y' by ``(cols, lower)``, grouped eagerly, so a
-      caller sees at once whether any table passes.  For a fixed y,
-      m = x ⊓ y runs over exactly ``cols[y]`` as x runs over the carrier,
-      and a ⊓ b = b iff b is in ``lower[a]``.  So (2) holds iff y' is in
-      ``lower[m']`` for every y and every m in ``cols[y]``
-      (:func:`_identity_2`); neither commutativity nor x'' = x enters.
-      The maps under which some group passes are searched for on the
-      signatures alone (:meth:`maps_passing`).
-      Where (1)/(2) fail, (3)–(6) are None, and every map claim's table
-      side is False without reading the table; only the CLI runs the
-      table's own check, for its witness.
-    - (4) reads only its premise table ``lset``
-      (:meth:`MeetDirectoid._premise_table`), ``above``, ``below`` and
-      the commutativity flag.  ``below`` is the transpose of ``above``
-      (both mark x ⊓ y = x).  The flag only narrows the scan to y >= x,
-      which finds the full scan's first failure whenever ``lset`` is
-      symmetric (:meth:`MeetDirectoid.check_implication_4`), and ``lset``
-      is the whole table either way, so tables with equal ``(lset,
-      above)`` agree on (4) whatever their flags.  On a table passing the
-      axioms ``lset[x][y]`` is ``below[x] & below[y]`` (the premise
-      table's docstring argues it) and the flag is True, so there the key
-      is ``below`` alone, and the tables of one poset, which share it,
-      build and hash one premise table.  Any other table keys by
-      ``(lset, above)``, its premise table built by the n³ scan, once per
-      table.  No key reads the map, so a table's key and premise table
-      serve every map, and one copy of each premise table is kept per
-      key.
-    - Whether (3) holds by ``(lmask, above)``: its failing pairs read only
-      ``lmask[x] = lset[x][x']`` (:func:`_lmask`), ``above`` and the map.
-      ``lmask`` is read off ``lset`` once that is built, and from the n²
-      build otherwise, so a claim that needs only (3) never builds
-      ``lset``.  (3)'s witness scan reads the meet and join tables,
-      which the key does not fix, so only whether (3) holds is shared; a
-      table on which it fails rescans for its own witness.
-    - (5) and (6) by ``(above, lower)``.  (5) reads ``lower``, and
-      x ⊓ y in {x, y} only as y in ``above[x] | lower[x]``.  (6) reads
-      ``above`` and ``below`` for its bounds test, then ``lower``.
+    One rule shares (3)–(6), each decided lazily: a table that passes
+    :meth:`MeetDirectoid.check_directoid_axioms` shares its verdicts with
+    the other such tables of its (2) group, and any other table decides
+    them alone.  Exact, since on a table passing the axioms each
+    condition reads only the signature, the map, the bounds and the
+    labels (one poset's tables share them; every detail names them).  On
+    a commutative table ``lower`` is ``below`` and ``above`` is its
+    transpose (both mark x ⊓ y = x), so the signature fixes the whole
+    order view.  Under the axioms (4)'s premise table ``lset[x][y]`` is
+    ``below[x] & below[y]`` (:meth:`MeetDirectoid._premise_table` argues
+    it), and so is (3)'s left-side mask ``lmask[x] = lset[x][x']``
+    (:func:`_lmask`) at y = x'.  (3) reads ``lmask``, ``above`` and the
+    map; (4) ``lset``, ``above``, ``below`` and the commutativity flag;
+    (5) ``lower``, and x ⊓ y in {x, y} only as y in ``above[x] |
+    lower[x]``; (6) ``above`` and ``below`` for its bounds test, then
+    ``lower``.  Commutativity alone is not enough: without weak
+    associativity ``lset`` need not be read off the order view, and two
+    commutative tables of one group can differ on (4).  (3)'s witness
+    scan reads the meet and join tables, which the group does not fix,
+    so only whether (3) holds is shared; a table on which it fails
+    rescans for its own witness.  :meth:`under` starts each map with an
+    empty memo, and the premise table is memoised on the map-free table,
+    so it serves every map; a claim that needs only (3) reads the n²
+    ``lmask`` and builds none.
 
-    On one poset's assigned tables ``above``, ``lower`` and ``cols`` are
-    its up- and down-sets whatever the choices (``enumeration._map_space``
-    says why), so they form one (2) group and share one (5)/(6) key."""
+    On one poset's assigned tables, which pass the axioms, ``lower`` and
+    ``cols`` are its down-sets whatever the choices
+    (``enumeration._map_space`` says why), so they form one group: each
+    condition is decided once per (poset, map), and one premise table is
+    built per poset."""
 
     def __init__(self, tables):
-        signatures, self._ids, self._premises = {}, {}, {}
-        self.tables, self.group, self._above, self._key56 = [], [], [], []
+        signatures = {}
+        self.tables, self.group = [], []
         for t in tables:    # each view read as its table is pulled (_assignments)
             self.tables.append(t)
-            above, _, lower, cols = t._order()
-            lower = tuple(lower)
-            self.group.append(signatures.setdefault((tuple(cols), lower), len(signatures)))
-            self._above.append(self._id(tuple(above)))
-            self._key56.append(self._id((self._above[-1], lower)))
+            _, _, lower, cols = t._order()
+            self.group.append(signatures.setdefault((tuple(cols), tuple(lower)),
+                                                    len(signatures)))
         self._signatures = list(signatures)
-        self._lsets = [None] * len(self.tables)
-
-    def _id(self, key):
-        return self._ids.setdefault(key, len(self._ids))
 
     def maps_passing(self):
         """The maps under which (1)/(2) hold on some table, in
         lexicographic order: the union over the (2) groups of
         :func:`_identity_2_maps`, since (1) holds under every involution.
-        On a poset's assigned tables, whose ``cols`` and ``lower`` are
-        its down-sets, the search is the one that finds its antitone
-        involutions, and the maps are the same (``enumeration._map_space``
-        says why)."""
+        On a poset's assigned tables, one group whose ``cols`` and
+        ``lower`` are its down-sets, this is the search that finds its
+        antitone involutions, and the maps are the same
+        (``enumeration._map_space`` says why)."""
         return sorted(set().union(*map(_identity_2_maps, self._signatures)))
 
     def under(self, inv, bounds):
         """The walk read under the map ``inv`` with its ``bounds`` (index
-        pairs, None where absent), with an empty memo.  ``passing[g]``
-        is whether (1)/(2) hold on the tables of group g."""
+        pairs, None where absent), with an empty memo of (3)–(6).
+        ``passing[g]`` is whether (1)/(2) hold on the tables of group g."""
         self.inv, self.bounds = inv, bounds
         involutive = all(inv[inv[x]] == x for x in range(len(inv)))
         self.passing = [involutive and _identity_2(s, inv) for s in self._signatures]
@@ -638,37 +629,20 @@ class _IdentityWalk:
         return self
 
     def verdict(self, condition, i):
-        """(3), (4), (5) or (6) on table i, where (1)/(2) hold; a failing
-        (3) carries no witness."""
+        """(3), (4), (5) or (6) on table i, where (1)/(2) hold, shared with
+        its group when it passes the axioms; a failing (3) carries no
+        witness."""
         table, inv = self.tables[i], self.inv
-        if condition == 3:
-            lmask = (_lmask(table.meet, inv) if self._lsets[i] is None
-                     else [row[inv[x]] for x, row in enumerate(self._lsets[i][0])])
-            key = 3, tuple(lmask), self._above[i]
-        elif condition == 4:
-            if self._lsets[i] is None:
-                if table.check_directoid_axioms().ok:
-                    key = 4, self._id(tuple(table._order()[1]))
-                    lset = self._premises.get(key)
-                    if lset is None:
-                        lset = self._premises[key] = table._premise_table()[0]
-                    symmetric = True
-                else:
-                    lset, symmetric = table._premise_table()
-                    key = 4, self._id((tuple(map(tuple, lset)), self._above[i]))
-                    lset = self._premises.setdefault(key, lset)
-                self._lsets[i] = lset, symmetric, key
-            lset, symmetric, key = self._lsets[i]
-        else:
-            key = condition, self._key56[i]
+        # ~i < 0 is no group's: a table failing the axioms decides alone
+        key = condition, self.group[i] if table.check_directoid_axioms().ok else ~i
         verdict = self._memo.get(key)
         if verdict is None:
             if condition == 3:
-                failures = _identity_3_failures(lmask, table._order()[0], inv)
+                failures = _identity_3_failures(_lmask(table.meet, inv), table._order()[0], inv)
                 verdict = Verdict(next(failures, None) is None)
             else:
                 d = table._with_map(inv)
-                verdict = (d._implication_4(lset, symmetric) if condition == 4
+                verdict = (d._implication_4(*table._premise_table()) if condition == 4
                            else d.check_implication_5() if condition == 5
                            else d.check_implication_6(*self.bounds))
             self._memo[key] = verdict
@@ -686,9 +660,8 @@ class _IdentityWalk:
         d = self.tables[i]._with_map(self.inv)
         if not self.holds(i):
             return d.check_identities_1_2(), None, None, None, None
-        v4 = self.verdict(4, i)    # builds lset first, which (3) reads
         v3 = self.verdict(3, i)
-        return (Verdict(True), v3 if v3.ok else d.check_identity_3(), v4,
+        return (Verdict(True), v3 if v3.ok else d.check_identity_3(), self.verdict(4, i),
                 self.verdict(5, i), None if None in self.bounds else self.verdict(6, i))
 
 
@@ -815,7 +788,8 @@ def _pair_keys(labels, pairs):
 
 
 def directoid_from_choices(source, choices):
-    """Rebuild an assignment from :func:`assignment_choices` output."""
+    """Rebuild an assignment from :func:`assignment_choices` output; a
+    missing or unknown key is a usage error."""
     p, inv = _split_source(source)
     table, pairs = _base_table(p)
     keys = _pair_keys(p.labels, [pair for pair, _ in pairs])
@@ -827,6 +801,9 @@ def directoid_from_choices(source, choices):
         if pick not in cands:
             raise UsageError(f"choice for {key} is not a common lower bound")
         table[x][y] = table[y][x] = pick
+    for key in choices:
+        if key not in keys:
+            raise UsageError(f"choice for {key} names no incomparable pair")
     return MeetDirectoid(table, inv=inv, labels=p.labels)
 
 

@@ -340,6 +340,9 @@ def _map_rebuild(witness):
     missing = [lab for lab in p.labels if lab not in unary_map]
     if missing:
         raise UsageError(f"unary map does not cover: {', '.join(missing)}")
+    for lab in unary_map:
+        if lab not in p.labels:
+            raise UsageError(f"unknown element name {lab!r}")
     unary = tuple(p.index(unary_map[lab]) for lab in p.labels)
     return (InvolutivePoset(p, unary),
             _IdentityWalk([directoid_from_choices(p, witness["binding"]["choices"])]))

@@ -761,7 +761,7 @@ def _fresh_rung_sides(table, inv, bounds):
 def _walk_reads(walk, inv, bounds):
     """The walk's verdicts and rung sides on each of its tables under one
     map.  On every other table the rung sides are read first, so both
-    orders of filling the memo, and of building ``lset``, are exercised."""
+    orders of filling the memo are exercised."""
     walk.under(inv, bounds)
     got = []
     for i in range(len(walk.tables)):
@@ -785,7 +785,7 @@ def _fresh_reads(tables, inv, bounds):
 def _assert_walk_matches_fresh_calls(tables, inv, bounds):
     """The walk over ``tables`` and over them reversed matches fresh calls
     per table, verdicts and rung sides alike.  Whether (3) holds is
-    shared, so a key too coarse for (3) shows only when a table where it
+    shared, so sharing it too widely shows only when a table where it
     holds is walked first."""
     assert set(FRESH_RUNGS) == set(_RUNGS)
     fresh = _fresh_reads(tables, inv, bounds)
@@ -799,7 +799,8 @@ def test_identity_walk_matches_fresh_checks_on_figure_assignments(monkeypatch):
     map and a bottom, under the figure's map, and their first 20 under
     seeded other maps of the carrier (most failing (1) or (2)) and under
     the constant map onto the top.  Under the figure's own map all its
-    tables share one key, so (4) is decided once per walk."""
+    tables pass the axioms and form one (2) group, so (4) is decided once
+    per walk."""
     decisions = []
     decide_4 = MeetDirectoid._implication_4
     monkeypatch.setattr(MeetDirectoid, "_implication_4",
@@ -830,9 +831,9 @@ def test_identity_walk_matches_fresh_checks_on_figure_assignments(monkeypatch):
 def test_one_walk_reads_each_map_afresh():
     """One walk over a figure's tables, read under its antitone
     involutions in turn and then under the first again, matches fresh
-    checks under each.  fig4's two maps differ on (3), (5) and (6) with
-    the same (5)/(6) key, so a walk that kept one map's memo for the
-    next would answer with the first map's verdicts."""
+    checks under each.  fig4's two maps differ on (3), (5) and (6) on
+    one group of tables, so a walk that kept one map's memo for the next
+    would answer with the first map's verdicts."""
     for name in ("fig2", "fig4"):
         ip = figure(name)
         p = ip.base
@@ -868,28 +869,37 @@ def test_identity_walk_matches_fresh_checks_on_edits(name, depth, passing, bound
     """The figure's assignment tables and their single-entry edits (with
     depth 2, the single-entry edits of those edits that pass (1)/(2)),
     walked under the figure's map.  Edits that still pass (1)/(2) break
-    commutativity and change ``lset``, ``above`` and ``lower`` apart, so
-    a key missing one of them shares a wrong verdict: without ``lset``
-    on fig2 and fig3, without ``lower`` only at depth 2.  The other edits
-    change (2)'s signature.  (6) rejects bounds that no longer bound an
+    commutativity, so they fail the axioms, and may keep (2)'s signature
+    while changing ``lset`` and ``above``: a walk that shared (3)-(6)
+    across a whole group fails on every case, and one that shared (5)/(6)
+    on tables failing the axioms only at depth 2.  The other edits change
+    (2)'s signature.  (6) rejects bounds that no longer bound an
     edited table's order, so the walk with the figure's bounds takes only
     the passing edits that keep them, and the walks before leave (6) out."""
     ip = figure(name)
-    p, n = ip.base, ip.n
-    tables = level = list(iter_assignments(p))
+    tables = level = list(iter_assignments(ip.base))
     for _ in range(depth - 1):
         level = [d for d in _single_entry_edits(level)
                  if d._with_map(ip.inv).check_identities_1_2().ok]
-    edits = list(_single_entry_edits(level))
+    kept, within = _walk_edits(ip, tables, list(_single_entry_edits(level)))
+    assert (len(kept), len(within)) == (passing, bounded)
+
+
+def _walk_edits(ip, tables, edits):
+    """The walk over ``tables + edits`` under ``ip``'s map, without
+    bounds, and over ``tables`` plus the edits passing (1)/(2) that keep
+    ``ip``'s bounds, with them, against fresh calls; the edits passing
+    (1)/(2), and those of them within the bounds."""
     got = _assert_walk_matches_fresh_calls(tables + edits, ip.inv, (None, None))
     kept = [d for d, verdicts in zip(edits, got[len(tables):]) if verdicts[0].ok]
     assert len({tuple(v.ok for v in verdicts[1:4])
                 for verdicts in got if verdicts[0].ok}) >= 2
-    bottom, top = p.bounds()
-    within = [d for d in kept if d._order()[0][bottom] == (1 << n) - 1
-              and d._order()[1][top] == (1 << n) - 1]
+    bottom, top = ip.bounds()
+    full = (1 << ip.n) - 1
+    within = [d for d in kept
+              if d._order()[0][bottom] == full and d._order()[1][top] == full]
     _assert_walk_matches_fresh_calls(tables + within, ip.inv, (bottom, top))
-    assert (len(kept), len(within)) == (passing, bounded)
+    return kept, within
 
 
 def _symmetric_edits(tables):
@@ -906,6 +916,45 @@ def _symmetric_edits(tables):
             if edited.meet not in seen:
                 seen.add(edited.meet)
                 yield edited
+
+
+@pytest.mark.parametrize("name, passing, bounded, axioms", [
+    ("fig1", 11, 8, 4), ("fig2", 17, 14, 10), ("fig3", 22, 18, 5),
+    ("fig4", 8, 6, 2), ("fig5", 16, 12, 0)])
+def test_identity_walk_matches_fresh_checks_on_symmetric_edits(name, passing, bounded,
+                                                               axioms):
+    """The figure's assignment tables and their symmetric two-entry edits,
+    walked under the figure's map as in the single-entry case.  These are
+    the only walked tables that pass the directoid axioms without being
+    assigned, so the only ones that share (3)-(6) within a (2) group
+    other than an assigned poset's; ``axioms`` of the passing edits pass
+    the axioms."""
+    ip = figure(name)
+    tables = list(iter_assignments(ip.base))
+    kept, within = _walk_edits(ip, tables, list(_symmetric_edits(tables)))
+    assert (len(kept), len(within), sum(d.check_directoid_axioms().ok for d in kept)
+            ) == (passing, bounded, axioms)
+
+
+def test_commutative_tables_failing_the_axioms_decide_alone():
+    """Two commutative, idempotent tables on seven elements, equal but at
+    the mirrored pair (x5, x6), in one (2) group and passing (1)/(2) under
+    ``u``.  Their relation x ⊓ y = x is no order (x1 <= x0 <= x4 <= x1),
+    so both fail weak associativity, and (4) holds on the first alone: a
+    walk that took commutativity for the axioms would share it.  An
+    exhaustive search finds no such pair of idempotent tables below seven
+    elements."""
+    first = [[0, 1, 2, 1, 0, 0, 0], [1, 1, 4, 1, 4, 5, 6], [2, 4, 2, 3, 4, 5, 6],
+             [1, 1, 3, 3, 3, 3, 3], [0, 4, 4, 3, 4, 0, 0], [0, 5, 5, 3, 0, 5, 3],
+             [0, 6, 6, 3, 0, 3, 6]]
+    second = [list(row) for row in first]
+    second[5][6] = second[6][5] = 0
+    tables = [MeetDirectoid(first), MeetDirectoid(second)]
+    u = (1, 0, 3, 2, 4, 5, 6)
+    assert _IdentityWalk(tables).group == [0, 0]
+    got = _assert_walk_matches_fresh_calls(tables, u, (None, None))
+    assert [(v[0].ok, v[2].ok) for v in got] == [(True, True), (True, False)]
+    assert not any(d.check_directoid_axioms().ok for d in tables)
 
 
 def test_premise_table_matches_its_definition():

@@ -373,13 +373,18 @@ def test_malformed_witness_is_a_usage_error():
      "is malformed: unknown element name 'zz'"),
     ("U-pair-law-printed", {"binding": None}, "is malformed"),
     ("Thm-6.1-iii", {"binding": None}, "binding is not an object"),
+    ("U-pair-law-printed",
+     lambda w: {"binding": dict(w["binding"], choices=dict(w["binding"]["choices"], zz="x0"))},
+     "is malformed: choice for zz names no incomparable pair"),
 ])
 def test_malformed_witness_json_names_the_claim(cid, fields, message):
-    """The claim's first witness with ``fields`` replaced, or ``fields``
-    itself when it is not a dict."""
+    """The claim's first witness with ``fields`` replaced (or the fields
+    that function of the witness returns), or ``fields`` itself when it
+    is neither a dict nor a function."""
     witness = fields
-    if isinstance(fields, dict):
-        witness = dict(audit(cid, n_bound=3).witnesses[0], **fields)
+    if isinstance(fields, dict) or callable(fields):
+        witness = audit(cid, n_bound=3).witnesses[0]
+        witness = dict(witness, **(fields(witness) if callable(fields) else fields))
     with pytest.raises(UsageError, match=f"^{cid} witness {message}") as exc:
         replay_witness(cid, witness)
     assert "no field" not in str(exc.value)
@@ -417,6 +422,10 @@ def test_unary_map_witness_must_cover_the_carrier():
                "binding": {"choices": {}}}
     with pytest.raises(UsageError, match="^Thm-4.2 witness is malformed: "
                                          "unary map does not cover: x0"):
+        replay_witness("Thm-4.2", witness)
+    witness["unary_map"] = {"x0": "x0", "zz": "x0"}
+    with pytest.raises(UsageError, match="^Thm-4.2 witness is malformed: "
+                                         "unknown element name 'zz'"):
         replay_witness("Thm-4.2", witness)
 
 
@@ -772,20 +781,27 @@ def test_map_claims_read_one_walk_per_poset(monkeypatch):
     """The four characterisations at n <= 6 (33 maps evaluated) read
     (3)-(6) through one identity walk per poset: the public (1)/(2), (3)
     and (4) checkers never run, one premise table is built per poset
-    whose (4) is read, since its assigned tables pass the axioms and share
-    their ``below`` key, and (5) and (6) run once per map, since one
-    poset's assigned tables share their (5)/(6) key."""
+    whose (4) is read, since its assigned tables pass the axioms and form
+    one (2) group, and (5) and (6) run once per map.  The premise table
+    is memoised, so a build is a call that finds none recorded; a memo
+    hit is no build."""
     def forbidden(self, *args):
         raise AssertionError("per-table checker ran")
     for name in ("check_identities_1_2", "check_identity_3", "check_implication_4"):
         monkeypatch.setattr(MeetDirectoid, name, forbidden)
     built, ran = [], []
+    premise_table = MeetDirectoid._premise_table
+
+    def building(self):
+        if premise_table.known(self) is None:
+            built.append(self)
+        return premise_table(self)
+    monkeypatch.setattr(MeetDirectoid, "_premise_table", building)
 
     def counting(name, log):
         method = getattr(MeetDirectoid, name)
         monkeypatch.setattr(MeetDirectoid, name,
                             lambda self, *args: log.append(self) or method(self, *args))
-    counting("_premise_table", built)
     counting("check_implication_5", ran)
     counting("check_implication_6", ran)
     counts = {}
