@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from operator import and_
 
 from .errors import UsageError
 
@@ -407,8 +406,23 @@ class Poset:
         outer(x) is inside outer(y).  Then pair[x][y] = outer(inner(y)) =
         cone[y], and back[x][z] contains back[y][z], so the sides of
         (x, y, z) are those of (y, y, z).  Scanning the y > x
-        incomparable to x therefore finds the first failing triple.  For
-        each such pair the sides are compared as rows over z.
+        incomparable to x therefore finds the first failing triple.
+
+        Nor does z lie in cone[x] or cone[y], or in inner(x) & inner(y):
+        for LU and ULU below x or below y or above both, dually for UL
+        and LUL.  If z is in cone[x], then outer(x,z) = outer(z), which
+        holds outer(y,z), so back[x][z] & back[y][z] = inner(z); and
+        cone[z] is inside cone[x], which is inside pair[x][y] since
+        inner(x,y) is inside inner(x).  Both sides are then cone[z] for
+        LU and UL and inner(z) for ULU and LUL, and so for z in cone[y].
+        If z is in inner(x) & inner(y), then outer(x,z) = outer(x), so
+        back[x][z] & back[y][z] = inner(x,y); and pair[x][y] is inside
+        cone[z].  Both sides are then pair[x][y] for LU and UL and
+        inner(x,y) for ULU and LUL.  So for each pair the scan visits
+        only the z outside cone[x] | cone[y] | (inner(x) & inner(y)), in
+        ascending order, and passes a pair with no such z before closing
+        pair[x][y]; a skipped z never fails, so the first failing triple
+        and its two sides are those of the scan over every z.
         """
         if form not in DISTRIBUTIVITY_FORMS:
             raise UsageError(f"unknown distributivity form {form!r}; "
@@ -416,10 +430,12 @@ class Poset:
         return self._distributivity_verdict(form)
 
     def distributivity_all_forms(self):
-        """Evaluate all four distributivity identities.  LU and ULU read
-        the same tables and closures, and so do UL and LUL; the closures
-        are functions of a mask alone, so sharing their memos is exact
-        and each verdict equals ``is_distributive(form)``."""
+        """Evaluate all four distributivity identities in one scan per
+        dual: LU and ULU read the same tables and closures, and so do UL
+        and LUL.  A closure is a function of its mask alone and each form
+        keeps its own first failure, so sharing the walk is exact and
+        each verdict equals ``is_distributive(form)``; a form already
+        decided is not scanned again."""
         self._distributivity(DISTRIBUTIVITY_FORMS)
         return {form: self._distributivity_verdict(form)
                 for form in DISTRIBUTIVITY_FORMS}
@@ -443,52 +459,57 @@ class Poset:
         ``None`` where it holds, else its first failing triple with the
         two sides at z as ``(x, y, z, lhs, rhs)`` masks, each scanned at
         most once and kept in ``_memo`` under ``("_distributivity", form)``
-        (:func:`_memoised` says why that is exact).
-
-        Each dual (LU and ULU, UL and LUL) shares one set of tables, and
-        nothing is closed before the scan asks for it: ``back[x]`` when
-        the scan first reaches a pair holding x, ``pair[x][y]`` when it
-        reaches (x, y), and each closure once per distinct mask.  A
-        table entry is a function of the order alone, so when it is
-        built cannot change its value, and the scan order is that of
-        :meth:`is_distributive`; the first failure is the same."""
+        (:func:`_memoised` says why that is exact).  One scan per dual
+        decides the dual's forms that are asked for and not yet known."""
         memo = self._memo
         duals = ((("LU", "ULU"), self._up, self._down), (("UL", "LUL"), self._down, self._up))
         for dual, inner_cone, cone in duals:
-            wanted = [form for form in dual
-                      if form in forms and ("_distributivity", form) not in memo]
-            if not wanted:
-                continue
-            close_inner = _Memo(functools.partial(_meet_rows, inner_cone, self._full))
-            close_outer = _Memo(functools.partial(_meet_rows, cone, self._full))
-            back = _rows(cone, close_inner)
-            for form in wanted:
-                memo["_distributivity", form] = self._distributivity_scan(
-                    form, inner_cone, cone, back, close_inner, close_outer)
+            wanted = tuple(form for form in dual
+                           if form in forms and ("_distributivity", form) not in memo)
+            if wanted:
+                for form, failure in self._distributivity_scan(wanted, inner_cone,
+                                                               cone).items():
+                    memo["_distributivity", form] = failure
         return {form: memo["_distributivity", form] for form in forms}
 
-    def _distributivity_scan(self, form, inner_cone, cone, back, close_inner,
-                             close_outer):
-        n = self.n
-        closes_lhs = form in ("ULU", "LUL")
-        up, down = self._up, self._down
-        for x in range(n):
-            ys = self._full >> (x + 1) << (x + 1) & ~(up[x] | down[x])
-            if not ys:
-                continue
-            back_x, inner_x = back[x], inner_cone[x]
-            for y in _bits(ys):
-                pxy = close_outer[inner_x & inner_cone[y]]
-                lhs = [pxy & c for c in cone]
-                rhs = list(map(and_, back_x, back[y]))
-                if closes_lhs:
-                    lhs = list(map(close_inner.__getitem__, lhs))
-                else:
-                    rhs = list(map(close_outer.__getitem__, rhs))
-                if lhs != rhs:
-                    z = next(z for z in range(n) if lhs[z] != rhs[z])
-                    return x, y, z, lhs[z], rhs[z]
-        return None
+    def _distributivity_scan(self, forms, inner_cone, cone):
+        """The first failure of each of ``forms``, one or both forms of the
+        dual whose cones are ``inner_cone`` and ``cone``, in one walk of
+        the incomparable pairs x < y and, per pair, of the z that can fail
+        (:meth:`is_distributive`).  The forms share ``pair[x][y]``, the
+        bases ``pair[x][y] & cone[z]`` and ``back[x][z] & back[y][z]``,
+        and each closure, computed once per distinct mask.  A form is no
+        longer checked once it has failed, and the walk ends when every
+        form has."""
+        full, up, down = self._full, self._up, self._down
+        close_inner = _Memo(functools.partial(_meet_rows, inner_cone, full))
+        close_outer = _Memo(functools.partial(_meet_rows, cone, full))
+        # whether the form with an open lhs (LU, UL) and the one with a
+        # closed lhs (ULU, LUL) are still checked
+        opened, closed = forms[0] in ("LU", "UL"), forms[-1] in ("ULU", "LUL")
+        failures = dict.fromkeys(forms)
+        for x in range(self.n):
+            cone_x, inner_x = cone[x], inner_cone[x]
+            for y in _bits(full >> (x + 1) << (x + 1) & ~(up[x] | down[x])):
+                cone_y = cone[y]
+                inner_xy = inner_x & inner_cone[y]
+                zs = full & ~(cone_x | cone_y | inner_xy)
+                if not zs:
+                    continue
+                pxy = close_outer[inner_xy]
+                for z in _bits(zs):
+                    cone_z = cone[z]
+                    lhs = pxy & cone_z
+                    rhs = close_inner[cone_x & cone_z] & close_inner[cone_y & cone_z]
+                    if opened and lhs != close_outer[rhs]:
+                        failures[forms[0]] = x, y, z, lhs, close_outer[rhs]
+                        opened = False
+                    if closed and close_inner[lhs] != rhs:
+                        failures[forms[-1]] = x, y, z, close_inner[lhs], rhs
+                        closed = False
+                    if not (opened or closed):
+                        return failures
+        return failures
 
 
 def _resolve_pairs(labels, pairs, kind):
@@ -562,12 +583,6 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fn(key)
         return value
-
-
-def _rows(cone, close):
-    """``rows[x][z] = close[cone[x] & cone[z]]``, each row built on its
-    first lookup."""
-    return _Memo(lambda x: list(map(close.__getitem__, [cone[x] & c for c in cone])))
 
 
 def _validate_order(up, n):

@@ -333,25 +333,27 @@ def test_all_forms_equal_each_form_alone():
 
 def test_distributivity_verdicts_are_memoised_per_form(monkeypatch):
     """A second call returns the same verdict without scanning again, and
-    ``distributivity_all_forms`` reads and fills the same memo."""
+    ``distributivity_all_forms`` reads and fills the same memo: each
+    scan covers the forms of one dual not yet decided, and each form is
+    scanned once."""
     scans = []
     scan = Poset._distributivity_scan
 
-    def counted(self, form, *args):
-        scans.append(form)
-        return scan(self, form, *args)
+    def counted(self, forms, *args):
+        scans.append(forms)
+        return scan(self, forms, *args)
 
     monkeypatch.setattr(Poset, "_distributivity_scan", counted)
     fig2 = base_of(figure("fig2"))
     p = Poset(fig2.labels, fig2._up)
     lu = p.is_distributive("LU")
-    assert not lu.ok and scans == ["LU"]
-    assert p.is_distributive("LU") is lu and scans == ["LU"]
+    assert not lu.ok and scans == [("LU",)]
+    assert p.is_distributive("LU") is lu and scans == [("LU",)]
     forms = p.distributivity_all_forms()
-    assert forms["LU"] is lu and scans == ["LU", "ULU", "UL", "LUL"]
+    assert forms["LU"] is lu and scans == [("LU",), ("ULU",), ("UL", "LUL")]
     assert p.distributivity_all_forms() == forms
     assert all(p.is_distributive(f) is forms[f] for f in DISTRIBUTIVITY_FORMS)
-    assert len(scans) == 4
+    assert [form for forms in scans for form in forms] == list(DISTRIBUTIVITY_FORMS)
 
 
 def test_unknown_form_rejected():
@@ -385,6 +387,25 @@ def test_comparable_triples_never_fail(n):
             for z in ref.elements:
                 for form in DISTRIBUTIVITY_FORMS:
                     assert ref.distributive_at(form, x, y, z)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_skipped_z_never_fail(n):
+    """For an incomparable pair (x, y), a z below x or below y or above
+    both satisfies LU and ULU, and a z above x or above y or below both
+    satisfies UL and LUL, which lets the kernel visit only the other z."""
+    for p in enumerate_posets(n):
+        ref = ref_of(p)
+        for x, y in itertools.permutations(ref.elements, 2):
+            if ref.leq(x, y) or ref.leq(y, x):
+                continue
+            for z in ref.elements:
+                if ref.leq(z, x) or ref.leq(z, y) or ref.leq(x, z) and ref.leq(y, z):
+                    assert ref.distributive_at("LU", x, y, z)
+                    assert ref.distributive_at("ULU", x, y, z)
+                if ref.leq(x, z) or ref.leq(y, z) or ref.leq(z, x) and ref.leq(z, y):
+                    assert ref.distributive_at("UL", x, y, z)
+                    assert ref.distributive_at("LUL", x, y, z)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
