@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from .errors import UsageError
 from .involution import InvolutivePoset
-from .poset import Poset, Subset, _bits, _meet_rows
+from .poset import Poset, Subset, _bits
 
 
 class CompletionLattice:
     """The lattice of cut ideals of a finite poset."""
 
-    __slots__ = ("base", "ideals", "labels", "_index", "_embed", "_poset",
-                 "_involutive")
+    __slots__ = ("base", "ideals", "labels", "_index", "_embed", "_elements",
+                 "_poset", "_involutive")
 
     def __init__(self, base):
         ip = None
@@ -47,6 +47,7 @@ class CompletionLattice:
         index = {m: i for i, m in enumerate(ideals)}
         object.__setattr__(self, "ideals", ideals)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_elements", elements)
         lab = base.labels
         object.__setattr__(
             self, "labels",
@@ -59,8 +60,12 @@ class CompletionLattice:
         for i, elems in enumerate(elements):
             for x in elems:
                 holders[x] |= 1 << i
-        every = (1 << len(ideals)) - 1
-        up = [_meet_rows(holders, every, m) for m in ideals]
+        up = []
+        for elems in elements:
+            above = (1 << len(ideals)) - 1
+            for x in elems:
+                above &= holders[x]
+            up.append(above)
         object.__setattr__(self, "_poset", Poset(self.labels, up, _validated=True))
         object.__setattr__(self, "_involutive",
                            None if ip is None else self._star_poset(ip))
@@ -75,7 +80,8 @@ class CompletionLattice:
             raise UsageError("involutive poset must be over this completion's base")
         ip._require_involution()
         twin = object.__new__(CompletionLattice)
-        for name in ("base", "ideals", "labels", "_index", "_embed", "_poset"):
+        for name in ("base", "ideals", "labels", "_index", "_embed", "_elements",
+                     "_poset"):
             object.__setattr__(twin, name, getattr(self, name))
         object.__setattr__(twin, "_involutive", self._star_poset(ip))
         return twin
@@ -89,7 +95,12 @@ class CompletionLattice:
         base, index = self.base, self._index
         down, inv = base._down, ip.inv
         below_image = [down[inv[x]] for x in range(base.n)]
-        star = [index[_meet_rows(below_image, base._full, m)] for m in self.ideals]
+        star = []
+        for elems in self._elements:
+            below = base._full
+            for x in elems:
+                below &= below_image[x]
+            star.append(index[below])
         return InvolutivePoset._antitone(self._poset, star)
 
     def __setattr__(self, name, value):

@@ -41,7 +41,7 @@ from .errors import DomainError, UsageError
 from .involution import (InvolutivePoset, _constrained_involutions,
                          involution_from_pairs)
 from .poset import (DISTRIBUTIVITY_FORMS, Poset, _bits, _canonical,
-                    _least_labelling, _transpose)
+                    _least_labelling)
 from .residuation import AXIOMS, ResiduatedStructure, check_condition7
 from .twist import (_part_i, _twist_kleene, check_embedding,
                     check_product_cones, twist)
@@ -57,9 +57,60 @@ def _labels(n):
     return tuple(f"x{i}" for i in range(n))
 
 
-def _poset_from_strict_downs(n, downs):
-    up = [t | 1 << i for i, t in enumerate(_transpose(downs))]
-    return Poset(_labels(n), up, _validated=True)
+def _search_nodes(downs):
+    """Every node of ``_least_labelling``'s search on the least sequence
+    ``downs`` (no map, no pin), without its twin skip and with its dead
+    ends: each partial labelling whose sequence so far is ``downs``'s,
+    as ``(placed, position, target)``, the mask of the placed elements,
+    the bit of the position each holds, and ``downs[k]``, the mask the
+    next position k must take (``None`` at a leaf, every element placed)."""
+    n = len(downs)
+    below = [tuple(_bits(d)) for d in downs]
+    nodes, position = [], [0] * n
+
+    def descend(k, placed):
+        if k == n:
+            nodes.append((placed, tuple(position), None))
+            return
+        target, unplaced = downs[k], ~placed
+        nodes.append((placed, tuple(position), target))
+        # no placeable element's mask is below ``target``, as ``downs`` is
+        # least: the node is a dead end iff none has it
+        for v in range(n):
+            if (placed >> v) & 1 or downs[v] & unplaced:
+                continue
+            mask = 0
+            for j in below[v]:
+                mask |= position[j]
+            if mask == target:
+                position[v] = 1 << k
+                descend(k + 1, placed | 1 << v)
+                position[v] = 0
+
+    descend(0, 0)
+    return nodes
+
+
+def _keeps_child(downs, nodes, d):
+    """Whether ``downs + [d]`` is a least sequence, given ``nodes``, the
+    ``_search_nodes`` of the least sequence ``downs``, and a down-set d
+    of it: ``_representatives`` says why the answer is read off the
+    nodes that place all of d, and searched only on a tie."""
+    bits, tie = tuple(_bits(d)), False
+    for placed, position, target in nodes:
+        if d & ~placed:
+            continue
+        m = 0
+        for j in bits:
+            m |= position[j]
+        if target is None:
+            if m < d:
+                return False
+        elif m <= target:
+            if m < target:
+                return False
+            tie = True
+    return not tie or _least_labelling(downs + [d], _stop_below=True) is not None
 
 
 @functools.cache
@@ -72,10 +123,9 @@ def _representatives(n):
     linear extensions.  Representatives are those least sequences, in
     increasing order, generated by canonical augmentation (McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26, 1998): each
-    (n - 1)-element representative is extended by every down-set of it
-    as a new last element, in increasing mask order, and a child is kept
-    iff its sequence is least: ``_least_labelling`` started from the
-    child's own sequence finds no labelling below it.
+    (n - 1)-element representative, the parent, is extended by every
+    down-set d of it as a new last element e, in increasing mask order,
+    and the child is kept iff its sequence is least.
 
     - The first n - 1 entries of the least sequence of P are the least
       sequence of P minus its last element, which is maximal: a smaller
@@ -86,8 +136,6 @@ def _representatives(n):
       the children come in increasing order too.  That is the order, and
       the set, of keeping the first poset of each class while walking
       every natural labelling in lexicographic order.
-    - Skipping tied twins in that search cannot change its answer; its
-      docstring says why.
     - Least sequences are nondecreasing, so the masks start at the
       parent's last.  The least labelling places at each position the
       least mask any placeable element gives.  An element placeable then
@@ -95,18 +143,66 @@ def _representatives(n):
       the placement at position k makes placeable is above that element,
       so its mask has bit k and exceeds the mask placed at k, which has
       bits below k only.  A child whose last mask is below its parent's
-      last is not least, and would be tested only to be dropped."""
+      last is not least, and would be tested only to be dropped.
+    - d is a down-set iff the union of the strict down-sets of its
+      elements lies in d; that union is one table per parent,
+      ``closure[s] = closure[s - low] | downs[low]`` for the lowest bit
+      low of s.
+
+    Whether a child is least is read off its parent's search
+    (``_search_nodes``), built once per parent and shared by its
+    children.  The child is least iff its own search never falls below:
+    at no node (a partial labelling whose sequence so far is the
+    child's) is the least mask of a placeable element below the child's
+    next entry.  e is below no element of the parent, so at a node that
+    has not placed e each parent element is placeable with the mask it
+    has at the same node of the parent's search, and e is placeable iff
+    the node has placed all of d, with the mask m of d's positions.
+    - At each parent node the parent's least mask is at least
+      ``downs[k]``, as ``downs`` is least.  Where m is not below
+      ``downs[k]``, the child's least mask is therefore ``downs[k]``
+      wherever the parent's is, and the parent's ties are among the
+      child's.  So, down the parent's tree, the child's search reaches
+      every parent node, dead ends (least mask above ``downs[k]``)
+      included, unless it fell below at an earlier one.
+    - Hence the child is not least if m is below the target at some
+      parent node: ``downs[k]`` at an inner node, d at a leaf, where e
+      is the one element left.
+    - Otherwise the child's search falls below at no parent node, and
+      leaves the parent's tree only where e ties: at an inner node with
+      m equal to ``downs[k]`` (at a leaf, m equal to d completes the
+      child's own sequence).  With no tie the child is least; with one,
+      only that child is decided by ``_least_labelling`` itself, whose
+      twin skip holds for the child's own order.
+    - The parent's nodes are listed without the twin skip: d can hold
+      one of two parent twins and not the other, so the branch the skip
+      would drop may be the one where m falls below."""
     if n == 0:
         return (Poset((), (), _validated=True),)
+    labels, full, top = _labels(n), (1 << n) - 1, 1 << (n - 1)
+    index = {name: i for i, name in enumerate(labels)}
     reps = []
     for parent in _representatives(n - 1):
         downs = [parent._down[i] & ~(1 << i) for i in range(n - 1)]
+        nodes = _search_nodes(downs)
+        closure = [0]
+        for s in range(1, 1 << (n - 1)):
+            low = s & -s
+            closure.append(closure[s ^ low] | downs[low.bit_length() - 1])
         for d in range(downs[-1] if downs else 0, 1 << (n - 1)):
-            if any(downs[j] & ~d for j in _bits(d)):
+            if closure[d] & ~d or not _keeps_child(downs, nodes, d):
                 continue
-            child = downs + [d]
-            if _least_labelling(child, _stop_below=True) is not None:
-                reps.append(_poset_from_strict_downs(n, child))
+            # the Poset its constructor would build, without transposing:
+            # e is above the elements of d and below none
+            child = object.__new__(Poset)
+            for name, value in (
+                    ("labels", labels), ("n", n), ("_index", index), ("_full", full),
+                    ("_down", parent._down + (d | top,)),
+                    ("_up", tuple(u | top if d >> i & 1 else u
+                                  for i, u in enumerate(parent._up)) + (top,)),
+                    ("_memo", {})):
+                object.__setattr__(child, name, value)
+            reps.append(child)
     return tuple(reps)
 
 

@@ -619,9 +619,10 @@ def _least_labelling(downs, inv=None, pin=None, _stop_below=False):
     Each position takes the least mask a placeable element gives, as any
     other makes the sequence larger there; ties branch, and a branch whose
     sequence rises above the best key's is dropped.  With ``_stop_below``
-    (the canonicity test of ``_representatives``: no map, no pin) the best
-    key starts as ``downs`` itself, which must be naturally labelled, and
-    the search returns ``None`` at the first branch that falls below it.
+    (the canonicity test ``_representatives`` runs on a child that ties
+    with its parent: no map, no pin) the best key starts as ``downs``
+    itself, which must be naturally labelled, and the search returns
+    ``None`` at the first branch that falls below it.
 
     A tie w is skipped when a tie v already tried has its class: v and w
     are twins (equal strict up- and down-sets); with a map, so are their

@@ -491,6 +491,36 @@ def count_posets_vectorized(n):
     return int(np.count_nonzero(transitive))
 
 
+def count_automorphisms(up, down):
+    """The number of order automorphisms of the poset whose up-sets and
+    down-sets are the bitmasks ``up`` and ``down`` (bit j of ``up[i]``
+    set when i <= j, of ``down[i]`` when j <= i).  A backtracking search
+    maps 0, 1, ... in turn, each to an unused element with as many
+    elements above and as many below, whose order relations with every
+    element mapped so far are those of the element it replaces."""
+    n = len(up)
+    degree = [(bin(up[x]).count("1"), bin(down[x]).count("1")) for x in range(n)]
+    image = []
+
+    def extend(used):
+        i = len(image)
+        if i == n:
+            return 1
+        total = 0
+        for y in range(n):
+            if (used >> y) & 1 or degree[y] != degree[i]:
+                continue
+            if all((up[j] >> i) & 1 == (up[fj] >> y) & 1
+                   and (down[j] >> i) & 1 == (down[fj] >> y) & 1
+                   for j, fj in enumerate(image)):
+                image.append(y)
+                total += extend(used | 1 << y)
+                image.pop()
+        return total
+
+    return extend(0)
+
+
 def ref_involutions(p):
     """All antitone involutions of a RefPoset, as sorted tuples of the
     images in element order."""

@@ -14,6 +14,7 @@ import importlib
 import io
 import itertools
 import json
+import math
 import pathlib
 import random
 
@@ -22,7 +23,7 @@ import pytest
 from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            UsageError, enumerate_involutions, enumerate_posets,
                            figure, find_isomorphism, iter_assignments, run_cli)
-from kleene_posets import audit, claim_ids, replay_report, replay_witness
+from kleene_posets import audit, claim_ids, enumeration, replay_report, replay_witness
 from kleene_posets.directoid import (_IdentityWalk, all_assignments,
                                      assignment_choices, assignment_count)
 from kleene_posets.poset import _bits, _least_labelling
@@ -32,7 +33,8 @@ from kleene_posets.enumeration import (ALIASES, BOUNDED, BOUNDED_LU, CLAIMS,
                                        Claim, _RUNGS, _bounded, _bounded_lu,
                                        _condition7, _directoid_characterization,
                                        _involutive_representatives,
-                                       _representatives,
+                                       _keeps_child, _representatives,
+                                       _search_nodes,
                                        involutive_from_witness,
                                        isomorphic_with_pin, iter_directed,
                                        iter_involutive, iter_posets,
@@ -40,8 +42,8 @@ from kleene_posets.enumeration import (ALIASES, BOUNDED, BOUNDED_LU, CLAIMS,
                                        resolve_claim, serialize_involutive,
                                        serialize_poset)
 
-from oracles import (RefPoset, count_posets_bruteforce, count_posets_vectorized,
-                     ref_involutions, ref_isomorphic_with_pin,
+from oracles import (RefPoset, count_automorphisms, count_posets_bruteforce,
+                     count_posets_vectorized, ref_involutions, ref_isomorphic_with_pin,
                      ref_least_natural_labelling)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -917,7 +919,9 @@ def test_generation_tests_no_child_below_its_parents_last_mask(monkeypatch):
     """Every child whose last mask is below its parent's last fails the
     canonicity test, up to n = 7, so skipping them keeps the
     representatives; the generator tests only the others, 453 children
-    at n = 6 and 2,860 at n = 7 (766 and 5,439 with the skipped ones)."""
+    at n = 6 and 2,860 at n = 7 (766 and 5,439 with the skipped ones),
+    and runs the search on the 80 and 402 of them that tie at a node of
+    their parent's search and fall below at none."""
     counts = {}
     for n in range(2, 8):
         children = [child for parent in _representatives(n - 1)
@@ -936,11 +940,95 @@ def test_generation_tests_no_child_below_its_parents_last_mask(monkeypatch):
         return _least_labelling(downs, *args, **kwargs)
 
     monkeypatch.setattr("kleene_posets.enumeration._least_labelling", record)
+    searched = {}
     for n in (6, 7):
         del tested[:]
         assert list(map(_strict_downs, _representatives.__wrapped__(n))) == want[n]
-        assert len(tested) == counts[n][1]
+        searched[n] = len(tested)
         assert all(child[-1] >= child[-2] for child in tested)
+    assert searched == {6: 80, 7: 402}
+
+
+def test_child_decision_matches_the_search():
+    """Reading a child's canonicity off its parent's search nodes gives
+    the canonicity search's answer on every down-set child of every
+    representative up to n = 7, those below the parent's last mask
+    included; nodes are shared by a parent's children, as in the
+    generator."""
+    decided = 0
+    for n in range(2, 8):
+        for parent in _representatives(n - 1):
+            downs, nodes = list(_strict_downs(parent)), None
+            for child in _down_set_children(parent):
+                nodes = nodes or _search_nodes(downs)
+                assert (_keeps_child(downs, nodes, child[-1])
+                        == (_least_labelling(child, _stop_below=True) is not None)), child
+                decided += 1
+    assert decided == 6377      # 766 at n = 6, 5,439 at n = 7
+
+
+def test_a_tie_the_search_rejects(monkeypatch):
+    """Up to n = 7 every child that ties without falling below is least,
+    so no smaller test tells a tie searched from a tie kept.  The first
+    that is not comes at n = 8: a new element above x0, x2 and x5 of the
+    parent below ties and is searched, and the search drops it."""
+    downs, d = [0, 0, 0, 1, 2, 4, 11], 0b100101
+    searched = []
+
+    def record(child, *args, **kwargs):
+        searched.append(child)
+        return _least_labelling(child, *args, **kwargs)
+
+    monkeypatch.setattr("kleene_posets.enumeration._least_labelling", record)
+    assert _keeps_child(downs, _search_nodes(downs), d) is False
+    assert searched == [downs + [d]]
+
+
+def test_search_nodes_of_an_antichain_are_every_partial_labelling():
+    """No twin skip: the three-element antichain's search lists each of
+    its 1 + 3 + 6 + 6 partial labellings, the six full ones as leaves."""
+    nodes = _search_nodes([0, 0, 0])
+    assert len(nodes) == 16
+    assert len({(placed, position) for placed, position, _ in nodes}) == 16
+    assert sum(target is None for _, _, target in nodes) == 6
+
+
+def test_representatives_are_the_posets_their_constructor_builds():
+    """The generator builds each representative without the constructor:
+    every slot but the verdict memo holds what the constructor, with its
+    order checks, puts there."""
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            q = Poset(p.labels, p._up)
+            assert all(getattr(p, name) == getattr(q, name)
+                       for name in Poset.__slots__ if name != "_memo")
+
+
+# OEIS A001035, posets on n labelled elements
+LABELLED_POSETS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023, 7: 6129859}
+
+
+def _labelled_poset_count(n):
+    """Σ n!/|Aut(P)| over the representatives on n elements, with
+    automorphisms counted by the oracle: each class contributes its
+    number of labellings."""
+    return sum(math.factorial(n) // count_automorphisms(p._up, p._down)
+               for p in enumeration._representatives(n))
+
+
+@pytest.mark.parametrize("n", sorted(LABELLED_POSETS))
+def test_representatives_cover_every_labelled_poset(n):
+    assert _labelled_poset_count(n) == LABELLED_POSETS[n]
+
+
+@pytest.mark.parametrize("tamper", ["drop", "duplicate"])
+def test_labelled_count_catches_a_dropped_or_duplicated_representative(
+        monkeypatch, tamper):
+    reps = _representatives(5)
+    tampered = (reps[:7] + reps[8:] if tamper == "drop"
+                else reps[:8] + reps[7:])
+    monkeypatch.setattr(enumeration, "_representatives", lambda n: tampered)
+    assert _labelled_poset_count(5) != LABELLED_POSETS[5]
 
 
 def test_generator_runs_past_the_public_bound():
