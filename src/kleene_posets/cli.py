@@ -279,7 +279,7 @@ def _cmd_directoid(args, out):
     cap = 1 if args.all_assignments is None else args.all_assignments
     if cap < 1:
         raise UsageError("assignment cap must be at least 1")
-    total, pairs, tables = _capped_assignments(p, cap)
+    total, (_, pairs), tables = _capped_assignments(p, cap)
     keys = _pair_keys(p.labels, [pair for pair, _ in pairs])
     walk = None
     if has_map:

@@ -190,6 +190,70 @@ def _base_table(p):
     return table, pairs
 
 
+def _cells_in_cones(p, table, pairs):
+    """Whether every cell of the tables :func:`_assignments` fills into the
+    base ``table`` from ``pairs`` lies in its cone of ``p``: the diagonal
+    holds x, a comparable cell the minimum, ``pairs`` lists each
+    incomparable pair once and no other, and each candidate lies in
+    L(x) ∩ L(y).  It reads every comparable cell and every candidate and
+    builds no table; the generator writes only the cells of ``pairs``, so
+    the verdict is the same before and after tables are pulled.
+
+    Where it holds, every assigned table, whatever the choices, is a
+    commutative meet-directoid that induces ``p``:
+      - It is idempotent, and commutative: a comparable cell holds the
+        minimum on both sides, and each pick is written at (x, y) and
+        (y, x).
+      - A common lower bound of incomparable x and y is neither, so
+        x ⊓ y = x iff x <= y: ``above[x]`` is the up-set U(x) (the table
+        induces ``p``), and ``below[y]`` and ``lower[y]`` are L(y).
+      - z ⊓ y is z for z <= y, y for z >= y and in L(y) otherwise, so
+        ``cols[y]`` is L(y).
+      - It is weakly associative: v = y ⊓ z <= z and m = x ⊓ v <= v, so
+        m <= z, and m ⊓ z = m is a comparable cell or the diagonal.
+    So Directoid-roundtrip holds on it.  Under an antitone involution '
+    of ``p``, which maps L(x') onto U(x), every condition of
+    :func:`check_derived_set_laws` holds as well, with x ⊔ y = (x' ⊓ y')':
+      - L(x) = ``cols[x]``, and U(x) is the image of L(x').
+      - L(x, y) is the premise table, ``below[x] & below[y]`` on a table
+        passing the axioms (:meth:`MeetDirectoid._premise_table`), and
+        U(x, y) the image of L(x', y').
+      - On x <= y the meet is x, and y' <= x' makes the join (y')' = y.
+      - An incomparable pair's meet lies in L(x, y); x' and y' are
+        incomparable too, so its join is the image of a cell in
+        L(x', y'), and lies in U(x, y).
+      - Duality, x ⊓ y = x iff x ⊔ y = y: both hold on x <= y, neither on
+        y < x, and on an incomparable pair the meet is not x and the
+        join, the image of a cell that is not y', is not y.
+    The audits decide both claims from this verdict and walk the tables
+    only where it fails, which only an edited base table produces, or,
+    for the derived set laws, where the map is no antitone involution.
+    A replayed witness carries one table, which is evaluated as given."""
+    up, down = p._up, p._down
+    n = p.n
+    listed = set()
+    for (x, y), cands in pairs:
+        if not 0 <= x < y < n or (x, y) in listed or up[x] >> y & 1 or up[y] >> x & 1:
+            return False
+        common = down[x] & down[y]
+        if any(not common >> c & 1 for c in cands):
+            return False
+        listed.add((x, y))
+    if len(table) != n:
+        return False
+    for x, row in enumerate(table):
+        if row[x] != x:
+            return False
+        for y in range(x + 1, n):
+            lo = x if up[x] >> y & 1 else y if up[y] >> x & 1 else None
+            if lo is None:
+                if (x, y) not in listed:
+                    return False
+            elif row[y] != lo or table[y][x] != lo:
+                return False
+    return True
+
+
 @functools.cache
 def _carrier(n):
     return frozenset(range(n))
@@ -594,7 +658,7 @@ class _IdentityWalk:
 
     On one poset's assigned tables, which pass the axioms, ``lower`` and
     ``cols`` are its down-sets whatever the choices
-    (``enumeration._map_space`` says why), so they form one group: each
+    (:func:`_cells_in_cones` says why), so they form one group: each
     condition is decided once per (poset, map), and one premise table is
     built per poset."""
 
@@ -736,15 +800,17 @@ def _assignments(p, inv, table, pairs):
 
 
 def _capped_assignments(source, cap):
-    """``assignment_count(source)``, the incomparable pairs with their
-    candidate meets, and a lazy iterator over the first ``cap`` tables of
-    ``iter_assignments(source)``, all from one base table.  A cap at or
-    above the count is no cap, so one past ``sys.maxsize`` is accepted."""
+    """``assignment_count(source)``, the cells ``(table, pairs)``: the base
+    table and the incomparable pairs with their candidate meets (read by
+    :func:`_cells_in_cones`), and a lazy iterator over the first ``cap``
+    tables of ``iter_assignments(source)``, all from one base table.  A
+    cap at or above the count is no cap, so one past ``sys.maxsize`` is
+    accepted."""
     p, inv = _split_source(source)
     table, pairs = _base_table(p)
     count = _count(pairs)
-    return (count, pairs, itertools.islice(_assignments(p, inv, table, pairs),
-                                           None if cap >= count else cap))
+    return (count, (table, pairs), itertools.islice(_assignments(p, inv, table, pairs),
+                                                    None if cap >= count else cap))
 
 
 def all_assignments(source, cap=ASSIGNMENT_CAP):

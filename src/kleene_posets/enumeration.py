@@ -34,8 +34,8 @@ import json
 from collections import namedtuple
 
 from .completion import dedekind_macneille
-from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _IdentityWalk,
-                        assignment_choices, check_derived_set_laws,
+from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _cells_in_cones,
+                        _IdentityWalk, assignment_choices, check_derived_set_laws,
                         check_printed_u_pair_law, directoid_from_choices)
 from .errors import DomainError, UsageError
 from .involution import (InvolutivePoset, _constrained_involutions,
@@ -331,17 +331,20 @@ CONDITION7 = _involutive(
 
 
 def _assigned(description, sources, serialize, source_from_witness):
-    """Each source with a lazy iterator over its first ``cap`` assignments;
-    the iterator and the count behind ``sampled`` share one base table."""
+    """Each source with a lazy iterator over its first ``cap`` assignments
+    and its cells (``directoid._cells_in_cones``); the iterator, the cells
+    and the count behind ``sampled`` share one base table.  A rebuilt
+    witness carries its one table and no cells, so a replay evaluates
+    the table it is given."""
     def sweep(n_bound, cap):
         for source in sources(n_bound):
-            count, _, tables = _capped_assignments(source, cap)
-            yield (source, tables), 1, count > cap
+            count, cells, tables = _capped_assignments(source, cap)
+            yield (source, tables, cells), 1, count > cap
 
     def rebuild(witness):
         source = source_from_witness(witness)
         choices = witness["binding"]["choices"]
-        return source, [directoid_from_choices(source, choices)]
+        return source, [directoid_from_choices(source, choices)], None
 
     return InstanceSpace(description, sweep, lambda inst: serialize(inst[0]),
                          rebuild, capped=True)
@@ -385,15 +388,14 @@ def _map_space(table_side=False):
       - ``ANTITONE_MAPS`` (the four characterisations) evaluates the
         antitone involutions alone, and builds no table on a poset
         without one.  The skip rests on Lemma 4.1, at the bounds Lem-4.1
-        confirms.  An assigned table (``directoid._base_table``) meets
-        comparable a, b at min(a, b) and an incomparable pair at a common
-        lower bound that is neither, so whatever the choices ``above[a]``
-        is the up-set of a, and ``lower[a]`` and ``cols[a]`` are the
-        down-set L(a).  Then (2) holds iff y' is in ``lower[m']`` for
-        every y and m in ``cols[y]`` (``directoid._IdentityWalk`` says
-        why), that is, iff m <= y implies y' <= m': iff the map is
-        antitone.  Without x'' = x, (1) fails.  So (1)/(2) hold exactly
-        when the map is an antitone involution of p."""
+        confirms.  Whatever the choices, ``lower[a]`` and ``cols[a]`` are
+        the down-set L(a) on an assigned table
+        (``directoid._cells_in_cones`` says why).  Then (2) holds iff y'
+        is in ``lower[m']`` for every y and m in ``cols[y]``
+        (``directoid._IdentityWalk`` says why), that is, iff m <= y
+        implies y' <= m': iff the map is antitone.  Without x'' = x, (1)
+        fails.  So (1)/(2) hold exactly when the map is an antitone
+        involution of p."""
     def sweep(n_bound, cap):
         for n in range(1, n_bound + 1):
             antitone = {}
@@ -729,9 +731,28 @@ def _thm54(ip):
     return {"failing": {k: v.verdict.detail for k, v in failing.items()}}
 
 
-def _assignment_law(checker):
+def _decided_on_cells(instance):
+    """Whether an assigned instance is decided on its cells: they lie in
+    their cones, and a map, if any, is an antitone involution; then every
+    table passes Directoid-roundtrip and Derived-set-laws
+    (``directoid._cells_in_cones`` says why).  A replay carries no cells."""
+    source, _, cells = instance
+    if cells is None:
+        return False
+    if isinstance(source, InvolutivePoset):
+        if not source.check_antitone_involution().ok:
+            return False
+        source = source.base
+    return _cells_in_cones(source, *cells)
+
+
+def _assignment_law(checker, on_cells=False):
+    """The first table failing ``checker``; with ``on_cells``, none where
+    the instance is decided on its cells (:func:`_decided_on_cells`)."""
     def evaluate(instance):
-        ip, assignments = instance
+        ip, assignments, _ = instance
+        if on_cells and _decided_on_cells(instance):
+            return None
         for d in assignments:
             verdict = checker(d, ip.base)
             if not verdict.ok:
@@ -744,7 +765,9 @@ def _assignment_law(checker):
 
 
 def _roundtrip(instance):
-    p, assignments = instance
+    p, assignments, _ = instance
+    if _decided_on_cells(instance):
+        return None
     for d in assignments:
         if not d._induces(p):
             return {"choices": assignment_choices(d, p)}
@@ -838,7 +861,7 @@ CLAIMS = {claim_id: Claim(claim_id, *spec) for claim_id, spec in {
     "Derived-set-laws": (
         "cones are recoverable from any assigned meet operation (inner-join "
         "reading of the pair law)",
-        DIRECTED_INVOLUTIVE_ASSIGNED, _assignment_law(check_derived_set_laws)),
+        DIRECTED_INVOLUTIVE_ASSIGNED, _assignment_law(check_derived_set_laws, on_cells=True)),
     "U-pair-law-printed": (
         "the inner-meet reading of the pair law U(x,y) = {(z v x) ^ (z v y)}",
         DIRECTED_INVOLUTIVE_ASSIGNED, _assignment_law(check_printed_u_pair_law)),

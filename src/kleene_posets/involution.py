@@ -264,23 +264,36 @@ class InvolutivePoset:
     def is_pseudo_kleene(self):
         """Condition (K): L(x,x') <= U(y,y') for all pairs x, y.  A set
         lies above L(x,x') in the set order iff it lies inside
-        U(L(x,x')), so each distinct L(x,x') takes one upper cone and
-        one scan for the first y whose U(y,y') leaves it."""
+        U(L(x,x')).  So (K) says every element of A, the union of the
+        L(x,x'), lies below every element of B, the union of the U(y,y'):
+        it holds iff B lies inside U(A), one cone.  A is {z | z <= z'}:
+        z <= x and z <= x' give x' <= z' by antitony, so z <= z', and
+        z <= z' puts z in L(z,z').  Dually B is {z | z' <= z}.  Only on a
+        failure is each distinct L(x,x') given its upper cone, for the
+        first x whose cone leaves B, and y is scanned at that x alone."""
         self._require_involution()
         p, lab = self.base, self.labels
+        up = p._up
+        low_union = up_union = 0    # A and B
+        for z, iz in enumerate(self.inv):
+            if up[z] >> iz & 1:
+                low_union |= 1 << z
+            if up[iz] >> z & 1:
+                up_union |= 1 << z
+        if not up_union & ~_meet_rows(up, p._full, low_union):
+            return Verdict(True)
         lows, ups = self._self_cone_masks()
-        first_bad = {}
-        for x in range(self.n):
-            low = lows[x]
-            if low not in first_bad:
-                cone = _meet_rows(p._up, p._full, low)
-                first_bad[low] = next((y for y in range(self.n) if ups[y] & ~cone), None)
-            y = first_bad[low]
-            if y is not None:
-                detail = (f"L({lab[x]},{lab[x]}') = {Subset(p, low).render()} !<= "
-                          f"{Subset(p, ups[y]).render()} = U({lab[y]},{lab[y]}')")
-                return Verdict(False, (x, y), detail)
-        return Verdict(True)
+        cones = {}
+        for x, low in enumerate(lows):
+            cone = cones.get(low)
+            if cone is None:
+                cone = cones[low] = _meet_rows(up, p._full, low)
+            if up_union & ~cone:
+                break
+        y = next(y for y in range(self.n) if ups[y] & ~cone)
+        detail = (f"L({lab[x]},{lab[x]}') = {Subset(p, low).render()} !<= "
+                  f"{Subset(p, ups[y]).render()} = U({lab[y]},{lab[y]}')")
+        return Verdict(False, (x, y), detail)
 
     @_memoised
     def is_kleene(self):

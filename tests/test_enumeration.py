@@ -253,7 +253,7 @@ def test_involutive_spaces_walk_the_nested_loop(space, keep):
 def test_directed_involutive_space_walks_the_nested_loop():
     want = _nested_involutive(iter_directed(6))
     swept = DIRECTED_INVOLUTIVE_ASSIGNED.sweep(6, 1)
-    assert [source for (source, _), _, _ in swept] == want
+    assert [source for (source, _, _), _, _ in swept] == want
 
 
 def test_involutions_of_figures():
@@ -1176,11 +1176,12 @@ def test_representatives_are_pinned(n):
 
 
 def test_assigned_sweeps_build_one_base_table_per_source(monkeypatch):
-    """The count behind ``sampled`` and the lazy slice of tables come from
-    one base table per source, and the slice builds only the tables the
-    evaluator reads: all of them when Confirmed, up to the first witness
-    otherwise.  Tables are counted where every table is built, checked
-    by the constructor or not (``MeetDirectoid._fill``)."""
+    """The count behind ``sampled``, the cells and the lazy slice of
+    tables come from one base table per source, and the slice builds only
+    the tables the evaluator reads: none where the cells decide the claim
+    (Directoid-roundtrip, and Derived-set-laws on its 33 sources), up to
+    the first witness otherwise.  Tables are counted where every table is
+    built, checked by the constructor or not (``MeetDirectoid._fill``)."""
     from kleene_posets import directoid
     built = {"base": 0, "table": 0}
     base_table, fill = directoid._base_table, MeetDirectoid._fill
@@ -1195,7 +1196,8 @@ def test_assigned_sweeps_build_one_base_table_per_source(monkeypatch):
     monkeypatch.setattr(directoid, "_base_table", count_base)
     monkeypatch.setattr(MeetDirectoid, "_fill", count_table)
     directed = sum(1 for _ in iter_directed(6))
-    for claim, want in (("Directoid-roundtrip", {"base": directed, "table": 435}),
+    for claim, want in (("Directoid-roundtrip", {"base": directed, "table": 0}),
+                        ("Derived-set-laws", {"base": 33, "table": 0}),
                         # two sources, and the witness's choices read one more
                         ("U-pair-law-printed", {"base": 3, "table": 2})):
         built.update(base=0, table=0)
@@ -1208,3 +1210,152 @@ def test_assigned_sweeps_build_one_base_table_per_source(monkeypatch):
         built.update(base=0, table=0)
         assert len(all_assignments(source)) == tables
         assert built == {"base": 1, "table": tables}
+
+
+# -- the assigned claims decided on candidate cells ---------------------------
+
+_CELL_CLAIMS = ("Directoid-roundtrip", "Derived-set-laws")
+
+
+def _walked(claim_id):
+    """The claim with its instances stripped of their cells, so that the
+    evaluator walks every table, as it does on a replay."""
+    claim = CLAIMS[claim_id]
+    space = claim.instance_space
+
+    def sweep(n_bound, cap):
+        for (source, tables, _), count, sampled in space.sweep(n_bound, cap):
+            yield (source, tables, None), count, sampled
+    return claim._replace(instance_space=space._replace(sweep=sweep))
+
+
+@pytest.mark.parametrize("claim_id", _CELL_CLAIMS)
+def test_cells_decide_as_the_table_walk_on_every_instance(monkeypatch, claim_id):
+    """Every directed poset with n <= 7 (Directoid-roundtrip), and every
+    bounded involutive poset with n <= 7 under each antitone involution
+    (Derived-set-laws): the cells lie in their cones, so the evaluator
+    reads no table, and the walk over every capped table agrees; the
+    reports are identical.  The bound is raised in this process only."""
+    monkeypatch.setattr("kleene_posets.enumeration.ENUMERATION_BOUND", 7)
+    claim = CLAIMS[claim_id]
+    instances = tables = 0
+    for (source, assigned, cells), _, _ in claim.instance_space.sweep(7, 1024):
+        assert enumeration._decided_on_cells((source, assigned, cells))
+        assert claim.evaluate((source, iter(()), cells)) is None
+        assigned = list(assigned)
+        assert claim.evaluate((source, assigned, None)) is None
+        instances += 1
+        tables += len(assigned)
+    assert (instances, tables) == {"Directoid-roundtrip": (406, 11728),
+                                   "Derived-set-laws": (84, 143)}[claim_id]
+    assert claim.run(7) == _walked(claim_id).run(7)
+
+
+def _edited_base(edit):
+    """``directoid._base_table`` with ``edit(p, table, pairs)`` applied to
+    each base table it builds; an edit may leave a poset as it is."""
+    from kleene_posets import directoid
+    base_table = directoid._base_table
+
+    def edited(p):
+        table, pairs = base_table(p)
+        edit(p, table, pairs)
+        return table, pairs
+    return edited
+
+
+def _prepend_x(p, table, pairs):
+    if pairs:
+        (x, y), cands = pairs[0]
+        pairs[0] = (x, y), (x,) + cands
+
+
+def _append_outside(p, table, pairs):
+    for k, ((x, y), cands) in enumerate(pairs):
+        outside = [z for z in range(p.n) if z not in (x, y)
+                   and not (p._down[x] & p._down[y]) >> z & 1]
+        if outside:
+            pairs[k] = (x, y), cands + (outside[-1],)
+            return
+
+
+def _raise_comparable(p, table, pairs):
+    """The first comparable cell x < y with x not the least element now
+    holds the least element on both sides."""
+    for x, y in itertools.combinations(range(p.n), 2):
+        if p._up[x] >> y & 1 and x != 0 and p._down[x] & 1:
+            table[x][y] = table[y][x] = 0
+            return
+
+
+def _edit_diagonal(p, table, pairs):
+    if p.n > 1:
+        table[p.n - 1][p.n - 1] = 0
+
+
+def _one_sided(p, table, pairs):
+    """The first comparable cell x < y with x not the least element holds
+    the least element on one side only."""
+    for x, y in itertools.combinations(range(p.n), 2):
+        if p._up[x] >> y & 1 and x != 0 and p._down[x] & 1:
+            table[y][x] = 0
+            return
+
+
+@pytest.mark.parametrize("claim_id", _CELL_CLAIMS)
+@pytest.mark.parametrize("edit", [_prepend_x, _append_outside, _raise_comparable,
+                                  _edit_diagonal, _one_sided],
+                         ids=["x-itself", "outside-the-cone", "comparable-cell",
+                              "diagonal", "one-sided"])
+def test_edited_base_tables_fall_back_to_the_table_walk(monkeypatch, claim_id, edit):
+    """A base table whose candidates hold x itself or an element outside
+    L(x) ∩ L(y), or whose comparable or diagonal cells are edited, fails
+    the cell check, so the evaluator walks the tables: every report
+    equals the walk's, which finds witnesses, and each witness replays
+    (on the edited base table, which its rebuild reads too)."""
+    from kleene_posets import directoid
+    monkeypatch.setattr(directoid, "_base_table", _edited_base(edit))
+    for n_bound in (4, 5):
+        report = audit(claim_id, n_bound=n_bound, collect_all=True)
+        assert report == _walked(claim_id).run(n_bound, collect_all=True)
+        assert report.witnesses
+        assert replay_report(report)
+
+
+def test_a_map_that_is_no_antitone_involution_falls_back():
+    """Derived-set-laws decides on the cells only under an antitone
+    involution: under the identity map of a 2-chain, an involution that
+    is not antitone, it walks the tables and returns their failure; under
+    a map that is not involutive, the walk's join table raises."""
+    from kleene_posets.directoid import _capped_assignments
+    evaluate = CLAIMS["Derived-set-laws"].evaluate
+    chain = Poset.from_covers("ab", [("a", "b")])
+    ip = InvolutivePoset(chain, (0, 1))
+    _, cells, tables = _capped_assignments(ip, 1024)
+    want = evaluate((ip, list(iter_assignments(ip)), None))
+    assert want == {"choices": {}, "detail": "{z join a} != U(a)"}
+    assert evaluate((ip, tables, cells)) == want
+    flat = InvolutivePoset(chain, (0, 0))
+    _, cells, tables = _capped_assignments(flat, 1024)
+    with pytest.raises(UsageError, match="involutive"):
+        evaluate((flat, tables, cells))
+
+
+def test_a_replay_evaluates_the_table_it_is_given(monkeypatch):
+    """A Directoid-roundtrip witness rebuilds one table and evaluates it as
+    given, never through its poset's cells, which all lie in their cones
+    here.  With the rebuild handing back a hand-edited table (a ⊓ b = b
+    on one side), the witness naming that table's failure replays; the
+    same witness on the true table does not."""
+    p = Poset.from_covers("abc", [("a", "b"), ("a", "c")])
+    witness = serialize_poset(p)
+    witness["binding"] = {"choices": {"b,c": "a"}}
+    assert not replay_witness("Directoid-roundtrip", witness)
+    rebuild = enumeration.directoid_from_choices
+
+    def hand_edited(source, choices):
+        meet = [list(row) for row in rebuild(source, choices).meet]
+        meet[0][1] = 1
+        return MeetDirectoid(meet, labels=source.labels)
+    monkeypatch.setattr(enumeration, "directoid_from_choices", hand_edited)
+    assert replay_witness("Directoid-roundtrip", witness)

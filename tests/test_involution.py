@@ -11,7 +11,9 @@ import pytest
 
 from kleene_posets import (InvolutivePoset, Poset, UsageError, classify,
                            dedekind_macneille, enumerate_posets, figure,
-                           involution_from_pairs)
+                           involution_from_pairs, twist)
+from kleene_posets.enumeration import iter_involutive, iter_posets
+from kleene_posets.poset import Subset, Verdict, _meet_rows
 
 from oracles import RefInvolutive, RefPoset, ref_involutions
 
@@ -261,3 +263,53 @@ def test_pseudo_kleene_matches_oracle_on_every_antitone_involution(n):
             ok, witness = _with_prime(base, p, perm).pseudo_kleene()
             assert _labelled(p, InvolutivePoset(p, perm).is_pseudo_kleene()) == \
                 (None if ok else witness), (p, perm)
+
+
+def _scanned_pseudo_kleene(ip):
+    """(K) by the scan the union test replaced: each distinct L(x,x')
+    takes one upper cone and one scan for the first y whose U(y,y')
+    leaves it, and the first x with such a y fails."""
+    p, lab = ip.base, ip.labels
+    lows, ups = ip._self_cone_masks()
+    first_bad = {}
+    for x in range(ip.n):
+        low = lows[x]
+        if low not in first_bad:
+            cone = _meet_rows(p._up, p._full, low)
+            first_bad[low] = next((y for y in range(ip.n) if ups[y] & ~cone), None)
+        y = first_bad[low]
+        if y is not None:
+            detail = (f"L({lab[x]},{lab[x]}') = {Subset(p, low).render()} !<= "
+                      f"{Subset(p, ups[y]).render()} = U({lab[y]},{lab[y]}')")
+            return Verdict(False, (x, y), detail)
+    return Verdict(True)
+
+
+_PK_FAMILIES = {
+    "involutive": lambda: list(iter_involutive(6)),
+    "completions": lambda: [dedekind_macneille(ip).as_involutive_poset()
+                            for ip in iter_involutive(6)],
+    "twists": lambda: [twist(p, a).result for p in iter_posets(5) for a in range(p.n)],
+    "fixtures": lambda: [figure(name) for name in INV_FIGS],
+}
+
+
+@pytest.mark.parametrize("family, count, failing", [
+    ("involutive", 272, 164), ("completions", 272, 164), ("twists", 399, 0),
+    ("fixtures", 8, 0)])
+def test_pseudo_kleene_union_test_matches_the_scan_and_oracle(family, count, failing):
+    """(K) holds iff the union of the U(y,y') lies in the upper cone of
+    the union of the L(x,x'); where it fails, the verdict, first (x, y)
+    and detail are the per-x scan's, and the oracle finds the same first
+    (x, y).  Each instance is rebuilt, so nothing memoised is read."""
+    instances = _PK_FAMILIES[family]()
+    failed = 0
+    for ip in instances:
+        fresh = InvolutivePoset(ip.base, ip.inv)
+        assert fresh.check_antitone_involution().ok
+        got = fresh.is_pseudo_kleene()
+        assert got == _scanned_pseudo_kleene(fresh), ip
+        ok, witness = ref_of(fresh).pseudo_kleene()
+        assert _labelled(fresh.base, got) == (None if ok else witness), ip
+        failed += not got.ok
+    assert (len(instances), failed) == (count, failing)
