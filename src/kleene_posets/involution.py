@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DomainError, UsageError
-from .poset import (Poset, Subset, Verdict, _meet_rows, _memoised, _resolve_pairs,
+from .poset import (Poset, Subset, Verdict, _meet_rows, _memoised, _render, _resolve_pairs,
                     find_isomorphism)
 
 
@@ -291,8 +291,8 @@ class InvolutivePoset:
             if up_union & ~cone:
                 break
         y = next(y for y in range(self.n) if ups[y] & ~cone)
-        detail = (f"L({lab[x]},{lab[x]}') = {Subset(p, low).render()} !<= "
-                  f"{Subset(p, ups[y]).render()} = U({lab[y]},{lab[y]}')")
+        detail = (f"L({lab[x]},{lab[x]}') = {_render(p.labels, low)} !<= "
+                  f"{_render(p.labels, ups[y])} = U({lab[y]},{lab[y]}')")
         return Verdict(False, (x, y), detail)
 
     @_memoised
@@ -308,17 +308,27 @@ class InvolutivePoset:
 
     @_memoised
     def is_strong(self):
-        """x || y implies L(x,x') = L(y,y')."""
+        """x || y implies L(x,x') = L(y,y').  The elements sharing one
+        L(x,x') form a class, so x fails with each y incomparable to x
+        and outside its class.  At the first x that fails, every such y
+        lies after x: the relation is symmetric, so a y before x would
+        have failed first.
+        Only the L(x,x') masks are built, not the U(x,x') ones."""
         self._require_involution()
-        p, lab = self.base, self.labels
-        lows, _ = self._self_cone_masks()
-        for x in range(self.n):
-            for y in range(x + 1, self.n):
-                if p.incomparable(x, y) and lows[x] != lows[y]:
-                    detail = (f"{lab[x]} || {lab[y]} but L({lab[x]},{lab[x]}') = "
-                              f"{Subset(p, lows[x]).render()} != "
-                              f"{Subset(p, lows[y]).render()} = L({lab[y]},{lab[y]}')")
-                    return Verdict(False, (x, y), detail)
+        p, lab, inv = self.base, self.labels, self.inv
+        up, down = p._up, p._down
+        lows = [down[x] & down[inv[x]] for x in range(self.n)]
+        classes = {}
+        for x, low in enumerate(lows):
+            classes[low] = classes.get(low, 0) | 1 << x
+        for x, low in enumerate(lows):
+            bad = p._full & ~(up[x] | down[x] | classes[low])
+            if bad:
+                y = (bad & -bad).bit_length() - 1
+                detail = (f"{lab[x]} || {lab[y]} but L({lab[x]},{lab[x]}') = "
+                          f"{_render(lab, low)} != "
+                          f"{_render(lab, lows[y])} = L({lab[y]},{lab[y]}')")
+                return Verdict(False, (x, y), detail)
         return Verdict(True)
 
     @_memoised
@@ -336,8 +346,8 @@ class InvolutivePoset:
             for y in inner[i + 1:]:
                 for cone, masks in sides:
                     if masks[x] != masks[y]:
-                        detail = (f"{cone}({lab[x]},{lab[x]}') = {Subset(p, masks[x]).render()}"
-                                  f" != {Subset(p, masks[y]).render()} = "
+                        detail = (f"{cone}({lab[x]},{lab[x]}') = {_render(p.labels, masks[x])}"
+                                  f" != {_render(p.labels, masks[y])} = "
                                   f"{cone}({lab[y]},{lab[y]}')")
                         return Verdict(False, (x, y), detail)
         return Verdict(True)
@@ -357,7 +367,7 @@ class InvolutivePoset:
         for x in range(self.n):
             for cone, masks, bound in sides:
                 if masks[x] != 1 << bound:
-                    detail = (f"{cone}({lab[x]},{lab[x]}') = {Subset(p, masks[x]).render()}"
+                    detail = (f"{cone}({lab[x]},{lab[x]}') = {_render(p.labels, masks[x])}"
                               f" != {{{lab[bound]}}}")
                     return Verdict(False, (x,), detail)
         return Verdict(True)
@@ -388,13 +398,13 @@ class InvolutivePoset:
         low = p._lower((1 << b) | (1 << self.inv[a]))
         if low != 1 << bottom:
             raise DomainError(f"requires L({lab[b]}, {lab[a]}') = {{{lab[bottom]}}}; "
-                              f"got {Subset(p, low).render()}")
+                              f"got {_render(p.labels, low)}")
         sides = tuple(zip("LU", self._self_cone_masks(), (bottom, top)))
         for x in (a, b):
             for cone, masks, bound in sides:
                 if masks[x] != 1 << bound:
                     return Verdict(False, (a, b),
-                                   f"{cone}({lab[x]},{lab[x]}') = {Subset(p, masks[x]).render()}")
+                                   f"{cone}({lab[x]},{lab[x]}') = {_render(p.labels, masks[x])}")
         return Verdict(True)
 
     def isomorphic_to(self, other):

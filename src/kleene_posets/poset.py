@@ -50,6 +50,12 @@ def _bits(mask):
         mask ^= low
 
 
+def _render(labels, mask):
+    """``{a, b}``: the labels of the bits of ``mask`` in ascending order,
+    as :meth:`Subset.render` writes them."""
+    return "{" + ", ".join([labels[i] for i in _bits(mask)]) + "}"
+
+
 _UNSET = object()
 
 
@@ -158,10 +164,10 @@ class Subset:
     @property
     def labels(self):
         lab = self.owner.labels
-        return tuple(lab[i] for i in _bits(self.mask))
+        return tuple([lab[i] for i in _bits(self.mask)])
 
     def render(self):
-        return "{" + ", ".join(self.labels) + "}"
+        return _render(self.owner.labels, self.mask)
 
     def __repr__(self):
         return f"Subset({self.render()})"

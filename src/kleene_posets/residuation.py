@@ -14,12 +14,12 @@ every member of B.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement
 from collections import namedtuple
 
 from .errors import DomainError
 from .involution import InvolutivePoset, _image
-from .poset import Subset, Verdict, _bits, _meet_rows
+from .poset import Subset, Verdict, _bits, _meet_rows, _render
 
 # The residuated-poset axioms of Theorem 5.2, in report order.
 AXIOMS = ("zero_absorbing", "commutativity", "unit", "associativity", "adjointness")
@@ -32,6 +32,35 @@ def _first(cells, fails, detail):
         if fails(*cell):
             return Verdict(False, cell, detail(*cell))
     return Verdict(True)
+
+
+def _first_in_rows(n, bad, detail):
+    """The first pair (a, b) in row-major order with b in the mask
+    ``bad(a)``, as a failing verdict with that pair as witness and
+    ``detail(a, b)``; else a pass."""
+    for a in range(n):
+        cols = bad(a)
+        if cols:
+            b = (cols & -cols).bit_length() - 1
+            return Verdict(False, (a, b), detail(a, b))
+    return Verdict(True)
+
+
+def _differing(row, other):
+    """The mask of the columns where two rows differ."""
+    return sum(1 << b for b, (u, v) in enumerate(zip(row, other)) if u != v)
+
+
+def _matching(row, value):
+    """The mask of the columns of ``row`` holding ``value``."""
+    return sum(1 << b for b, cell in enumerate(row) if cell == value)
+
+
+def _primed(table, inv):
+    """Row a holds (table[a][b'])' at each column b; each distinct cell
+    is imaged once."""
+    images = {m: _image(inv, m) for m in set(chain.from_iterable(table))}
+    return tuple([tuple([images[row[c]] for c in inv]) for row in table])
 
 
 def check_condition7(ip):
@@ -98,12 +127,12 @@ class ResiduatedStructure:
         if bottom is None or top is None:
             raise DomainError("residuation requires bounds")
         p, inv = ip.base, ip.inv
-        n, up, down = p.n, p._up, p._down
+        up, down = p._up, p._down
         zero, one = 1 << bottom, 1 << top
-        odot = tuple(tuple([zero if (up[x] >> inv[y]) & 1 else down[x] & down[y]
-                            for y in range(n)]) for x in range(n))
-        arrow = tuple(tuple([one if (up[x] >> y) & 1 else up[inv[x]] & up[y]
-                             for y in range(n)]) for x in range(n))
+        odot = tuple([tuple([zero if ux >> iy & 1 else dx & dy for iy, dy in zip(inv, down)])
+                      for ux, dx in zip(up, down)])
+        arrow = tuple([tuple([one if ux >> y & 1 else uix & uy for y, uy in enumerate(up)])
+                       for ux, uix in zip(up, [up[i] for i in inv])])
         for name, value in zip(self.__slots__, (ip, p, bottom, top, odot, arrow)):
             object.__setattr__(self, name, value)
 
@@ -178,12 +207,12 @@ class ResiduatedStructure:
         commutativity = _first(
             combinations(range(p.n), 2),
             lambda x, y: odot[x][y] != odot[y][x],
-            lambda x, y: f"{lab[x]} odot {lab[y]} = {Subset(p, odot[x][y]).render()} but "
-                         f"{lab[y]} odot {lab[x]} = {Subset(p, odot[y][x]).render()}")
+            lambda x, y: f"{lab[x]} odot {lab[y]} = {_render(p.labels, odot[x][y])} but "
+                         f"{lab[y]} odot {lab[x]} = {_render(p.labels, odot[y][x])}")
         unit = _first(
             ((x,) for x in range(p.n)),
             lambda x: odot[x][top] != p._down[x] or odot[top][x] != p._down[x],
-            lambda x: f"{lab[x]} odot {lab[top]} = {Subset(p, odot[x][top]).render()} != "
+            lambda x: f"{lab[x]} odot {lab[top]} = {_render(p.labels, odot[x][top])} != "
                       f"L({lab[x]}) = {p.lower_cone([x]).render()}")
         adjointness, case_counts = self._adjointness()
         return ResiduationReport(
@@ -220,8 +249,8 @@ class ResiduatedStructure:
                         return Verdict(
                             False, (x, y, z),
                             f"({lab[x]} odot {lab[y]}) odot {lab[z]} = "
-                            f"{Subset(p, lhs_row[z]).render()} != {lab[x]} odot "
-                            f"({lab[y]} odot {lab[z]}) = {Subset(p, rhs).render()}")
+                            f"{_render(p.labels, lhs_row[z])} != {lab[x]} odot "
+                            f"({lab[y]} odot {lab[z]}) = {_render(p.labels, rhs)}")
         return Verdict(True)
 
     def _adjointness(self):
@@ -253,10 +282,10 @@ class ResiduatedStructure:
                     verdict = Verdict(
                         False, (a, b, c),
                         f"({lab[a]}, {lab[b]}, {lab[c]}): "
-                        f"{lab[a]} odot {lab[b]} = {Subset(p, oab).render()} "
+                        f"{lab[a]} odot {lab[b]} = {_render(p.labels, oab)} "
                         f"{'<=' if left else '!<='} {lab[c]} but {lab[a]} "
                         f"{'!<=' if left else '<='} {lab[b]} -> {lab[c]} = "
-                        f"{Subset(p, arrow[b][c]).render()}")
+                        f"{_render(p.labels, arrow[b][c])}")
                 case_counts[self._case(a, b, b)] += up[b].bit_count()
                 if b != bottom:
                     case_counts[self._case(a, b, bottom)] += 1
@@ -275,8 +304,14 @@ class ResiduatedStructure:
           (iv)  a → b = {1} iff a <= b    [needs condition (7)]
           (v)  a <= b and L(a', b) = {0} imply a = b   [needs strict Kleene]
 
-        Each is a first-failure scan over (a, b) in row-major order;
-        checks whose tier preconditions fail are reported as skipped.
+        Each is a first-failure scan over (a, b) in row-major order: the
+        b failing in row a form one mask, whose lowest bit is the witness.
+        (i) images each distinct cell of the arrow table once.  (ii) fails
+        at (a, b) exactly when (i) fails at (a, b'): priming a mask is a
+        bijection that undoes itself, so a -> b != (a odot b')' iff
+        (a -> b)' != a odot b', which, as b'' = b, is (i) at (a, b').  So
+        the b failing (ii) in row a are the image of those failing (i).
+        Checks whose tier preconditions fail are reported as skipped.
         """
         p, inv, lab = self.p, self.ip.inv, self.p.labels
         odot, arrow, up, down = self._odot, self._arrow, p._up, p._down
@@ -285,27 +320,32 @@ class ResiduatedStructure:
         strict_kleene = self.ip.is_strict().ok and self.ip.is_distributive("LU").ok
         active = {"bounded antitone involution": True, "condition (7)": cond7.ok,
                   "strict Kleene": strict_kleene}
+        arrow_primed = _primed(arrow, inv)
+        failing_i = ([0] * p.n if odot == arrow_primed else
+                     [_differing(row, other) for row, other in zip(odot, arrow_primed)])
+        # (iii): b' lies in U(a) iff b lies in its image, inv being an involution
         table = (
             ("i", "bounded antitone involution",
-             lambda a, b: odot[a][b] != _image(inv, arrow[a][inv[b]]),
+             failing_i.__getitem__,
              lambda a, b: f"{lab[a]} odot {lab[b]} != ({lab[a]} -> {lab[b]}')'"),
             ("ii", "bounded antitone involution",
-             lambda a, b: arrow[a][b] != _image(inv, odot[a][inv[b]]),
+             lambda a: _image(inv, failing_i[a]),
              lambda a, b: f"{lab[a]} -> {lab[b]} != ({lab[a]} odot {lab[b]}')'"),
             ("iii", "condition (7)",
-             lambda a, b: (odot[a][b] == zero) != ((up[a] >> inv[b]) & 1),
+             lambda a: _matching(odot[a], zero) ^ _image(inv, up[a]),
              lambda a, b: f"({lab[a]} odot {lab[b]} = {{0}}) does not match "
                           f"{lab[a]} <= {lab[b]}'"),
             ("iv", "condition (7)",
-             lambda a, b: (arrow[a][b] == one) != ((up[a] >> b) & 1),
+             lambda a: _matching(arrow[a], one) ^ up[a],
              lambda a, b: f"({lab[a]} -> {lab[b]} = {{1}}) does not match "
                           f"{lab[a]} <= {lab[b]}"),
             ("v", "strict Kleene",
-             lambda a, b: a != b and (up[a] >> b) & 1 and down[inv[a]] & down[b] == zero,
+             lambda a: sum(1 << b for b in _bits(up[a] & ~(1 << a))
+                           if down[inv[a]] & down[b] == zero),
              lambda a, b: f"{lab[a]} <= {lab[b]} and L({lab[a]}', {lab[b]}) = {{0}} "
                           f"but {lab[a]} != {lab[b]}"),
         )
-        pairs = list(product(range(p.n), repeat=2))
-        items = {key: Theorem54Item(tier, _first(pairs, fails, detail) if active[tier] else None)
-                 for key, tier, fails, detail in table}
+        items = {key: Theorem54Item(tier, _first_in_rows(p.n, bad, detail)
+                                    if active[tier] else None)
+                 for key, tier, bad, detail in table}
         return Theorem54Report(items=items, condition7=cond7, strict_kleene=strict_kleene)

@@ -111,6 +111,29 @@ def test_fig1_not_strong():
     assert not classify(figure("fig1")).strong.ok
 
 
+def _scanned_strong(ip):
+    """Strongness by the pairwise scan the class masks replaced: each
+    incomparable pair x < y, in order, compares L(x,x') and L(y,y')."""
+    p, lab = ip.base, ip.labels
+    lows, _ = ip._self_cone_masks()
+    for x, y in itertools.combinations(range(ip.n), 2):
+        if p.incomparable(x, y) and lows[x] != lows[y]:
+            detail = (f"{lab[x]} || {lab[y]} but L({lab[x]},{lab[x]}') = "
+                      f"{Subset(p, lows[x]).render()} != "
+                      f"{Subset(p, lows[y]).render()} = L({lab[y]},{lab[y]}')")
+            return Verdict(False, (x, y), detail)
+    return Verdict(True)
+
+
+def test_strong_matches_the_pairwise_scan():
+    """Every antitone involution with n <= 6 and the involutive fixtures:
+    the same verdict, first witness and detail as the pairwise scan."""
+    instances = list(iter_involutive(6)) + [figure(name) for name in INV_FIGS]
+    assert [ip.is_strong() for ip in instances] == \
+        [_scanned_strong(ip) for ip in instances]
+    assert {ip.is_strong().ok for ip in instances} == {True, False}
+
+
 def test_strict_reason_when_unbounded():
     c = classify(figure("fig9"))
     assert c.strict is None

@@ -12,6 +12,7 @@ import pytest
 from kleene_posets import (DomainError, ResiduatedStructure, check_condition7,
                            enumerate_posets, figure)
 from kleene_posets.involution import InvolutivePoset
+from kleene_posets.poset import Verdict
 
 from oracles import RefInvolutive, RefPoset, ref_involutions
 
@@ -284,6 +285,70 @@ def test_pair_checks_match_oracle_on_bounded_posets():
     assert seen == 33
     assert {("iii", "skipped"), ("iii", "pass"), ("v", "skipped"),
             ("v", "pass")} <= statuses
+
+
+def _scanned_theorem54(r):
+    """Theorem 5.4 (i)-(v) by the per-pair scan the row masks replaced,
+    each a first failure in row-major order with its detail."""
+    p, inv, lab, n = r.p, r.ip.inv, r.p.labels, r.p.n
+    odot, arrow, up, down = r._odot, r._arrow, p._up, p._down
+    zero, one = 1 << r.bottom, 1 << r.top
+
+    def primed(mask):
+        return sum(1 << inv[z] for z in range(n) if mask >> z & 1)
+
+    laws = {
+        "i": (lambda a, b: odot[a][b] != primed(arrow[a][inv[b]]),
+              lambda a, b: f"{lab[a]} odot {lab[b]} != ({lab[a]} -> {lab[b]}')'"),
+        "ii": (lambda a, b: arrow[a][b] != primed(odot[a][inv[b]]),
+               lambda a, b: f"{lab[a]} -> {lab[b]} != ({lab[a]} odot {lab[b]}')'"),
+        "iii": (lambda a, b: (odot[a][b] == zero) != bool(up[a] >> inv[b] & 1),
+                lambda a, b: f"({lab[a]} odot {lab[b]} = {{0}}) does not match "
+                             f"{lab[a]} <= {lab[b]}'"),
+        "iv": (lambda a, b: (arrow[a][b] == one) != bool(up[a] >> b & 1),
+               lambda a, b: f"({lab[a]} -> {lab[b]} = {{1}}) does not match "
+                            f"{lab[a]} <= {lab[b]}"),
+        "v": (lambda a, b: a != b and up[a] >> b & 1 and down[inv[a]] & down[b] == zero,
+              lambda a, b: f"{lab[a]} <= {lab[b]} and L({lab[a]}', {lab[b]}) = {{0}} "
+                           f"but {lab[a]} != {lab[b]}"),
+    }
+    out = {}
+    for key, (fails, detail) in laws.items():
+        first = next(((a, b) for a, b in itertools.product(range(n), repeat=2)
+                      if fails(a, b)), None)
+        out[key] = Verdict(True) if first is None else Verdict(False, first, detail(*first))
+    return out
+
+
+def _edited_fig4_structures():
+    """fig4's structure with one entry of its odot or arrow table set to
+    {0} or {1}, each way that changes the entry."""
+    ip = figure("fig4")
+    for attr in ("_odot", "_arrow"):
+        for x, y, value in itertools.product(range(ip.n), range(ip.n), ip.bounds()):
+            r = ResiduatedStructure(ip)
+            rows = [list(row) for row in getattr(r, attr)]
+            if rows[x][y] != 1 << value:
+                rows[x][y] = 1 << value
+                object.__setattr__(r, attr, tuple(tuple(row) for row in rows))
+                yield r
+
+
+def test_theorem54_rows_match_the_pair_scan():
+    """On every bounded antitone involution with n <= 6 and on fig4's
+    edited tables: each active item has the per-pair scan's verdict,
+    witness and detail, and (ii) fails at (a, b) exactly where (i) fails
+    at (a, b')."""
+    structures = [ResiduatedStructure(ip) for ip, _ in _bounded_involutive(6)]
+    structures += list(_edited_fig4_structures())
+    failing = set()
+    for r in structures:
+        scanned = _scanned_theorem54(r)
+        for key, item in r.theorem54_checks().items.items():
+            if item.verdict is not None:
+                assert item.verdict == scanned[key], (r.p.labels, key)
+                failing |= {key} if not item.verdict.ok else set()
+    assert failing == {"i", "ii", "iii", "iv"}
 
 
 def test_pair_checks_match_oracle_on_edited_tables():
