@@ -24,7 +24,7 @@ from kleene_posets import (DomainError, InvolutivePoset, MeetDirectoid, Poset,
                            UsageError, enumerate_involutions, enumerate_posets,
                            figure, find_isomorphism, iter_assignments, run_cli)
 from kleene_posets import audit, claim_ids, enumeration, replay_report, replay_witness
-from kleene_posets.directoid import (_IdentityWalk, all_assignments,
+from kleene_posets.directoid import (ASSIGNMENT_CAP, _IdentityWalk, all_assignments,
                                      assignment_choices, assignment_count)
 from kleene_posets.poset import _bits, _least_labelling
 from kleene_posets.enumeration import (ALIASES, BOUNDED, BOUNDED_LU, CLAIMS,
@@ -721,9 +721,13 @@ def test_map_witness_is_the_first_table_failing_2_across_groups():
 # and over those of a deliberately mismatched rung (Kleene order side,
 # pseudo-Kleene table side) in both map spaces at caps 1,000 and 2;
 # frozen from the per-table (1)/(2) scan the grouped kernel replaced.
+# "registry" covers every registered claim in id order at n <= 6 and the
+# default cap, each with collect_all False then True and its replays,
+# frozen before the spaces yielded one group per source (CI pins n <= 7).
 MAP_REPORT_DIGESTS = {
     "claims": "90fb2a83bc46496af2b2bca918663ed3a39e52786aece15e277029160a04bfe3",
     "mismatched": "2ca0a50be6d8fa52a1051bc2f74634577b832cb56d3078c847c2f88e0fe45687",
+    "registry": "5105c504453a3c263ef2338cbbb61e6afdec29ed51cd001fd2a9097f2d7fc37f",
 }
 
 
@@ -751,6 +755,12 @@ def test_map_claim_reports_pinned(monkeypatch):
         for claim in (mismatched, mismatched._replace(instance_space=UNARY_MAPS))
         for cap in (1000, 2) for collect_all in (False, True)]
     ) == MAP_REPORT_DIGESTS["mismatched"]
+
+
+def test_every_claim_report_pinned():
+    assert _report_digest([(CLAIMS[cid], ASSIGNMENT_CAP, collect_all)
+                           for cid in sorted(CLAIMS) for collect_all in (False, True)]
+                          ) == MAP_REPORT_DIGESTS["registry"]
 
 
 def test_twist_audits_never_check_product_cones(monkeypatch):
