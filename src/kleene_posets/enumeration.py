@@ -18,12 +18,12 @@ Instance spaces are combinations of
   - all meet-operation assignments, capped per poset (deterministic
     first-k sampling in canonical order; reports carry a sampled flag).
 
-The map spaces evaluate only some maps and count the others in runs,
-with the verdicts, witnesses and instance counts of the full n^n sweep
-(``_map_space`` says why): for Lem-4.1 the antitone involutions and the
-maps under which (1)/(2) hold on some table, both sets found by one
-pairing search (``involution._constrained_involutions``) on different
-masks; for the four characterisations the antitone involutions.
+Spaces yield one ``Group`` per source.  A map group evaluates only some
+of its poset's maps, with the verdicts, witnesses and instance counts of
+the full n^n sweep (``_map_space`` says why): for Lem-4.1 the antitone
+involutions and the maps under which (1)/(2) hold on some table, both
+sets found by one pairing search (``involution._constrained_involutions``)
+on different masks; for the four characterisations the antitone involutions.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _cells_in_cones,
 from .errors import DomainError, UsageError
 from .involution import (InvolutivePoset, _constrained_involutions,
                          involution_from_pairs)
-from .poset import (DISTRIBUTIVITY_FORMS, Poset, _bits, _canonical,
+from .poset import (DISTRIBUTIVITY_FORMS, Poset, Verdict, _bits, _canonical,
                     _least_labelling)
 from .residuation import AXIOMS, ResiduatedStructure, check_condition7
 from .twist import (_part_i, _twist_kleene, check_embedding,
@@ -52,10 +52,6 @@ ENUMERATION_BOUND = 6
 # ---------------------------------------------------------------------------
 # poset generation
 # ---------------------------------------------------------------------------
-
-def _labels(n):
-    return tuple(f"x{i}" for i in range(n))
-
 
 def _search_nodes(downs):
     """Every node of ``_least_labelling``'s search on the least sequence
@@ -179,7 +175,7 @@ def _representatives(n):
       would drop may be the one where m falls below."""
     if n == 0:
         return (Poset((), (), _validated=True),)
-    labels, full, top = _labels(n), (1 << n) - 1, 1 << (n - 1)
+    labels, full, top = tuple(f"x{i}" for i in range(n)), (1 << n) - 1, 1 << (n - 1)
     index = {name: i for i, name in enumerate(labels)}
     reps = []
     for parent in _representatives(n - 1):
@@ -239,6 +235,14 @@ def _involutive_representatives(n):
                  for inv in enumerate_involutions(p))
 
 
+@functools.cache
+def _involutive_groups(n):
+    """``_involutive_representatives(n)`` by base poset, in order: the
+    one grouping every space reads its involutive instances from."""
+    return {p: tuple(ips) for p, ips in itertools.groupby(
+        _involutive_representatives(n), lambda ip: ip.base)}
+
+
 # ---------------------------------------------------------------------------
 # instance spaces and witness serialization
 # ---------------------------------------------------------------------------
@@ -282,27 +286,53 @@ def involutive_from_witness(doc):
     return InvolutivePoset(p, inv)
 
 
+class Group:
+    """One source's instances in sweep order (``members``) and what they
+    share: ``count``, the instances they stand for (n^n in a map group,
+    else one per member), with each member's rank among them in ``ranks``
+    where it is not its index; ``sampled``; its source's ``tables``,
+    ``cells`` and identity ``walk``; and its base poset's plain
+    ``completion``, built on first read.  A group lives for one sweep."""
+
+    def __init__(self, members, sampled=False, tables=None, cells=None,
+                 walk=None, count=None, ranks=None):
+        self.members, self.sampled, self.ranks = members, sampled, ranks
+        self.tables, self.cells, self.walk = tables, cells, walk
+        self.count = len(members) if count is None else count
+
+    @functools.cached_property
+    def completion(self):
+        return dedekind_macneille(self.members[0].base)
+
+
 class InstanceSpace(namedtuple("InstanceSpace",
                                "description sweep serialize rebuild capped",
                                defaults=(False,))):
-    """``sweep(n_bound, cap)`` yields ``(instance, count, sampled)`` in
-    canonical order: one instance with count 1, or ``None`` for a run of
-    ``count`` instances settled without evaluation (see ``_map_space``).
-    ``capped`` if it cuts assignments at ``cap``; ``serialize`` and
-    ``rebuild`` turn an instance into witness fields and back."""
+    """``sweep(n_bound, cap)`` yields one ``Group`` per source in
+    canonical order.  ``capped`` if it cuts assignments at ``cap``;
+    ``serialize`` turns an instance into witness fields, and ``rebuild``
+    turns them back into ``(group, instance)``."""
 
     __slots__ = ()
 
 
-def _uncapped(iterate):
-    return lambda n_bound, cap: ((inst, 1, False) for inst in iterate(n_bound))
+def _alone(build):
+    """A rebuild: the instance ``build`` makes, in a group of its own."""
+    def rebuild(witness):
+        instance = build(witness)
+        return Group((instance,)), instance
+    return rebuild
 
 
-def _involutive(description, keep):
-    """Posets with an antitone involution, those failing ``keep`` dropped."""
-    return InstanceSpace(description,
-                         _uncapped(lambda n: filter(keep, iter_involutive(n))),
-                         serialize_involutive, involutive_from_witness)
+def _involutive(description, keep=None):
+    """Posets with an antitone involution, one group per poset, which
+    holds those of its instances that pass ``keep``."""
+    def sweep(n_bound, cap):
+        for n in range(1, n_bound + 1):
+            for ips in _involutive_groups(n).values():
+                yield Group(ips if keep is None else [ip for ip in ips if keep(ip)])
+    return InstanceSpace(description, sweep, serialize_involutive,
+                         _alone(involutive_from_witness))
 
 
 def _bounded(ip):
@@ -319,10 +349,12 @@ def _condition7(ip):
             and check_condition7(ip).ok)
 
 
-POSETS = InstanceSpace("all posets up to isomorphism", _uncapped(iter_posets),
-                       serialize_poset, poset_from_witness)
-INVOLUTIVE = _involutive("all posets with an antitone involution",
-                         lambda ip: True)
+# A plain poset shares nothing with another, so its size is its source.
+POSETS = InstanceSpace(
+    "all posets up to isomorphism",
+    lambda n_bound, cap: (Group(enumerate_posets(n)) for n in range(1, n_bound + 1)),
+    serialize_poset, _alone(poset_from_witness))
+INVOLUTIVE = _involutive("all posets with an antitone involution")
 BOUNDED = _involutive("bounded posets with an antitone involution", _bounded)
 BOUNDED_LU = _involutive(
     "bounded distributive posets with an antitone involution", _bounded_lu)
@@ -331,23 +363,21 @@ CONDITION7 = _involutive(
 
 
 def _assigned(description, sources, serialize, source_from_witness):
-    """Each source with a lazy iterator over its first ``cap`` assignments
-    and its cells (``directoid._cells_in_cones``); the iterator, the cells
-    and the count behind ``sampled`` share one base table.  A rebuilt
-    witness carries its one table and no cells, so a replay evaluates
-    the table it is given."""
+    """Each source alone in its group, with a lazy iterator over its first
+    ``cap`` assignments and its cells (``directoid._cells_in_cones``), all
+    from one base table.  A rebuilt witness's group holds its one table
+    and no cells, so a replay evaluates the table it is given."""
     def sweep(n_bound, cap):
         for source in sources(n_bound):
             count, cells, tables = _capped_assignments(source, cap)
-            yield (source, tables, cells), 1, count > cap
+            yield Group((source,), count > cap, tables, cells)
 
     def rebuild(witness):
         source = source_from_witness(witness)
-        choices = witness["binding"]["choices"]
-        return source, [directoid_from_choices(source, choices)], None
+        table = directoid_from_choices(source, witness["binding"]["choices"])
+        return Group((source,), tables=[table]), source
 
-    return InstanceSpace(description, sweep, lambda inst: serialize(inst[0]),
-                         rebuild, capped=True)
+    return InstanceSpace(description, sweep, serialize, rebuild, capped=True)
 
 
 DIRECTED_ASSIGNED = _assigned(
@@ -357,7 +387,7 @@ DIRECTED_ASSIGNED = _assigned(
 # involutive poset is downward directed (has a bottom) iff it is bounded.
 DIRECTED_INVOLUTIVE_ASSIGNED = _assigned(
     "downward directed posets with antitone involution x assignments (capped)",
-    lambda n: filter(_bounded, iter_involutive(n)),
+    lambda n: (ip for group in BOUNDED.sweep(n, None) for ip in group.members),
     serialize_involutive, involutive_from_witness)
 
 
@@ -366,17 +396,13 @@ def _map_space(table_side=False):
     antitone involutions are built and evaluated, on p's capped tables,
     in lexicographic order; with ``table_side``, so are the maps under
     which (1)/(2) hold on some of those tables
-    (``_IdentityWalk.maps_passing``).  The antitone involutions are read
-    off ``_involutive_representatives``, so the search behind them runs
-    once per poset and process, whichever claims run.  Each evaluated
-    map is one item with count 1; each gap before, between and after
-    them is one ``(None, gap)`` run, a map's position being its rank
-    sum(u[i] * n^(n-1-i)).  So ``instances`` counts exactly the n^n maps
-    per poset that a full product loop would visit.  An item is
-    ``(ip, walk)``: ``ip`` is the shared ``_involutive_representatives``
-    instance (``poset._memoised``), fresh only for a map found on the
-    table side alone, and ``walk`` one identity walk over p's map-free
-    tables, built once per poset and shared by its maps.
+    (``_IdentityWalk.maps_passing``).  Each poset is one group of count
+    n^n, the maps a full product loop visits, whose members are the
+    evaluated maps, each ranked sum(u[i] * n^(n-1-i)) in that loop, and
+    whose ``walk`` is one identity walk over p's map-free tables.  A
+    member is the shared instance of ``_involutive_groups``
+    (``poset._memoised``), so the search behind it runs once per poset
+    and process; only a map found on the table side alone is fresh.
 
     A skipped map cannot change a verdict if both sides of every rung are
     False on every table.  Its order side is False if it is not an
@@ -397,36 +423,23 @@ def _map_space(table_side=False):
         fails.  So (1)/(2) hold exactly when the map is an antitone
         involution of p."""
     def sweep(n_bound, cap):
-        for n in range(1, n_bound + 1):
-            antitone = {}
-            for ip in _involutive_representatives(n):
-                antitone.setdefault(ip.base, {})[ip.inv] = ip
-            for p in filter(Poset.is_downward_directed, enumerate_posets(n)):
-                chosen = antitone.get(p, {})
-                count, _, tables = _capped_assignments(
-                    p, cap if chosen or table_side else 0)
-                sampled = count > cap
-                walk = _IdentityWalk(tables)
-                if table_side:
-                    for unary in walk.maps_passing():
-                        if unary not in chosen:
-                            chosen[unary] = InvolutivePoset(p, unary)
-                next_rank = 0
-                for unary in sorted(chosen):
-                    rank = functools.reduce(lambda r, v: r * n + v, unary, 0)
-                    if rank > next_rank:
-                        yield None, rank - next_rank, sampled
-                    yield (chosen[unary], walk), 1, sampled
-                    next_rank = rank + 1
-                if n ** n > next_rank:
-                    yield None, n ** n - next_rank, sampled
+        for p in iter_directed(n_bound):
+            chosen = {ip.inv: ip for ip in _involutive_groups(p.n).get(p, ())}
+            total, _, tables = _capped_assignments(p, cap if chosen or table_side else 0)
+            walk = _IdentityWalk(tables)
+            if table_side:
+                for unary in walk.maps_passing():
+                    if unary not in chosen:
+                        chosen[unary] = InvolutivePoset(p, unary)
+            maps = sorted(chosen)
+            yield Group([chosen[u] for u in maps], total > cap, walk=walk, count=p.n ** p.n,
+                        ranks=[functools.reduce(lambda r, v: r * p.n + v, u, 0) for u in maps])
     return InstanceSpace(
         "downward directed posets x all unary maps x assignments (capped)",
         sweep, _map_serialize, _map_rebuild, capped=True)
 
 
-def _map_serialize(instance):
-    ip = instance[0]
+def _map_serialize(ip):
     doc = serialize_poset(ip.base)
     doc["unary_map"] = {ip.labels[i]: ip.labels[ip.inv[i]] for i in range(ip.n)}
     return doc
@@ -441,9 +454,9 @@ def _map_rebuild(witness):
     for lab in unary_map:
         if lab not in p.labels:
             raise UsageError(f"unknown element name {lab!r}")
-    unary = tuple(p.index(unary_map[lab]) for lab in p.labels)
-    return (InvolutivePoset(p, unary),
-            _IdentityWalk([directoid_from_choices(p, witness["binding"]["choices"])]))
+    ip = InvolutivePoset(p, tuple(p.index(unary_map[lab]) for lab in p.labels))
+    table = directoid_from_choices(p, witness["binding"]["choices"])
+    return Group((ip,), walk=_IdentityWalk([table])), ip
 
 
 UNARY_MAPS = _map_space(table_side=True)
@@ -464,8 +477,8 @@ def _pivot_rebuild(witness):
 
 PIVOTS = InstanceSpace(
     "all posets x all pivots",
-    _uncapped(lambda n: ((p, a) for p in iter_posets(n) for a in range(p.n))),
-    _pivot_serialize, _pivot_rebuild)
+    lambda n_bound, cap: (Group([(q, a) for a in range(q.n)]) for q in iter_posets(n_bound)),
+    _pivot_serialize, _alone(_pivot_rebuild))
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +511,11 @@ class AuditReport(namedtuple("AuditReport", (
 
 
 class Claim:
-    """A statement checked over ``instance_space``: ``evaluate(instance)``
-    returns ``None`` where the statement holds and otherwise the
-    violation's binding.  Immutable, with its fields in the instance
-    ``__dict__``: ``benchmarks/tracing.py`` finds the evaluators'
-    closures through ``vars(claim)``."""
+    """A statement checked over ``instance_space``: ``evaluate(group,
+    instance)`` returns ``None`` where it holds on a member of a group,
+    and otherwise the violation's binding.  Immutable, with its fields in
+    the instance ``__dict__``: ``benchmarks/tracing.py`` finds the
+    evaluators' closures through ``vars(claim)``."""
 
     def __init__(self, claim_id, statement, instance_space, evaluate, default_n=5):
         vars(self).update(claim_id=claim_id, statement=statement,
@@ -528,22 +541,23 @@ class Claim:
         if n_bound > ENUMERATION_BOUND:
             raise DomainError(
                 f"n={n_bound} exceeds the enumeration bound {ENUMERATION_BOUND}")
-        space = self.instance_space
-        instances = 0
-        witnesses = []
-        sampled = False
-        for instance, count, capped in space.sweep(n_bound, assignment_cap):
-            instances += count
-            sampled = sampled or capped
-            if instance is None:
+        space, evaluate = self.instance_space, self.evaluate
+        instances, witnesses, sampled = 0, [], False
+        for group in space.sweep(n_bound, assignment_cap):
+            sampled = sampled or group.sampled
+            for i, instance in enumerate(group.members):
+                binding = evaluate(group, instance)
+                if binding is not None:
+                    witness = space.serialize(instance)
+                    witness["binding"] = binding
+                    witnesses.append(witness)
+                    if not collect_all:
+                        break
+            else:
+                instances += group.count
                 continue
-            binding = self.evaluate(instance)
-            if binding is not None:
-                witness = space.serialize(instance)
-                witness["binding"] = binding
-                witnesses.append(witness)
-                if not collect_all:
-                    break
+            instances += 1 + (i if group.ranks is None else group.ranks[i])
+            break
         return AuditReport(
             claim=self.claim_id,
             statement=self.statement,
@@ -561,7 +575,7 @@ class Claim:
         if not isinstance(witness, dict):
             raise UsageError(f"{self.claim_id} witness is not an object")
         try:
-            instance = self.instance_space.rebuild(witness)
+            group, instance = self.instance_space.rebuild(witness)
             binding = witness["binding"]
         except KeyError as missing:
             raise UsageError(f"{self.claim_id} witness has no field "
@@ -570,13 +584,13 @@ class Claim:
             raise UsageError(f"{self.claim_id} witness is malformed: {exc}") from None
         if not isinstance(binding, dict):
             raise UsageError(f"{self.claim_id} witness binding is not an object")
-        return (json.dumps(self.evaluate(instance), sort_keys=True)
+        return (json.dumps(self.evaluate(group, instance), sort_keys=True)
                 == json.dumps(binding, sort_keys=True))
 
 
 # -- per-claim evaluators -----------------------------------------------------
 
-def _forms_equivalent(p):
+def _forms_equivalent(_, p):
     """Reads whether each form holds; the details are rendered only for
     a binding."""
     failures = p._distributivity(DISTRIBUTIVITY_FORMS)
@@ -591,7 +605,7 @@ def _forms_equivalent(p):
     }
 
 
-def _lem11(ip):
+def _lem11(_, ip):
     """Every pair with a <= b and L(b, a') one element, which in a bounded
     order is 0.  An unbounded or non-distributive instance (a replay
     outside the space) gets ``lemma11_holds``'s ``DomainError`` before the
@@ -605,7 +619,7 @@ def _lem11(ip):
     return None
 
 
-def _lem22(ip):
+def _lem22(_, ip):
     if not ip.is_pseudo_kleene().ok:
         return None
     fixed = ip.fixed_points()
@@ -616,21 +630,13 @@ def _lem22(ip):
 
 def _completion_agreement(predicate_name):
     """Thm-3.1 and Thm-3.2 compare a predicate on an instance and on its
-    cut completion.  Instances come poset by poset, each poset with all
-    its involutions, and only the star of a completion depends on the
-    map; so each evaluator keeps the plain completion of the last base
-    poset it saw and adds each instance's star to it
+    cut completion.  Only the star of a completion depends on the map, so
+    each instance adds its star to its group's plain completion
     (``CompletionLattice._with_involution``), and the lattice and
     distributivity verdicts memoised on that completion's order are
-    shared by the poset's involutions.  The cache belongs to one
-    evaluator, so no claim's cost depends on another claim having run."""
-    last = None
-
-    def evaluate(ip):
-        nonlocal last
-        if last is None or last.base is not ip.base:
-            last = dedekind_macneille(ip.base)
-        dm = last._with_involution(ip)
+    shared by the poset's involutions."""
+    def evaluate(group, ip):
+        dm = group.completion._with_involution(ip)
         dm_ip = dm.as_involutive_poset()
         side_p = getattr(ip, predicate_name)().ok
         side_dm = getattr(dm_ip, predicate_name)().ok and dm_ip.is_lattice().ok
@@ -662,12 +668,12 @@ def _directoid_characterization(*rungs):
     binding names the failing one as ``part`` i or ii.  Lem-4.1 runs on
     the maps either side can satisfy, the rest only on antitone
     involutions (``_map_space`` says why skipping the others is exact).
-    The order sides read the item's shared instance (``poset._memoised``),
-    the table sides its identity walk; tables are walked in order, so
+    The order sides read the shared instance (``poset._memoised``), the
+    table sides its group's identity walk; tables are walked in order, so
     the first mismatch and its ``choices`` (read off the map-free table)
     are those of a per-table scan."""
-    def evaluate(instance):
-        ip, walk = instance
+    def evaluate(group, ip):
+        walk = group.walk
         valid = ip.check_antitone_involution().ok
         # A finite directed order has a bottom; a valid map sends it to a top.
         bounds = ip.bounds() if valid else (0, 0)   # read only if (1)/(2) hold
@@ -689,7 +695,7 @@ def _directoid_characterization(*rungs):
     return evaluate
 
 
-def _lem46(ip):
+def _lem46(_, ip):
     if not ip.is_strong().ok:
         return None
     pk = ip.is_pseudo_kleene()
@@ -698,13 +704,13 @@ def _lem46(ip):
     return {"strong": True, "pseudo_kleene": False, "detail": pk.detail}
 
 
-def _strict_implies_strong(ip):
+def _strict_implies_strong(_, ip):
     if not ip.is_strict().ok or ip.is_strong().ok:
         return None
     return {"strict": True, "strong": False}
 
 
-def _boolean_implies_strict_kleene(ip):
+def _boolean_implies_strict_kleene(_, ip):
     if not ip.is_boolean_poset().ok:
         return None
     if ip.is_strict().ok and ip.is_kleene().ok:
@@ -713,7 +719,7 @@ def _boolean_implies_strict_kleene(ip):
             "kleene": ip.is_kleene().ok}
 
 
-def _thm52(ip):
+def _thm52(_, ip):
     report = ResiduatedStructure(ip).verify_kleene_residuated()
     if report.all_ok:
         return None
@@ -724,62 +730,54 @@ def _thm52(ip):
     }
 
 
-def _thm54(ip):
+def _thm54(_, ip):
     failing = ResiduatedStructure(ip).theorem54_checks().violations
     if not failing:
         return None
     return {"failing": {k: v.verdict.detail for k, v in failing.items()}}
 
 
-def _decided_on_cells(instance):
-    """Whether an assigned instance is decided on its cells: they lie in
-    their cones, and a map, if any, is an antitone involution; then every
-    table passes Directoid-roundtrip and Derived-set-laws
-    (``directoid._cells_in_cones`` says why).  A replay carries no cells."""
-    source, _, cells = instance
-    if cells is None:
+def _decided_on_cells(group, source):
+    """Whether an assigned instance is decided on its group's cells: they
+    lie in their cones, and a map, if any, is an antitone involution;
+    then every table passes Directoid-roundtrip and Derived-set-laws
+    (``directoid._cells_in_cones`` says why).  A replay has no cells."""
+    if group.cells is None:
         return False
     if isinstance(source, InvolutivePoset):
         if not source.check_antitone_involution().ok:
             return False
         source = source.base
-    return _cells_in_cones(source, *cells)
+    return _cells_in_cones(source, *group.cells)
 
 
 def _assignment_law(checker, on_cells=False):
-    """The first table failing ``checker``; with ``on_cells``, none where
-    the instance is decided on its cells (:func:`_decided_on_cells`)."""
-    def evaluate(instance):
-        ip, assignments, _ = instance
-        if on_cells and _decided_on_cells(instance):
+    """The first table failing ``checker``, with the failure's detail if
+    it has one; with ``on_cells``, none where the instance is decided on
+    its cells (:func:`_decided_on_cells`)."""
+    def evaluate(group, source):
+        if on_cells and _decided_on_cells(group, source):
             return None
-        for d in assignments:
-            verdict = checker(d, ip.base)
+        for d in group.tables:
+            verdict = checker(d, source)
             if not verdict.ok:
-                return {
-                    "choices": assignment_choices(d, ip),
-                    "detail": verdict.detail,
-                }
+                binding = {"choices": assignment_choices(d, source)}
+                if verdict.detail:
+                    binding["detail"] = verdict.detail
+                return binding
         return None
     return evaluate
 
 
-def _roundtrip(instance):
-    p, assignments, _ = instance
-    if _decided_on_cells(instance):
-        return None
-    for d in assignments:
-        if not d._induces(p):
-            return {"choices": assignment_choices(d, p)}
-        verdict = d.check_directoid_axioms()
-        if not verdict.ok:
-            return {"choices": assignment_choices(d, p), "detail": verdict.detail}
-    return None
+def _roundtrip(d, p):
+    """``d`` induces ``p`` (a failure without detail) and is a
+    commutative meet-directoid."""
+    return d.check_directoid_axioms() if d._induces(p) else Verdict(False)
 
 
-def _twist_kleene_agreement(instance):
-    q, _ = instance
-    kleene = _twist_kleene(twist(*instance))
+def _twist_kleene_agreement(_, instance):
+    q, a = instance
+    kleene = _twist_kleene(twist(q, a))
     q_dist = q.is_distributive("LU")
     if q_dist.ok == kleene.ok:
         return None
@@ -795,7 +793,7 @@ def _twist_kleene_agreement(instance):
 def _twist_check(check):
     """A claim read off the twist alone by ``check``, which returns a
     verdict; computes only that part, not the whole Thm 6.1 audit."""
-    def evaluate(instance):
+    def evaluate(_, instance):
         verdict = check(twist(*instance))
         return None if verdict.ok else {"detail": verdict.detail}
     return evaluate
@@ -868,7 +866,7 @@ CLAIMS = {claim_id: Claim(claim_id, *spec) for claim_id, spec in {
     "Directoid-roundtrip": (
         "every assignment is a commutative meet-directoid and induces the "
         "original order",
-        DIRECTED_ASSIGNED, _roundtrip),
+        DIRECTED_ASSIGNED, _assignment_law(_roundtrip, on_cells=True)),
     "Thm-6.1-i": (
         "every twist is pseudo-Kleene with exactly the pivot pair fixed",
         PIVOTS, _twist_check(_part_i), 4),

@@ -30,9 +30,9 @@ from kleene_posets.poset import _bits, _least_labelling
 from kleene_posets.enumeration import (ALIASES, BOUNDED, BOUNDED_LU, CLAIMS,
                                        CONDITION7, DIRECTED_INVOLUTIVE_ASSIGNED,
                                        INVOLUTIVE, UNARY_MAPS, ANTITONE_MAPS,
-                                       Claim, _RUNGS, _bounded, _bounded_lu,
+                                       Claim, Group, _RUNGS, _bounded, _bounded_lu,
                                        _condition7, _directoid_characterization,
-                                       _involutive_representatives,
+                                       _involutive_groups, _involutive_representatives,
                                        _keeps_child, _representatives,
                                        _search_nodes,
                                        involutive_from_witness,
@@ -196,13 +196,15 @@ def test_map_spaces_search_each_poset_once(monkeypatch):
         return enumerate_involutions(p)
 
     monkeypatch.setattr("kleene_posets.enumeration.enumerate_involutions", counted)
-    _involutive_representatives.cache_clear()
+    for cache in (_involutive_representatives, _involutive_groups):
+        cache.cache_clear()
     try:
         for _ in range(2):
             for cid in ("Lem-4.1",) + MAP_CHARACTERISATIONS:
                 assert audit(cid, n_bound=5).confirmed
     finally:
-        _involutive_representatives.cache_clear()
+        for cache in (_involutive_representatives, _involutive_groups):
+            cache.cache_clear()
     assert calls == collections.Counter(iter_posets(5))
 
 
@@ -216,7 +218,7 @@ def test_map_items_are_the_shared_representatives(space):
     directed posets, in the representatives' order."""
     shared = [ip for n in range(1, 7) for ip in _involutive_representatives(n)
               if ip.base.is_downward_directed()]
-    items = [inst for inst, _, _ in space.sweep(6, 3) if inst is not None]
+    items = [(ip, group.walk) for group in space.sweep(6, 3) for ip in group.members]
     assert len(items) == len(shared) == 33
     for (ip, walk), rep in zip(items, shared):
         assert ip is rep
@@ -237,6 +239,25 @@ def test_map_claims_build_no_involutive_poset(monkeypatch):
         assert audit(cid, n_bound=6).confirmed
 
 
+def test_each_run_builds_its_own_completions(monkeypatch):
+    """Thm-3.1 and Thm-3.2 build one plain completion per base poset in
+    every run, 1, 3 and 6 at n <= 1, 2 and 3, whichever claim runs
+    first and whatever ran before: no completion outlives its sweep."""
+    built = []
+    build = enumeration.dedekind_macneille
+
+    def counted(p):
+        built.append(p)
+        return build(p)
+    monkeypatch.setattr(enumeration, "dedekind_macneille", counted)
+    for order in (("Thm-3.1", "Thm-3.2"), ("Thm-3.2", "Thm-3.1")):
+        for n_bound, want in ((1, 1), (2, 3), (3, 6)):
+            for cid in order + order:
+                built.clear()
+                assert audit(cid, n_bound=n_bound).confirmed
+                assert len(built) == want, (cid, n_bound)
+
+
 def _nested_involutive(posets):
     return [InvolutivePoset(p, inv) for p in posets
             for inv in enumerate_involutions(p)]
@@ -247,13 +268,13 @@ def _nested_involutive(posets):
     (BOUNDED_LU, _bounded_lu), (CONDITION7, _condition7)])
 def test_involutive_spaces_walk_the_nested_loop(space, keep):
     want = [ip for ip in _nested_involutive(iter_posets(6)) if keep(ip)]
-    assert [inst for inst, _, _ in space.sweep(6, 1)] == want
+    assert [ip for group in space.sweep(6, 1) for ip in group.members] == want
 
 
 def test_directed_involutive_space_walks_the_nested_loop():
     want = _nested_involutive(iter_directed(6))
     swept = DIRECTED_INVOLUTIVE_ASSIGNED.sweep(6, 1)
-    assert [source for (source, _, _), _, _ in swept] == want
+    assert [source for group in swept for source in group.members] == want
 
 
 def test_involutions_of_figures():
@@ -415,8 +436,9 @@ def test_lem11_preconditions_are_checked_before_the_pair_scan(instance, message)
                                       "b": instance["elements"][0]})
     with pytest.raises(DomainError, match=message):
         replay_witness("Lem-1.1", witness)
+    ip = involutive_from_witness(instance)
     with pytest.raises(DomainError, match=message):
-        CLAIMS["Lem-1.1"].evaluate(involutive_from_witness(instance))
+        CLAIMS["Lem-1.1"].evaluate(Group((ip,)), ip)
 
 
 def test_unary_map_witness_must_cover_the_carrier():
@@ -517,19 +539,19 @@ def _rank(u):
 def _evaluated_maps(space, n_bound, cap):
     """``{poset: [maps]}`` of the maps ``space`` evaluates, after checking
     that each sits at its rank among the n^n maps of its poset with the
-    poset's first ``cap`` tables, and that the items count every map of
+    poset's first ``cap`` tables, and that the groups count every map of
     every directed poset."""
     offsets, total = {}, 0
     for p in iter_directed(n_bound):
         offsets[p] = total
         total += p.n ** p.n
     position, maps = 0, {p: [] for p in offsets}
-    for instance, count, sampled in space.sweep(n_bound, cap):
-        if instance is not None:
-            ip, walk = instance
+    for group in space.sweep(n_bound, cap):
+        walk, sampled = group.walk, group.sampled
+        for ip, rank in zip(group.members, group.ranks):
             p, unary = ip.base, ip.inv
-            assert count == 1
-            assert position == offsets[p] + _rank(unary)
+            assert group.count == p.n ** p.n
+            assert position + rank == offsets[p] + _rank(unary)
             assert [d.meet for d in walk.tables] == [
                 d.meet for d in itertools.islice(iter_assignments(p), cap)]
             signatures = [(tuple(d._order()[3]), tuple(d._order()[2]))
@@ -538,7 +560,7 @@ def _evaluated_maps(space, n_bound, cap):
             assert walk.group == [first.index(s) for s in signatures]
             assert sampled == (assignment_count(p) > cap)
             maps[p].append(unary)
-        position += count
+        position += group.count
     assert position == total
     return maps
 
@@ -648,11 +670,10 @@ def test_refuted_map_claim_counts_every_map_up_to_the_witness():
 
 
 def _check_one_map_refutation(space, target, evaluated):
-    def evaluate(instance):
-        ip, walk = instance
+    def evaluate(group, ip):
         if ip.inv != target:
             return None
-        return {"choices": assignment_choices(walk.tables[0], ip.base)}
+        return {"choices": assignment_choices(group.walk.tables[0], ip.base)}
 
     claim = Claim("Synthetic", "refuted at one map", space, evaluate, 3)
     loop = [(p, u) for p in iter_directed(3)
@@ -699,10 +720,11 @@ def test_map_witness_is_the_first_table_failing_2_across_groups():
     def rebuild(witness):
         kept = [d for d, c in zip(tables, choices)
                 if c == witness["binding"]["choices"]]
-        return InvolutivePoset(p, unary), _IdentityWalk(kept)
+        ip = InvolutivePoset(p, unary)
+        return Group((ip,), walk=_IdentityWalk(kept)), ip
 
     space = UNARY_MAPS._replace(sweep=lambda n_bound, cap: iter(
-        [((InvolutivePoset(p, unary), walk), 1, False)]), rebuild=rebuild)
+        [Group((InvolutivePoset(p, unary),), walk=walk)]), rebuild=rebuild)
     claim = CLAIMS["Lem-4.1"]._replace(instance_space=space)
     report = claim.run(6)
     binding = {"order_side": True, "directoid_side": False, "choices": choices[1]}
@@ -712,7 +734,8 @@ def test_map_witness_is_the_first_table_failing_2_across_groups():
     assert not claim.replay(dict(witness, binding=dict(binding, directoid_side=True)))
     # with every table failing (2), the first one is the witness
     failing = edited[::-1]
-    assert claim.evaluate((InvolutivePoset(p, unary), _IdentityWalk(failing))) == dict(
+    ip = InvolutivePoset(p, unary)
+    assert claim.evaluate(Group((ip,), walk=_IdentityWalk(failing)), ip) == dict(
         binding, choices=assignment_choices(failing[0], p))
 
 
@@ -1228,14 +1251,15 @@ _CELL_CLAIMS = ("Directoid-roundtrip", "Derived-set-laws")
 
 
 def _walked(claim_id):
-    """The claim with its instances stripped of their cells, so that the
+    """The claim with its groups stripped of their cells, so that the
     evaluator walks every table, as it does on a replay."""
     claim = CLAIMS[claim_id]
     space = claim.instance_space
 
     def sweep(n_bound, cap):
-        for (source, tables, _), count, sampled in space.sweep(n_bound, cap):
-            yield (source, tables, None), count, sampled
+        for group in space.sweep(n_bound, cap):
+            group.cells = None
+            yield group
     return claim._replace(instance_space=space._replace(sweep=sweep))
 
 
@@ -1249,11 +1273,13 @@ def test_cells_decide_as_the_table_walk_on_every_instance(monkeypatch, claim_id)
     monkeypatch.setattr("kleene_posets.enumeration.ENUMERATION_BOUND", 7)
     claim = CLAIMS[claim_id]
     instances = tables = 0
-    for (source, assigned, cells), _, _ in claim.instance_space.sweep(7, 1024):
-        assert enumeration._decided_on_cells((source, assigned, cells))
-        assert claim.evaluate((source, iter(()), cells)) is None
-        assigned = list(assigned)
-        assert claim.evaluate((source, assigned, None)) is None
+    for group in claim.instance_space.sweep(7, 1024):
+        (source,) = group.members
+        assert enumeration._decided_on_cells(group, source)
+        assert claim.evaluate(Group((source,), tables=iter(()), cells=group.cells),
+                              source) is None
+        assigned = list(group.tables)
+        assert claim.evaluate(Group((source,), tables=assigned), source) is None
         instances += 1
         tables += len(assigned)
     assert (instances, tables) == {"Directoid-roundtrip": (406, 11728),
@@ -1342,13 +1368,13 @@ def test_a_map_that_is_no_antitone_involution_falls_back():
     chain = Poset.from_covers("ab", [("a", "b")])
     ip = InvolutivePoset(chain, (0, 1))
     _, cells, tables = _capped_assignments(ip, 1024)
-    want = evaluate((ip, list(iter_assignments(ip)), None))
+    want = evaluate(Group((ip,), tables=list(iter_assignments(ip))), ip)
     assert want == {"choices": {}, "detail": "{z join a} != U(a)"}
-    assert evaluate((ip, tables, cells)) == want
+    assert evaluate(Group((ip,), tables=tables, cells=cells), ip) == want
     flat = InvolutivePoset(chain, (0, 0))
     _, cells, tables = _capped_assignments(flat, 1024)
     with pytest.raises(UsageError, match="involutive"):
-        evaluate((flat, tables, cells))
+        evaluate(Group((flat,), tables=tables, cells=cells), flat)
 
 
 def test_a_replay_evaluates_the_table_it_is_given(monkeypatch):

@@ -14,7 +14,8 @@ from kleene_posets import (DISTRIBUTIVITY_FORMS, DomainError, MeetDirectoid,
                            Poset, UsageError, Verdict, assign_directoid,
                            dedekind_macneille, enumerate_involutions,
                            enumerate_posets, figure, find_isomorphism)
-from kleene_posets.enumeration import _forms_equivalent, iter_involutive, iter_posets
+from kleene_posets.enumeration import (Group, _forms_equivalent, iter_involutive,
+                                       iter_posets)
 from kleene_posets.involution import InvolutivePoset
 from kleene_posets.twist import twist
 
@@ -469,7 +470,7 @@ def test_held_verdicts_render_as_a_fresh_poset_does():
     renders no detail; rendering them later gives the same verdicts."""
     for p in iter_posets(6):
         q = Poset(p.labels, p._up)
-        assert _forms_equivalent(q) is None
+        assert _forms_equivalent(Group((q,)), q) is None
         assert [key for key in q._memo if key[0] == "_distributivity_verdict"] == []
         assert q.distributivity_all_forms() == \
             Poset(p.labels, p._up).distributivity_all_forms()
@@ -483,7 +484,7 @@ def test_forms_disagreement_binding_renders_the_failing_details():
     p = Poset(fig2.labels, fig2._up)
     p._distributivity(DISTRIBUTIVITY_FORMS)
     p._memo["_distributivity", "LU"] = None
-    assert _forms_equivalent(p) == {
+    assert _forms_equivalent(Group((p,)), p) == {
         "forms": {"LU": True, "ULU": False, "UL": False, "LUL": False},
         "details": {form: FAILING_DETAILS["fig2", form] for form in ("ULU", "UL", "LUL")},
     }

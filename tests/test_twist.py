@@ -7,7 +7,7 @@ import pytest
 
 from kleene_posets import (DomainError, UsageError, audit_theorem61, classify,
                            enumerate_posets, figure, twist, twist_embedding)
-from kleene_posets.enumeration import CLAIMS
+from kleene_posets.enumeration import CLAIMS, Group
 from kleene_posets.involution import InvolutivePoset
 from kleene_posets.twist import (_part_i, _twist_kleene, check_embedding,
                                  check_product_cones)
@@ -305,10 +305,11 @@ def _assert_parts_match_audit(q, pivot):
     assert _triple(_part_i(t)) == _triple(report.part_i)
     assert _triple(check_embedding(t)) == _triple(report.part_ii)
     assert _triple(_twist_kleene(t)) == _triple(report.twist_kleene)
+    group = Group([(q, pivot)])
     for cid, want in (("Thm-6.1-i", report.part_i), ("Thm-6.1-ii", report.part_ii)):
-        binding = CLAIMS[cid].evaluate((q, pivot))
+        binding = CLAIMS[cid].evaluate(group, (q, pivot))
         assert binding == (None if want.ok else {"detail": want.detail})
-    binding = CLAIMS["Thm-6.1-iii"].evaluate((q, pivot))
+    binding = CLAIMS["Thm-6.1-iii"].evaluate(group, (q, pivot))
     if report.part_iii_agree:
         assert binding is None
     else:
