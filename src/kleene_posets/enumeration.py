@@ -297,12 +297,14 @@ class Group:
     def __init__(self, members, sampled=False, tables=None, cells=None,
                  walk=None, count=None, ranks=None):
         self.members, self.sampled, self.ranks = members, sampled, ranks
-        self.tables, self.cells, self.walk = tables, cells, walk
+        self.tables, self.cells, self.walk, self._completion = tables, cells, walk, None
         self.count = len(members) if count is None else count
 
-    @functools.cached_property
+    @property
     def completion(self):
-        return dedekind_macneille(self.members[0].base)
+        if self._completion is None:
+            self._completion = dedekind_macneille(self.members[0].base)
+        return self._completion
 
 
 class InstanceSpace(namedtuple("InstanceSpace",
@@ -324,23 +326,24 @@ def _alone(build):
     return rebuild
 
 
-def _involutive(description, keep=None):
-    """Posets with an antitone involution, one group per poset, which
-    holds those of its instances that pass ``keep``."""
+def _involutive(description, keep_base=None, keep=None):
+    """Posets with an antitone involution: a group per poset that passes
+    ``keep_base``, holding those of its instances that pass ``keep``."""
     def sweep(n_bound, cap):
         for n in range(1, n_bound + 1):
-            for ips in _involutive_groups(n).values():
-                yield Group(ips if keep is None else [ip for ip in ips if keep(ip)])
+            for p, ips in _involutive_groups(n).items():
+                if keep_base is None or keep_base(p):
+                    yield Group(ips if keep is None else [ip for ip in ips if keep(ip)])
     return InstanceSpace(description, sweep, serialize_involutive,
                          _alone(involutive_from_witness))
 
 
-def _bounded(ip):
-    return None not in ip.bounds()
+def _bounded(p):
+    return None not in p.bounds()
 
 
-def _bounded_lu(ip):
-    return _bounded(ip) and ip.base.is_distributive("LU").ok
+def _bounded_lu(p):
+    return _bounded(p) and p.is_distributive("LU").ok
 
 
 def _condition7(ip):
@@ -359,7 +362,7 @@ BOUNDED = _involutive("bounded posets with an antitone involution", _bounded)
 BOUNDED_LU = _involutive(
     "bounded distributive posets with an antitone involution", _bounded_lu)
 CONDITION7 = _involutive(
-    "bounded strict Kleene posets satisfying condition (7)", _condition7)
+    "bounded strict Kleene posets satisfying condition (7)", _bounded, _condition7)
 
 
 def _assigned(description, sources, serialize, source_from_witness):
@@ -761,10 +764,8 @@ def _assignment_law(checker, on_cells=False):
         for d in group.tables:
             verdict = checker(d, source)
             if not verdict.ok:
-                binding = {"choices": assignment_choices(d, source)}
-                if verdict.detail:
-                    binding["detail"] = verdict.detail
-                return binding
+                detail = {"detail": verdict.detail} if verdict.detail else {}
+                return {"choices": assignment_choices(d, source), **detail}
         return None
     return evaluate
 
