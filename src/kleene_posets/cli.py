@@ -28,7 +28,7 @@ from .completion import dedekind_macneille
 from .errors import DomainError, FixtureParseError, UsageError
 from .fileformat import build, parse
 from .involution import InvolutivePoset, classify
-from .poset import DISTRIBUTIVITY_FORMS
+from .poset import DISTRIBUTIVITY_FORMS, Verdict
 from .residuation import AXIOMS, ResiduatedStructure
 from .twist import audit_theorem61
 
@@ -279,21 +279,21 @@ def _cmd_directoid(args, out):
     cap = 1 if args.all_assignments is None else args.all_assignments
     if cap < 1:
         raise UsageError("assignment cap must be at least 1")
-    total, (_, pairs), tables = _capped_assignments(p, cap)
+    total, (base, pairs), tables = _capped_assignments(p, cap)
     keys = _pair_keys(p.labels, [pair for pair, _ in pairs])
-    walk = None
+    walk = _IdentityWalk(tables, p, (base, pairs))
     if has_map:
-        walk = _IdentityWalk(tables).under(obj.inv, p.bounds())
-        tables = walk.tables
+        walk.under(obj.inv, p.bounds())
     entries = []
-    # Pulled one at a time, each table's view read before the next is
-    # built, so the assignment generator seeds the next view from it.
-    for i, table in enumerate(tables):
-        verdicts = None if walk is None else walk.verdicts(i)
+    for table in walk.tables():
+        # where the walk is shared, the cells decide the axioms and the
+        # order for every table (directoid._cells_in_cones says why)
+        verdicts = walk.verdicts(table) if has_map else None
         entries.append({
             "choices": _choices(table, p.labels, keys, pairs),
-            "directoid_axioms": _verdict_json(table.check_directoid_axioms()),
-            "induces_original_order": table._induces(p),
+            "directoid_axioms": _verdict_json(
+                Verdict(True) if walk.shared else table.check_directoid_axioms()),
+            "induces_original_order": walk.shared or table._induces(p),
             "identities": None if verdicts is None else dict(
                 zip((key for key, _ in _IDENTITIES), map(_verdict_json, verdicts))),
         })

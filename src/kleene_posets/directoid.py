@@ -23,12 +23,11 @@ as one side of the equivalence audits:
 where ``<=`` always means the induced order (read off the table).
 Every checker reads it from one memoised order view of the meet table
 (:func:`_order_masks`): the bitmasks of which entries equal their row or
-column index, and of each column's values, built in one pass, or, for an
-assignment whose predecessor's view is known, updated from that view at
-the entries whose pick changed (:func:`_order_update`).  The map
+column index, and of each column's values, built in one pass.  The map
 audits and the CLI decide (1)–(6) on one poset's tables through one walk
-(:class:`_IdentityWalk`), once per (2) group on the tables that pass the
-directoid axioms.
+(:class:`_IdentityWalk`): on its first table for all of them where the
+poset's cells lie in their cones (:func:`_cells_in_cones`), and on each
+table alone otherwise.
 Witnesses are deterministic: the checkers scan in a fixed order and
 report the first violation they encounter.
 """
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, _constrained_involutions, _image
@@ -61,8 +61,7 @@ def _order_masks(table):
     """The order view of a table in one pass, as ``(above, below, lower,
     cols)``: ``above[x] = {y | x∘y = x}``, ``below[y] = {x | x∘y = x}``,
     ``lower[x] = {y | x∘y = y}`` and ``cols[y] = {x∘y | x}``, the value
-    mask of column y, each a bitmask.  The one full fold: a table next to
-    one whose view is known takes :func:`_order_update`."""
+    mask of column y, each a bitmask."""
     n = len(table)
     below, cols = [0] * n, [0] * n
     above, lower = [], []
@@ -81,36 +80,19 @@ def _order_masks(table):
     return above, below, lower, cols
 
 
-def _order_update(view, table, cells):
-    """The :func:`_order_masks` of ``table`` from ``view``, that of a table
-    equal to it outside ``cells``, a list of (x, y).  Exact: bit y of
-    ``above[x]``, bit x of ``below[y]`` and bit y of ``lower[x]`` read
-    entry (x, y) alone, and ``cols[y]`` column y alone, so resetting those
-    three bits at each cell from its new entry and refolding each touched
-    column gives the full fold.  ``view`` is left as it was."""
-    above, below, lower, cols = map(list, view)
-    for x, y in cells:
-        v = table[x][y]
-        bx, by = 1 << x, 1 << y
-        if v == x:
-            above[x] |= by
-            below[y] |= bx
-        else:
-            above[x] &= ~by
-            below[y] &= ~bx
-        lower[x] = lower[x] | by if v == y else lower[x] & ~by
-    for y in {y for _, y in cells}:
-        col = 0
-        for row in table:
-            col |= 1 << row[y]
-        cols[y] = col
-    return above, below, lower, cols
+def _signature(table):
+    """The ``(cols, lower)`` of a table's order view, which (2) reads."""
+    _, _, lower, cols = table._order()
+    return tuple(cols), tuple(lower)
 
 
 def _identity_2(signature, inv):
-    """Identity (2) under the map ``inv`` on any table whose order view
-    has the signature ``(cols, lower)``; :class:`_IdentityWalk` says why
-    this is exact."""
+    """Identity (2) (x ⊓ y)' ⊓ y' = y' under the map ``inv`` on any table
+    whose order view has the signature ``(cols, lower)``.  For a fixed y,
+    m = x ⊓ y runs over exactly ``cols[y]`` as x runs over the carrier,
+    and a ⊓ b = b iff b is in ``lower[a]``, so (2) holds iff y' is in
+    ``lower[m']`` for every y and every m in ``cols[y]``; neither
+    commutativity nor x'' = x enters."""
     cols, lower = signature
     for y, col in enumerate(cols):
         iy = inv[y]
@@ -227,8 +209,11 @@ def _cells_in_cones(p, table, pairs):
         join, the image of a cell that is not y', is not y.
     The audits decide both claims from this verdict and walk the tables
     only where it fails, which only an edited base table produces, or,
-    for the derived set laws, where the map is no antitone involution.
-    A replayed witness carries one table, which is evaluated as given."""
+    for the derived set laws, where the map is no antitone involution;
+    :class:`_IdentityWalk` decides (1)–(6) on the first table for all
+    of them where it holds, and the CLI ``directoid`` reads the axioms
+    and the induced order off it.  A replayed witness carries one table,
+    which is evaluated as given."""
     up, down = p._up, p._down
     n = p.n
     listed = set()
@@ -612,96 +597,67 @@ class _IdentityWalk:
     poset: by the map spaces' sweep, by a map witness's rebuild and by
     the CLI ``directoid``.  Each verdict :meth:`verdicts` returns,
     witness and detail included, is the one the public checker returns
-    on ``tables[i]._with_map(inv)``.  The tables are valid by
-    construction in the assignment generator (the sweep and the CLI) and
-    validated by the constructor in ``directoid_from_choices`` (a
-    replay), and ``InvolutivePoset`` validated the map; ``_with_map``
-    joins the two without checking either again.
+    on ``table._with_map(inv)``.  The tables are valid by construction in
+    the assignment generator (the sweep and the CLI) and validated by the
+    constructor in ``directoid_from_choices`` (a replay), and
+    ``InvolutivePoset`` validated the map; ``_with_map`` joins the two
+    without checking either again.
 
-    (1) x'' = x reads the map alone.  (2) (x ⊓ y)' ⊓ y' = y' reads the
-    signature ``(cols, lower)`` of a table's order view alone, so the
-    tables are grouped by it, eagerly, and a caller sees at once whether
-    any passes.  For a fixed y, m = x ⊓ y runs over exactly ``cols[y]``
-    as x runs over the carrier, and a ⊓ b = b iff b is in ``lower[a]``,
-    so (2) holds iff y' is in ``lower[m']`` for every y and every m in
-    ``cols[y]`` (:func:`_identity_2`); neither commutativity nor x'' = x
-    enters.  The maps under which some group passes are searched for on
-    the signatures alone (:meth:`maps_passing`).  Where (1)/(2) fail,
-    (3)–(6) are None, and every map claim's table side is False without
-    reading the table; only the CLI runs the table's own check, for its
-    witness.
+    Given the poset ``p`` and the ``cells`` its tables are filled from,
+    the walk checks them once, as it reads the first table, and where
+    they lie in their cones (``shared``) that table alone decides
+    (``deciding``): every table then is a commutative meet-directoid with
+    the order view of ``p`` (:func:`_cells_in_cones` says why), on which
+    (4)'s premise table ``lset[x][y]`` is ``below[x] & below[y]``
+    (:meth:`MeetDirectoid._premise_table`), and so is (3)'s
+    ``lmask[x] = lset[x][x']`` (:func:`_lmask`).  Each verdict reads only
+    those, the map, the bounds and the labels, as each checker's
+    docstring says; only the witnesses of a failing (1)/(2) or (3) read
+    the meet and join entries, so each table gets its own.  Any other
+    tables, an edited base table's, a replay's one table or a hand-built
+    list, decide each alone, and ``deciding`` keeps them all for the next
+    map."""
 
-    One rule shares (3)–(6), each decided lazily: a table that passes
-    :meth:`MeetDirectoid.check_directoid_axioms` shares its verdicts with
-    the other such tables of its (2) group, and any other table decides
-    them alone.  Exact, since on a table passing the axioms each
-    condition reads only the signature, the map, the bounds and the
-    labels (one poset's tables share them; every detail names them).  On
-    a commutative table ``lower`` is ``below`` and ``above`` is its
-    transpose (both mark x ⊓ y = x), so the signature fixes the whole
-    order view.  Under the axioms (4)'s premise table ``lset[x][y]`` is
-    ``below[x] & below[y]`` (:meth:`MeetDirectoid._premise_table` argues
-    it), and so is (3)'s left-side mask ``lmask[x] = lset[x][x']``
-    (:func:`_lmask`) at y = x'.  (3) reads ``lmask``, ``above`` and the
-    map; (4) ``lset``, ``above``, ``below`` and the commutativity flag;
-    (5) ``lower``, and x ⊓ y in {x, y} only as y in ``above[x] |
-    lower[x]``; (6) ``above`` and ``below`` for its bounds test, then
-    ``lower``.  Commutativity alone is not enough: without weak
-    associativity ``lset`` need not be read off the order view, and two
-    commutative tables of one group can differ on (4).  (3)'s witness
-    scan reads the meet and join tables, which the group does not fix,
-    so only whether (3) holds is shared; a table on which it fails
-    rescans for its own witness.  :meth:`under` starts each map with an
-    empty memo, and the premise table is memoised on the map-free table,
-    so it serves every map; a claim that needs only (3) reads the n²
-    ``lmask`` and builds none.
+    def __init__(self, tables, p=None, cells=None):
+        self._rest = iter(tables)
+        self.shared = cells is not None and _cells_in_cones(p, *cells)
+        self.deciding = list(itertools.islice(self._rest, 1 if self.shared else None))
 
-    On one poset's assigned tables, which pass the axioms, ``lower`` and
-    ``cols`` are its down-sets whatever the choices
-    (:func:`_cells_in_cones` says why), so they form one group: each
-    condition is decided once per (poset, map), and one premise table is
-    built per poset."""
-
-    def __init__(self, tables):
-        signatures = {}
-        self.tables, self.group = [], []
-        for t in tables:    # each view read as its table is pulled (_assignments)
-            self.tables.append(t)
-            _, _, lower, cols = t._order()
-            self.group.append(signatures.setdefault((tuple(cols), tuple(lower)),
-                                                    len(signatures)))
-        self._signatures = list(signatures)
+    def tables(self):
+        """Every table, in order, for one pass: ``deciding``, then the
+        others as they are pulled, kept by no one."""
+        return itertools.chain(self.deciding, self._rest)
 
     def maps_passing(self):
         """The maps under which (1)/(2) hold on some table, in
-        lexicographic order: the union over the (2) groups of
-        :func:`_identity_2_maps`, since (1) holds under every involution.
-        On a poset's assigned tables, one group whose ``cols`` and
-        ``lower`` are its down-sets, this is the search that finds its
-        antitone involutions, and the maps are the same
-        (``enumeration._map_space`` says why)."""
-        return sorted(set().union(*map(_identity_2_maps, self._signatures)))
+        lexicographic order: the union of :func:`_identity_2_maps` over
+        the deciding tables' signatures, since (1) holds under every
+        involution.  Where ``shared``, the one signature's ``cols``
+        and ``lower`` are the down-sets of ``p``, and this is the search
+        that finds its antitone involutions (``enumeration._map_space``
+        says why)."""
+        signatures = set(map(_signature, self.deciding))
+        return sorted(set().union(*map(_identity_2_maps, signatures)))
 
     def under(self, inv, bounds):
-        """The walk read under the map ``inv`` with its ``bounds`` (index
-        pairs, None where absent), with an empty memo of (3)–(6).
-        ``passing[g]`` is whether (1)/(2) hold on the tables of group g."""
-        self.inv, self.bounds = inv, bounds
-        involutive = all(inv[inv[x]] == x for x in range(len(inv)))
-        self.passing = [involutive and _identity_2(s, inv) for s in self._signatures]
-        self._memo = {}
-        return self
+        """Read the walk under the map ``inv`` with its ``bounds`` (index
+        pairs, None where absent), with an empty memo of verdicts."""
+        self.inv, self.bounds, self._memo = inv, bounds, {}
 
-    def verdict(self, condition, i):
-        """(3), (4), (5) or (6) on table i, where (1)/(2) hold, shared with
-        its group when it passes the axioms; a failing (3) carries no
-        witness."""
-        table, inv = self.tables[i], self.inv
-        # ~i < 0 is no group's: a table failing the axioms decides alone
-        key = condition, self.group[i] if table.check_directoid_axioms().ok else ~i
+    def _verdict(self, condition, table):
+        """(1)/(2) as condition 2, or (3), (4), (5) or (6) where (1)/(2)
+        hold, decided on the first table where ``shared`` and on
+        ``table`` otherwise; a failing (1)/(2) or (3) carries no witness."""
+        if self.shared:
+            table = self.deciding[0]
+        key = condition, table
         verdict = self._memo.get(key)
         if verdict is None:
-            if condition == 3:
+            inv = self.inv
+            if condition == 2:    # (1) x'' = x, then (2)
+                verdict = Verdict(all(inv[v] == x for x, v in enumerate(inv))
+                                  and _identity_2(_signature(table), inv))
+            elif condition == 3:
                 failures = _identity_3_failures(_lmask(table.meet, inv), table._order()[0], inv)
                 verdict = Verdict(next(failures, None) is None)
             else:
@@ -712,21 +668,21 @@ class _IdentityWalk:
             self._memo[key] = verdict
         return verdict
 
-    def holds(self, i, *conditions):
+    def holds(self, table, *conditions):
         """Whether (1)/(2) and each of ``conditions`` (3 to 6) hold on
-        table i."""
-        return self.passing[self.group[i]] and all(
-            self.verdict(c, i).ok for c in conditions)
+        ``table``."""
+        return all(self._verdict(c, table).ok for c in (2, *conditions))
 
-    def verdicts(self, i):
-        """The (1)/(2), (3), (4), (5) and (6) verdicts on table i: (3)–(6)
-        None where (1)/(2) fail, and (6) where a bound is None."""
-        d = self.tables[i]._with_map(self.inv)
-        if not self.holds(i):
-            return d.check_identities_1_2(), None, None, None, None
-        v3 = self.verdict(3, i)
-        return (Verdict(True), v3 if v3.ok else d.check_identity_3(), self.verdict(4, i),
-                self.verdict(5, i), None if None in self.bounds else self.verdict(6, i))
+    def verdicts(self, table):
+        """The (1)/(2), (3), (4), (5) and (6) verdicts on ``table``: (3)–(6)
+        None where (1)/(2) fail, and (6) where a bound is None.  Only a
+        failing (1)/(2) or (3) reads ``table`` itself, for its witness."""
+        if not self.holds(table):
+            return table._with_map(self.inv).check_identities_1_2(), None, None, None, None
+        v3 = self._verdict(3, table)
+        return (Verdict(True), v3 if v3.ok else table._with_map(self.inv).check_identity_3(),
+                self._verdict(4, table), self._verdict(5, table),
+                None if None in self.bounds else self._verdict(6, table))
 
 
 # -- assignments ------------------------------------------------------------
@@ -741,13 +697,23 @@ ASSIGNMENT_CAP = 1024
 
 def assignment_count(source):
     p, _ = _split_source(source)
-    return _count(_base_table(p)[1])
+    return _count(p)
 
 
-def _count(pairs):
+def _count(p):
+    """The number of assignments of ``p``, the product of |L(x) ∩ L(y)|
+    over its incomparable pairs, read off its cones without building a
+    table; a domain error where ``p`` is not downward directed."""
+    up, down = p._up, p._down
     count = 1
-    for _, cands in pairs:
-        count *= len(cands)
+    for x in range(p.n):
+        rest = ~(up[x] | down[x]) & ((1 << p.n) - (2 << x))    # the y > x incomparable to x
+        while rest:
+            low = rest & -rest
+            count *= (down[x] & down[low.bit_length() - 1]).bit_count()
+            rest ^= low
+    if not count:    # some pair has no common lower bound, which _base_table names
+        _base_table(p)
     return count
 
 
@@ -777,40 +743,24 @@ def _assignments(p, inv, table, pairs):
     in place; with no incomparable pairs, the one table it holds.  The
     tables are valid by construction, so none is checked: every entry is
     an index of ``p``, a comparable pair's minimum or a candidate of
-    ``pairs``, and ``p`` and ``inv`` were validated when built.  When
-    the order view of the table last yielded is known by the time the
-    next is pulled (read, or seeded itself), the next one's view is
-    seeded from it by :func:`_order_update` at the two cells of each pair
-    whose pick changed; otherwise it is left to the full fold, if it is
-    read at all.  So a caller that reads no view pays for none."""
+    ``pairs``, and ``p`` and ``inv`` were validated when built."""
     keys = [pair for pair, _ in pairs]
-    last, prev = None, [None] * len(keys)
     for picks in itertools.product(*(cands for _, cands in pairs)):
-        changed = [(x, y, pick) for (x, y), pick, old in zip(keys, picks, prev)
-                   if pick != old]
-        for x, y, pick in changed:
+        for (x, y), pick in zip(keys, picks):
             table[x][y] = table[y][x] = pick
-        d = MeetDirectoid._unchecked(tuple(map(tuple, table)), inv, p.labels)
-        view = None if last is None else MeetDirectoid._order.known(last)
-        if view is not None:
-            cells = [cell for x, y, _ in changed for cell in ((x, y), (y, x))]
-            MeetDirectoid._order.seed(d, _order_update(view, d.meet, cells))
-        yield d
-        last, prev = d, picks
+        yield MeetDirectoid._unchecked(tuple(map(tuple, table)), inv, p.labels)
 
 
 def _capped_assignments(source, cap):
     """``assignment_count(source)``, the cells ``(table, pairs)``: the base
     table and the incomparable pairs with their candidate meets (read by
     :func:`_cells_in_cones`), and a lazy iterator over the first ``cap``
-    tables of ``iter_assignments(source)``, all from one base table.  A
-    cap at or above the count is no cap, so one past ``sys.maxsize`` is
-    accepted."""
+    tables of ``iter_assignments(source)`` from that base table.  A cap
+    past ``sys.maxsize`` is no cap."""
     p, inv = _split_source(source)
     table, pairs = _base_table(p)
-    count = _count(pairs)
-    return (count, (table, pairs), itertools.islice(_assignments(p, inv, table, pairs),
-                                                    None if cap >= count else cap))
+    return (_count(p), (table, pairs),
+            itertools.islice(_assignments(p, inv, table, pairs), min(cap, sys.maxsize)))
 
 
 def all_assignments(source, cap=ASSIGNMENT_CAP):

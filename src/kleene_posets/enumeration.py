@@ -34,7 +34,7 @@ import json
 from collections import namedtuple
 
 from .completion import dedekind_macneille
-from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _cells_in_cones,
+from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _cells_in_cones, _count,
                         _IdentityWalk, assignment_choices, check_derived_set_laws,
                         check_printed_u_pair_law, directoid_from_choices)
 from .errors import DomainError, UsageError
@@ -402,7 +402,8 @@ def _map_space(table_side=False):
     (``_IdentityWalk.maps_passing``).  Each poset is one group of count
     n^n, the maps a full product loop visits, whose members are the
     evaluated maps, each ranked sum(u[i] * n^(n-1-i)) in that loop, and
-    whose ``walk`` is one identity walk over p's map-free tables.  A
+    whose ``walk`` is one identity walk over p's map-free tables, or
+    None where no map is evaluated.  A
     member is the shared instance of ``_involutive_groups``
     (``poset._memoised``), so the search behind it runs once per poset
     and process; only a map found on the table side alone is fresh.
@@ -421,15 +422,18 @@ def _map_space(table_side=False):
         the down-set L(a) on an assigned table
         (``directoid._cells_in_cones`` says why).  Then (2) holds iff y'
         is in ``lower[m']`` for every y and m in ``cols[y]``
-        (``directoid._IdentityWalk`` says why), that is, iff m <= y
+        (``directoid._identity_2`` says why), that is, iff m <= y
         implies y' <= m': iff the map is antitone.  Without x'' = x, (1)
         fails.  So (1)/(2) hold exactly when the map is an antitone
         involution of p."""
     def sweep(n_bound, cap):
         for p in iter_directed(n_bound):
             chosen = {ip.inv: ip for ip in _involutive_groups(p.n).get(p, ())}
-            total, _, tables = _capped_assignments(p, cap if chosen or table_side else 0)
-            walk = _IdentityWalk(tables)
+            if chosen or table_side:
+                total, cells, tables = _capped_assignments(p, cap)
+                walk = _IdentityWalk(tables, p, cells)
+            else:    # nothing to evaluate: counted, and no table built
+                total, walk = _count(p), None
             if table_side:
                 for unary in walk.maps_passing():
                     if unary not in chosen:
@@ -672,9 +676,10 @@ def _directoid_characterization(*rungs):
     the maps either side can satisfy, the rest only on antitone
     involutions (``_map_space`` says why skipping the others is exact).
     The order sides read the shared instance (``poset._memoised``), the
-    table sides its group's identity walk; tables are walked in order, so
-    the first mismatch and its ``choices`` (read off the map-free table)
-    are those of a per-table scan."""
+    table sides its group's identity walk.  The walk's deciding tables
+    are walked in order, the first alone where it decides for every
+    table, so the first mismatch and its ``choices`` (read off the
+    map-free table) are those of a per-table scan."""
     def evaluate(group, ip):
         walk = group.walk
         valid = ip.check_antitone_involution().ok
@@ -683,11 +688,9 @@ def _directoid_characterization(*rungs):
         order_sides = [valid and _RUNGS[r][0](ip) for r in rungs]
         # a replayed map need not be involutive; then (1) fails on every table
         walk.under(ip.inv, bounds)
-        if not any(walk.passing + order_sides):
-            return None    # every side of every table is False
-        for i, table in enumerate(walk.tables):
+        for table in walk.deciding:
             for part, order_side, rung in zip(("i", "ii"), order_sides, rungs):
-                directoid_side = walk.holds(i, *_RUNGS[rung][1])
+                directoid_side = walk.holds(table, *_RUNGS[rung][1])
                 if order_side != directoid_side:
                     binding = {"part": part} if len(rungs) > 1 else {}
                     binding.update(order_side=order_side,

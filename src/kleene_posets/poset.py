@@ -69,8 +69,7 @@ def _memoised(method):
     no caller, in any order, could compute another value.  An exception
     is never kept, so a precondition check raises on every call.
     ``seed(obj, value, *args)`` records a value known when ``obj`` is
-    built, under the key that call would use, and ``known(obj, *args)``
-    returns the value recorded so far, or None.  Arguments are dict keys,
+    built, under the key that call would use.  Arguments are dict keys,
     so a method is memoised only where its arguments are validated first
     (``Poset._distributivity_verdict``)."""
     name = method.__name__
@@ -86,10 +85,7 @@ def _memoised(method):
     def seed(obj, value, *args):
         obj._memo[(name, args) if args else name] = value
 
-    def known(obj, *args):
-        return obj._memo.get((name, args) if args else name)
-
-    memoised.seed, memoised.known = seed, known
+    memoised.seed = seed
     return memoised
 
 

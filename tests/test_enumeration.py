@@ -222,7 +222,7 @@ def test_map_items_are_the_shared_representatives(space):
     assert len(items) == len(shared) == 33
     for (ip, walk), rep in zip(items, shared):
         assert ip is rep
-        assert walk.tables[0].labels == ip.labels
+        assert walk.deciding[0].labels == ip.labels
 
 
 def test_map_claims_build_no_involutive_poset(monkeypatch):
@@ -538,9 +538,10 @@ def _rank(u):
 
 def _evaluated_maps(space, n_bound, cap):
     """``{poset: [maps]}`` of the maps ``space`` evaluates, after checking
-    that each sits at its rank among the n^n maps of its poset with the
-    poset's first ``cap`` tables, and that the groups count every map of
-    every directed poset."""
+    that each sits at its rank among the n^n maps of its poset, that its
+    walk decides on the poset's first table alone (the cells lie in their
+    cones), and that the groups count every map of every directed
+    poset."""
     offsets, total = {}, 0
     for p in iter_directed(n_bound):
         offsets[p] = total
@@ -552,12 +553,8 @@ def _evaluated_maps(space, n_bound, cap):
             p, unary = ip.base, ip.inv
             assert group.count == p.n ** p.n
             assert position + rank == offsets[p] + _rank(unary)
-            assert [d.meet for d in walk.tables] == [
-                d.meet for d in itertools.islice(iter_assignments(p), cap)]
-            signatures = [(tuple(d._order()[3]), tuple(d._order()[2]))
-                          for d in walk.tables]
-            first = list(dict.fromkeys(signatures))
-            assert walk.group == [first.index(s) for s in signatures]
+            assert walk.shared
+            assert [d.meet for d in walk.deciding] == [next(iter_assignments(p)).meet]
             assert sampled == (assignment_count(p) > cap)
             maps[p].append(unary)
         position += group.count
@@ -606,7 +603,7 @@ def test_unary_maps_evaluate_the_union_of_both_sides(monkeypatch):
     order = _evaluated_maps(ANTITONE_MAPS, 5, 3)
     assert _evaluated_maps(UNARY_MAPS, 5, 3) == order
     monkeypatch.setattr(_IdentityWalk, "maps_passing",
-                        lambda walk: [tuple(range(walk.tables[0].n))])
+                        lambda walk: [tuple(range(walk.deciding[0].n))])
     assert _evaluated_maps(UNARY_MAPS, 5, 3) == {
         p: sorted(set(maps) | {tuple(range(p.n))}) for p, maps in order.items()}
 
@@ -642,7 +639,7 @@ def test_characterisations_match_their_sweep_over_every_involution(
                         (_RUNGS["kleene"][0], _RUNGS["pk"][1]))
     # a stand-in table side: Lem-4.1's space then evaluates every involution
     monkeypatch.setattr(_IdentityWalk, "maps_passing",
-                        lambda walk: _involutions(walk.tables[0].n))
+                        lambda walk: _involutions(walk.deciding[0].n))
     assert _evaluated_maps(UNARY_MAPS, 4, cap) == {
         p: _involutions(p.n) for p in iter_directed(4)}
     refuted = 0
@@ -673,7 +670,7 @@ def _check_one_map_refutation(space, target, evaluated):
     def evaluate(group, ip):
         if ip.inv != target:
             return None
-        return {"choices": assignment_choices(group.walk.tables[0], ip.base)}
+        return {"choices": assignment_choices(group.walk.deciding[0], ip.base)}
 
     claim = Claim("Synthetic", "refuted at one map", space, evaluate, 3)
     loop = [(p, u) for p in iter_directed(3)
@@ -695,11 +692,12 @@ def _check_one_map_refutation(space, target, evaluated):
 
 
 def test_map_witness_is_the_first_table_failing_2_across_groups():
-    """Tables in two (2) groups: the assigned tables of a bounded poset
-    with an antitone involution, where (2) holds, and the same tables
-    with the top's row edited at one entry, where it fails though the
-    order side holds.  The binding names the first failing table in
-    table order, and it replays."""
+    """Tables with two (2) signatures: the assigned tables of a bounded
+    poset with an antitone involution, where (2) holds, and the same
+    tables with the top's row edited at one entry, where it fails though
+    the order side holds.  A hand-built list has no cells, so each table
+    decides alone; the binding names the first failing table in table
+    order, and it replays."""
     p = Poset.from_covers([f"x{i}" for i in range(6)], [
         ("x0", "x1"), ("x1", "x2"), ("x1", "x3"), ("x2", "x4"), ("x3", "x4"),
         ("x4", "x5")])
@@ -712,7 +710,7 @@ def test_map_witness_is_the_first_table_failing_2_across_groups():
         edited.append(MeetDirectoid(table, labels=p.labels))
     tables = [genuine[0], edited[1], edited[0], genuine[1]]
     walk = _IdentityWalk(tables)
-    assert walk.group == [0, 1, 1, 0]
+    assert not walk.shared and walk.deciding == tables
     assert tables[0]._order()[3] == tables[1]._order()[3]
     choices = [assignment_choices(d, p) for d in tables]
     assert choices[1] != choices[2]
@@ -816,10 +814,10 @@ def test_map_claims_read_one_walk_per_poset(monkeypatch):
     """The four characterisations at n <= 6 (33 maps evaluated) read
     (3)-(6) through one identity walk per poset: the public (1)/(2), (3)
     and (4) checkers never run, one premise table is built per poset
-    whose (4) is read, since its assigned tables pass the axioms and form
-    one (2) group, and (5) and (6) run once per map.  The premise table
-    is memoised, so a build is a call that finds none recorded; a memo
-    hit is no build."""
+    whose (4) is read, on its first table, which decides for all, and (5)
+    and (6) run once per map.  The premise table is memoised, so a build
+    is a call that finds none in the table's memo; a memo hit is no
+    build."""
     def forbidden(self, *args):
         raise AssertionError("per-table checker ran")
     for name in ("check_identities_1_2", "check_identity_3", "check_implication_4"):
@@ -828,7 +826,7 @@ def test_map_claims_read_one_walk_per_poset(monkeypatch):
     premise_table = MeetDirectoid._premise_table
 
     def building(self):
-        if premise_table.known(self) is None:
+        if "_premise_table" not in self._memo:
             built.append(self)
         return premise_table(self)
     monkeypatch.setattr(MeetDirectoid, "_premise_table", building)
@@ -1209,8 +1207,9 @@ def test_representatives_are_pinned(n):
 
 
 def test_assigned_sweeps_build_one_base_table_per_source(monkeypatch):
-    """The count behind ``sampled``, the cells and the lazy slice of
-    tables come from one base table per source, and the slice builds only
+    """The cells and the lazy slice of tables come from one base table
+    per source (the count behind ``sampled`` is read off the poset's
+    cones and builds none), and the slice builds only
     the tables the evaluator reads: none where the cells decide the claim
     (Directoid-roundtrip, and Derived-set-laws on its 33 sources), up to
     the first witness otherwise.  Tables are counted where every table is
@@ -1338,11 +1337,13 @@ def _one_sided(p, table, pairs):
             return
 
 
+_EDITS = {"x-itself": _prepend_x, "outside-the-cone": _append_outside,
+          "comparable-cell": _raise_comparable, "diagonal": _edit_diagonal,
+          "one-sided": _one_sided}
+
+
 @pytest.mark.parametrize("claim_id", _CELL_CLAIMS)
-@pytest.mark.parametrize("edit", [_prepend_x, _append_outside, _raise_comparable,
-                                  _edit_diagonal, _one_sided],
-                         ids=["x-itself", "outside-the-cone", "comparable-cell",
-                              "diagonal", "one-sided"])
+@pytest.mark.parametrize("edit", list(_EDITS.values()), ids=list(_EDITS))
 def test_edited_base_tables_fall_back_to_the_table_walk(monkeypatch, claim_id, edit):
     """A base table whose candidates hold x itself or an element outside
     L(x) ∩ L(y), or whose comparable or diagonal cells are edited, fails
@@ -1356,6 +1357,99 @@ def test_edited_base_tables_fall_back_to_the_table_walk(monkeypatch, claim_id, e
         assert report == _walked(claim_id).run(n_bound, collect_all=True)
         assert report.witnesses
         assert replay_report(report)
+
+
+# sha256 over the five map claims' reports at n <= 4 and n <= 5 with
+# every witness, each with its replays, and over the JSON output (exit
+# code included) of ``directoid fixtures/figN.poset --all-assignments 50``
+# for N = 1..8 without its ``assignment_count``, under each base table
+# edit; captured when each walk still grouped its tables by signature.
+# The count is the poset's, read off its cones, so the two edits of the
+# candidate lists no longer move it.
+EDITED_BASE_DIGESTS = {
+    "x-itself": ("756a604b0d1936774fd8b3edd9598de06a2be7741c0fbdefe1121312deead808",
+                 "6dea487d101b6bafc65702260107d15b8f47021a765a079cac1b9c13348425f6"),
+    "outside-the-cone": (
+        "594090ab0358f693a7ee25f6b6045a718ca4ab18c349d8c7514057a2aec5af13",
+        "12297ea1eb64440c220c5db77b8f659e94b8b0db05c127c09c72976d38982a58"),
+    "comparable-cell": (
+        "56046038578f34b42e43881b8cef4e458c8338c3a9db252d31f11b01611e682f",
+        "b9fdacbe678cd2fc30a987a1811a366d14361c22e49c227af002495f689395fa"),
+    "diagonal": ("5e4345adf32fc13c5f3001206b882612796f3ede19e5e0cf2561402d9e361d42",
+                 "00eae64c374e5fe8c0c5bec669f3b4d7705c24fd2a4622d8d549636c21a20173"),
+    "one-sided": ("5428ccca94217ad6544a3ff6514204ce08e0f1b0270ea32bc97762909148b5aa",
+                  "2c078b0c226ad0c5f42b9e3c43f531eaf5780942d6b553233a5a6ab3d16dcb2f"),
+}
+MAP_CLAIMS = ("Lem-4.1",) + MAP_CHARACTERISATIONS
+
+
+def _map_reports(claims):
+    docs = []
+    for claim in claims:
+        for n_bound in (4, 5):
+            report = claim.run(n_bound, collect_all=True)
+            doc = report.to_dict()
+            doc["replays"] = [claim.replay(w) for w in report.witnesses]
+            docs.append(doc)
+    return docs
+
+
+def _deciding_alone(claim, walks):
+    """The map claim with each group's walk rebuilt over its tables and
+    no cells, so that each table decides alone; the walks the sweep
+    built are appended to ``walks``."""
+    space = claim.instance_space
+
+    def sweep(n_bound, cap):
+        for group in space.sweep(n_bound, cap):
+            if group.walk is not None:
+                walks.append(group.walk)
+                group.walk = _IdentityWalk(list(group.walk.tables()))
+            yield group
+    return claim._replace(instance_space=space._replace(sweep=sweep))
+
+
+def _directoid_outputs(flags=()):
+    outputs = []
+    for k in range(1, 9):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["directoid", f"fixtures/fig{k}.poset", "--all-assignments", "50"]
+        outputs.append((run_cli(argv + list(flags), out, err), out.getvalue(), err.getvalue()))
+    return outputs
+
+
+@pytest.mark.parametrize("name", list(_EDITS))
+def test_edited_base_tables_decide_each_map_table_alone(monkeypatch, name):
+    """Under each base table edit the five map claims and the CLI
+    ``directoid`` decide on each table alone: the sweep's walks whose
+    cells fail are not shared, the claims report what walks without
+    cells report and what was reported before the cells rule (pinned),
+    witnesses included, and each witness replays; the CLI prints what it
+    prints when no cells are taken to hold, and its JSON is the pinned
+    one."""
+    from kleene_posets import directoid
+    monkeypatch.setattr(directoid, "_base_table", _edited_base(_EDITS[name]))
+    monkeypatch.chdir(FIXTURES.parent)
+    claims = [CLAIMS[cid] for cid in MAP_CLAIMS]
+    walks = []
+    docs = _map_reports(claims)
+    assert docs == _map_reports([_deciding_alone(claim, walks) for claim in claims])
+    assert any(not walk.shared for walk in walks)
+    assert all(all(doc["replays"]) for doc in docs)
+    assert sum(len(doc["witnesses"]) for doc in docs) > 0
+    claims_digest, cli_digest = EDITED_BASE_DIGESTS[name]
+    assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() \
+        == claims_digest
+    outputs = [_directoid_outputs(flags) for flags in ((), ("--json",))]
+    cli_docs = []
+    for code, out, _ in outputs[1]:
+        doc = json.loads(out)
+        del doc["assignment_count"]
+        cli_docs.append([code, doc])
+    assert hashlib.sha256(json.dumps(cli_docs, sort_keys=True).encode()).hexdigest() \
+        == cli_digest
+    monkeypatch.setattr(directoid, "_cells_in_cones", lambda p, table, pairs: False)
+    assert [_directoid_outputs(flags) for flags in ((), ("--json",))] == outputs
 
 
 def test_a_map_that_is_no_antitone_involution_falls_back():
