@@ -40,8 +40,8 @@ import sys
 
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, _constrained_involutions, _image
-from .poset import (Poset, Subset, Verdict, _bits, _join_rows, _meet_rows, _memoised,
-                    _transpose)
+from .poset import (Poset, Verdict, _bits, _failing, _join_rows, _meet_rows, _memoised,
+                    _render, _transpose)
 
 
 def default_chooser(x, y, candidates):
@@ -146,6 +146,72 @@ def _common(masks, sel, memo):
     if acc is None:
         acc = memo[sel] = _meet_rows(masks, -1, sel)
     return acc
+
+
+def _join(meet, inv):
+    """The join table x ⊔ y = (x' ⊓ y')' of ``meet`` under the involution
+    ``inv``."""
+    rng = range(len(meet))
+    return tuple(tuple(inv[meet[inv[x]][inv[y]]] for y in rng) for x in rng)
+
+
+# -- the witnesses and details of failing checks, computed on first read
+# (poset._failing) from the tables, maps and labels alone
+
+def _axioms_failure(lab, meet, x=None, commutativity=False):
+    """The first failure of :meth:`MeetDirectoid.check_directoid_axioms`:
+    idempotency at x when given, else the first non-commuting pair with
+    ``commutativity``, else the first (x, y, z) failing weak
+    associativity."""
+    rng = range(len(meet))
+    if x is not None:
+        return ("idempotency", x), f"{lab[x]} meet {lab[x]} = {lab[meet[x][x]]}"
+    if commutativity:
+        x, y = next((x, y) for x in rng for y in rng if meet[x][y] != meet[y][x])
+        return ("commutativity", x, y), (f"{lab[x]} meet {lab[y]} = {lab[meet[x][y]]} but "
+                                         f"{lab[y]} meet {lab[x]} = {lab[meet[y][x]]}")
+    for x in rng:
+        row_x = meet[x]
+        for y in rng:
+            row_y = meet[y]
+            for z in rng:
+                m = row_x[row_y[z]]
+                if meet[m][z] != m:
+                    return ("weak associativity", x, y, z), (
+                        f"(({lab[x]} meet ({lab[y]} meet {lab[z]})) meet {lab[z]}) "
+                        f"= {lab[meet[m][z]]} != {lab[m]}")
+
+
+def _identity_3_failure(lab, meet, inv, x, y):
+    """(3) at (x, y), the first pair :func:`_identity_3_failures` yields:
+    its first failing (z, w), which exists since that pair fails."""
+    join = _join(meet, inv)
+    rng = range(len(meet))
+    for z, w in itertools.product(rng, rng):
+        lhs = meet[meet[z][x]][meet[z][inv[x]]]
+        rhs = join[join[w][y]][join[w][inv[y]]]
+        if meet[lhs][rhs] != lhs:
+            return (x, y, z, w), (f"(3) fails at (x,y,z,w) = ({lab[x]}, {lab[y]}, "
+                                  f"{lab[z]}, {lab[w]}): {lab[lhs]} !<= {lab[rhs]}")
+
+
+def _implication_4_failure(lab, above, x, y, z, ws, ss):
+    """(4) at the failing (x, y, z): the first w of ``ws``, the w of
+    (x, y) below z, that some s of ``ss``, the s of both (x, z) and
+    (y, z), is not above, and the first such s."""
+    w = next(w for w in _bits(ws) if ss & ~above[w])
+    bad = ss & ~above[w]
+    s = (bad & -bad).bit_length() - 1
+    return (w, s, x, y, z), (f"(4) fails at (w,s,x,y,z) = ({lab[w]}, {lab[s]}, "
+                             f"{lab[x]}, {lab[y]}, {lab[z]}): premises hold "
+                             f"but {lab[w]} !<= {lab[s]}")
+
+
+def _shared_lower_failure(name, lab, x, y, bad):
+    """(5) or (6) at (x, y), with z the least of the elements ``bad``."""
+    z = (bad & -bad).bit_length() - 1
+    return (x, y, z), (f"{name} fails at (x,y,z) = ({lab[x]}, {lab[y]}, {lab[z]}): "
+                       f"z <= x and z <= x' but not (z <= y and z <= y')")
 
 
 def _base_table(p):
@@ -325,35 +391,17 @@ class MeetDirectoid:
         ``cols[v]`` lies in ``below[z]``.  As y runs over the carrier, v
         runs over exactly ``cols[z]``, so it holds at every (y, z) iff the
         union of ``cols[v]`` over v in ``cols[z]`` lies in ``below[z]``
-        for every z.  The (x, y, z) scan runs only to find the first
-        witness of a failure."""
+        for every z.  The (x, y) and (x, y, z) scans run only to find the
+        first witness of a failure, once it is read (:func:`_axioms_failure`)."""
         meet = self.meet
-        lab = self.labels
-        rng = range(self.n)
-        for x in rng:
+        for x in range(self.n):
             if meet[x][x] != x:
-                return Verdict(False, ("idempotency", x),
-                               f"{lab[x]} meet {lab[x]} = {lab[meet[x][x]]}")
+                return _failing(_axioms_failure, self.labels, meet, x)
         if meet != tuple(zip(*meet)):
-            for x in rng:
-                for y in rng:
-                    if meet[x][y] != meet[y][x]:
-                        return Verdict(False, ("commutativity", x, y),
-                                       f"{lab[x]} meet {lab[y]} = {lab[meet[x][y]]} but "
-                                       f"{lab[y]} meet {lab[x]} = {lab[meet[y][x]]}")
+            return _failing(_axioms_failure, self.labels, meet, None, True)
         _, below, _, cols = self._order()
         if any(_join_rows(cols, col) & ~below[z] for z, col in enumerate(cols)):
-            for x in rng:
-                row_x = meet[x]
-                for y in rng:
-                    row_y = meet[y]
-                    for z in rng:
-                        m = row_x[row_y[z]]
-                        if meet[m][z] != m:
-                            return Verdict(
-                                False, ("weak associativity", x, y, z),
-                                f"(({lab[x]} meet ({lab[y]} meet {lab[z]})) meet {lab[z]}) "
-                                f"= {lab[meet[m][z]]} != {lab[m]}")
+            return _failing(_axioms_failure, self.labels, meet)
         return Verdict(True)
 
     @_memoised
@@ -389,9 +437,7 @@ class MeetDirectoid:
         for x in range(self.n):
             if inv[inv[x]] != x:
                 raise UsageError("join requires an involutive unary map (x'' = x)")
-        meet = self.meet
-        return tuple(tuple(inv[meet[inv[x]][inv[y]]] for y in range(self.n))
-                     for x in range(self.n))
+        return _join(self.meet, inv)
 
     # -- identities ---------------------------------------------------------
     @_memoised
@@ -401,17 +447,17 @@ class MeetDirectoid:
         meet, inv, lab = self.meet, self.inv, self.labels
         for x in range(self.n):
             if inv[inv[x]] != x:
-                return Verdict(False, ("(1)", x),
-                               f"(1) fails: {lab[x]}'' = {lab[inv[inv[x]]]}")
+                return _failing(lambda: (
+                    ("(1)", x), f"(1) fails: {lab[x]}'' = {lab[inv[inv[x]]]}"))
         for x in range(self.n):
             row = meet[x]
             for y in range(self.n):
                 iy = inv[y]
                 if meet[inv[row[y]]][iy] != iy:
-                    return Verdict(False, ("(2)", x, y),
-                                   f"(2) fails at ({lab[x]}, {lab[y]}): "
-                                   f"({lab[x]} meet {lab[y]})' meet {lab[y]}' = "
-                                   f"{lab[meet[inv[row[y]]][iy]]} != {lab[iy]}")
+                    return _failing(lambda: (
+                        ("(2)", x, y), f"(2) fails at ({lab[x]}, {lab[y]}): "
+                                       f"({lab[x]} meet {lab[y]})' meet {lab[y]}' = "
+                                       f"{lab[meet[inv[row[y]]][iy]]} != {lab[iy]}"))
         return Verdict(True)
 
     def _require_identities_1_2(self):
@@ -422,24 +468,15 @@ class MeetDirectoid:
     @_memoised
     def check_identity_3(self):
         """(z ⊓ x) ⊓ (z ⊓ x') <= (w ⊔ y) ⊔ (w ⊔ y') for all
-        x, y, z, w; witness is the first failing (x, y, z, w)."""
+        x, y, z, w; witness is the first failing (x, y, z, w).  The first
+        failing (x, y) decides; its (z, w) are scanned once the witness or
+        the detail is read (:func:`_identity_3_failure`)."""
         self._require_identities_1_2()
         meet, inv = self.meet, self.inv
-        rng = range(self.n)
-        lmask = _lmask(meet, inv)
-        for x, y in _identity_3_failures(lmask, self._order()[0], inv):
-            # (x, y) is the first failing pair: scan its (z, w)
-            join = self.join_table()
-            for z, w in itertools.product(rng, rng):
-                lhs = meet[meet[z][x]][meet[z][inv[x]]]
-                rhs = join[join[w][y]][join[w][inv[y]]]
-                if meet[lhs][rhs] != lhs:
-                    lab = self.labels
-                    return Verdict(
-                        False, (x, y, z, w),
-                        f"(3) fails at (x,y,z,w) = ({lab[x]}, {lab[y]}, "
-                        f"{lab[z]}, {lab[w]}): {lab[lhs]} !<= {lab[rhs]}")
-        return Verdict(True)
+        pair = next(_identity_3_failures(_lmask(meet, inv), self._order()[0], inv), None)
+        if pair is None:
+            return Verdict(True)
+        return _failing(_identity_3_failure, self.labels, meet, inv, *pair)
 
     @_memoised
     def check_implication_4(self):
@@ -530,17 +567,9 @@ class MeetDirectoid:
                 fails = px & packed[y] & out
                 if fails:
                     z = ((fails & -fails).bit_length() - 1) // n
-                    wc = wxy & below[z]
-                    sc = sred[lset[x][z]] & sred[lset[y][z]]
-                    w = next(w for w in _bits(wc) if sc & ~above[w])
-                    bad = sc & ~above[w]
-                    s = (bad & -bad).bit_length() - 1
-                    lab = self.labels
-                    return Verdict(
-                        False, (w, s, x, y, z),
-                        f"(4) fails at (w,s,x,y,z) = ({lab[w]}, {lab[s]}, "
-                        f"{lab[x]}, {lab[y]}, {lab[z]}): premises hold "
-                        f"but {lab[w]} !<= {lab[s]}")
+                    return _failing(
+                        _implication_4_failure, self.labels, above, x, y, z,
+                        wxy & below[z], sred[lset[x][z]] & sred[lset[y][z]])
         return Verdict(True)
 
     def _shared_lower_body(self, name, xs, require_incomparable):
@@ -559,11 +588,7 @@ class MeetDirectoid:
                     continue
                 bad = shared & ~(lower[y] & lower[inv[y]])
                 if bad:
-                    z = (bad & -bad).bit_length() - 1
-                    return Verdict(
-                        False, (x, y, z),
-                        f"{name} fails at (x,y,z) = ({lab[x]}, {lab[y]}, {lab[z]}): "
-                        f"z <= x and z <= x' but not (z <= y and z <= y')")
+                    return _failing(_shared_lower_failure, name, lab, x, y, bad)
         return Verdict(True)
 
     @_memoised
@@ -852,11 +877,9 @@ def check_derived_set_laws(directoid, poset):
     inv, cols = directoid.inv, directoid._order()[3]
     for x in range(n):
         if cols[x] != down[x]:
-            return Verdict(False, ("L(x)", x),
-                           f"{{z meet {lab[x]}}} != L({lab[x]})")
+            return _failing(lambda: (("L(x)", x), f"{{z meet {lab[x]}}} != L({lab[x]})"))
         if _image(inv, cols[inv[x]]) != up[x]:
-            return Verdict(False, ("U(x)", x),
-                           f"{{z join {lab[x]}}} != U({lab[x]})")
+            return _failing(lambda: (("U(x)", x), f"{{z join {lab[x]}}} != U({lab[x]})"))
     # On a table passing the axioms the premise table is L(x) ∩ L(y) of
     # the induced order (MeetDirectoid._premise_table says why).  In a
     # commutative table both pair laws give the same set at (x, y) and
@@ -865,13 +888,13 @@ def check_derived_set_laws(directoid, poset):
     for x in range(n):
         for y in range(x if symmetric else 0, n):
             if lset[x][y] != down[x] & down[y]:
-                return Verdict(False, ("L(x,y)", x, y),
-                               f"{{(z meet {lab[x]}) meet (z meet {lab[y]})}} != "
-                               f"L({lab[x]},{lab[y]})")
+                return _failing(lambda: (
+                    ("L(x,y)", x, y),
+                    f"{{(z meet {lab[x]}) meet (z meet {lab[y]})}} != L({lab[x]},{lab[y]})"))
             if _image(inv, lset[inv[x]][inv[y]]) != up[x] & up[y]:
-                return Verdict(False, ("U(x,y)", x, y),
-                               f"{{(t join {lab[x]}) join (t join {lab[y]})}} != "
-                               f"U({lab[x]},{lab[y]})")
+                return _failing(lambda: (
+                    ("U(x,y)", x, y),
+                    f"{{(t join {lab[x]}) join (t join {lab[y]})}} != U({lab[x]},{lab[y]})"))
     for x in range(n):
         for y in range(n):
             m, j = meet[x][y], join[x][y]
@@ -879,19 +902,22 @@ def check_derived_set_laws(directoid, poset):
             if lo is not None:
                 hi = y if lo == x else x
                 if m != lo or j != hi:
-                    return Verdict(False, ("comparable", x, y),
-                                   f"{lab[lo]} <= {lab[hi]} but meet/join differ from min/max")
+                    return _failing(lambda: (
+                        ("comparable", x, y),
+                        f"{lab[lo]} <= {lab[hi]} but meet/join differ from min/max"))
             else:
                 if not (down[x] >> m & 1 and down[y] >> m & 1):
-                    return Verdict(False, ("meet-cone", x, y),
-                                   f"{lab[x]} meet {lab[y]} outside L({lab[x]},{lab[y]})")
+                    return _failing(lambda: (
+                        ("meet-cone", x, y),
+                        f"{lab[x]} meet {lab[y]} outside L({lab[x]},{lab[y]})"))
                 if not (up[x] >> j & 1 and up[y] >> j & 1):
-                    return Verdict(False, ("join-cone", x, y),
-                                   f"{lab[x]} join {lab[y]} outside U({lab[x]},{lab[y]})")
+                    return _failing(lambda: (
+                        ("join-cone", x, y),
+                        f"{lab[x]} join {lab[y]} outside U({lab[x]},{lab[y]})"))
             if (m == x) != (j == y):
-                return Verdict(False, ("duality", x, y),
-                               f"x meet y = x iff x join y = y fails at "
-                               f"({lab[x]}, {lab[y]})")
+                return _failing(lambda: (
+                    ("duality", x, y),
+                    f"x meet y = x iff x join y = y fails at ({lab[x]}, {lab[y]})"))
     return Verdict(True)
 
 
@@ -914,9 +940,9 @@ def check_printed_u_pair_law(directoid, poset):
                 got |= 1 << meet[jz[x]][jz[y]]
             expect = poset._up[x] & poset._up[y]
             if got != expect:
-                return Verdict(
-                    False, ("U(x,y) printed", x, y),
+                return _failing(lambda: (
+                    ("U(x,y) printed", x, y),
                     f"{{(z join {lab[x]}) meet (z join {lab[y]})}} = "
-                    f"{Subset(poset, got).render()} != "
-                    f"{Subset(poset, expect).render()} = U({lab[x]},{lab[y]})")
+                    f"{_render(poset.labels, got)} != "
+                    f"{_render(poset.labels, expect)} = U({lab[x]},{lab[y]})"))
     return Verdict(True)

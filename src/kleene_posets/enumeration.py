@@ -40,8 +40,7 @@ from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _cells_in_cones, _c
 from .errors import DomainError, UsageError
 from .involution import (InvolutivePoset, _constrained_involutions,
                          involution_from_pairs)
-from .poset import (DISTRIBUTIVITY_FORMS, Poset, Verdict, _bits, _canonical,
-                    _least_labelling)
+from .poset import Poset, Verdict, _bits, _canonical, _least_labelling
 from .residuation import AXIOMS, ResiduatedStructure, check_condition7
 from .twist import (_part_i, _twist_kleene, check_embedding,
                     check_product_cones, twist)
@@ -598,17 +597,15 @@ class Claim:
 # -- per-claim evaluators -----------------------------------------------------
 
 def _forms_equivalent(_, p):
-    """Reads whether each form holds; the details are rendered only for
+    """Reads whether each form holds; the details are explained only for
     a binding."""
-    failures = p._distributivity(DISTRIBUTIVITY_FORMS)
-    oks = {form: failures[form] is None for form in DISTRIBUTIVITY_FORMS}
+    verdicts = p.distributivity_all_forms()
+    oks = {form: v.ok for form, v in verdicts.items()}
     if len(set(oks.values())) == 1:
         return None
-    verdicts = p.distributivity_all_forms()
     return {
         "forms": oks,
-        "details": {form: verdicts[form].detail
-                    for form in DISTRIBUTIVITY_FORMS if not oks[form]},
+        "details": {form: v.detail for form, v in verdicts.items() if not v.ok},
     }
 
 

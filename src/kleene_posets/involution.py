@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DomainError, UsageError
-from .poset import (Poset, Subset, Verdict, _meet_rows, _memoised, _render, _resolve_pairs,
-                    find_isomorphism)
+from .poset import (Poset, Subset, Verdict, _failing, _meet_rows, _memoised, _render,
+                    _resolve_pairs, find_isomorphism)
 
 
 def involution_from_pairs(labels, pairs):
@@ -124,7 +124,7 @@ class InvolutivePoset:
     verdict that takes no argument is memoised (``poset._memoised``).
     """
 
-    __slots__ = ("base", "inv", "_memo")
+    __slots__ = ("base", "inv", "_memo", "__weakref__")
 
     def __init__(self, base, inv):
         if not isinstance(base, Poset):
@@ -225,9 +225,7 @@ class InvolutivePoset:
         lab, inv = self.labels, self.inv
         for x in range(self.n):
             if inv[inv[x]] != x:
-                return Verdict(
-                    False, (x,),
-                    f"not involutive: {lab[x]}'' = {lab[inv[inv[x]]]} != {lab[x]}")
+                return _failing(_not_involutive, lab, inv, x)
         # The map is an involution here, so {y | y' <= x'} is the image
         # of the down-set of x'; y fails when it lies above x and outside
         # that image (x itself, x'' = x, lies inside).
@@ -235,11 +233,7 @@ class InvolutivePoset:
         for x in range(self.n):
             bad = up[x] & ~_image(inv, down[inv[x]])
             if bad:
-                y = (bad & -bad).bit_length() - 1
-                return Verdict(
-                    False, (x, y),
-                    f"not antitone: {lab[x]} <= {lab[y]} but "
-                    f"{lab[y]}' = {lab[inv[y]]} !<= {lab[inv[x]]} = {lab[x]}'")
+                return _failing(_not_antitone, lab, inv, x, bad)
         return Verdict(True)
 
     def _require_involution(self):
@@ -269,41 +263,31 @@ class InvolutivePoset:
         it holds iff B lies inside U(A), one cone.  A is {z | z <= z'}:
         z <= x and z <= x' give x' <= z' by antitony, so z <= z', and
         z <= z' puts z in L(z,z').  Dually B is {z | z' <= z}.  Only on a
-        failure is each distinct L(x,x') given its upper cone, for the
-        first x whose cone leaves B, and y is scanned at that x alone."""
+        failure, and only once its witness or detail is read, is each
+        distinct L(x,x') given its upper cone, for the first x whose cone
+        leaves B, and y is scanned at that x alone (:func:`_k_failure`)."""
         self._require_involution()
-        p, lab = self.base, self.labels
+        p, inv = self.base, self.inv
         up = p._up
         low_union = up_union = 0    # A and B
-        for z, iz in enumerate(self.inv):
+        for z, iz in enumerate(inv):
             if up[z] >> iz & 1:
                 low_union |= 1 << z
             if up[iz] >> z & 1:
                 up_union |= 1 << z
         if not up_union & ~_meet_rows(up, p._full, low_union):
             return Verdict(True)
-        lows, ups = self._self_cone_masks()
-        cones = {}
-        for x, low in enumerate(lows):
-            cone = cones.get(low)
-            if cone is None:
-                cone = cones[low] = _meet_rows(up, p._full, low)
-            if up_union & ~cone:
-                break
-        y = next(y for y in range(self.n) if ups[y] & ~cone)
-        detail = (f"L({lab[x]},{lab[x]}') = {_render(p.labels, low)} !<= "
-                  f"{_render(p.labels, ups[y])} = U({lab[y]},{lab[y]}')")
-        return Verdict(False, (x, y), detail)
+        return _failing(_k_failure, p.labels, up, p._down, inv, up_union)
 
     @_memoised
     def is_kleene(self):
         """Pseudo-Kleene plus the distributivity identity (form LU)."""
         pk = self.is_pseudo_kleene()
         if not pk.ok:
-            return Verdict(False, pk.witness, f"not pseudo-Kleene: {pk.detail}")
+            return _failing(_prefixed, "not pseudo-Kleene", pk)
         dist = self.base.is_distributive("LU")
         if not dist.ok:
-            return Verdict(False, dist.witness, f"not distributive: {dist.detail}")
+            return _failing(_prefixed, "not distributive", dist)
         return Verdict(True)
 
     @_memoised
@@ -325,10 +309,7 @@ class InvolutivePoset:
             bad = p._full & ~(up[x] | down[x] | classes[low])
             if bad:
                 y = (bad & -bad).bit_length() - 1
-                detail = (f"{lab[x]} || {lab[y]} but L({lab[x]},{lab[x]}') = "
-                          f"{_render(lab, low)} != "
-                          f"{_render(lab, lows[y])} = L({lab[y]},{lab[y]}')")
-                return Verdict(False, (x, y), detail)
+                return _failing(_not_strong, lab, x, y, low, lows[y])
         return Verdict(True)
 
     @_memoised
@@ -339,17 +320,13 @@ class InvolutivePoset:
         bottom, top = self.base.bounds()
         if bottom is None or top is None:
             raise DomainError("strictness requires bounds")
-        p, lab = self.base, self.labels
         sides = tuple(zip("LU", self._self_cone_masks()))
         inner = [x for x in range(self.n) if x not in (bottom, top)]
         for i, x in enumerate(inner):
             for y in inner[i + 1:]:
                 for cone, masks in sides:
                     if masks[x] != masks[y]:
-                        detail = (f"{cone}({lab[x]},{lab[x]}') = {_render(p.labels, masks[x])}"
-                                  f" != {_render(p.labels, masks[y])} = "
-                                  f"{cone}({lab[y]},{lab[y]}')")
-                        return Verdict(False, (x, y), detail)
+                        return _failing(_not_strict, self.labels, cone, x, y, masks[x], masks[y])
         return Verdict(True)
 
     @_memoised
@@ -362,14 +339,11 @@ class InvolutivePoset:
             raise DomainError("Boolean poset check requires bounds")
         if not self.base.is_distributive("LU").ok:
             raise DomainError("Boolean poset check requires distributivity")
-        p, lab = self.base, self.labels
         sides = tuple(zip("LU", self._self_cone_masks(), (bottom, top)))
         for x in range(self.n):
             for cone, masks, bound in sides:
                 if masks[x] != 1 << bound:
-                    detail = (f"{cone}({lab[x]},{lab[x]}') = {_render(p.labels, masks[x])}"
-                              f" != {{{lab[bound]}}}")
-                    return Verdict(False, (x,), detail)
+                    return _failing(_not_boolean, self.labels, cone, x, masks[x], bound)
         return Verdict(True)
 
     def _lemma11_bounds(self):
@@ -403,8 +377,8 @@ class InvolutivePoset:
         for x in (a, b):
             for cone, masks, bound in sides:
                 if masks[x] != 1 << bound:
-                    return Verdict(False, (a, b),
-                                   f"{cone}({lab[x]},{lab[x]}') = {_render(p.labels, masks[x])}")
+                    return _failing(lambda: (
+                        (a, b), f"{cone}({lab[x]},{lab[x]}') = {_render(lab, masks[x])}"))
         return Verdict(True)
 
     def isomorphic_to(self, other):
@@ -413,6 +387,55 @@ class InvolutivePoset:
 
     def classify(self):
         return classify(self)
+
+
+def _not_involutive(lab, inv, x):
+    return (x,), f"not involutive: {lab[x]}'' = {lab[inv[inv[x]]]} != {lab[x]}"
+
+
+def _not_antitone(lab, inv, x, bad):
+    """The witness and detail of ``check_antitone_involution`` at x, whose
+    up-set holds the elements ``bad`` whose images are not below x'."""
+    y = (bad & -bad).bit_length() - 1
+    return (x, y), (f"not antitone: {lab[x]} <= {lab[y]} but "
+                    f"{lab[y]}' = {lab[inv[y]]} !<= {lab[inv[x]]} = {lab[x]}'")
+
+
+def _k_failure(lab, up, down, inv, up_union):
+    """The witness and detail of a failing (K): the first x whose
+    L(x,x') has an upper cone leaving ``up_union`` (each distinct
+    L(x,x') coned once), and the first y whose U(y,y') leaves it."""
+    full = (1 << len(up)) - 1
+    cones = {}
+    for x, ix in enumerate(inv):
+        low = down[x] & down[ix]
+        cone = cones.get(low)
+        if cone is None:
+            cone = cones[low] = _meet_rows(up, full, low)
+        if up_union & ~cone:
+            break
+    y, high = next((y, up[y] & up[iy]) for y, iy in enumerate(inv) if up[y] & up[iy] & ~cone)
+    return (x, y), (f"L({lab[x]},{lab[x]}') = {_render(lab, low)} !<= "
+                    f"{_render(lab, high)} = U({lab[y]},{lab[y]}')")
+
+
+def _prefixed(prefix, verdict):
+    """A failing verdict's witness, and its detail after ``prefix``."""
+    return verdict.witness, f"{prefix}: {verdict.detail}"
+
+
+def _not_strong(lab, x, y, low_x, low_y):
+    return (x, y), (f"{lab[x]} || {lab[y]} but L({lab[x]},{lab[x]}') = "
+                    f"{_render(lab, low_x)} != {_render(lab, low_y)} = L({lab[y]},{lab[y]}')")
+
+
+def _not_strict(lab, cone, x, y, mask_x, mask_y):
+    return (x, y), (f"{cone}({lab[x]},{lab[x]}') = {_render(lab, mask_x)}"
+                    f" != {_render(lab, mask_y)} = {cone}({lab[y]},{lab[y]}')")
+
+
+def _not_boolean(lab, cone, x, mask, bound):
+    return (x,), f"{cone}({lab[x]},{lab[x]}') = {_render(lab, mask)} != {{{lab[bound]}}}"
 
 
 class Classification(namedtuple("Classification", (

@@ -20,6 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import operator
 from collections import namedtuple
 
 from .errors import UsageError
@@ -40,6 +41,55 @@ class Verdict(namedtuple("Verdict", "ok witness detail", defaults=(None, ""))):
         if self.ok:
             return "Verdict(ok)"
         return f"Verdict(fail: {self.detail})"
+
+
+class _Failing(Verdict):
+    """A failing :class:`Verdict` whose witness and detail are explained
+    on first read (:func:`_failing`).  Its own items are ``False``, a list
+    holding ``explain`` and its arguments, replaced by the explained
+    values once it has run, and an unused ``""``; ``ok`` reads the first,
+    and every other read goes through :meth:`_values`."""
+
+    __slots__ = ()
+
+    def _values(self):
+        """``(False, witness, detail)``, explained on the first call."""
+        cell = tuple.__getitem__(self, 1)
+        if type(cell[0]) is not tuple:
+            cell[:] = [(False, *cell[0](*cell[1:]))]
+        return cell[0]
+
+    witness = property(lambda self: self._values()[1])
+    detail = property(lambda self: self._values()[2])
+
+    def _replace(self, **fields):
+        return Verdict(*self._values())._replace(**fields)
+
+    def __reduce__(self):
+        return Verdict, self._values()
+
+
+# every other read of the tuple reads the explained values, so a failing
+# verdict iterates, indexes, compares and hashes as the plain one
+for _name, _read in (("__iter__", iter), ("__getitem__", operator.getitem),
+                     ("__contains__", operator.contains), ("__hash__", hash),
+                     ("__eq__", operator.eq), ("__ne__", operator.ne), ("__lt__", operator.lt),
+                     ("__le__", operator.le), ("__gt__", operator.gt), ("__ge__", operator.ge),
+                     ("count", tuple.count), ("index", tuple.index)):
+    setattr(_Failing, _name, lambda self, *args, _read=_read: _read(self._values(), *args))
+del _name, _read
+
+
+def _failing(explain, *args):
+    """A failing :class:`Verdict` equal to ``Verdict(False,
+    *explain(*args))``.  ``explain`` runs once, on the first read of the
+    witness, the detail or any other part but ``ok``, so a caller that
+    reads only ``ok`` never pays for the witness search or the rendering
+    after a check has decided.  It and ``args`` must read only immutable
+    values, never the structure that memoises the verdict
+    (:func:`_memoised`); they are kept in one list, with no closure, so
+    a verdict kept in a memo costs little more than the masks it holds."""
+    return tuple.__new__(_Failing, (False, [explain, *args], ""))
 
 
 def _bits(mask):
@@ -66,8 +116,13 @@ def _memoised(method):
     every later call.  Sharing is exact: ``Poset``, ``InvolutivePoset``
     and ``MeetDirectoid`` are immutable, and a memoised result is a
     function of the arguments and of the order, map or table alone, so
-    no caller, in any order, could compute another value.  An exception
-    is never kept, so a precondition check raises on every call.
+    no caller, in any order, could compute another value.  So is a
+    failing verdict explained later (:func:`_failing`): its ``explain``
+    reads only the immutable masks, maps and labels the check read, so
+    it gives the same witness and detail whenever it runs, and as it
+    holds none of them through the structure, a structure and its memo
+    are freed by reference counting alone.  An exception is never kept,
+    so a precondition check raises on every call.
     ``seed(obj, value, *args)`` records a value known when ``obj`` is
     built, under the key that call would use.  Arguments are dict keys,
     so a method is memoised only where its arguments are validated first
@@ -364,15 +419,9 @@ class Poset:
             for y in range(x + 1, self.n):
                 for cones, principal, rows, least, minimal, kind in sides:
                     common = cones[x] & cones[y]
-                    if common in principal:
-                        continue
-                    if common:
-                        cands = ", ".join(lab[m] for m in _extremes_in(rows, common))
-                        detail = (f"{{{lab[x]}, {lab[y]}}} has no {least} {kind} bound "
-                                  f"({minimal} {kind} bounds: {{{cands}}})")
-                    else:
-                        detail = f"{{{lab[x]}, {lab[y]}}} has no common {kind} bound"
-                    return Verdict(False, (x, y), detail)
+                    if common not in principal:
+                        return _failing(
+                            _lattice_failure, lab, x, y, rows, common, least, minimal, kind)
         return Verdict(True)
 
     def is_distributive(self, form="LU"):
@@ -438,41 +487,33 @@ class Poset:
         keeps its own first failure, so sharing the walk is exact and
         each verdict equals ``is_distributive(form)``; a form already
         decided is not scanned again."""
-        self._distributivity(DISTRIBUTIVITY_FORMS)
-        return {form: self._distributivity_verdict(form)
-                for form in DISTRIBUTIVITY_FORMS}
+        return self._distributivity(DISTRIBUTIVITY_FORMS)
 
     @_memoised
     def _distributivity_verdict(self, form):
-        """The :class:`Verdict` of ``form``.  Its detail is rendered from
-        the failing masks the scan kept, on the first request for it."""
-        failure = self._distributivity((form,))[form]
-        if failure is None:
-            return Verdict(True)
-        x, y, z, lhs, rhs = failure
-        lab = self.labels
-        detail = (f"form {form} fails at ({lab[x]}, {lab[y]}, {lab[z]}): "
-                  f"lhs = {Subset(self, lhs).render()}, "
-                  f"rhs = {Subset(self, rhs).render()}")
-        return Verdict(False, (x, y, z), detail)
+        """The :class:`Verdict` of ``form``, scanned by
+        :meth:`_distributivity`, which keeps it under this method's key."""
+        return self._distributivity((form,))[form]
 
     def _distributivity(self, forms):
-        """The kernel of :meth:`is_distributive`: for each of ``forms``,
-        ``None`` where it holds, else its first failing triple with the
-        two sides at z as ``(x, y, z, lhs, rhs)`` masks, each scanned at
-        most once and kept in ``_memo`` under ``("_distributivity", form)``
+        """The verdict of each of ``forms``, each scanned at most once and
+        kept in ``_memo`` under :meth:`_distributivity_verdict`'s key
         (:func:`_memoised` says why that is exact).  One scan per dual
-        decides the dual's forms that are asked for and not yet known."""
-        memo = self._memo
+        decides the dual's forms that are asked for and not yet known; a
+        failing form keeps its triple and its two sides as masks, and its
+        detail is rendered from them on first read."""
+        memo, lab = self._memo, self.labels
         duals = ((("LU", "ULU"), self._up, self._down), (("UL", "LUL"), self._down, self._up))
         for dual, inner_cone, cone in duals:
-            wanted = tuple(form for form in dual
-                           if form in forms and ("_distributivity", form) not in memo)
+            wanted = tuple(form for form in dual if form in forms
+                           and _DISTRIBUTIVITY_KEYS[form] not in memo)
             if wanted:
                 for form, failure in self._distributivity_scan(wanted, inner_cone,
                                                                cone).items():
-                    memo["_distributivity", form] = failure
-        return {form: memo["_distributivity", form] for form in forms}
+                    memo[_DISTRIBUTIVITY_KEYS[form]] = (
+                        Verdict(True) if failure is None else
+                        _failing(_distributivity_failure, lab, form, *failure))
+        return {form: memo[_DISTRIBUTIVITY_KEYS[form]] for form in forms}
 
     def _distributivity_scan(self, forms, inner_cone, cone):
         """The first failure of each of ``forms``, one or both forms of the
@@ -512,6 +553,28 @@ class Poset:
                     if not (opened or closed):
                         return failures
         return failures
+
+
+# each form's memo key, as _memoised builds it, made once
+_DISTRIBUTIVITY_KEYS = {form: ("_distributivity_verdict", (form,))
+                        for form in DISTRIBUTIVITY_FORMS}
+
+
+def _lattice_failure(lab, x, y, rows, common, least, minimal, kind):
+    """:meth:`Poset.is_lattice`'s witness and detail for a pair whose
+    common bounds ``common`` have no extremal element."""
+    if common:
+        cands = ", ".join(lab[m] for m in _extremes_in(rows, common))
+        return (x, y), (f"{{{lab[x]}, {lab[y]}}} has no {least} {kind} bound "
+                        f"({minimal} {kind} bounds: {{{cands}}})")
+    return (x, y), f"{{{lab[x]}, {lab[y]}}} has no common {kind} bound"
+
+
+def _distributivity_failure(lab, form, x, y, z, lhs, rhs):
+    """:meth:`Poset.is_distributive`'s witness and detail for the first
+    failing triple of ``form`` and its two sides."""
+    return (x, y, z), (f"form {form} fails at ({lab[x]}, {lab[y]}, {lab[z]}): "
+                       f"lhs = {_render(lab, lhs)}, rhs = {_render(lab, rhs)}")
 
 
 def _resolve_pairs(labels, pairs, kind):

@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from .errors import DomainError
 from .involution import InvolutivePoset, _image
-from .poset import Subset, Verdict, _bits, _meet_rows, _render
+from .poset import Subset, Verdict, _bits, _failing, _meet_rows, _render
 
 # The residuated-poset axioms of Theorem 5.2, in report order.
 AXIOMS = ("zero_absorbing", "commutativity", "unit", "associativity", "adjointness")
@@ -27,22 +27,23 @@ AXIOMS = ("zero_absorbing", "commutativity", "unit", "associativity", "adjointne
 
 def _first(cells, fails, detail):
     """The first cell where ``fails(*cell)`` holds, as a failing verdict
-    with that cell as witness and ``detail(*cell)``; else a pass."""
+    with that cell as witness and ``detail(*cell)``, rendered on first
+    read; else a pass."""
     for cell in cells:
         if fails(*cell):
-            return Verdict(False, cell, detail(*cell))
+            return _failing(lambda: (cell, detail(*cell)))
     return Verdict(True)
 
 
 def _first_in_rows(n, bad, detail):
     """The first pair (a, b) in row-major order with b in the mask
     ``bad(a)``, as a failing verdict with that pair as witness and
-    ``detail(a, b)``; else a pass."""
+    ``detail(a, b)``, rendered on first read; else a pass."""
     for a in range(n):
         cols = bad(a)
         if cols:
             b = (cols & -cols).bit_length() - 1
-            return Verdict(False, (a, b), detail(a, b))
+            return _failing(lambda: ((a, b), detail(a, b)))
     return Verdict(True)
 
 
@@ -77,6 +78,24 @@ def check_condition7(ip):
     return _first(combinations_with_replacement([x for x in range(ip.n) if x != bottom], 2),
                   lambda x, y: down[x] & down[y] == zero,
                   lambda x, y: f"L({lab[x]}, {lab[y]}) = {{{lab[bottom]}}}")
+
+
+def _not_associative(lab, x, y, z, lhs, rhs):
+    return (x, y, z), (f"({lab[x]} odot {lab[y]}) odot {lab[z]} = {_render(lab, lhs)} != "
+                       f"{lab[x]} odot ({lab[y]} odot {lab[z]}) = {_render(lab, rhs)}")
+
+
+def _not_adjoint(lab, a, b, bad, lefts, oab, arrow_b):
+    """The first failing (a, b, c) of adjointness at (a, b), with c the
+    first of the ``bad`` columns, and its detail: which side holds at c
+    is read off ``lefts``, the c above a ⊙ b."""
+    c = (bad & -bad).bit_length() - 1
+    left = (lefts >> c) & 1
+    return (a, b, c), (f"({lab[a]}, {lab[b]}, {lab[c]}): "
+                       f"{lab[a]} odot {lab[b]} = {_render(lab, oab)} "
+                       f"{'<=' if left else '!<='} {lab[c]} but {lab[a]} "
+                       f"{'!<=' if left else '<='} {lab[b]} -> {lab[c]} = "
+                       f"{_render(lab, arrow_b[c])}")
 
 
 class ResiduationReport(namedtuple("ResiduationReport", (*AXIOMS, "case_counts"))):
@@ -207,13 +226,13 @@ class ResiduatedStructure:
         commutativity = _first(
             combinations(range(p.n), 2),
             lambda x, y: odot[x][y] != odot[y][x],
-            lambda x, y: f"{lab[x]} odot {lab[y]} = {_render(p.labels, odot[x][y])} but "
-                         f"{lab[y]} odot {lab[x]} = {_render(p.labels, odot[y][x])}")
+            lambda x, y: f"{lab[x]} odot {lab[y]} = {_render(lab, odot[x][y])} but "
+                         f"{lab[y]} odot {lab[x]} = {_render(lab, odot[y][x])}")
         unit = _first(
             ((x,) for x in range(p.n)),
             lambda x: odot[x][top] != p._down[x] or odot[top][x] != p._down[x],
-            lambda x: f"{lab[x]} odot {lab[top]} = {_render(p.labels, odot[x][top])} != "
-                      f"L({lab[x]}) = {p.lower_cone([x]).render()}")
+            lambda x: f"{lab[x]} odot {lab[top]} = {_render(lab, odot[x][top])} != "
+                      f"L({lab[x]}) = {_render(lab, p._down[x])}")
         adjointness, case_counts = self._adjointness()
         return ResiduationReport(
             zero_absorbing=self.check_zero_absorbing(),
@@ -246,11 +265,7 @@ class ResiduatedStructure:
                     if rhs is None:
                         rhs = rows[outer] = _meet_rows(odot[x], full, outer)
                     if lhs_row[z] != rhs:
-                        return Verdict(
-                            False, (x, y, z),
-                            f"({lab[x]} odot {lab[y]}) odot {lab[z]} = "
-                            f"{_render(p.labels, lhs_row[z])} != {lab[x]} odot "
-                            f"({lab[y]} odot {lab[z]}) = {_render(p.labels, rhs)}")
+                        return _failing(_not_associative, lab, x, y, z, lhs_row[z], rhs)
         return Verdict(True)
 
     def _adjointness(self):
@@ -277,15 +292,7 @@ class ResiduatedStructure:
                 lefts = _meet_rows(up, full, oab)    # {c | a odot b <= c}
                 bad = lefts ^ adjoint[b][a]
                 if bad and verdict.ok:
-                    c = (bad & -bad).bit_length() - 1
-                    left = (lefts >> c) & 1
-                    verdict = Verdict(
-                        False, (a, b, c),
-                        f"({lab[a]}, {lab[b]}, {lab[c]}): "
-                        f"{lab[a]} odot {lab[b]} = {_render(p.labels, oab)} "
-                        f"{'<=' if left else '!<='} {lab[c]} but {lab[a]} "
-                        f"{'!<=' if left else '<='} {lab[b]} -> {lab[c]} = "
-                        f"{_render(p.labels, arrow[b][c])}")
+                    verdict = _failing(_not_adjoint, lab, a, b, bad, lefts, oab, arrow[b])
                 case_counts[self._case(a, b, b)] += up[b].bit_count()
                 if b != bottom:
                     case_counts[self._case(a, b, bottom)] += 1

@@ -21,8 +21,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DomainError, UsageError
-from .involution import InvolutivePoset
-from .poset import Poset, Subset, Verdict, _bits, _join_rows
+from .involution import InvolutivePoset, _prefixed
+from .poset import Poset, Verdict, _bits, _failing, _join_rows, _render
 
 
 class TwistPoset:
@@ -100,12 +100,13 @@ def check_embedding(t):
     difference in row-major order is the witness."""
     q = t.source
     a = t.pivot
+    lab = q.labels
     images = []
     for x in range(q.n):
         k = t._pair_index.get((x, a))
         if k is None:
-            return Verdict(False, (x,),
-                           f"({q.labels[x]},{q.labels[a]}) is not a member of the twist")
+            return _failing(lambda: (
+                (x,), f"({lab[x]},{lab[a]}) is not a member of the twist"))
         images.append(k)
     r_up = t.result.base._up
     for x in range(q.n):
@@ -114,9 +115,8 @@ def check_embedding(t):
         diff = pulled ^ q._up[x]
         if diff:
             y = (diff & -diff).bit_length() - 1
-            return Verdict(False, (x, y),
-                           f"order not preserved/reflected at "
-                           f"({q.labels[x]}, {q.labels[y]})")
+            return _failing(lambda: (
+                (x, y), f"order not preserved/reflected at ({lab[x]}, {lab[y]})"))
     return Verdict(True)
 
 
@@ -164,8 +164,8 @@ def check_product_cones(t, restricted=True):
     from the same masks, so the pair-by-pair oracle of the tests, not
     this check, is what guards the construction.  Each carrier pair is
     one bit, so X x Y leaves the carrier exactly when |X|·|Y| exceeds
-    that mask's popcount, and only then is the first outside pair looked
-    for."""
+    that mask's popcount, and the first outside pair is looked for only
+    once the failure's detail is read (:func:`_cones_failure`)."""
     q = t.source
     r = t.result.base
     first_down, first_up = _lift(t._first, q._down), _lift(t._first, q._up)
@@ -175,19 +175,16 @@ def check_product_cones(t, restricted=True):
         lprod = first_down[x] & second_up[y]
         uprod = first_up[x] & second_down[y]
         if r._down[k] != lprod:
-            kind, outside = "L", None
+            kind, xs, ys = "L", 0, 0
         elif r._up[k] != uprod:
-            kind, outside = "U", None
-        elif not restricted and (outside := _outside(t, l1, u2, lprod)):
-            kind = "L-unrestricted"
-        elif not restricted and (outside := _outside(t, u1, l2, uprod)):
-            kind = "U-unrestricted"
+            kind, xs, ys = "U", 0, 0
+        elif not restricted and l1.bit_count() * u2.bit_count() != lprod.bit_count():
+            kind, xs, ys = "L-unrestricted", l1, u2
+        elif not restricted and u1.bit_count() * l2.bit_count() != uprod.bit_count():
+            kind, xs, ys = "U-unrestricted", u1, l2
         else:
             continue
-        pair = (f"({q.labels[outside[0]]},{q.labels[outside[1]]})"
-                if outside else "")
-        return Verdict(False, (kind, 1 << k), _CONE_FAILURES[kind].format(
-            A=Subset(r, 1 << k).render(), pair=pair))
+        return _failing(_cones_failure, t, kind, k, xs, ys)
     return Verdict(True)
 
 
@@ -197,15 +194,16 @@ def _lift(coordinate, cones):
     return [_join_rows(coordinate, cone) for cone in cones]
 
 
-def _outside(t, xs, ys, inside):
-    """The first (x, y) of xs × ys outside the carrier, or None when the
-    carrier mask ``inside`` already holds all of them."""
-    if xs.bit_count() * ys.bit_count() == inside.bit_count():
-        return None
-    for x in _bits(xs):
-        for y in _bits(ys):
-            if (x, y) not in t._pair_index:
-                return (x, y)
+def _cones_failure(t, kind, k, xs, ys):
+    """:func:`check_product_cones`' witness and detail for a failure of
+    ``kind`` at the k-th pair, naming the first (x, y) of xs × ys outside
+    the carrier (none for the restricted kinds, which pass empty masks)."""
+    outside = next(((x, y) for x in _bits(xs) for y in _bits(ys)
+                    if (x, y) not in t._pair_index), None)
+    lab = t.source.labels
+    pair = f"({lab[outside[0]]},{lab[outside[1]]})" if outside else ""
+    return (kind, 1 << k), _CONE_FAILURES[kind].format(
+        A=_render(t.result.labels, 1 << k), pair=pair)
 
 
 class TwistAuditReport(namedtuple("TwistAuditReport", (
@@ -228,16 +226,15 @@ def _part_i(t):
     r = t.result
     inv_verdict = r.check_antitone_involution()
     if not inv_verdict.ok:
-        return Verdict(False, None, f"involution invalid: {inv_verdict.detail}")
+        return _failing(lambda: (None, f"involution invalid: {inv_verdict.detail}"))
     pivot_pair = t._pair_index[(t.pivot, t.pivot)]
     pk = r.is_pseudo_kleene()
     if not pk.ok:
-        return Verdict(False, pk.witness, f"not pseudo-Kleene: {pk.detail}")
-    fixed = r.fixed_points()
-    if fixed.mask != 1 << pivot_pair:
-        return Verdict(False, None,
-                       f"fixed points {fixed.render()} != "
-                       f"{{{r.labels[pivot_pair]}}}")
+        return _failing(_prefixed, "not pseudo-Kleene", pk)
+    fixed, lab = r.fixed_points().mask, r.labels
+    if fixed != 1 << pivot_pair:
+        return _failing(lambda: (
+            None, f"fixed points {_render(lab, fixed)} != {{{lab[pivot_pair]}}}"))
     return Verdict(True)
 
 

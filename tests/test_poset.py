@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from kleene_posets import poset as poset_module
 from kleene_posets import (DISTRIBUTIVITY_FORMS, DomainError, MeetDirectoid,
                            Poset, UsageError, Verdict, assign_directoid,
                            dedekind_macneille, enumerate_involutions,
@@ -465,15 +466,18 @@ def test_distributivity_details_pinned_for_every_small_poset():
     assert digest.hexdigest() == ALL_FORMS_N6_SHA256
 
 
-def test_held_verdicts_render_as_a_fresh_poset_does():
+def test_held_verdicts_render_as_a_fresh_poset_does(monkeypatch):
     """Distributivity-forms-equivalent reads whether each form holds and
     renders no detail; rendering them later gives the same verdicts."""
-    for p in iter_posets(6):
-        q = Poset(p.labels, p._up)
-        assert _forms_equivalent(Group((q,)), q) is None
-        assert [key for key in q._memo if key[0] == "_distributivity_verdict"] == []
+    rendered = []
+    monkeypatch.setattr(poset_module, "_render", lambda *args: rendered.append(args))
+    posets = [Poset(p.labels, p._up) for p in iter_posets(6)]
+    assert all(_forms_equivalent(Group((q,)), q) is None for q in posets)
+    assert rendered == []
+    monkeypatch.undo()
+    for q in posets:
         assert q.distributivity_all_forms() == \
-            Poset(p.labels, p._up).distributivity_all_forms()
+            Poset(q.labels, q._up).distributivity_all_forms()
 
 
 def test_forms_disagreement_binding_renders_the_failing_details():
@@ -482,8 +486,8 @@ def test_forms_disagreement_binding_renders_the_failing_details():
     fig2 before anything is rendered."""
     fig2 = base_of(figure("fig2"))
     p = Poset(fig2.labels, fig2._up)
-    p._distributivity(DISTRIBUTIVITY_FORMS)
-    p._memo["_distributivity", "LU"] = None
+    p.distributivity_all_forms()
+    Poset._distributivity_verdict.seed(p, Verdict(True), "LU")
     assert _forms_equivalent(Group((p,)), p) == {
         "forms": {"LU": True, "ULU": False, "UL": False, "LUL": False},
         "details": {form: FAILING_DETAILS["fig2", form] for form in ("ULU", "UL", "LUL")},

@@ -3,19 +3,26 @@ from checkers that computed each failing verdict's witness and detail
 at once, and the tuple protocol of each failing verdict against a plain
 ``Verdict`` of the same fields."""
 
-import hashlib
 import collections
+import copy
+import gc
+import hashlib
 import itertools
 import json
+import pickle
+import sys
+import types
+import weakref
 
+from kleene_posets import poset as poset_module
 from kleene_posets import (DISTRIBUTIVITY_FORMS, DomainError, InvolutivePoset,
-                           MeetDirectoid, Poset, ResiduatedStructure, UsageError,
+                           MeetDirectoid, Poset, ResiduatedStructure, Subset, UsageError,
                            check_condition7, check_derived_set_laws,
                            check_printed_u_pair_law, dedekind_macneille, enumerate_posets,
                            figure, iter_assignments, twist)
 from kleene_posets.cli import _verdict_json
 from kleene_posets.enumeration import _involutive_representatives
-from kleene_posets.poset import Verdict
+from kleene_posets.poset import Verdict, _failing
 from kleene_posets.residuation import AXIOMS
 from kleene_posets.twist import _part_i, _twist_kleene, check_embedding, check_product_cones
 
@@ -236,3 +243,178 @@ def test_every_verdict_matches_the_captured_one():
                     assert read(make()) == read(ref), (tag, name)
     assert (cases, sum(failing.values()), len(failing)) == CASE_COUNTS
     assert digest.hexdigest() == CASES_SHA256
+
+
+# -- laziness and lifetime ----------------------------------------------------
+
+def _count_renders(monkeypatch):
+    """Count the calls of ``poset._render``, under every name the package
+    imports it by, and of ``Subset.render``."""
+    calls = []
+    render = poset_module._render
+
+    def counted(*args):
+        calls.append(args)
+        return render(*args)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("kleene_posets")
+                and getattr(module, "_render", None) is render):
+            monkeypatch.setattr(module, "_render", counted)
+    monkeypatch.setattr(Subset, "render", lambda s: counted(s.owner.labels, s.mask))
+    return calls
+
+
+def _ladder(s):
+    """The failing ladder, lattice and distributivity verdicts of an
+    involutive poset, as (name, verdict)."""
+    p = s.base
+    verdicts = [("pseudo-Kleene", s.is_pseudo_kleene()), ("strong", s.is_strong()),
+                ("lattice", p.is_lattice()), ("LU alone", p.is_distributive("LU")),
+                *p.distributivity_all_forms().items()]
+    if None not in p.bounds():
+        verdicts.append(("strict", s.is_strict()))
+    verdicts.append(("Kleene", s.is_kleene()))    # last: it reads (K) and LU
+    return [(name, v) for name, v in verdicts if not v.ok]
+
+
+def test_failing_verdicts_render_only_when_read(monkeypatch):
+    """Computing the failing (K), Kleene, strong, strict, lattice and
+    distributivity verdicts of every involutive instance with n <= 6 and
+    of its completion renders nothing; reading a detail renders it, and
+    reading it again renders nothing more."""
+    calls = _count_renders(monkeypatch)
+    failing = []
+    for n in range(1, 7):
+        for ip in map(_copy, _involutive_representatives(n)):
+            for s in (ip, dedekind_macneille(ip).as_involutive_poset()):
+                failing += _ladder(s)
+    assert calls == []
+    assert {name for name, _ in failing} == {"pseudo-Kleene", "Kleene", "strong", "strict",
+                                             "lattice", "LU alone", *DISTRIBUTIVITY_FORMS}
+    read = set()
+    for name, v in failing:
+        before = len(calls)
+        detail = v.detail
+        after = len(calls)
+        assert (v.detail, v.witness, tuple(v)) == (detail, v.witness, (False, v.witness, detail))
+        assert len(calls) == after, name
+        # is_distributive("LU") is the all-forms scan's LU verdict
+        if name != "lattice" and name != "Kleene" and id(v) not in read:
+            assert after > before, name
+        read.add(id(v))
+
+
+def test_an_explanation_runs_once():
+    """Every read of a failing verdict but ``ok`` runs its ``explain``
+    the first time and never again."""
+    runs = []
+    v = _failing(lambda: runs.append(1) or ((0, 1), "detail"))
+    assert not v.ok and not v and runs == []
+    assert v.detail == "detail" and runs == [1]
+    assert (v.witness, v.detail, v[1], tuple(v), hash(v)) == (
+        (0, 1), "detail", (0, 1), (False, (0, 1), "detail"), hash((False, (0, 1), "detail")))
+    assert v == Verdict(False, (0, 1), "detail") and runs == [1]
+
+
+def test_explanations_pass_arguments_and_copy_as_plain_verdicts():
+    v = _failing(lambda x, y: ((x, y), f"{x} and {y}"), 2, 3)
+    assert v == (False, (2, 3), "2 and 3")
+    assert type(copy.copy(v)) is Verdict and copy.copy(v) == v
+    assert pickle.loads(pickle.dumps(v)) == v
+
+
+def _completion_failing_k():
+    """A fresh completion whose (K) fails, as the involutive poset of its
+    cut completion and the completion itself."""
+    for n in range(1, 7):
+        for ip in _involutive_representatives(n):
+            dm = dedekind_macneille(_copy(ip))
+            if not dm.as_involutive_poset().is_pseudo_kleene().ok:
+                return ip
+    raise AssertionError("no completion fails (K)")
+
+
+def test_a_discarded_completion_dies_without_the_collector():
+    """A completion's involutive poset whose memo holds failing (K),
+    Kleene and strong verdicts is freed by reference counting alone, and
+    the verdicts still explain themselves after it is gone: no
+    explanation holds the structure that memoises it."""
+    ip = _completion_failing_k()
+    want = {}
+    fresh = dedekind_macneille(_copy(ip)).as_involutive_poset()
+    for name, v in _ladder(fresh):
+        want[name] = tuple(v)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        dm = dedekind_macneille(_copy(ip))
+        s = dm.as_involutive_poset()
+        verdicts = _ladder(s)
+        owner = weakref.ref(s)
+        del dm, s
+        assert owner() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert {name: tuple(v) for name, v in verdicts} == want
+    assert "pseudo-Kleene" in want
+
+
+def _reaches(obj, target, seen):
+    """Whether ``target`` is reachable from ``obj``, following a
+    function's closure and defaults but not its globals."""
+    if obj is target:
+        return True
+    if id(obj) in seen or isinstance(obj, (str, int, type, types.ModuleType)):
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, types.FunctionType):
+        refs = [cell.cell_contents for cell in obj.__closure__ or ()]
+        refs += obj.__defaults__ or ()
+    else:
+        refs = gc.get_referents(obj)
+    return any(_reaches(ref, target, seen) for ref in refs)
+
+
+def _memoised_failures():
+    """(owner, method name, arguments) of memoised checkers that fail on
+    fresh structures: the ladders, lattice and distributivity verdicts of
+    fixtures and of a completion failing (K), and fig4's edited tables'
+    axioms and identities."""
+    completion = dedekind_macneille(_copy(_completion_failing_k())).as_involutive_poset()
+    for f in (figure("fig1"), figure("fig2"), figure("fig4"), figure("fig6"), figure("fig7"),
+              figure("fig9"), completion):
+        for method in ("check_antitone_involution", "is_pseudo_kleene", "is_kleene",
+                       "is_strong", "is_strict"):
+            if method != "is_strict" or None not in f.bounds():
+                yield f, method, ()
+        yield f.base, "is_lattice", ()
+        for form in DISTRIBUTIVITY_FORMS:
+            yield f.base, "_distributivity_verdict", (form,)
+    yield InvolutivePoset(_copy(figure("fig1").base), (1, 0, 2, 3, 4, 5)), \
+        "check_antitone_involution", ()
+    for d in itertools.islice(_edited_fig4_tables(), 0, None, 7):
+        for method in ("check_directoid_axioms", "check_identities_1_2"):
+            yield d, method, ()
+        if d.check_identities_1_2().ok:
+            for method in ("check_identity_3", "check_implication_4", "check_implication_5"):
+                yield _table_copy(d), method, ()
+
+
+def test_no_memoised_explanation_holds_its_owner():
+    """The explanation of every failing memoised verdict, arguments and
+    closure included, reaches neither the structure that memoises it nor
+    that structure's memo."""
+    kinds = set()
+    for owner, method, args in _memoised_failures():
+        v = getattr(owner, method)(*args)
+        if v.ok:
+            continue
+        kinds.add(method)
+        explanation = tuple.__getitem__(v, 1)
+        assert not _reaches(explanation, owner, set()), method
+        assert not _reaches(explanation, owner._memo, set()), method
+    assert kinds == {"check_antitone_involution", "is_pseudo_kleene", "is_kleene", "is_strong",
+                     "is_strict", "is_lattice", "_distributivity_verdict",
+                     "check_directoid_axioms", "check_identities_1_2", "check_identity_3",
+                     "check_implication_4", "check_implication_5"}
