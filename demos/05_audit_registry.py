@@ -15,9 +15,9 @@ Three claims are expected to be Refuted:
 
 The five directoid claims (Lem-4.1, Thm-4.2/4.3/4.8/4.11) run at n = 6,
 the others at n = 5 or less.  Run as ``python3 demos/05_audit_registry.py``
-(about 0.1 s: three runs on a 2-vCPU host with CPython 3.11 printed
-totals of 0.0-0.1 s, of which Lem-4.1 took 0.02-0.03 s and
-Thm-4.2/4.3/4.8/4.11 0.01 s or less each).
+(well under 0.1 s: three runs on a 2-vCPU host with CPython 3.11
+printed totals of 0.0 s, of which Lem-4.1 took 0.01 s and
+Thm-4.2/4.3/4.8/4.11 0.00 s each).
 """
 
 import time

@@ -87,8 +87,9 @@ def _failing(explain, *args):
     reads only ``ok`` never pays for the witness search or the rendering
     after a check has decided.  It and ``args`` must read only immutable
     values, never the structure that memoises the verdict
-    (:func:`_memoised`); they are kept in one list, with no closure, so
-    a verdict kept in a memo costs little more than the masks it holds."""
+    (:func:`_memoised`).  They are kept in one list, so a memoised
+    checker needs no closure, and its verdict costs little more than the
+    masks it holds."""
     return tuple.__new__(_Failing, (False, [explain, *args], ""))
 
 
@@ -511,7 +512,7 @@ class Poset:
                 for form, failure in self._distributivity_scan(wanted, inner_cone,
                                                                cone).items():
                     memo[_DISTRIBUTIVITY_KEYS[form]] = (
-                        Verdict(True) if failure is None else
+                        _HOLDS if failure is None else
                         _failing(_distributivity_failure, lab, form, *failure))
         return {form: memo[_DISTRIBUTIVITY_KEYS[form]] for form in forms}
 
@@ -555,9 +556,11 @@ class Poset:
         return failures
 
 
-# each form's memo key, as _memoised builds it, made once
+# each form's memo key, as _memoised builds it, and the verdict of every
+# form that holds: both are immutable, so one of each serves every poset
 _DISTRIBUTIVITY_KEYS = {form: ("_distributivity_verdict", (form,))
                         for form in DISTRIBUTIVITY_FORMS}
+_HOLDS = Verdict(True)
 
 
 def _lattice_failure(lab, x, y, rows, common, least, minimal, kind):
