@@ -158,18 +158,21 @@ def _join(meet, inv):
 # -- the witnesses and details of failing checks, computed on first read
 # (poset._failing) from the tables, maps and labels alone
 
-def _axioms_failure(lab, meet, x=None, commutativity=False):
-    """The first failure of :meth:`MeetDirectoid.check_directoid_axioms`:
-    idempotency at x when given, else the first non-commuting pair with
-    ``commutativity``, else the first (x, y, z) failing weak
-    associativity."""
+def _not_idempotent(lab, meet, x):
+    return ("idempotency", x), f"{lab[x]} meet {lab[x]} = {lab[meet[x][x]]}"
+
+
+def _not_commutative(lab, meet):
+    """The first (x, y) with x ⊓ y != y ⊓ x, in row order."""
     rng = range(len(meet))
-    if x is not None:
-        return ("idempotency", x), f"{lab[x]} meet {lab[x]} = {lab[meet[x][x]]}"
-    if commutativity:
-        x, y = next((x, y) for x in rng for y in rng if meet[x][y] != meet[y][x])
-        return ("commutativity", x, y), (f"{lab[x]} meet {lab[y]} = {lab[meet[x][y]]} but "
-                                         f"{lab[y]} meet {lab[x]} = {lab[meet[y][x]]}")
+    x, y = next((x, y) for x in rng for y in rng if meet[x][y] != meet[y][x])
+    return ("commutativity", x, y), (f"{lab[x]} meet {lab[y]} = {lab[meet[x][y]]} but "
+                                     f"{lab[y]} meet {lab[x]} = {lab[meet[y][x]]}")
+
+
+def _not_weakly_associative(lab, meet):
+    """The first (x, y, z) with (x ⊓ (y ⊓ z)) ⊓ z != x ⊓ (y ⊓ z)."""
+    rng = range(len(meet))
     for x in rng:
         row_x = meet[x]
         for y in rng:
@@ -392,16 +395,16 @@ class MeetDirectoid:
         runs over exactly ``cols[z]``, so it holds at every (y, z) iff the
         union of ``cols[v]`` over v in ``cols[z]`` lies in ``below[z]``
         for every z.  The (x, y) and (x, y, z) scans run only to find the
-        first witness of a failure, once it is read (:func:`_axioms_failure`)."""
+        first witness of a failure, once it is read."""
         meet = self.meet
         for x in range(self.n):
             if meet[x][x] != x:
-                return _failing(_axioms_failure, self.labels, meet, x)
+                return _failing(_not_idempotent, self.labels, meet, x)
         if meet != tuple(zip(*meet)):
-            return _failing(_axioms_failure, self.labels, meet, None, True)
+            return _failing(_not_commutative, self.labels, meet)
         _, below, _, cols = self._order()
         if any(_join_rows(cols, col) & ~below[z] for z, col in enumerate(cols)):
-            return _failing(_axioms_failure, self.labels, meet)
+            return _failing(_not_weakly_associative, self.labels, meet)
         return Verdict(True)
 
     @_memoised

@@ -198,12 +198,20 @@ def _cones_failure(t, kind, k, xs, ys):
     """:func:`check_product_cones`' witness and detail for a failure of
     ``kind`` at the k-th pair, naming the first (x, y) of xs × ys outside
     the carrier (none for the restricted kinds, which pass empty masks)."""
-    outside = next(((x, y) for x in _bits(xs) for y in _bits(ys)
-                    if (x, y) not in t._pair_index), None)
+    outside = _outside(t, xs, ys)
     lab = t.source.labels
     pair = f"({lab[outside[0]]},{lab[outside[1]]})" if outside else ""
     return (kind, 1 << k), _CONE_FAILURES[kind].format(
         A=_render(t.result.labels, 1 << k), pair=pair)
+
+
+def _outside(t, xs, ys):
+    """The first (x, y) of xs × ys outside the carrier, or None."""
+    for x in _bits(xs):
+        for y in _bits(ys):
+            if (x, y) not in t._pair_index:
+                return (x, y)
+    return None
 
 
 class TwistAuditReport(namedtuple("TwistAuditReport", (
