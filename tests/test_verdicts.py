@@ -1,7 +1,9 @@
 """Every checker's verdict, witness and detail against digests captured
 from checkers that computed each failing verdict's witness and detail
 at once, and the tuple protocol of each failing verdict against a plain
-``Verdict`` of the same fields."""
+``Verdict`` of the same fields; then when a failing verdict is explained
+(on first read, once) and what its explanation may hold (never the
+structure that memoises it)."""
 
 import collections
 import copy
