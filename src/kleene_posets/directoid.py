@@ -222,17 +222,19 @@ def _base_table(p):
     their candidate meets (in canonical order)."""
     n = p.n
     up = p._up
+    down = p._down
     table = [[-1] * n for _ in range(n)]
     pairs = []
-    for x in range(n):
-        table[x][x] = x
+    for x, row in enumerate(table):
+        row[x] = x
+        ux, dx = up[x], down[x]
         for y in range(x + 1, n):
-            if (up[x] >> y) & 1:
-                table[x][y] = table[y][x] = x
-            elif (up[y] >> x) & 1:
-                table[x][y] = table[y][x] = y
+            if ux >> y & 1:
+                row[y] = table[y][x] = x
+            elif dx >> y & 1:
+                row[y] = table[y][x] = y
             else:
-                cands = tuple(_bits(p._down[x] & p._down[y]))
+                cands = tuple(_bits(dx & down[y]))
                 if not cands:
                     raise DomainError(
                         f"poset is not downward directed: "
@@ -285,25 +287,28 @@ def _cells_in_cones(p, table, pairs):
     which is evaluated as given."""
     up, down = p._up, p._down
     n = p.n
-    listed = set()
+    listed = [0] * n    # listed[x]: the y of the pairs (x, y)
     for (x, y), cands in pairs:
-        if not 0 <= x < y < n or (x, y) in listed or up[x] >> y & 1 or up[y] >> x & 1:
+        if not 0 <= x < y < n or (listed[x] | up[x] | down[x]) >> y & 1:
             return False
         common = down[x] & down[y]
-        if any(not common >> c & 1 for c in cands):
-            return False
-        listed.add((x, y))
+        for c in cands:
+            if not common >> c & 1:
+                return False
+        listed[x] |= 1 << y
     if len(table) != n:
         return False
+    full = (1 << n) - 1
     for x, row in enumerate(table):
-        if row[x] != x:
+        ux, dx = up[x], down[x]
+        after = full & ~((2 << x) - 1)    # the y > x
+        if row[x] != x or listed[x] != after & ~(ux | dx):
             return False
-        for y in range(x + 1, n):
-            lo = x if up[x] >> y & 1 else y if up[y] >> x & 1 else None
-            if lo is None:
-                if (x, y) not in listed:
-                    return False
-            elif row[y] != lo or table[y][x] != lo:
+        for y in _bits(ux & after):
+            if row[y] != x or table[y][x] != x:
+                return False
+        for y in _bits(dx & after):
+            if row[y] != y or table[y][x] != y:
                 return False
     return True
 

@@ -14,15 +14,18 @@ every member of B.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations
 from collections import namedtuple
 
 from .errors import DomainError
 from .involution import InvolutivePoset, _image
-from .poset import Subset, Verdict, _bits, _failing, _meet_rows, _render
+from .poset import _HOLDS, Subset, Verdict, _bits, _failing, _meet_rows, _render
 
 # The residuated-poset axioms of Theorem 5.2, in report order.
 AXIOMS = ("zero_absorbing", "commutativity", "unit", "associativity", "adjointness")
+# The precondition tiers gating Theorem 5.4's items.
+_ANY_TIER, _COND7_TIER, _STRICT_KLEENE_TIER = (
+    "bounded antitone involution", "condition (7)", "strict Kleene")
 
 
 def _first(cells, fails, detail):
@@ -32,7 +35,7 @@ def _first(cells, fails, detail):
     for cell in cells:
         if fails(*cell):
             return _failing(lambda: (cell, detail(*cell)))
-    return Verdict(True)
+    return _HOLDS
 
 
 def _first_in_rows(n, bad, detail):
@@ -44,7 +47,7 @@ def _first_in_rows(n, bad, detail):
         if cols:
             b = (cols & -cols).bit_length() - 1
             return _failing(lambda: ((a, b), detail(a, b)))
-    return Verdict(True)
+    return _HOLDS
 
 
 def _differing(row, other):
@@ -66,18 +69,27 @@ def _primed(table, inv):
 
 def check_condition7(ip):
     """Condition (7): L(x, y) != {0} for all nonzero x, y.  Requires a
-    bounded carrier; witness is the first failing pair."""
+    bounded carrier; witness is the first failing pair (x, y), x <= y
+    by index."""
     if not isinstance(ip, InvolutivePoset):
         raise DomainError("condition (7) requires a unary map on the carrier")
     ip._require_involution()
     bottom, top = ip.bounds()
     if bottom is None or top is None:
         raise DomainError("condition (7) requires bounds")
-    down, lab = ip.base._down, ip.labels
+    down = ip.base._down
     zero = 1 << bottom
-    return _first(combinations_with_replacement([x for x in range(ip.n) if x != bottom], 2),
-                  lambda x, y: down[x] & down[y] == zero,
-                  lambda x, y: f"L({lab[x]}, {lab[y]}) = {{{lab[bottom]}}}")
+    nonzero = [x for x in range(ip.n) if x != bottom]
+    for i, x in enumerate(nonzero):
+        dx = down[x]
+        for y in nonzero[i:]:
+            if dx & down[y] == zero:
+                return _failing(_zero_meet, ip.labels, bottom, x, y)
+    return _HOLDS
+
+
+def _zero_meet(lab, bottom, x, y):
+    return (x, y), f"L({lab[x]}, {lab[y]}) = {{{lab[bottom]}}}"
 
 
 def _not_associative(lab, x, y, z, lhs, rhs):
@@ -121,6 +133,9 @@ class Theorem54Item(namedtuple("Theorem54Item", "tier verdict", defaults=(None,)
         return "pass" if self.verdict.ok else "fail"
 
 
+_SKIPPED_COND7 = Theorem54Item(_COND7_TIER)
+
+
 class Theorem54Report(namedtuple("Theorem54Report", "items condition7 strict_kleene")):
     """``items`` maps "i".."v" to their :class:`Theorem54Item`."""
 
@@ -148,11 +163,19 @@ class ResiduatedStructure:
         p, inv = ip.base, ip.inv
         up, down = p._up, p._down
         zero, one = 1 << bottom, 1 << top
-        odot = tuple([tuple([zero if ux >> iy & 1 else dx & dy for iy, dy in zip(inv, down)])
-                      for ux, dx in zip(up, down)])
-        arrow = tuple([tuple([one if ux >> y & 1 else uix & uy for y, uy in enumerate(up)])
-                       for ux, uix in zip(up, [up[i] for i in inv])])
-        for name, value in zip(self.__slots__, (ip, p, bottom, top, odot, arrow)):
+        odot, arrow = [], []
+        for x, (ux, dx) in enumerate(zip(up, down)):
+            meets = [dx & dy for dy in down]
+            uix = up[inv[x]]
+            joins = [uix & uy for uy in up]
+            while ux:    # each z >= x: x odot z' = {0} and x -> z = {1}
+                low = ux & -ux
+                z = low.bit_length() - 1
+                meets[inv[z]], joins[z] = zero, one
+                ux ^= low
+            odot.append(tuple(meets))
+            arrow.append(tuple(joins))
+        for name, value in zip(self.__slots__, (ip, p, bottom, top, tuple(odot), tuple(arrow))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -317,42 +340,45 @@ class ResiduatedStructure:
         at (a, b) exactly when (i) fails at (a, b'): priming a mask is a
         bijection that undoes itself, so a -> b != (a odot b')' iff
         (a -> b)' != a odot b', which, as b'' = b, is (i) at (a, b').  So
-        the b failing (ii) in row a are the image of those failing (i).
-        Checks whose tier preconditions fail are reported as skipped.
+        the b failing (ii) in row a are the image of those failing (i),
+        and where the odot table equals the primed arrow table neither is
+        scanned.  Checks whose tier preconditions fail are reported as
+        skipped, and no scan is built for them.
         """
-        p, inv, lab = self.p, self.ip.inv, self.p.labels
+        ip, p = self.ip, self.p
+        n, inv, lab = p.n, ip.inv, p.labels
         odot, arrow, up, down = self._odot, self._arrow, p._up, p._down
         zero, one = 1 << self.bottom, 1 << self.top
-        cond7 = self.check_condition7()
-        strict_kleene = self.ip.is_strict().ok and self.ip.is_distributive("LU").ok
-        active = {"bounded antitone involution": True, "condition (7)": cond7.ok,
-                  "strict Kleene": strict_kleene}
+        cond7 = check_condition7(ip)
+        strict_kleene = ip.is_strict().ok and ip.is_distributive("LU").ok
         arrow_primed = _primed(arrow, inv)
-        failing_i = ([0] * p.n if odot == arrow_primed else
-                     [_differing(row, other) for row, other in zip(odot, arrow_primed)])
-        # (iii): b' lies in U(a) iff b lies in its image, inv being an involution
-        table = (
-            ("i", "bounded antitone involution",
-             failing_i.__getitem__,
-             lambda a, b: f"{lab[a]} odot {lab[b]} != ({lab[a]} -> {lab[b]}')'"),
-            ("ii", "bounded antitone involution",
-             lambda a: _image(inv, failing_i[a]),
-             lambda a, b: f"{lab[a]} -> {lab[b]} != ({lab[a]} odot {lab[b]}')'"),
-            ("iii", "condition (7)",
-             lambda a: _matching(odot[a], zero) ^ _image(inv, up[a]),
-             lambda a, b: f"({lab[a]} odot {lab[b]} = {{0}}) does not match "
-                          f"{lab[a]} <= {lab[b]}'"),
-            ("iv", "condition (7)",
-             lambda a: _matching(arrow[a], one) ^ up[a],
-             lambda a, b: f"({lab[a]} -> {lab[b]} = {{1}}) does not match "
-                          f"{lab[a]} <= {lab[b]}"),
-            ("v", "strict Kleene",
-             lambda a: sum(1 << b for b in _bits(up[a] & ~(1 << a))
-                           if down[inv[a]] & down[b] == zero),
-             lambda a, b: f"{lab[a]} <= {lab[b]} and L({lab[a]}', {lab[b]}) = {{0}} "
-                          f"but {lab[a]} != {lab[b]}"),
-        )
-        items = {key: Theorem54Item(tier, _first_in_rows(p.n, bad, detail)
-                                    if active[tier] else None)
-                 for key, tier, bad, detail in table}
+        if odot == arrow_primed:
+            first_i = first_ii = _HOLDS
+        else:
+            failing_i = [_differing(row, other) for row, other in zip(odot, arrow_primed)]
+            first_i = _first_in_rows(
+                n, failing_i.__getitem__,
+                lambda a, b: f"{lab[a]} odot {lab[b]} != ({lab[a]} -> {lab[b]}')'")
+            first_ii = _first_in_rows(
+                n, lambda a: _image(inv, failing_i[a]),
+                lambda a, b: f"{lab[a]} -> {lab[b]} != ({lab[a]} odot {lab[b]}')'")
+        items = {"i": Theorem54Item(_ANY_TIER, first_i),
+                 "ii": Theorem54Item(_ANY_TIER, first_ii)}
+        if cond7.ok:
+            # (iii): b' lies in U(a) iff b lies in its image, inv being an involution
+            items["iii"] = Theorem54Item(_COND7_TIER, _first_in_rows(
+                n, lambda a: _matching(odot[a], zero) ^ _image(inv, up[a]),
+                lambda a, b: f"({lab[a]} odot {lab[b]} = {{0}}) does not match "
+                             f"{lab[a]} <= {lab[b]}'"))
+            items["iv"] = Theorem54Item(_COND7_TIER, _first_in_rows(
+                n, lambda a: _matching(arrow[a], one) ^ up[a],
+                lambda a, b: f"({lab[a]} -> {lab[b]} = {{1}}) does not match "
+                             f"{lab[a]} <= {lab[b]}"))
+        else:
+            items["iii"] = items["iv"] = _SKIPPED_COND7
+        items["v"] = Theorem54Item(_STRICT_KLEENE_TIER, _first_in_rows(
+            n, lambda a: sum(1 << b for b in _bits(up[a] & ~(1 << a))
+                             if down[inv[a]] & down[b] == zero),
+            lambda a, b: f"{lab[a]} <= {lab[b]} and L({lab[a]}', {lab[b]}) = {{0}} "
+                         f"but {lab[a]} != {lab[b]}") if strict_kleene else None)
         return Theorem54Report(items=items, condition7=cond7, strict_kleene=strict_kleene)
