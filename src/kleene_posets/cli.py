@@ -21,14 +21,13 @@ import os
 import sys
 
 from . import enumeration
-from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _choices,
-                        _IdentityWalk, _pair_keys)
+from .directoid import ASSIGNMENT_CAP, _capped_assignments, _choices, _pair_keys
 from .dot import to_dot
 from .completion import dedekind_macneille
 from .errors import DomainError, FixtureParseError, UsageError
 from .fileformat import build, parse
 from .involution import InvolutivePoset, classify
-from .poset import DISTRIBUTIVITY_FORMS, Verdict
+from .poset import _HOLDS, DISTRIBUTIVITY_FORMS
 from .residuation import AXIOMS, ResiduatedStructure
 from .twist import audit_theorem61
 
@@ -279,29 +278,28 @@ def _cmd_directoid(args, out):
     cap = 1 if args.all_assignments is None else args.all_assignments
     if cap < 1:
         raise UsageError("assignment cap must be at least 1")
-    total, (base, pairs), tables = _capped_assignments(p, cap)
-    keys = _pair_keys(p.labels, [pair for pair, _ in pairs])
-    walk = _IdentityWalk(tables, p, (base, pairs))
+    walk = _capped_assignments(p, cap)
+    keys = _pair_keys(p.labels, [pair for pair, _ in walk.pairs])
     if has_map:
         walk.under(obj.inv, p.bounds())
     entries = []
     for table in walk.tables():
-        # where the walk is shared, the cells decide the axioms and the
-        # order for every table (directoid._cells_in_cones says why)
+        # where the walk is shared, its cells decide the axioms and the
+        # order for every table (directoid._IdentityWalk says why)
         verdicts = walk.verdicts(table) if has_map else None
         entries.append({
-            "choices": _choices(table, p.labels, keys, pairs),
+            "choices": _choices(table, p.labels, keys, walk.pairs),
             "directoid_axioms": _verdict_json(
-                Verdict(True) if walk.shared else table.check_directoid_axioms()),
+                _HOLDS if walk.shared else table.check_directoid_axioms()),
             "induces_original_order": walk.shared or table._induces(p),
             "identities": None if verdicts is None else dict(
                 zip((key for key, _ in _IDENTITIES), map(_verdict_json, verdicts))),
         })
     payload = {
         "command": "directoid", "file": args.file,
-        "assignment_count": total,
+        "assignment_count": walk.count,
         "assignments_checked": len(entries),
-        "sampled": total > cap,
+        "sampled": walk.count > cap,
         "assignments": entries,
     }
 

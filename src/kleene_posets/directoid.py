@@ -24,10 +24,11 @@ where ``<=`` always means the induced order (read off the table).
 Every checker reads it from one memoised order view of the meet table
 (:func:`_order_masks`): the bitmasks of which entries equal their row or
 column index, and of each column's values, built in one pass.  The map
-audits and the CLI decide (1)–(6) on one poset's tables through one walk
-(:class:`_IdentityWalk`): on its first table for all of them where the
-poset's cells lie in their cones (:func:`_cells_in_cones`), and on each
-table alone otherwise.
+audits and the CLI read one poset's assignment space as one walk
+(:class:`_IdentityWalk`), which holds its count, its capped tables and
+whether its cells lie in their cones (:func:`_cells_in_cones`), and
+decide (1)–(6) through it: on its first table for all of them where the
+cells lie in their cones, and on each table alone otherwise.
 Witnesses are deterministic: the checkers scan in a fixed order and
 report the first violation they encounter.
 """
@@ -36,12 +37,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import sys
 
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, _constrained_involutions, _image
-from .poset import (Poset, Verdict, _bits, _failing, _join_rows, _meet_rows, _memoised,
-                    _render, _transpose)
+from .poset import (_HOLDS, Poset, Verdict, _bits, _failing, _join_rows, _meet_rows,
+                    _memoised, _render, _transpose)
 
 
 def default_chooser(x, y, candidates):
@@ -278,13 +280,13 @@ def _cells_in_cones(p, table, pairs):
       - Duality, x ⊓ y = x iff x ⊔ y = y: both hold on x <= y, neither on
         y < x, and on an incomparable pair the meet is not x and the
         join, the image of a cell that is not y', is not y.
-    The audits decide both claims from this verdict and walk the tables
-    only where it fails, which only an edited base table produces, or,
-    for the derived set laws, where the map is no antitone involution;
-    :class:`_IdentityWalk` decides (1)–(6) on the first table for all
-    of them where it holds, and the CLI ``directoid`` reads the axioms
-    and the induced order off it.  A replayed witness carries one table,
-    which is evaluated as given."""
+    Its one reader is :class:`_IdentityWalk`, as ``shared``: the audits
+    decide both claims from it and walk the tables only where it fails,
+    which only an edited base table produces, or, for the derived set
+    laws, where the map is no antitone involution; the walk decides
+    (1)–(6) on the first table for all of them where it holds, and the
+    CLI ``directoid`` reads the axioms and the induced order off it.  A
+    replayed witness carries one table, which is evaluated as given."""
     up, down = p._up, p._down
     n = p.n
     listed = [0] * n    # listed[x]: the y of the pairs (x, y)
@@ -410,7 +412,7 @@ class MeetDirectoid:
         _, below, _, cols = self._order()
         if any(_join_rows(cols, col) & ~below[z] for z, col in enumerate(cols)):
             return _failing(_not_weakly_associative, self.labels, meet)
-        return Verdict(True)
+        return _HOLDS
 
     @_memoised
     def _order(self):
@@ -466,7 +468,7 @@ class MeetDirectoid:
                         ("(2)", x, y), f"(2) fails at ({lab[x]}, {lab[y]}): "
                                        f"({lab[x]} meet {lab[y]})' meet {lab[y]}' = "
                                        f"{lab[meet[inv[row[y]]][iy]]} != {lab[iy]}"))
-        return Verdict(True)
+        return _HOLDS
 
     def _require_identities_1_2(self):
         verdict = self.check_identities_1_2()
@@ -483,7 +485,7 @@ class MeetDirectoid:
         meet, inv = self.meet, self.inv
         pair = next(_identity_3_failures(_lmask(meet, inv), self._order()[0], inv), None)
         if pair is None:
-            return Verdict(True)
+            return _HOLDS
         return _failing(_identity_3_failure, self.labels, meet, inv, *pair)
 
     @_memoised
@@ -578,7 +580,7 @@ class MeetDirectoid:
                     return _failing(
                         _implication_4_failure, self.labels, above, x, y, z,
                         wxy & below[z], sred[lset[x][z]] & sred[lset[y][z]])
-        return Verdict(True)
+        return _HOLDS
 
     def _shared_lower_body(self, name, xs, require_incomparable):
         """The first (x, y, z) over x, y in ``xs`` with z <= x, x' but not
@@ -597,7 +599,7 @@ class MeetDirectoid:
                 bad = shared & ~(lower[y] & lower[inv[y]])
                 if bad:
                     return _failing(_shared_lower_failure, name, lab, x, y, bad)
-        return Verdict(True)
+        return _HOLDS
 
     @_memoised
     def check_implication_5(self):
@@ -625,36 +627,49 @@ class MeetDirectoid:
 
 
 class _IdentityWalk:
-    """Identities (1)–(6) on the map-free tables of one poset, read under
-    one map and its bounds at a time (:meth:`under`).  Built once per
-    poset: by the map spaces' sweep, by a map witness's rebuild and by
-    the CLI ``directoid``.  Each verdict :meth:`verdicts` returns,
-    witness and detail included, is the one the public checker returns
-    on ``table._with_map(inv)``.  The tables are valid by construction in
-    the assignment generator (the sweep and the CLI) and validated by the
-    constructor in ``directoid_from_choices`` (a replay), and
-    ``InvolutivePoset`` validated the map; ``_with_map`` joins the two
-    without checking either again.
+    """One source's assignment space, the one view of it that the
+    assigned audits, the map audits and the CLI ``directoid`` read, and
+    identities (1)–(6) on its tables, read under one map and its bounds
+    at a time (:meth:`under`).  :func:`_capped_assignments` builds it
+    from the poset ``p`` and the ``cells`` its tables are filled from,
+    one base table and ``pairs``, the incomparable pairs with their
+    candidate meets; ``count`` is the product of the candidate lists'
+    sizes.  ``shared``, whether the cells lie in their cones, is checked
+    on first read, and the capped tables are built on the first read of
+    ``deciding`` or :meth:`tables`, so a reader that stops at ``shared``
+    builds none.  A walk over a hand-built list (a replay's one table)
+    has no cells, no ``pairs``, a ``count`` of 1 and is never ``shared``.
 
-    Given the poset ``p`` and the ``cells`` its tables are filled from,
-    the walk checks them once, as it reads the first table, and where
-    they lie in their cones (``shared``) that table alone decides
-    (``deciding``): every table then is a commutative meet-directoid with
-    the order view of ``p`` (:func:`_cells_in_cones` says why), on which
-    (4)'s premise table ``lset[x][y]`` is ``below[x] & below[y]``
+    Each verdict :meth:`verdicts` returns, witness and detail included,
+    is the one the public checker returns on ``table._with_map(inv)``.
+    The tables are valid by construction in the assignment generator and
+    validated by the constructor in ``directoid_from_choices`` (a
+    replay), and ``InvolutivePoset`` validated the map; ``_with_map``
+    joins the two without checking either again.  Where ``shared``, the
+    first table alone decides (``deciding``): every table then is a
+    commutative meet-directoid with the order view of ``p``
+    (:func:`_cells_in_cones` says why), on which (4)'s premise table
+    ``lset[x][y]`` is ``below[x] & below[y]``
     (:meth:`MeetDirectoid._premise_table`), and so is (3)'s
     ``lmask[x] = lset[x][x']`` (:func:`_lmask`).  Each verdict reads only
     those, the map, the bounds and the labels, as each checker's
     docstring says; only the witnesses of a failing (1)/(2) or (3) read
     the meet and join entries, so each table gets its own.  Any other
-    tables, an edited base table's, a replay's one table or a hand-built
-    list, decide each alone, and ``deciding`` keeps them all for the next
-    map."""
+    tables, an edited base table's or a hand-built list, decide each
+    alone, and ``deciding`` keeps them all for the next map."""
 
     def __init__(self, tables, p=None, cells=None):
-        self._rest = iter(tables)
-        self.shared = cells is not None and _cells_in_cones(p, *cells)
-        self.deciding = list(itertools.islice(self._rest, 1 if self.shared else None))
+        self._rest, self._p, self._cells = iter(tables), p, cells
+        self.pairs = () if cells is None else cells[1]
+        self.count = math.prod(len(cands) for _, cands in self.pairs)
+
+    @functools.cached_property
+    def shared(self):
+        return self._cells is not None and _cells_in_cones(self._p, *self._cells)
+
+    @functools.cached_property
+    def deciding(self):
+        return list(itertools.islice(self._rest, 1 if self.shared else None))
 
     def tables(self):
         """Every table, in order, for one pass: ``deciding``, then the
@@ -713,7 +728,7 @@ class _IdentityWalk:
         if not self.holds(table):
             return table._with_map(self.inv).check_identities_1_2(), None, None, None, None
         v3 = self._verdict(3, table)
-        return (Verdict(True), v3 if v3.ok else table._with_map(self.inv).check_identity_3(),
+        return (_HOLDS, v3 if v3.ok else table._with_map(self.inv).check_identity_3(),
                 self._verdict(4, table), self._verdict(5, table),
                 None if None in self.bounds else self._verdict(6, table))
 
@@ -729,25 +744,10 @@ ASSIGNMENT_CAP = 1024
 
 
 def assignment_count(source):
-    p, _ = _split_source(source)
-    return _count(p)
-
-
-def _count(p):
-    """The number of assignments of ``p``, the product of |L(x) ∩ L(y)|
-    over its incomparable pairs, read off its cones without building a
-    table; a domain error where ``p`` is not downward directed."""
-    up, down = p._up, p._down
-    count = 1
-    for x in range(p.n):
-        rest = ~(up[x] | down[x]) & ((1 << p.n) - (2 << x))    # the y > x incomparable to x
-        while rest:
-            low = rest & -rest
-            count *= (down[x] & down[low.bit_length() - 1]).bit_count()
-            rest ^= low
-    if not count:    # some pair has no common lower bound, which _base_table names
-        _base_table(p)
-    return count
+    """The number of assignments, the product of |L(x) ∩ L(y)| over the
+    incomparable pairs (:class:`_IdentityWalk`'s ``count``); a domain
+    error where the poset is not downward directed."""
+    return _capped_assignments(source, 0).count
 
 
 def assign_directoid(source, chooser=default_chooser):
@@ -785,24 +785,22 @@ def _assignments(p, inv, table, pairs):
 
 
 def _capped_assignments(source, cap):
-    """``assignment_count(source)``, the cells ``(table, pairs)``: the base
-    table and the incomparable pairs with their candidate meets (read by
-    :func:`_cells_in_cones`), and a lazy iterator over the first ``cap``
-    tables of ``iter_assignments(source)`` from that base table.  A cap
-    past ``sys.maxsize`` is no cap."""
+    """The :class:`_IdentityWalk` over the first ``cap`` tables of
+    ``iter_assignments(source)``, filled lazily from one base table,
+    whose cells it carries.  A cap past ``sys.maxsize`` is no cap."""
     p, inv = _split_source(source)
     table, pairs = _base_table(p)
-    return (_count(p), (table, pairs),
-            itertools.islice(_assignments(p, inv, table, pairs), min(cap, sys.maxsize)))
+    tables = itertools.islice(_assignments(p, inv, table, pairs), min(cap, sys.maxsize))
+    return _IdentityWalk(tables, p, (table, pairs))
 
 
 def all_assignments(source, cap=ASSIGNMENT_CAP):
     """Materialize every assignment; domain error when the space exceeds
     the cap (the count is reported in the message)."""
-    count, _, tables = _capped_assignments(source, cap)
-    if count > cap:
-        raise DomainError(f"assignment space has {count} tables, over the cap {cap}")
-    return list(tables)
+    walk = _capped_assignments(source, cap)
+    if walk.count > cap:
+        raise DomainError(f"assignment space has {walk.count} tables, over the cap {cap}")
+    return list(walk.tables())
 
 
 def assignment_choices(directoid, source):
@@ -926,7 +924,7 @@ def check_derived_set_laws(directoid, poset):
                 return _failing(lambda: (
                     ("duality", x, y),
                     f"x meet y = x iff x join y = y fails at ({lab[x]}, {lab[y]})"))
-    return Verdict(True)
+    return _HOLDS
 
 
 def check_printed_u_pair_law(directoid, poset):
@@ -953,4 +951,4 @@ def check_printed_u_pair_law(directoid, poset):
                     f"{{(z join {lab[x]}) meet (z join {lab[y]})}} = "
                     f"{_render(poset.labels, got)} != "
                     f"{_render(poset.labels, expect)} = U({lab[x]},{lab[y]})"))
-    return Verdict(True)
+    return _HOLDS

@@ -34,8 +34,8 @@ import json
 from collections import namedtuple
 
 from .completion import dedekind_macneille
-from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _cells_in_cones, _count,
-                        _IdentityWalk, assignment_choices, check_derived_set_laws,
+from .directoid import (ASSIGNMENT_CAP, _capped_assignments, _IdentityWalk,
+                        assignment_choices, check_derived_set_laws,
                         check_printed_u_pair_law, directoid_from_choices)
 from .errors import DomainError, UsageError
 from .involution import (InvolutivePoset, _constrained_involutions,
@@ -289,14 +289,14 @@ class Group:
     """One source's instances in sweep order (``members``) and what they
     share: ``count``, the instances they stand for (n^n in a map group,
     else one per member), with each member's rank among them in ``ranks``
-    where it is not its index; ``sampled``; its source's ``tables``,
-    ``cells`` and identity ``walk``; and its base poset's plain
+    where it is not its index; ``sampled``; the ``walk`` of an assigned
+    or a map group, its source's one view of its assignment space
+    (``directoid._IdentityWalk``); and its base poset's plain
     ``completion``, built on first read.  A group lives for one sweep."""
 
-    def __init__(self, members, sampled=False, tables=None, cells=None,
-                 walk=None, count=None, ranks=None):
+    def __init__(self, members, sampled=False, walk=None, count=None, ranks=None):
         self.members, self.sampled, self.ranks = members, sampled, ranks
-        self.tables, self.cells, self.walk, self._completion = tables, cells, walk, None
+        self.walk, self._completion = walk, None
         self.count = len(members) if count is None else count
 
     @property
@@ -365,19 +365,19 @@ CONDITION7 = _involutive(
 
 
 def _assigned(description, sources, serialize, source_from_witness):
-    """Each source alone in its group, with a lazy iterator over its first
-    ``cap`` assignments and its cells (``directoid._cells_in_cones``), all
-    from one base table.  A rebuilt witness's group holds its one table
-    and no cells, so a replay evaluates the table it is given."""
+    """Each source alone in its group, with the walk over its first
+    ``cap`` assignments, which builds no table until one is read.  A
+    rebuilt witness's walk holds its one table and no cells, so a replay
+    evaluates the table it is given."""
     def sweep(n_bound, cap):
         for source in sources(n_bound):
-            count, cells, tables = _capped_assignments(source, cap)
-            yield Group((source,), count > cap, tables, cells)
+            walk = _capped_assignments(source, cap)
+            yield Group((source,), walk.count > cap, walk)
 
     def rebuild(witness):
         source = source_from_witness(witness)
         table = directoid_from_choices(source, witness["binding"]["choices"])
-        return Group((source,), tables=[table]), source
+        return Group((source,), walk=_IdentityWalk([table])), source
 
     return InstanceSpace(description, sweep, serialize, rebuild, capped=True)
 
@@ -401,9 +401,9 @@ def _map_space(table_side=False):
     (``_IdentityWalk.maps_passing``).  Each poset is one group of count
     n^n, the maps a full product loop visits, whose members are the
     evaluated maps, each ranked sum(u[i] * n^(n-1-i)) in that loop, and
-    whose ``walk`` is one identity walk over p's map-free tables, or
-    None where no map is evaluated.  A
-    member is the shared instance of ``_involutive_groups``
+    whose ``walk`` is p's one identity walk over its map-free tables,
+    which builds none where no map is evaluated.  A member is the shared
+    instance of ``_involutive_groups``
     (``poset._memoised``), so the search behind it runs once per poset
     and process; only a map found on the table side alone is fresh.
 
@@ -419,7 +419,7 @@ def _map_space(table_side=False):
         without one.  The skip rests on Lemma 4.1, at the bounds Lem-4.1
         confirms.  Whatever the choices, ``lower[a]`` and ``cols[a]`` are
         the down-set L(a) on an assigned table
-        (``directoid._cells_in_cones`` says why).  Then (2) holds iff y'
+        (``directoid._IdentityWalk`` says why).  Then (2) holds iff y'
         is in ``lower[m']`` for every y and m in ``cols[y]``
         (``directoid._identity_2`` says why), that is, iff m <= y
         implies y' <= m': iff the map is antitone.  Without x'' = x, (1)
@@ -428,17 +428,13 @@ def _map_space(table_side=False):
     def sweep(n_bound, cap):
         for p in iter_directed(n_bound):
             chosen = {ip.inv: ip for ip in _involutive_groups(p.n).get(p, ())}
-            if chosen or table_side:
-                total, cells, tables = _capped_assignments(p, cap)
-                walk = _IdentityWalk(tables, p, cells)
-            else:    # nothing to evaluate: counted, and no table built
-                total, walk = _count(p), None
+            walk = _capped_assignments(p, cap)
             if table_side:
                 for unary in walk.maps_passing():
                     if unary not in chosen:
                         chosen[unary] = InvolutivePoset(p, unary)
             maps = sorted(chosen)
-            yield Group([chosen[u] for u in maps], total > cap, walk=walk, count=p.n ** p.n,
+            yield Group([chosen[u] for u in maps], walk.count > cap, walk, p.n ** p.n,
                         ranks=[functools.reduce(lambda r, v: r * p.n + v, u, 0) for u in maps])
     return InstanceSpace(
         "downward directed posets x all unary maps x assignments (capped)",
@@ -740,28 +736,19 @@ def _thm54(_, ip):
     return {"failing": {k: v.verdict.detail for k, v in failing.items()}}
 
 
-def _decided_on_cells(group, source):
-    """Whether an assigned instance is decided on its group's cells: they
-    lie in their cones, and a map, if any, is an antitone involution;
-    then every table passes Directoid-roundtrip and Derived-set-laws
-    (``directoid._cells_in_cones`` says why).  A replay has no cells."""
-    if group.cells is None:
-        return False
-    if isinstance(source, InvolutivePoset):
-        if not source.check_antitone_involution().ok:
-            return False
-        source = source.base
-    return _cells_in_cones(source, *group.cells)
-
-
 def _assignment_law(checker, on_cells=False):
-    """The first table failing ``checker``, with the failure's detail if
-    it has one; with ``on_cells``, none where the instance is decided on
-    its cells (:func:`_decided_on_cells`)."""
+    """The first table of the group's walk failing ``checker``, with the
+    failure's detail if it has one; with ``on_cells``, none where the
+    walk's cells lie in their cones (``shared``) and a map, if any, is an
+    antitone involution: then every table passes Directoid-roundtrip and
+    Derived-set-laws (``directoid._IdentityWalk`` says why).  A replay's
+    walk has no cells."""
     def evaluate(group, source):
-        if on_cells and _decided_on_cells(group, source):
+        walk = group.walk
+        if on_cells and walk.shared and (not isinstance(source, InvolutivePoset)
+                                         or source.check_antitone_involution().ok):
             return None
-        for d in group.tables:
+        for d in walk.tables():
             verdict = checker(d, source)
             if not verdict.ok:
                 detail = {"detail": verdict.detail} if verdict.detail else {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DomainError, UsageError
-from .poset import (Poset, Subset, Verdict, _failing, _meet_rows, _memoised, _render,
+from .poset import (_HOLDS, Poset, Subset, _failing, _meet_rows, _memoised, _render,
                     _resolve_pairs, find_isomorphism)
 
 
@@ -149,7 +149,7 @@ class InvolutivePoset:
         the star of a cut completion): its verdict is recorded rather
         than checked again."""
         ip = cls(base, inv)
-        cls.check_antitone_involution.seed(ip, Verdict(True))
+        cls.check_antitone_involution.seed(ip, _HOLDS)
         return ip
 
     @classmethod
@@ -234,7 +234,7 @@ class InvolutivePoset:
             bad = up[x] & ~_image(inv, down[inv[x]])
             if bad:
                 return _failing(_not_antitone, lab, inv, x, bad)
-        return Verdict(True)
+        return _HOLDS
 
     def _require_involution(self):
         verdict = self.check_antitone_involution()
@@ -276,7 +276,7 @@ class InvolutivePoset:
             if up[iz] >> z & 1:
                 up_union |= 1 << z
         if not up_union & ~_meet_rows(up, p._full, low_union):
-            return Verdict(True)
+            return _HOLDS
         return _failing(_k_failure, p.labels, up, p._down, inv, up_union)
 
     @_memoised
@@ -288,7 +288,7 @@ class InvolutivePoset:
         dist = self.base.is_distributive("LU")
         if not dist.ok:
             return _failing(_prefixed, "not distributive", dist)
-        return Verdict(True)
+        return _HOLDS
 
     @_memoised
     def is_strong(self):
@@ -310,24 +310,26 @@ class InvolutivePoset:
             if bad:
                 y = (bad & -bad).bit_length() - 1
                 return _failing(_not_strong, lab, x, y, low, lows[y])
-        return Verdict(True)
+        return _HOLDS
 
     @_memoised
     def is_strict(self):
         """Bounded, and all non-extremal x, y share the same L(x,x') and
-        U(x,x')."""
+        U(x,x').  All inner pairs agree iff every inner element agrees with
+        the first, so that is the x of the first failing pair in scan
+        order, and only its pairs are scanned."""
         self._require_involution()
         bottom, top = self.base.bounds()
         if bottom is None or top is None:
             raise DomainError("strictness requires bounds")
         sides = tuple(zip("LU", self._self_cone_masks()))
         inner = [x for x in range(self.n) if x not in (bottom, top)]
-        for i, x in enumerate(inner):
-            for y in inner[i + 1:]:
+        for x in inner[:1]:
+            for y in inner[1:]:
                 for cone, masks in sides:
                     if masks[x] != masks[y]:
                         return _failing(_not_strict, self.labels, cone, x, y, masks[x], masks[y])
-        return Verdict(True)
+        return _HOLDS
 
     @_memoised
     def is_boolean_poset(self):
@@ -344,7 +346,7 @@ class InvolutivePoset:
             for cone, masks, bound in sides:
                 if masks[x] != 1 << bound:
                     return _failing(_not_boolean, self.labels, cone, x, masks[x], bound)
-        return Verdict(True)
+        return _HOLDS
 
     def _lemma11_bounds(self):
         """The bounds (0, 1), once the preconditions of Lemma 1.1 that do
@@ -379,7 +381,7 @@ class InvolutivePoset:
                 if masks[x] != 1 << bound:
                     return _failing(lambda: (
                         (a, b), f"{cone}({lab[x]},{lab[x]}') = {_render(lab, masks[x])}"))
-        return Verdict(True)
+        return _HOLDS
 
     def isomorphic_to(self, other):
         """Isomorphism respecting the involutions, or ``None``."""

@@ -43,6 +43,10 @@ class Verdict(namedtuple("Verdict", "ok witness detail", defaults=(None, ""))):
         return f"Verdict(fail: {self.detail})"
 
 
+# the verdict of every check that holds: immutable, so one serves them all
+_HOLDS = Verdict(True)
+
+
 class _Failing(Verdict):
     """A failing :class:`Verdict` whose witness and detail are explained
     on first read (:func:`_failing`).  Its own items are ``False``, a list
@@ -423,7 +427,7 @@ class Poset:
                     if common not in principal:
                         return _failing(
                             _lattice_failure, lab, x, y, rows, common, least, minimal, kind)
-        return Verdict(True)
+        return _HOLDS
 
     def is_distributive(self, form="LU"):
         """Check the selected distributivity identity on all element
@@ -556,11 +560,10 @@ class Poset:
         return failures
 
 
-# each form's memo key, as _memoised builds it, and the verdict of every
-# form that holds: both are immutable, so one of each serves every poset
+# each form's memo key, as _memoised builds it: immutable, so one serves
+# every poset
 _DISTRIBUTIVITY_KEYS = {form: ("_distributivity_verdict", (form,))
                         for form in DISTRIBUTIVITY_FORMS}
-_HOLDS = Verdict(True)
 
 
 def _lattice_failure(lab, x, y, rows, common, least, minimal, kind):

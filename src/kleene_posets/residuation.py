@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from .errors import DomainError
 from .involution import InvolutivePoset, _image
-from .poset import _HOLDS, Subset, Verdict, _bits, _failing, _meet_rows, _render
+from .poset import _HOLDS, Subset, _bits, _failing, _meet_rows, _render
 
 # The residuated-poset axioms of Theorem 5.2, in report order.
 AXIOMS = ("zero_absorbing", "commutativity", "unit", "associativity", "adjointness")
@@ -289,7 +289,7 @@ class ResiduatedStructure:
                         rhs = rows[outer] = _meet_rows(odot[x], full, outer)
                     if lhs_row[z] != rhs:
                         return _failing(_not_associative, lab, x, y, z, lhs_row[z], rhs)
-        return Verdict(True)
+        return _HOLDS
 
     def _adjointness(self):
         """a ⊙ b <= {c} iff {a} <= b → c, first failure in (a, b, c)
@@ -307,7 +307,7 @@ class ResiduatedStructure:
             for c in range(n):
                 for a in _bits(_meet_rows(down, full, arrow[b][c])):
                     adjoint[b][a] |= 1 << c
-        verdict = Verdict(True)
+        verdict = _HOLDS
         case_counts = {k: 0 for k in range(1, 8)}
         for a in range(n):
             for b in range(n):

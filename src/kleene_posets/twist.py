@@ -22,7 +22,7 @@ from collections import namedtuple
 
 from .errors import DomainError, UsageError
 from .involution import InvolutivePoset, _prefixed
-from .poset import Poset, Verdict, _bits, _failing, _join_rows, _render
+from .poset import _HOLDS, Poset, _bits, _failing, _join_rows, _render
 
 
 class TwistPoset:
@@ -117,7 +117,7 @@ def check_embedding(t):
             y = (diff & -diff).bit_length() - 1
             return _failing(lambda: (
                 (x, y), f"order not preserved/reflected at ({lab[x]}, {lab[y]})"))
-    return Verdict(True)
+    return _HOLDS
 
 
 def twist_embedding(t):
@@ -185,7 +185,7 @@ def check_product_cones(t, restricted=True):
         else:
             continue
         return _failing(_cones_failure, t, kind, k, xs, ys)
-    return Verdict(True)
+    return _HOLDS
 
 
 def _lift(coordinate, cones):
@@ -243,7 +243,7 @@ def _part_i(t):
     if fixed != 1 << pivot_pair:
         return _failing(lambda: (
             None, f"fixed points {_render(lab, fixed)} != {{{lab[pivot_pair]}}}"))
-    return Verdict(True)
+    return _HOLDS
 
 
 def _twist_kleene(t):

@@ -56,6 +56,32 @@ def test_large_assignment_spaces():
     assert assignment_count(figure("fig7")) == 16986931200
 
 
+def test_assignment_count_is_the_number_of_assignments():
+    """On every directed poset with n <= 5 the count is the number of
+    tables the generator yields."""
+    posets = _directed(5)
+    assert [assignment_count(p) for p in posets] == \
+        [sum(1 for _ in iter_assignments(p)) for p in posets]
+    assert len(posets) == 25
+
+
+def test_assignment_count_is_the_cone_product(monkeypatch):
+    """On every directed poset with n <= 7 (the bound raised in this
+    process only) the count is the product of |L(x) ∩ L(y)| over the
+    incomparable pairs x < y, counted element by element through
+    ``leq``."""
+    monkeypatch.setattr("kleene_posets.enumeration.ENUMERATION_BOUND", 7)
+    posets = _directed(7)
+    for p in posets:
+        rng = range(p.n)
+        want = 1
+        for x, y in itertools.combinations(rng, 2):
+            if not (p.leq(x, y) or p.leq(y, x)):
+                want *= sum(p.leq(z, x) and p.leq(z, y) for z in rng)
+        assert assignment_count(p) == want
+    assert len(posets) == 406
+
+
 @pytest.mark.parametrize("name", SMALL_FIGS)
 def test_axioms_and_roundtrip_all_assignments(name):
     ip = figure(name)
@@ -676,9 +702,7 @@ def _maps_passing_some_table(tables):
 def _swept_walk(source, cap=ASSIGNMENT_CAP):
     """The walk over ``source``'s first ``cap`` tables, built as the map
     spaces' sweep and the CLI build it, and those tables."""
-    _, cells, tables = _capped_assignments(source, cap)
-    p = source.base if isinstance(source, InvolutivePoset) else source
-    walk = _IdentityWalk(tables, p, cells)
+    walk = _capped_assignments(source, cap)
     return walk, list(walk.tables())
 
 

@@ -1208,8 +1208,8 @@ def test_representatives_are_pinned(n):
 
 def test_assigned_sweeps_build_one_base_table_per_source(monkeypatch):
     """The cells and the lazy slice of tables come from one base table
-    per source (the count behind ``sampled`` is read off the poset's
-    cones and builds none), and the slice builds only
+    per source (the count behind ``sampled`` is the product of its
+    candidate lists), and the slice builds only
     the tables the evaluator reads: none where the cells decide the claim
     (Directoid-roundtrip, and Derived-set-laws on its 33 sources), up to
     the first witness otherwise.  Tables are counted where every table is
@@ -1250,14 +1250,15 @@ _CELL_CLAIMS = ("Directoid-roundtrip", "Derived-set-laws")
 
 
 def _walked(claim_id):
-    """The claim with its groups stripped of their cells, so that the
-    evaluator walks every table, as it does on a replay."""
+    """The claim with each group's walk rebuilt over its tables and no
+    cells, so that the evaluator walks every table, as it does on a
+    replay."""
     claim = CLAIMS[claim_id]
     space = claim.instance_space
 
     def sweep(n_bound, cap):
         for group in space.sweep(n_bound, cap):
-            group.cells = None
+            group.walk = _IdentityWalk(group.walk.tables())
             yield group
     return claim._replace(instance_space=space._replace(sweep=sweep))
 
@@ -1269,16 +1270,22 @@ def test_cells_decide_as_the_table_walk_on_every_instance(monkeypatch, claim_id)
     (Derived-set-laws): the cells lie in their cones, so the evaluator
     reads no table, and the walk over every capped table agrees; the
     reports are identical.  The bound is raised in this process only."""
+    from kleene_posets import directoid
     monkeypatch.setattr("kleene_posets.enumeration.ENUMERATION_BOUND", 7)
+    pulled = []
+    assignments = directoid._assignments
+    monkeypatch.setattr(directoid, "_assignments",
+                        lambda *args: (pulled.append(d) or d for d in assignments(*args)))
     claim = CLAIMS[claim_id]
     instances = tables = 0
     for group in claim.instance_space.sweep(7, 1024):
         (source,) = group.members
-        assert enumeration._decided_on_cells(group, source)
-        assert claim.evaluate(Group((source,), tables=iter(()), cells=group.cells),
-                              source) is None
-        assigned = list(group.tables)
-        assert claim.evaluate(Group((source,), tables=assigned), source) is None
+        del pulled[:]
+        assert group.walk.shared
+        assert claim.evaluate(group, source) is None and not pulled
+        assigned = list(group.walk.tables())
+        assert len(pulled) == len(assigned)
+        assert claim.evaluate(Group((source,), walk=_IdentityWalk(assigned)), source) is None
         instances += 1
         tables += len(assigned)
     assert (instances, tables) == {"Directoid-roundtrip": (406, 11728),
@@ -1364,8 +1371,8 @@ def test_edited_base_tables_fall_back_to_the_table_walk(monkeypatch, claim_id, e
 # code included) of ``directoid fixtures/figN.poset --all-assignments 50``
 # for N = 1..8 without its ``assignment_count``, under each base table
 # edit; captured when each walk still grouped its tables by signature.
-# The count is the poset's, read off its cones, so the two edits of the
-# candidate lists no longer move it.
+# The count is the product of the edited candidate lists, which the
+# x-itself and outside-the-cone edits move.
 EDITED_BASE_DIGESTS = {
     "x-itself": ("756a604b0d1936774fd8b3edd9598de06a2be7741c0fbdefe1121312deead808",
                  "6dea487d101b6bafc65702260107d15b8f47021a765a079cac1b9c13348425f6"),
@@ -1381,6 +1388,25 @@ EDITED_BASE_DIGESTS = {
                   "2c078b0c226ad0c5f42b9e3c43f531eaf5780942d6b553233a5a6ab3d16dcb2f"),
 }
 MAP_CLAIMS = ("Lem-4.1",) + MAP_CHARACTERISATIONS
+
+
+@pytest.mark.parametrize("claim_id, checks", [
+    ("Lem-4.1", 88), ("Thm-4.2", 16), ("Thm-4.3", 16), ("Thm-4.8", 16), ("Thm-4.11", 16),
+    ("Directoid-roundtrip", 88), ("Derived-set-laws", 33), ("U-pair-law-printed", 33)])
+def test_an_audit_checks_each_sources_cells_at_most_once(monkeypatch, claim_id, checks):
+    """One audit at n <= 6 with every witness, of each claim over a
+    directed space, checks the cells of each source's walk at most once:
+    each check reads its own base table.  The map characterisations
+    check only the posets with an antitone involution, whose walks they
+    read."""
+    from kleene_posets import directoid
+    sources = sum(1 for _ in CLAIMS[claim_id].instance_space.sweep(6, ASSIGNMENT_CAP))
+    checked = []
+    cells_in_cones = directoid._cells_in_cones
+    monkeypatch.setattr(directoid, "_cells_in_cones", lambda p, table, pairs: (
+        checked.append(table) or cells_in_cones(p, table, pairs)))
+    audit(claim_id, n_bound=6, collect_all=True)
+    assert len({id(table) for table in checked}) == len(checked) == checks <= sources
 
 
 def _map_reports(claims):
@@ -1461,14 +1487,13 @@ def test_a_map_that_is_no_antitone_involution_falls_back():
     evaluate = CLAIMS["Derived-set-laws"].evaluate
     chain = Poset.from_covers("ab", [("a", "b")])
     ip = InvolutivePoset(chain, (0, 1))
-    _, cells, tables = _capped_assignments(ip, 1024)
-    want = evaluate(Group((ip,), tables=list(iter_assignments(ip))), ip)
+    want = evaluate(Group((ip,), walk=_IdentityWalk(iter_assignments(ip))), ip)
     assert want == {"choices": {}, "detail": "{z join a} != U(a)"}
-    assert evaluate(Group((ip,), tables=tables, cells=cells), ip) == want
+    walk = _capped_assignments(ip, 1024)
+    assert evaluate(Group((ip,), walk=walk), ip) == want and walk.shared
     flat = InvolutivePoset(chain, (0, 0))
-    _, cells, tables = _capped_assignments(flat, 1024)
     with pytest.raises(UsageError, match="involutive"):
-        evaluate(Group((flat,), tables=tables, cells=cells), flat)
+        evaluate(Group((flat,), walk=_capped_assignments(flat, 1024)), flat)
 
 
 def test_a_replay_evaluates_the_table_it_is_given(monkeypatch):

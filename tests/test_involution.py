@@ -9,11 +9,12 @@ import itertools
 
 import pytest
 
-from kleene_posets import (InvolutivePoset, Poset, UsageError, classify,
+from kleene_posets import (DomainError, InvolutivePoset, Poset, UsageError, classify,
                            dedekind_macneille, enumerate_posets, figure,
                            involution_from_pairs, twist)
 from kleene_posets.enumeration import iter_involutive, iter_posets
-from kleene_posets.poset import Subset, Verdict, _meet_rows
+from kleene_posets.involution import _not_strict
+from kleene_posets.poset import Subset, Verdict, _failing, _meet_rows
 
 from oracles import RefInvolutive, RefPoset, ref_involutions
 
@@ -132,6 +133,42 @@ def test_strong_matches_the_pairwise_scan():
     assert [ip.is_strong() for ip in instances] == \
         [_scanned_strong(ip) for ip in instances]
     assert {ip.is_strong().ok for ip in instances} == {True, False}
+
+
+def _pairwise_strict(ip):
+    """``InvolutivePoset.is_strict`` as it was before it compared each
+    inner element with the first only, kept verbatim: every inner pair
+    x < y, in order, compares L(x,x') and then U(x,x') with y's."""
+    ip._require_involution()
+    bottom, top = ip.base.bounds()
+    if bottom is None or top is None:
+        raise DomainError("strictness requires bounds")
+    sides = tuple(zip("LU", ip._self_cone_masks()))
+    inner = [x for x in range(ip.n) if x not in (bottom, top)]
+    for i, x in enumerate(inner):
+        for y in inner[i + 1:]:
+            for cone, masks in sides:
+                if masks[x] != masks[y]:
+                    return _failing(_not_strict, ip.labels, cone, x, y, masks[x], masks[y])
+    return Verdict(True)
+
+
+def test_strict_matches_the_pairwise_scan(monkeypatch):
+    """Every bounded antitone involution with n <= 7 (the bound raised in
+    this process only) and the involutive fixtures: the same verdict,
+    first witness and detail as the pairwise scan, or the same error."""
+    monkeypatch.setattr("kleene_posets.enumeration.ENUMERATION_BOUND", 7)
+    bounded = [ip for ip in iter_involutive(7) if None not in ip.bounds()]
+    for ip in bounded + [figure(name) for name in INV_FIGS]:
+        try:
+            want = _pairwise_strict(ip)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=str(exc)):
+                ip.is_strict()
+            continue
+        assert tuple(ip.is_strict()) == tuple(want)
+    assert len(bounded) == 84
+    assert {ip.is_strict().ok for ip in bounded} == {True, False}
 
 
 def test_strict_reason_when_unbounded():
